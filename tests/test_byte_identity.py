@@ -1,0 +1,92 @@
+"""Byte-identity guard: reports, witness dumps and the archived per-layer
+solutions must not change when the LP core is reworked.
+
+Each digest is the SHA-256 of the exact CLI output (or of a canonical text
+form of the archive), recorded before the single-solve maximal strict set
+replaced the per-candidate loop.  A mismatch means an output changed, not
+that the digest is stale: find out which byte moved before re-recording.
+"""
+
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from vassbound import analyze, parse_vass
+from vassbound.cli import main
+from conftest import v_family
+
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+CLI_DIGESTS = {
+    ("running", "analyze", "--json"):
+        "9cbf91ce8d4ca80f51b827dcf2308cad673ac99806bb3817e17f3a983e2ba483",
+    ("v_family1", "analyze", "--json"):
+        "c5742c4efe3f37d7b76a676eee046d272c3114713afe9ca4c8bea0d003a57ee8",
+    ("v_family2", "analyze", "--json"):
+        "29091066059ab6ee2aeb31b7affabecc413d74144e8953b6f9f5118f59bb00ce",
+    ("v_family3", "analyze", "--json"):
+        "444fcf0526772078989609a8cd6d179f762a8cc672c21e5007a45e805e274ab9",
+    ("v_family4", "analyze", "--json"):
+        "6570a7d1f9ee41a4ee8170d4d4e3db17b62cff83014654243c8d0ce8a77bb847",
+    ("doubling", "analyze"):
+        "0942ee318815193d2c9a141c603ceca44e3d25e220978095e95c7b68a64486af",
+    ("running", "witness", "--n", "4", "--check"):
+        "fa16445485669383673483328e4a973e4d8f860064cbb086d7afa1ee72d569b3",
+    ("v_family2", "witness", "--n", "4", "--check"):
+        "62e4d74bc8a62e3a9b67665c24bd040791157e97b728b9ba3cd63005d0fb54da",
+}
+
+ARCHIVE_DIGESTS = {
+    "running":
+        "61a0ec553008822d603a0f1264b1b0b109294ed1f3a06c7fee7f8bfe1270b477",
+    "doubling":
+        "9d11e0bf83be157254b943d6ec7e355b5293804090e97fd146350d9b40a62d09",
+    "v_family1":
+        "9eb2c17a144fc75adef3cae18c9aa695b295509d869bb52c9e0a0f25b640ca6f",
+    "v_family2":
+        "ab616276a2acc68b098eb673cecdcb9ed2059c4e2bc70334e3b91b52417b80d4",
+    "v_family3":
+        "a0e5fd58d0c09313c30a64b9d380d90a6f1b38bc66834bfdd2853676d0ad8acb",
+    "v_family4":
+        "d8f4e471442a223f05320c7f93a7aa5eb29352b402e886f1d67efffdd73f19bb",
+}
+
+
+def _model_text(name: str) -> str:
+    if name.startswith("v_family"):
+        v = v_family(int(name[len("v_family"):]))
+        # Transitions in id order, so the ids in the output match v_family's.
+        return "\n".join(["vars " + " ".join(v.variables)]
+                         + [str(t) for t in v.transitions]) + "\n"
+    return (SAMPLES / f"{name}.vass").read_text(encoding="utf-8")
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def archive_text(result) -> str:
+    """Canonical text of every layer's multi-cycle counts and ranking (r, z)."""
+    lines = []
+    for rec in result.archive:
+        lines.append(f"layer {rec.layer}")
+        lines.append("counts " + repr(sorted(rec.mu.counts.items())))
+        lines.append("r " + repr(sorted(rec.ranking.r.items())))
+        lines.append("z " + repr(sorted(rec.ranking.z.items())))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("key", sorted(CLI_DIGESTS), ids="-".join)
+def test_cli_output_bytes_unchanged(key, tmp_path, capsys):
+    model, command, *flags = key
+    path = tmp_path / f"{model}.vass"
+    path.write_text(_model_text(model), encoding="utf-8")
+    assert main([command, str(path), *flags]) == 0
+    assert _digest(capsys.readouterr().out) == CLI_DIGESTS[key]
+
+
+@pytest.mark.parametrize("model", sorted(ARCHIVE_DIGESTS))
+def test_archived_layer_solutions_unchanged(model):
+    result = analyze(parse_vass(_model_text(model)))
+    assert _digest(archive_text(result)) == ARCHIVE_DIGESTS[model]
