@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlp import GE, EQ, LpProblem, LpRow, max_strict_set, scale_to_integer
+from .exactlp import GE, EQ, LpError, LpProblem, LpRow, max_strict_set, scale_to_integer
 from .model import (
     IntegerMatrix,
     NotConnectedError,
@@ -221,15 +221,20 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
             var_ext.append((x, node.nid))
 
     d = update_matrix(v)
+    f = flow_matrix(v)
+    # Positions of the alive transitions among the full matrices' columns.
+    column = {tid: j for j, tid in enumerate(d.col_labels)}
+    alive_cols = [column[t.tid] for t in u]
+    var_row = dict(zip(d.row_labels, d.rows))
     rows = []
     for x, nid in var_ext:
-        node = tree.node(nid)
-        node_tids = {t.tid for t in node.vass.transitions}
-        rows.append(tuple(d.entry(x, t.tid) if t.tid in node_tids else 0 for t in u))
+        node_tids = {t.tid for t in tree.node(nid).vass.transitions}
+        row = var_row[x]
+        rows.append(tuple(row[j] if t.tid in node_tids else 0
+                          for t, j in zip(u, alive_cols)))
     d_ext = IntegerMatrix(tuple(var_ext), tuple(t.tid for t in u), tuple(rows))
 
-    f = flow_matrix(v)
-    flow_rows = tuple(tuple(f.entry(s, t.tid) for t in u) for s in v.states)
+    flow_rows = tuple(tuple(row[j] for j in alive_cols) for row in f.rows)
     flow = IntegerMatrix(tuple(v.states), tuple(t.tid for t in u), flow_rows)
     return ExtendedSystem(layer, u, tuple(var_ext), d_ext, flow)
 
@@ -284,9 +289,14 @@ def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolutio
 
     The two maximal strict sets must partition the variable copies and the
     alive transitions (the Farkas dichotomy); a violation means a solver bug
-    and raises InternalInvariantError."""
+    and raises InternalInvariantError, as does any failure of the LP solver."""
     mu_problem, mu_labels = _multicycle_problem(sys)
-    mu_sol = scale_to_integer(mu_problem, max_strict_set(mu_problem))
+    rz_problem, rz_labels = _ranking_problem(sys)
+    try:
+        mu_sol = scale_to_integer(mu_problem, max_strict_set(mu_problem))
+        rz_sol = scale_to_integer(rz_problem, max_strict_set(rz_problem))
+    except LpError as err:
+        raise InternalInvariantError(f"LP solver failed: {err}") from err
     counts = {t.tid: int(mu_sol.assignment[f"mu{t.tid}"]) for t in sys.transitions}
     mu_strict_vars = frozenset(mu_labels[i][1] for i in mu_sol.strict_set
                                if mu_labels[i][0] == "var")
@@ -294,8 +304,6 @@ def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolutio
                                 if mu_labels[i][0] == "trans")
     mu = MultiCycleSolution(counts, mu_strict_vars, mu_strict_trans)
 
-    rz_problem, rz_labels = _ranking_problem(sys)
-    rz_sol = scale_to_integer(rz_problem, max_strict_set(rz_problem))
     r = {ve: int(rz_sol.assignment[f"r[{ve[0]},{ve[1]}]"]) for ve in sys.var_ext}
     z = {s: int(rz_sol.assignment[f"z[{s}]"]) for s in sys.flow.row_labels}
     ranked = frozenset(rz_labels[i][1] for i in rz_sol.strict_set

@@ -1,14 +1,19 @@
 """Exact rational linear constraint solving.
 
-Feasibility problems are solved by a phase-1 primal simplex with Bland's
-anti-cycling rule over a fraction-free integer tableau, so results are
-exact and deterministic.  On top of plain feasibility this module offers
-the "maximize the number of strict inequalities" objective needed by the
-bound analysis: strictness is normalized to "slack >= 1", which is
-equivalent for solution sets closed under addition and positive scaling,
-and the unique maximal strict set is found by tightening one candidate row
-at a time; closure under addition guarantees all achievable tightenings
-can then be solved at once.
+Problems are solved by the primal simplex method with Bland's anti-cycling
+rule over a fraction-free integer tableau (rows scaled to integers once,
+by the LCM of all denominators), so results are exact and deterministic.
+`lp_feasible` finds a basic solution with a phase-1 simplex.
+
+`max_strict_set` provides the "maximize the number of strict inequalities"
+objective needed by the bound analysis, for homogeneous problems, whose
+solution sets are cones.  Strictness is normalized to "slack >= 1", which
+is equivalent on a cone.  One phase-2 simplex, started from the feasible
+all-slack basis at the origin, maximizes the sum of s_i subject to
+row_i(x) - s_i >= 0 and 0 <= s_i <= 1 over the candidate rows; closure
+under addition and positive scaling makes s_i = 1 at the optimum exactly
+on the unique maximal strict set.  A phase-1 solve with all those rows
+tightened at once then yields the returned solution.
 """
 
 from __future__ import annotations
@@ -68,11 +73,11 @@ class LpProblem:
             if not (0 <= i < len(self.rows)) or self.rows[i].relation != GE:
                 raise LpError(f"strict candidate {i} is not a '>=' row")
 
-    def tightened(self, row_index: int) -> "LpProblem":
-        """Copy with one row's right-hand side raised by 1 (slack >= 1)."""
+    def tightened(self, *row_indices: int) -> "LpProblem":
+        """Copy with the given rows' right-hand sides raised by 1 (slack >= 1)."""
         rows = list(self.rows)
-        row = rows[row_index]
-        rows[row_index] = LpRow(row.coeffs, row.relation, row.rhs + 1)
+        for i in row_indices:
+            rows[i] = LpRow(rows[i].coeffs, rows[i].relation, rows[i].rhs + 1)
         return LpProblem(self.variables, self.nonneg, tuple(rows), frozenset())
 
 
@@ -90,17 +95,34 @@ class LpSolution:
         return tuple(self.assignment[x] for x in variables)
 
 
-def _row_value(row: LpRow, values: Sequence[Fraction]) -> Fraction:
-    return sum((c * v for c, v in zip(row.coeffs, values)), Fraction(0))
+def _integer_rows(problem: LpProblem) -> tuple[int, list[list[int]], list[int]]:
+    """The LCM `scale` of every coefficient and right-hand side denominator,
+    and each row's coefficients and right-hand side times `scale`."""
+    scale = lcm(*(c.denominator for row in problem.rows for c in row.coeffs),
+                *(row.rhs.denominator for row in problem.rows))
+    rows = [[c.numerator * (scale // c.denominator) for c in row.coeffs]
+            for row in problem.rows]
+    rhs = [row.rhs.numerator * (scale // row.rhs.denominator) for row in problem.rows]
+    return scale, rows, rhs
+
+
+def _scaled_sides(problem: LpProblem, values: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
+    """Every row's left-hand side at `values`, every right-hand side, and 1,
+    all multiplied by one common positive integer."""
+    scale, rows, rhs = _integer_rows(problem)
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    lhs = [sum(c * v for c, v in zip(row, ints)) for row in rows]
+    return lhs, [b * den for b in rhs], scale * den
 
 
 def satisfies(problem: LpProblem, values: Sequence[Fraction]) -> bool:
     """Exact check of every row (no tolerances)."""
-    for row in problem.rows:
-        lhs = _row_value(row, values)
-        if row.relation == GE and lhs < row.rhs:
+    lhs, rhs, _ = _scaled_sides(problem, values)
+    for row, left, right in zip(problem.rows, lhs, rhs):
+        if row.relation == GE and left < right:
             return False
-        if row.relation == EQ and lhs != row.rhs:
+        if row.relation == EQ and left != right:
             return False
     return True
 
@@ -116,48 +138,27 @@ def _reduce_row(row: list[int]) -> list[int]:
     return row
 
 
-def _phase_one(columns: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> Optional[list[Fraction]]:
-    """Solve A x = b, x >= 0 for feasibility; returns x or None.
+def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int]) -> list[int]:
+    """Pivot until no reduced cost in the objective row `obj` is negative.
 
-    Fraction-free tableau: every row is an integer vector that may carry an
-    arbitrary positive scale, so pivoting uses integer cross-elimination
-    followed by a gcd reduction, and ratio comparisons cross-multiply.
-    Bland's rule (smallest eligible index) on entering and leaving variables
-    keeps the pivoting finite and deterministic.
+    Fraction-free tableau: every row (right-hand side last) is an integer
+    vector that may carry an arbitrary positive scale, so pivoting uses
+    integer cross-elimination followed by a gcd reduction, and ratio
+    comparisons cross-multiply.  Bland's rule (smallest eligible index) on
+    entering and leaving variables keeps the pivoting finite and
+    deterministic.  `tableau` and `basis` are updated in place; the final
+    objective row, whose scale stays positive, is returned.
     """
-    m = len(rhs)
-    n = len(columns)
-    denominators = [f.denominator for col in columns for f in col]
-    denominators.extend(f.denominator for f in rhs)
-    scale = lcm(*denominators) if denominators else 1
-    # Tableau rows: structural columns, then artificial identity, then rhs;
-    # rows are flipped so the rhs is non-negative.
-    tableau: list[list[int]] = []
-    for i in range(m):
-        sign = -1 if rhs[i] < 0 else 1
-        row = [sign * int(col[i] * scale) for col in columns]
-        row.extend(1 if j == i else 0 for j in range(m))
-        row.append(sign * int(rhs[i] * scale))
-        tableau.append(_reduce_row(row))
-    basis = [n + i for i in range(m)]
-    # Phase-1 objective: minimize the sum of artificials.  The objective row
-    # starts as cost minus the sum of constraint rows (pricing out the
-    # artificial basis); its scale stays positive throughout.
-    obj = [0] * (n + m + 1)
-    for j in range(n + m):
-        cost = 1 if j >= n else 0
-        obj[j] = cost - sum(tableau[i][j] for i in range(m))
-    obj[-1] = -sum(tableau[i][-1] for i in range(m))
-    obj = _reduce_row(obj)
-
+    m = len(tableau)
+    ncols = len(obj) - 1
     while True:
         entering = -1
-        for j in range(n + m):
+        for j in range(ncols):
             if obj[j] < 0:
                 entering = j
                 break
         if entering < 0:
-            break
+            return obj
         pivot_row = -1
         best_num = best_den = 0
         for i in range(m):
@@ -169,7 +170,7 @@ def _phase_one(columns: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> Opti
                     best_num, best_den = num, den
                     pivot_row = i
         if pivot_row < 0:
-            raise LpInternalError("phase-1 objective unbounded")
+            raise LpInternalError("objective unbounded")
         pivot = tableau[pivot_row]
         piv = pivot[entering]
         for i in range(m):
@@ -182,6 +183,40 @@ def _phase_one(columns: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> Opti
             obj = _reduce_row([piv * a - f * b for a, b in zip(obj, pivot)])
         basis[pivot_row] = entering
 
+
+def _identity_start(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """Tableau of `rows` (`n` structural entries, then the right-hand side),
+    each flipped to a non-negative right-hand side, with one identity
+    column per row inserted before it; those columns form the basis."""
+    m = len(rows)
+    tableau: list[list[int]] = []
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        full = [sign * a for a in row[:-1]]
+        full.extend(1 if j == i else 0 for j in range(m))
+        full.append(sign * row[-1])
+        tableau.append(_reduce_row(full))
+    return tableau, [n + i for i in range(m)]
+
+
+def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
+    """Solve A x = b, x >= 0 for feasibility; returns x or None.
+
+    Each of `rows` is one integer row of A over the `n` columns, followed by
+    its entry of b.
+    """
+    m = len(rows)
+    tableau, basis = _identity_start(rows, n)
+    # Phase-1 objective: minimize the sum of the artificial (identity)
+    # columns.  The objective row starts as cost minus the sum of constraint
+    # rows (pricing out the artificial basis).
+    obj = [0] * (n + m + 1)
+    for j in range(n + m):
+        cost = 1 if j >= n else 0
+        obj[j] = cost - sum(tableau[i][j] for i in range(m))
+    obj[-1] = -sum(tableau[i][-1] for i in range(m))
+    obj = _pivot_to_optimum(tableau, basis, _reduce_row(obj))
+
     if obj[-1] != 0:
         return None
     values = [Fraction(0)] * n
@@ -191,82 +226,103 @@ def _phase_one(columns: list[tuple[Fraction, ...]], rhs: list[Fraction]) -> Opti
     return values
 
 
-def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
-    """Some exact rational solution of the problem, or None if infeasible."""
-    columns: list[tuple[Fraction, ...]] = []
-    # (variable index, sign) per simplex column; free variables are split.
+def _split_rows(problem: LpProblem) -> tuple[int, list[tuple[int, int]], list[list[int]], list[int]]:
+    """`_integer_rows` over the simplex columns, which stand for
+    (variable index, sign) pairs: free variables are split in two."""
+    scale, int_rows, rhs = _integer_rows(problem)
     origin: list[tuple[int, int]] = []
-    nrows = len(problem.rows)
-    for idx, (name, nn) in enumerate(zip(problem.variables, problem.nonneg)):
-        col = tuple(row.coeffs[idx] for row in problem.rows)
-        columns.append(col)
+    for idx, nn in enumerate(problem.nonneg):
         origin.append((idx, 1))
         if not nn:
-            columns.append(tuple(-c for c in col))
             origin.append((idx, -1))
-    for i, row in enumerate(problem.rows):
-        if row.relation == GE:
-            columns.append(tuple(Fraction(-1) if j == i else Fraction(0)
-                                 for j in range(nrows)))
-            origin.append((-1, 0))
+    split = [[sign * row[idx] for idx, sign in origin] for row in int_rows]
+    return scale, origin, split, rhs
 
-    raw = _phase_one(columns, [row.rhs for row in problem.rows])
+
+def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
+    """Some exact rational solution of the problem, or None if infeasible."""
+    scale, origin, split, rhs = _split_rows(problem)
+    # One surplus column (-scale in its own row) per '>=' row.
+    surplus = [i for i, row in enumerate(problem.rows) if row.relation == GE]
+    rows = [row + [-scale if j == i else 0 for j in surplus] + [b]
+            for i, (row, b) in enumerate(zip(split, rhs))]
+
+    raw = _phase_one(rows, len(origin) + len(surplus))
     if raw is None:
         return None
     values = [Fraction(0)] * len(problem.variables)
     for column_value, (var_idx, sign) in zip(raw, origin):
-        if var_idx >= 0:
-            values[var_idx] += sign * column_value
+        values[var_idx] += sign * column_value
     if not satisfies(problem, values):
         raise LpInternalError("simplex produced a non-solution")
     return LpSolution(dict(zip(problem.variables, values)))
 
 
-def _tightened_all(problem: LpProblem, indices) -> LpProblem:
-    rows = list(problem.rows)
-    for i in indices:
-        rows[i] = LpRow(rows[i].coeffs, rows[i].relation, rows[i].rhs + 1)
-    return LpProblem(problem.variables, problem.nonneg, tuple(rows), frozenset())
+def _strict_candidates(problem: LpProblem) -> list[int]:
+    """The candidate rows i with s_i = 1 at an optimum of
+    max sum s_i  s.t.  row_i(x) - s_i >= 0,  0 <= s_i <= 1
+    over the homogeneous problem, found by one phase-2 simplex.
+
+    Every constraint becomes a '<=' row (an '==' row two of them) with
+    right-hand side 0 or 1 and its own slack, so the all-slack basis at
+    x = 0, s = 0 is feasible.
+    """
+    _, origin, split, _ = _split_rows(problem)
+    candidates = sorted(problem.strict_candidates)
+    nx, k = len(origin), len(candidates)
+    s_column = {i: nx + c for c, i in enumerate(candidates)}
+    rows: list[list[int]] = []
+    for i, (row, x_part) in enumerate(zip(problem.rows, split)):
+        le_row = [-a for a in x_part] + [0] * (k + 1)
+        if i in s_column:
+            le_row[s_column[i]] = 1
+        rows.append(le_row)
+        if row.relation == EQ:
+            rows.append(x_part + [0] * (k + 1))
+    for column in s_column.values():
+        bound = [0] * (nx + k) + [1]
+        bound[column] = 1
+        rows.append(bound)
+
+    tableau, basis = _identity_start(rows, nx + k)
+    obj = [0] * (nx + k + len(rows) + 1)
+    for column in s_column.values():
+        obj[column] = -1
+    _pivot_to_optimum(tableau, basis, obj)
+
+    strict = []
+    for r, b in enumerate(basis):
+        if nx <= b < nx + k and tableau[r][-1] != 0:
+            # By closure under addition and scaling every optimum is 0/1.
+            if tableau[r][-1] != tableau[r][b]:
+                raise LpInternalError("fractional strictness variable at the optimum")
+            strict.append(candidates[b - nx])
+    return sorted(strict)
 
 
 def max_strict_set(problem: LpProblem) -> LpSolution:
     """A solution attaining the unique maximal set of strict candidate rows.
 
-    Requires the solution set to be closed under addition (all rows
-    homogeneous in the intended use).  Each candidate row is tightened to
-    slack >= 1 and solved on its own to decide membership; closure under
-    addition makes the union of the feasible candidates jointly achievable,
-    so the returned assignment is a basic solution of the system with every
-    member row tightened at once (a small representative; the sum of the
-    per-row solutions would do as well but carries large entries).
+    Requires homogeneous rows (right-hand side 0), so that the solution set
+    is a cone, closed under addition and positive scaling; raises LpError
+    otherwise.  The maximal strict set comes from one phase-2 simplex (see
+    `_strict_candidates`).  The returned assignment is a basic solution of
+    the problem with every member row tightened to slack >= 1 at once,
+    checked exactly against every row and for the strictness of every
+    member.
     """
-    base = lp_feasible(problem)
-    if base is None:
-        raise LpError("problem is infeasible")
-    total = dict(base.assignment)
-    strict = []
-    for i in sorted(problem.strict_candidates):
-        row = problem.rows[i]
-        # The running sum is itself a solution, so a slack it already
-        # achieves proves the candidate feasible without a solve.
-        if _row_value(row, [total[x] for x in problem.variables]) >= row.rhs + 1:
-            strict.append(i)
-            continue
-        sol = lp_feasible(problem.tightened(i))
-        if sol is None:
-            continue
-        strict.append(i)
-        for name, value in sol.assignment.items():
-            total[name] += value
-    joint = lp_feasible(_tightened_all(problem, strict))
+    if any(row.rhs != 0 for row in problem.rows):
+        raise LpError("maximal strict sets need homogeneous rows")
+    strict = _strict_candidates(problem)
+    joint = lp_feasible(problem.tightened(*strict))
     if joint is None:
         raise LpInternalError("jointly tightened strict rows are infeasible")
     values = [joint.assignment[x] for x in problem.variables]
     if not satisfies(problem, values):
         raise LpInternalError("joint solution violates a row")
+    lhs, rhs, one = _scaled_sides(problem, values)
     for i in strict:
-        row = problem.rows[i]
-        if _row_value(row, values) < row.rhs + 1:
+        if lhs[i] < rhs[i] + one:
             raise LpInternalError(f"joint solution lost strictness of row {i}")
     return LpSolution(joint.assignment, frozenset(strict))
 

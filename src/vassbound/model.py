@@ -86,7 +86,7 @@ class Vass:
             raise VassError("states must be sorted")
         state_set = set(self.states)
         seen: set[tuple] = set()
-        seen_ids: set[int] = set()
+        by_id: dict[int, Transition] = {}
         for t in self.transitions:
             if t.src not in state_set or t.dst not in state_set:
                 raise VassError(f"transition {t} mentions an undeclared state")
@@ -95,10 +95,11 @@ class Vass:
                                 f"expected {len(self.variables)}")
             if t.triple() in seen:
                 raise VassError(f"duplicate transition {t}")
-            if t.tid in seen_ids:
+            if t.tid in by_id:
                 raise VassError(f"duplicate transition id {t.tid}")
             seen.add(t.triple())
-            seen_ids.add(t.tid)
+            by_id[t.tid] = t
+        object.__setattr__(self, "_by_id", by_id)
 
     @staticmethod
     def from_triples(variables: Sequence[str],
@@ -120,10 +121,7 @@ class Vass:
         return len(self.variables)
 
     def transition(self, tid: int) -> Transition:
-        for t in self.transitions:
-            if t.tid == tid:
-                return t
-        raise KeyError(tid)
+        return self._by_id[tid]
 
     def restrict(self, states: Iterable[str], transitions: Iterable[Transition]) -> "Vass":
         """Sub-VASS on the given states/transitions; ids and variables are kept."""

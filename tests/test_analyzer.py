@@ -298,6 +298,40 @@ class TestInternalTripwires:
             analyze(v_run)
 
 
+class TestLpSolveCount:
+    """Each iteration costs one joint solve per system: the maximal strict
+    sets themselves come from the phase-2 simplex, not from lp_feasible."""
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        import vassbound.exactlp as exactlp_mod
+
+        calls = []
+        solve = exactlp_mod.lp_feasible
+
+        def counting(problem):
+            calls.append(problem)
+            return solve(problem)
+
+        monkeypatch.setattr(exactlp_mod, "lp_feasible", counting)
+        return calls
+
+    def test_family_four(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        result = analyze(v_family(4))
+        assert result.iterations == 11
+        assert len(calls) == 2 * result.iterations == 22
+
+    def test_random_models(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        rng = random.Random(7)
+        for _ in range(30):
+            v = random_connected_vass(rng)
+            calls.clear()
+            result = analyze(v)
+            assert len(calls) == 2 * result.iterations
+
+
 class TestRandomSweep:
     def test_invariants_on_random_vasss(self):
         rng = random.Random(99)

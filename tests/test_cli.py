@@ -76,6 +76,19 @@ class TestAnalyze:
         main(["analyze", v_run_file, "--json"])
         assert capsys.readouterr().out == first
 
+    def test_lp_failure_is_internal_error_exit_code(self, v_run_file, capsys,
+                                                     monkeypatch):
+        import vassbound.analyzer as analyzer_mod
+        from vassbound.exactlp import LpInternalError
+
+        def broken_solver(problem):
+            raise LpInternalError("simplex produced a non-solution")
+
+        monkeypatch.setattr(analyzer_mod, "max_strict_set", broken_solver)
+        assert main(["analyze", v_run_file]) == 3
+        err = capsys.readouterr().err
+        assert "internal invariant violation" in err and "non-solution" in err
+
     def test_tree_dot_export(self, v_run_file, tmp_path, capsys):
         dot = tmp_path / "tree.dot"
         assert main(["analyze", v_run_file, "--tree", str(dot)]) == 0

@@ -95,6 +95,37 @@ class TestMaxStrictSet:
         sol = max_strict_set(p)
         assert sol.strict_set == {0}
 
+    def test_rejects_inhomogeneous_rows(self):
+        p = problem(["x"], [((1,), GE, 0), ((1,), GE, 2)], candidates=[0])
+        with pytest.raises(LpError, match="homogeneous"):
+            max_strict_set(p)
+
+    @pytest.mark.parametrize("names, rows, candidates, nonneg", [
+        # An all-zero candidate row can never be strict.
+        (["x", "y"], [((0, 0), GE, 0), ((1, 0), GE, 0)], [0, 1], None),
+        # Duplicate rows are strict together or not at all.
+        (["x", "y"], [((1, -1), GE, 0), ((1, -1), GE, 0), ((-1, 1), GE, 0),
+                      ((0, 1), GE, 0)], [0, 1, 2, 3], None),
+        # An equality pins y to zero, so only rows through x go strict.
+        (["x", "y"], [((0, 1), EQ, 0), ((0, 1), GE, 0), ((1, 1), GE, 0),
+                      ((1, -1), GE, 0)], [1, 2, 3], None),
+        # Free variables: x - y = 0 with x free ties the sign of x to y.
+        (["x", "y", "z"], [((1, -1, 0), EQ, 0), ((1, 0, 0), GE, 0),
+                           ((-1, 0, 1), GE, 0), ((0, 0, -1), GE, 0)],
+         [1, 2, 3], (False, True, False)),
+        # Only free variables, and a cone that is a line.
+        (["x", "y"], [((1, 1), EQ, 0), ((1, 0), GE, 0), ((0, 1), GE, 0)],
+         [1, 2], (False, False)),
+    ])
+    def test_degenerate_cases_match_per_candidate_solves(self, names, rows,
+                                                         candidates, nonneg):
+        p = problem(names, rows, candidates, nonneg)
+        expected = {i for i in p.strict_candidates
+                    if lp_feasible(p.tightened(i)) is not None}
+        sol = max_strict_set(p)
+        assert sol.strict_set == expected
+        assert satisfies(p, sol.vector(p.variables))
+
     def test_determinism(self):
         rng = random.Random(15)
         for _ in range(20):
