@@ -1,8 +1,8 @@
 """Exact rational linear constraint solving.
 
 Problems are solved by the primal simplex method with Bland's anti-cycling
-rule over a fraction-free integer tableau (rows scaled to integers once,
-by the LCM of all denominators), so results are exact and deterministic.
+rule over a fraction-free integer tableau (rows scaled to integers by the
+one LCM of all their denominators), so results are exact and deterministic.
 `lp_feasible` finds a basic solution with a phase-1 simplex.
 
 `max_strict_set` provides the "maximize the number of strict inequalities"

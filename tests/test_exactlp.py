@@ -109,13 +109,15 @@ class TestMaxStrictSet:
         # An equality pins y to zero, so only rows through x go strict.
         (["x", "y"], [((0, 1), EQ, 0), ((0, 1), GE, 0), ((1, 1), GE, 0),
                       ((1, -1), GE, 0)], [1, 2, 3], None),
-        # Free variables: x - y = 0 with x free ties the sign of x to y.
+        # Free x and z: x = y and y >= z >= x leave one ray, x = y = z >= 0.
         (["x", "y", "z"], [((1, -1, 0), EQ, 0), ((1, 0, 0), GE, 0),
-                           ((-1, 0, 1), GE, 0), ((0, 0, -1), GE, 0)],
+                           ((-1, 0, 1), GE, 0), ((0, 1, -1), GE, 0)],
          [1, 2, 3], (False, True, False)),
-        # Only free variables, and a cone that is a line.
-        (["x", "y"], [((1, 1), EQ, 0), ((1, 0), GE, 0), ((0, 1), GE, 0)],
-         [1, 2], (False, False)),
+        # Only free variables: x = -y goes strict both ways, z is pinned.
+        (["x", "y", "z"], [((1, 1, 0), EQ, 0), ((1, 0, 0), GE, 0),
+                           ((0, -1, 0), GE, 0), ((0, 0, 1), GE, 0),
+                           ((0, 0, -1), GE, 0)],
+         [1, 2, 3], (False, False, False)),
     ])
     def test_degenerate_cases_match_per_candidate_solves(self, names, rows,
                                                          candidates, nonneg):
