@@ -3,18 +3,21 @@ solutions must not change when the LP core is reworked.
 
 Each digest is the SHA-256 of the exact CLI output (or of a canonical text
 form of the archive), recorded before the single-solve maximal strict set
-replaced the per-candidate loop.  A mismatch means an output changed, not
-that the digest is stale: find out which byte moved before re-recording.
+replaced the per-candidate loop; the random-suite digest was recorded
+before LP rows became integers at construction.  A mismatch means an
+output changed, not that the digest is stale: find out which byte moved
+before re-recording.
 """
 
 import hashlib
+import random
 from pathlib import Path
 
 import pytest
 
 from vassbound import analyze, parse_vass
-from vassbound.cli import main
-from conftest import v_family
+from vassbound.cli import _render_text_report, main
+from conftest import random_connected_vass, v_family
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -51,6 +54,11 @@ ARCHIVE_DIGESTS = {
     "v_family4":
         "d8f4e471442a223f05320c7f93a7aa5eb29352b402e886f1d67efffdd73f19bb",
 }
+
+# The default text reports of the acceptance suite's 200 random models,
+# concatenated in generation order.
+RANDOM_SUITE_DIGEST = \
+    "b50b31b6fb1e0389b60caac9c72980874e5d58d81091f4a36e747c9c062edeaa"
 
 
 def _model_text(name: str) -> str:
@@ -90,3 +98,12 @@ def test_cli_output_bytes_unchanged(key, tmp_path, capsys):
 def test_archived_layer_solutions_unchanged(model):
     result = analyze(parse_vass(_model_text(model)))
     assert _digest(archive_text(result)) == ARCHIVE_DIGESTS[model]
+
+
+def test_random_suite_text_reports_unchanged():
+    rng = random.Random(20240601)
+    reports = []
+    for _ in range(200):
+        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+        reports.append(_render_text_report(analyze(v)))
+    assert _digest("".join(reports)) == RANDOM_SUITE_DIGEST
