@@ -1,9 +1,9 @@
 """Exact rational linear constraint solving.
 
 Problems are solved by the primal simplex method with Bland's anti-cycling
-rule over a fraction-free integer tableau (rows scaled to integers by the
-one LCM of all their denominators), so results are exact and deterministic.
-`lp_feasible` finds a basic solution with a phase-1 simplex.
+rule over a fraction-free integer tableau built directly from the integer
+rows (`LpRow`), so results are exact and deterministic.  `lp_feasible`
+finds a basic solution with a phase-1 simplex.
 
 `max_strict_set` provides the "maximize the number of strict inequalities"
 objective needed by the bound analysis, for homogeneous problems, whose
@@ -39,13 +39,26 @@ class LpInternalError(LpError):
 
 @dataclass(frozen=True)
 class LpRow:
-    coeffs: tuple[Fraction, ...]
+    """The constraint `coeffs . x  relation  rhs` over the integers.
+
+    Int entries are kept as they are, integral `Fraction`s are stored as
+    ints, and any other value raises LpError.  No solve rescales a row."""
+
+    coeffs: tuple[int, ...]
     relation: str
-    rhs: Fraction
+    rhs: int
+
+    def __post_init__(self):
+        if any(type(a) is not int for a in (*self.coeffs, self.rhs)):
+            ints = [int(a) for a in (*self.coeffs, self.rhs)]
+            if ints != [*self.coeffs, self.rhs]:
+                raise LpError("LP rows need integer coefficients and right-hand sides")
+            object.__setattr__(self, "coeffs", tuple(ints[:-1]))
+            object.__setattr__(self, "rhs", ints[-1])
 
     @staticmethod
     def of(coeffs: Sequence, relation: str, rhs=0) -> "LpRow":
-        return LpRow(tuple(Fraction(c) for c in coeffs), relation, Fraction(rhs))
+        return LpRow(tuple(coeffs), relation, rhs)
 
 
 @dataclass(frozen=True)
@@ -95,25 +108,13 @@ class LpSolution:
         return tuple(self.assignment[x] for x in variables)
 
 
-def _integer_rows(problem: LpProblem) -> tuple[int, list[list[int]], list[int]]:
-    """The LCM `scale` of every coefficient and right-hand side denominator,
-    and each row's coefficients and right-hand side times `scale`."""
-    scale = lcm(*(c.denominator for row in problem.rows for c in row.coeffs),
-                *(row.rhs.denominator for row in problem.rows))
-    rows = [[c.numerator * (scale // c.denominator) for c in row.coeffs]
-            for row in problem.rows]
-    rhs = [row.rhs.numerator * (scale // row.rhs.denominator) for row in problem.rows]
-    return scale, rows, rhs
-
-
 def _scaled_sides(problem: LpProblem, values: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
     """Every row's left-hand side at `values`, every right-hand side, and 1,
-    all multiplied by one common positive integer."""
-    scale, rows, rhs = _integer_rows(problem)
+    all multiplied by the common denominator of `values`."""
     den = lcm(*(v.denominator for v in values))
     ints = [v.numerator * (den // v.denominator) for v in values]
-    lhs = [sum(c * v for c, v in zip(row, ints)) for row in rows]
-    return lhs, [b * den for b in rhs], scale * den
+    lhs = [sum(c * v for c, v in zip(row.coeffs, ints)) for row in problem.rows]
+    return lhs, [row.rhs * den for row in problem.rows], den
 
 
 def satisfies(problem: LpProblem, values: Sequence[Fraction]) -> bool:
@@ -226,26 +227,25 @@ def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
     return values
 
 
-def _split_rows(problem: LpProblem) -> tuple[int, list[tuple[int, int]], list[list[int]], list[int]]:
-    """`_integer_rows` over the simplex columns, which stand for
-    (variable index, sign) pairs: free variables are split in two."""
-    scale, int_rows, rhs = _integer_rows(problem)
+def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[list[int]]]:
+    """The simplex columns, which stand for (variable index, sign) pairs
+    (free variables are split in two), and each row's coefficients on them."""
     origin: list[tuple[int, int]] = []
     for idx, nn in enumerate(problem.nonneg):
         origin.append((idx, 1))
         if not nn:
             origin.append((idx, -1))
-    split = [[sign * row[idx] for idx, sign in origin] for row in int_rows]
-    return scale, origin, split, rhs
+    split = [[sign * row.coeffs[idx] for idx, sign in origin] for row in problem.rows]
+    return origin, split
 
 
 def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
     """Some exact rational solution of the problem, or None if infeasible."""
-    scale, origin, split, rhs = _split_rows(problem)
-    # One surplus column (-scale in its own row) per '>=' row.
+    origin, split = _split_rows(problem)
+    # One surplus column (-1 in its own row) per '>=' row.
     surplus = [i for i, row in enumerate(problem.rows) if row.relation == GE]
-    rows = [row + [-scale if j == i else 0 for j in surplus] + [b]
-            for i, (row, b) in enumerate(zip(split, rhs))]
+    rows = [x_part + [-1 if j == i else 0 for j in surplus] + [row.rhs]
+            for i, (x_part, row) in enumerate(zip(split, problem.rows))]
 
     raw = _phase_one(rows, len(origin) + len(surplus))
     if raw is None:
@@ -267,7 +267,7 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
     right-hand side 0 or 1 and its own slack, so the all-slack basis at
     x = 0, s = 0 is feasible.
     """
-    _, origin, split, _ = _split_rows(problem)
+    origin, split = _split_rows(problem)
     candidates = sorted(problem.strict_candidates)
     nx, k = len(origin), len(candidates)
     s_column = {i: nx + c for c, i in enumerate(candidates)}

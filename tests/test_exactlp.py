@@ -41,6 +41,21 @@ def random_homogeneous(rng, max_vars=5, max_rows=7, span=3):
     return LpProblem(names, nonneg, tuple(rows), candidates)
 
 
+class TestLpRow:
+    @pytest.mark.parametrize("coeffs, rhs", [
+        ((Fraction(1, 2), 1), 0),
+        ((1, 2), Fraction(1, 3)),
+    ])
+    def test_rejects_non_integral_entries(self, coeffs, rhs):
+        with pytest.raises(LpError, match="integer"):
+            LpRow.of(coeffs, GE, rhs)
+
+    def test_stores_integral_fractions_as_ints(self):
+        row = LpRow.of((Fraction(4, 2), 3), GE, Fraction(2))
+        assert row.coeffs == (2, 3) and row.rhs == 2
+        assert all(type(a) is int for a in (*row.coeffs, row.rhs))
+
+
 class TestFeasibility:
     def test_homogeneous_single_row(self):
         sol = lp_feasible(problem(["x"], [((1,), GE, 0)]))
