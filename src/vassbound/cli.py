@@ -50,6 +50,8 @@ def _load(path: str) -> Vass:
             text = handle.read()
     except OSError as err:
         raise VassSyntaxError(f"cannot read '{path}': {err.strerror}", 0)
+    except UnicodeDecodeError as err:
+        raise VassSyntaxError(f"cannot read '{path}': not UTF-8 at byte {err.start}", 0)
     return parse_vass(text)
 
 

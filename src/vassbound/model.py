@@ -255,12 +255,6 @@ class IntegerMatrix:
             if len(row) != len(self.col_labels):
                 raise VassError("ragged matrix row")
 
-    def entry(self, row_label, col_label) -> int:
-        return self.rows[self.row_labels.index(row_label)][self.col_labels.index(col_label)]
-
-    def row(self, row_label) -> tuple[int, ...]:
-        return self.rows[self.row_labels.index(row_label)]
-
     def column(self, col_label) -> tuple[int, ...]:
         j = self.col_labels.index(col_label)
         return tuple(row[j] for row in self.rows)
@@ -276,7 +270,7 @@ def parse_vass(text: str) -> Vass:
     """
     variables: Optional[tuple[str, ...]] = None
     triples: list[tuple[str, tuple[int, ...], str]] = []
-    lines: list[int] = []
+    seen: set[tuple[str, tuple[int, ...], str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
         if not line.strip():
@@ -322,12 +316,16 @@ def parse_vass(text: str) -> Vass:
         for i, num in enumerate(numbers):
             if not _INT.match(num):
                 raise VassSyntaxError(f"bad integer '{num}'", lineno, col_of(4 + i))
-            update.append(int(num))
+            try:
+                update.append(int(num))
+            except ValueError:  # beyond the interpreter's integer digit limit
+                raise VassSyntaxError(f"integer with {len(num.lstrip('-'))} digits is too long",
+                                      lineno, col_of(4 + i)) from None
         triple = (src, tuple(update), dst)
-        if triple in triples:
+        if triple in seen:
             raise VassSyntaxError(f"duplicate transition '{src} -> {dst}'", lineno)
+        seen.add(triple)
         triples.append(triple)
-        lines.append(lineno)
 
     if variables is None:
         raise VassSyntaxError("missing 'vars' declaration", 1)

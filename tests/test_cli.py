@@ -56,6 +56,16 @@ class TestAnalyze:
         assert main(["analyze", str(bad)]) == 1
         assert "unknown relation token" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("content", [
+        b"vars x\ns1 -> s1 : \xff1\n",
+        b"vars x\ns1 -> s1 : " + b"9" * 5000 + b"\n",
+    ], ids=["not-utf8", "huge-integer"])
+    def test_malformed_input_is_parse_error(self, tmp_path, capsys, content):
+        bad = tmp_path / "bad.vass"
+        bad.write_bytes(content)
+        assert main(["analyze", str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("parse error:")
+
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.vass")]) == 1
 
