@@ -215,30 +215,31 @@ def multicycle_from_solution(v: Vass, transitions: Sequence[Transition],
     return result
 
 
-def _shortest_connection(v: Vass, src: str, dst: str) -> Optional[list[Transition]]:
-    """BFS path from src to dst; edges explored in transition-id order."""
-    if src == dst:
-        return []
+def _bfs_tree(out_edges: Mapping[str, list[Transition]],
+              src: str) -> tuple[dict[str, int], dict[str, Transition]]:
+    """BFS distances from src, and the transition that first reached each
+    other state; each state's out-edges are explored in transition-id order."""
+    dist = {src: 0}
     parent: dict[str, Transition] = {}
     frontier = [src]
-    seen = {src}
     while frontier:
         nxt = []
         for s in frontier:
-            for t in v.transitions:
-                if t.src == s and t.dst not in seen:
-                    seen.add(t.dst)
+            for t in out_edges[s]:
+                if t.dst not in dist:
+                    dist[t.dst] = dist[s] + 1
                     parent[t.dst] = t
-                    if t.dst == dst:
-                        steps = []
-                        cur = dst
-                        while cur != src:
-                            steps.append(parent[cur])
-                            cur = parent[cur].src
-                        return list(reversed(steps))
                     nxt.append(t.dst)
         frontier = nxt
-    return None
+    return dist, parent
+
+
+def _tree_path(parent: Mapping[str, Transition], src: str, dst: str) -> list[Transition]:
+    steps = []
+    while dst != src:
+        steps.append(parent[dst])
+        dst = parent[dst].src
+    return steps[::-1]
 
 
 def covering_cycle(v: Vass) -> Path:
@@ -247,36 +248,35 @@ def covering_cycle(v: Vass) -> Path:
     Greedy: from the lexicographically least state, repeatedly walk a
     shortest connecting path to the source of the not-yet-used transition
     nearest by BFS distance (ties by id), take it, and finally close back
-    to the start."""
+    to the start.  One BFS from the current state serves each step."""
     if not v.transitions:
         anchor = v.states[0] if v.states else None
         return Path((), anchor)
     start = v.states[0]
+    out_edges: dict[str, list[Transition]] = {s: [] for s in v.states}
+    for t in v.transitions:
+        out_edges[t.src].append(t)
     unused = {t.tid: t for t in v.transitions}
     steps: list[Transition] = []
     current = start
-    while unused:
-        best = None
-        for t in sorted(unused.values(), key=lambda t: t.tid):
-            hop = _shortest_connection(v, current, t.src)
-            if hop is None:
-                continue
-            key = (len(hop), t.tid)
-            if best is None or key < best[0]:
-                best = (key, hop, t)
-        if best is None:
+    while True:
+        dist, parent = _bfs_tree(out_edges, current)
+        if not unused:
+            break
+        reachable = [t for t in unused.values() if t.src in dist]
+        if not reachable:
             raise VassError("VASS is not connected; no covering cycle exists")
-        _, hop, t = best
+        t = min(reachable, key=lambda t: (dist[t.src], t.tid))
+        hop = _tree_path(parent, current, t.src)
         steps.extend(hop)
         steps.append(t)
         for h in hop:
             unused.pop(h.tid, None)
         unused.pop(t.tid, None)
         current = t.dst
-    back = _shortest_connection(v, current, start)
-    if back is None:
+    if start not in dist:
         raise VassError("VASS is not connected; no covering cycle exists")
-    steps.extend(back)
+    steps.extend(_tree_path(parent, current, start))
     return Path(tuple(steps), anchor=start)
 
 

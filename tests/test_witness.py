@@ -1,7 +1,9 @@
 """Witness layer: cycle extraction, path construction, verification,
 and exponential certificates."""
 
+import random
 from fractions import Fraction
+from pathlib import Path as FilePath
 
 import pytest
 
@@ -20,10 +22,14 @@ from vassbound import (
     min_initial_valuation,
     multicycle_from_solution,
     node_cycles,
+    parse_vass,
     verify_witness,
 )
 from vassbound.witness import CertificateError, WitnessError, WitnessPath, _Builder
 from vassbound.model import VassError
+from conftest import random_connected_vass, v_family
+
+SAMPLES = FilePath(__file__).resolve().parent.parent / "samples"
 
 # The per-layer multi-cycle solution worked out by hand for the running
 # example's first iteration: one unit of each boundary move, four pump
@@ -73,6 +79,79 @@ class TestCoveringCycle:
         v = Vass.from_triples(["x"], [], extra_states=["s1"])
         cycle = covering_cycle(v)
         assert len(cycle) == 0 and cycle.start == "s1"
+
+
+def _reference_connection(v, src, dst):
+    """BFS path from src to dst over all transitions, per query."""
+    if src == dst:
+        return []
+    parent = {}
+    frontier = [src]
+    seen = {src}
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in v.transitions:
+                if t.src == s and t.dst not in seen:
+                    seen.add(t.dst)
+                    parent[t.dst] = t
+                    if t.dst == dst:
+                        steps = []
+                        cur = dst
+                        while cur != src:
+                            steps.append(parent[cur])
+                            cur = parent[cur].src
+                        return list(reversed(steps))
+                    nxt.append(t.dst)
+        frontier = nxt
+    return None
+
+
+def _reference_covering_steps(v):
+    """The covering cycle's steps with one BFS per unused transition per
+    greedy step, or None where no covering cycle exists."""
+    start = v.states[0]
+    unused = {t.tid: t for t in v.transitions}
+    steps = []
+    current = start
+    while unused:
+        best = None
+        for t in sorted(unused.values(), key=lambda t: t.tid):
+            hop = _reference_connection(v, current, t.src)
+            if hop is not None and (best is None or (len(hop), t.tid) < best[0]):
+                best = ((len(hop), t.tid), hop, t)
+        if best is None:
+            return None
+        _, hop, t = best
+        steps.extend(hop)
+        steps.append(t)
+        for h in hop + [t]:
+            unused.pop(h.tid, None)
+        current = t.dst
+    back = _reference_connection(v, current, start)
+    return None if back is None else tuple(steps + back)
+
+
+def _covering_models():
+    rng = random.Random(20240601)
+    models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+              for _ in range(200)]
+    models += [parse_vass((SAMPLES / f"{name}.vass").read_text(encoding="utf-8"))
+               for name in ("running", "doubling")]
+    models += [v_family(k) for k in range(1, 5)]
+    # Not strongly connected: s2 cannot get back to s1.
+    models.append(Vass.from_triples(["x"], [("s1", (1,), "s2"), ("s2", (0,), "s2")]))
+    return models
+
+
+def test_covering_cycle_matches_per_transition_bfs():
+    for v in _covering_models():
+        expected = _reference_covering_steps(v)
+        if expected is None:
+            with pytest.raises(VassError, match="not connected"):
+                covering_cycle(v)
+        else:
+            assert covering_cycle(v).steps == expected
 
 
 class TestNodeCycles:
