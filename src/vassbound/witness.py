@@ -218,7 +218,7 @@ def multicycle_from_solution(v: Vass, transitions: Sequence[Transition],
 def _bfs_tree(out_edges: Mapping[str, list[Transition]],
               src: str) -> tuple[dict[str, int], dict[str, Transition]]:
     """BFS distances from src, and the transition that first reached each
-    other state; each state's out-edges are explored in transition-id order."""
+    other state; each state's out-edges are explored in list order."""
     dist = {src: 0}
     parent: dict[str, Transition] = {}
     frontier = [src]
@@ -235,6 +235,7 @@ def _bfs_tree(out_edges: Mapping[str, list[Transition]],
 
 
 def _tree_path(parent: Mapping[str, Transition], src: str, dst: str) -> list[Transition]:
+    """The path from src to dst in the BFS tree `parent` rooted at src."""
     steps = []
     while dst != src:
         steps.append(parent[dst])
@@ -254,7 +255,7 @@ def covering_cycle(v: Vass) -> Path:
         return Path((), anchor)
     start = v.states[0]
     out_edges: dict[str, list[Transition]] = {s: [] for s in v.states}
-    for t in v.transitions:
+    for t in v.transitions:  # transition-id order
         out_edges[t.src].append(t)
     unused = {t.tid: t for t in v.transitions}
     steps: list[Transition] = []
