@@ -4,7 +4,8 @@ solutions must not change when the LP core is reworked.
 Each digest is the SHA-256 of the exact CLI output (or of a canonical text
 form of the archive), recorded before the single-solve maximal strict set
 replaced the per-candidate loop; the random-suite digest was recorded
-before LP rows became integers at construction.  A mismatch means an
+before LP rows became integers at construction, and the witness-dump
+digest before the twin pre-path/proper-path builders became one.  A mismatch means an
 output changed, not that the digest is stale: find out which byte moved
 before re-recording.
 """
@@ -15,7 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from vassbound import analyze, parse_vass
+from vassbound import analyze, build_witness, parse_vass
+from vassbound.analyzer import POLYNOMIAL
 from vassbound.cli import _render_text_report, main
 from conftest import random_connected_vass, v_family
 
@@ -59,6 +61,13 @@ ARCHIVE_DIGESTS = {
 # concatenated in generation order.
 RANDOM_SUITE_DIGEST = \
     "b50b31b6fb1e0389b60caac9c72980874e5d58d81091f4a36e747c9c062edeaa"
+
+# Witness dumps at N = 1, 2, 3 of every polynomial model of that suite, in
+# generation order, then v_family(3) at N = 1, 2 and v_family(4) at N = 1:
+# only v_family(4) reaches a skipped layer whose splice order shows in the
+# dump (the node's cycle after, not before, its N-fold repeated deeper path).
+RANDOM_SUITE_WITNESS_DIGEST = \
+    "1a10d9686b36175cff310b7e93a22bbe870783a725a4cd151a77162019b39df6"
 
 
 def _model_text(name: str) -> str:
@@ -107,3 +116,20 @@ def test_random_suite_text_reports_unchanged():
         v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
         reports.append(_render_text_report(analyze(v)))
     assert _digest("".join(reports)) == RANDOM_SUITE_DIGEST
+
+
+def test_random_suite_witness_dumps_unchanged():
+    rng = random.Random(20240601)
+    cases = []
+    for _ in range(200):
+        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+        result = analyze(v)
+        if result.report.status == POLYNOMIAL:
+            cases.append((v, result, (1, 2, 3)))
+    for nu, ns in ((3, (1, 2)), (4, (1,))):
+        v = v_family(nu)
+        cases.append((v, analyze(v), ns))
+    dumps = [build_witness(result, n).dump(v)
+             for v, result, ns in cases for n in ns]
+    assert len(dumps) == 192
+    assert _digest("".join(dumps)) == RANDOM_SUITE_WITNESS_DIGEST
