@@ -6,14 +6,17 @@ once: at least N^e instances of each transition with exponent e, and a
 final valuation reaching N^e on each variable with exponent e, from an
 initial valuation of size O(N).
 
-The construction walks the layer tree bottom-up.  Every node carries one
-fixed cycle (an Eulerian traversal of the per-layer multi-cycle solution;
-a covering cycle for the root) and one fixed decomposition of that cycle
-at the start states of its children's cycles.  A node's contribution for
-target layer l repeats each child's contribution N times inside the
-decomposition slots, which keeps the result a proper path; the per-layer
-paths are concatenated k times each, where the repetition constant k is
-chosen so every phase is executable from an O(N) valuation.
+The construction follows the layer tree.  Every node carries one fixed
+cycle (an Eulerian traversal of the per-layer multi-cycle solution; a
+covering cycle for the root).  One recursive constructor, `_Builder.path`,
+nests N-fold repetitions: for target layer l a node at layer l gives its
+cycle, and a node above it gives its cycle cut at the start states of its
+next-layer parts, each part's contribution repeated N times in its slot.
+Read with the cycle's segments kept around the slots, this is the proper
+path, which executes; read with the slots alone, it is the pre-path, which
+picks the repetition constant k so that each layer's phase executes from
+an O(N) valuation.  The witness is each layer's proper path repeated
+N * k times, layer after layer.
 
 For an exponential outcome the module extracts the per-node cycles of the
 final layer together with the variable partition (bounded / still growing)
@@ -306,16 +309,16 @@ def node_cycles(tree: LayerTree, layer: int,
     return result
 
 
-def _decompose(cycle: Path, children: list[tuple[int, str]]) -> tuple[list[list[Transition]], list[int]]:
-    """Split a node's cycle at the first occurrence of each child's start
-    state; children are ordered by that occurrence."""
+def _decompose(cycle: Path, parts: list[tuple[int, str]]) -> tuple[list[list[Transition]], list[int]]:
+    """Split a node's cycle at the first occurrence of each part's start
+    state; parts are ordered by that occurrence."""
     states = cycle.state_sequence()
     positioned = []
-    for nid, child_start in children:
+    for nid, part_start in parts:
         try:
-            pos = states.index(child_start)
+            pos = states.index(part_start)
         except ValueError:
-            raise WitnessError(f"child start state {child_start} not on parent cycle")
+            raise WitnessError(f"child start state {part_start} not on parent cycle")
         positioned.append((pos, nid))
     positioned.sort()
     segments = []
@@ -330,75 +333,37 @@ def _decompose(cycle: Path, children: list[tuple[int, str]]) -> tuple[list[list[
 
 
 class _Builder:
-    """Shared state for the recursive per-layer path constructions."""
+    """The fixed node cycles of one analysis result at scale parameter N."""
 
     def __init__(self, result: AnalysisResult, n: int):
-        self.v = result.vass
         self.tree = result.tree
-        self.archive = result.archive
         self.n = n
         self.max_layer = result.tree.max_layer()
-        self._seg_cache: dict[int, tuple] = {}
         self.cycles: dict[int, Path] = {}
         for layer in range(self.max_layer + 1):
-            self.cycles.update(node_cycles(self.tree, layer, self.archive, self.v))
+            self.cycles.update(node_cycles(self.tree, layer, result.archive, result.vass))
 
-    def _children_at(self, nid: int, layer: int) -> list[int]:
+    def path(self, nid: int, layer: int, target: int, proper: bool) -> list[Transition]:
+        """The node's contribution for the target layer, seen from `layer`.
+
+        At the target it is the node's cycle.  Below it the cycle is cut
+        at the start states of the node's next-layer parts (itself while
+        `layer < last_layer`, else its children), and each part's
+        contribution, repeated N times, fills its slot in cycle order.
+        `proper` keeps the cycle's segments around the slots (the proper
+        path); otherwise only the slots are concatenated (the pre-path)."""
+        cycle = self.cycles[nid]
+        if layer == target:
+            return list(cycle.steps)
         node = self.tree.node(nid)
-        if layer < node.last_layer:
-            return [nid]
-        return list(node.children)
-
-    def sigma(self, nid: int, layer: int, target: int) -> list[Transition]:
-        """Pre-path: the node's cycle at the target layer, otherwise the
-        children's pre-paths, each repeated N times, concatenated."""
-        if layer == target:
-            return list(self.cycles[nid].steps)
-        out: list[Transition] = []
-        children = self._children_at(nid, layer)
-        if len(children) == 1 and children[0] == nid:
-            return self.sigma(nid, layer + 1, target) * self.n
-        order = self._ordered_children(nid)
-        for child in order:
-            out.extend(self.sigma(child, layer + 1, target) * self.n)
+        parts = [nid] if layer < node.last_layer else node.children
+        segments, order = _decompose(cycle, [(p, self.cycles[p].start) for p in parts])
+        out = list(segments[0]) if proper else []
+        for part, segment in zip(order, segments[1:]):
+            out.extend(self.path(part, layer + 1, target, proper) * self.n)
+            if proper:
+                out.extend(segment)
         return out
-
-    def alpha(self, nid: int, layer: int, target: int) -> list[Transition]:
-        """Proper path: the node's cycle with each child's path (repeated N
-        times) spliced in at the child's start state."""
-        if layer == target:
-            return list(self.cycles[nid].steps)
-        children = self._children_at(nid, layer)
-        if len(children) == 1 and children[0] == nid:
-            return self.alpha(nid, layer + 1, target) * self.n + list(self.cycles[nid].steps)
-        segments, order = self._segments(nid)
-        out = list(segments[0])
-        for child, segment in zip(order, segments[1:]):
-            out.extend(self.alpha(child, layer + 1, target) * self.n)
-            out.extend(segment)
-        return out
-
-    def _ordered_children(self, nid: int) -> list[int]:
-        return self._segments(nid)[1]
-
-    def _segments(self, nid: int):
-        if nid not in self._seg_cache:
-            node = self.tree.node(nid)
-            children = [(c, self.cycles[c].start) for c in node.children]
-            self._seg_cache[nid] = _decompose(self.cycles[nid], children)
-        return self._seg_cache[nid]
-
-    def tau(self, layer: int) -> PrePath:
-        """The layer-l pre-path: the root's pre-path repeated N times (the
-        root's covering cycle repeated N times for layer 0)."""
-        if layer == 0:
-            return PrePath(tuple(list(self.cycles[self.tree.root.nid].steps) * self.n),
-                           anchor=self.cycles[self.tree.root.nid].start)
-        return PrePath(tuple(self.sigma(self.tree.root.nid, 0, layer) * self.n),
-                       anchor=self.cycles[self.tree.root.nid].start)
-
-    def beta(self, layer: int) -> list[Transition]:
-        return self.alpha(self.tree.root.nid, 0, layer) * self.n
 
 
 def choose_k(taus: Mapping[int, PrePath], vexp: Mapping[str, Optional[int]],
@@ -435,13 +400,16 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
         return WitnessPath(n, 1, empty, zero, zero, {}, 0)
 
     builder = _Builder(result, n)
-    taus = {layer: builder.tau(layer) for layer in range(builder.max_layer + 1)}
+    root = result.tree.root.nid
+    anchor = builder.cycles[root].start
+    taus = {layer: PrePath(tuple(builder.path(root, 0, layer, False) * n), anchor)
+            for layer in range(1, builder.max_layer + 1)}
     k = choose_k(taus, result.report.variable_exponents, v, n)
 
     steps: list[Transition] = []
     for layer in range(builder.max_layer + 1):
-        steps.extend(builder.beta(layer) * k)
-    path = Path(tuple(steps), anchor=builder.cycles[result.tree.root.nid].start)
+        steps.extend(builder.path(root, 0, layer, True) * (n * k))
+    path = Path(tuple(steps), anchor=anchor)
 
     base = min_initial_valuation(v, path)
     total = path.value(v.dimension)
