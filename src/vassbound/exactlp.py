@@ -129,14 +129,8 @@ def satisfies(problem: LpProblem, values: Sequence[Fraction]) -> bool:
 
 
 def _reduce_row(row: list[int]) -> list[int]:
-    g = 0
-    for a in row:
-        g = gcd(g, a)
-        if g == 1:
-            return row
-    if g > 1:
-        return [a // g for a in row]
-    return row
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
 
 
 def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int]) -> list[int]:
@@ -193,8 +187,8 @@ def _identity_start(rows: list[list[int]], n: int) -> tuple[list[list[int]], lis
     tableau: list[list[int]] = []
     for i, row in enumerate(rows):
         sign = -1 if row[-1] < 0 else 1
-        full = [sign * a for a in row[:-1]]
-        full.extend(1 if j == i else 0 for j in range(m))
+        full = [sign * a for a in row[:-1]] + [0] * m
+        full[n + i] = 1
         full.append(sign * row[-1])
         tableau.append(_reduce_row(full))
     return tableau, [n + i for i in range(m)]
@@ -210,12 +204,10 @@ def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
     tableau, basis = _identity_start(rows, n)
     # Phase-1 objective: minimize the sum of the artificial (identity)
     # columns.  The objective row starts as cost minus the sum of constraint
-    # rows (pricing out the artificial basis).
-    obj = [0] * (n + m + 1)
-    for j in range(n + m):
-        cost = 1 if j >= n else 0
-        obj[j] = cost - sum(tableau[i][j] for i in range(m))
-    obj[-1] = -sum(tableau[i][-1] for i in range(m))
+    # rows (pricing out the artificial basis); the zero row keeps m = 0 valid.
+    obj = [-sum(column) for column in zip([0] * (n + m + 1), *tableau)]
+    for j in range(n, n + m):
+        obj[j] += 1
     obj = _pivot_to_optimum(tableau, basis, _reduce_row(obj))
 
     if obj[-1] != 0:
