@@ -5,7 +5,7 @@ tree DOT export), `witness` (lower-bound path dump with optional
 self-check), `oracle` (brute-force metrics as CSV), and `validate` (parse
 and connectivity check).
 
-Exit codes: 0 success, 1 parse/input error, 2 input not connected,
+Exit codes: 0 success, 1 parse or input/output error, 2 input not connected,
 3 internal invariant violation, failed witness check, or oracle budget
 exhaustion, 4 witness requested for an input with at-least-exponential
 complexity.
@@ -55,6 +55,14 @@ def _load(path: str) -> Vass:
     return parse_vass(text)
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+    except OSError as err:
+        raise VassError(f"cannot write '{path}': {err.strerror}")
+
+
 def _exp_str(e: Optional[int]) -> str:
     return "inf" if e is None else str(e)
 
@@ -86,8 +94,7 @@ def cmd_analyze(args) -> int:
     v = _load(args.input)
     result = analyze(v, skip_optimization=(args.skip_opt == "on"))
     if args.tree:
-        with open(args.tree, "w", encoding="utf-8") as handle:
-            handle.write(result.tree.to_dot())
+        _write(args.tree, result.tree.to_dot())
     if args.json:
         sys.stdout.write(result.report.to_json(v))
     else:
@@ -105,8 +112,7 @@ def cmd_witness(args) -> int:
     witness = build_witness(result, args.n)
     dump = witness.dump(v)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump)
+        _write(args.out, dump)
     else:
         sys.stdout.write(dump)
     if args.check:
@@ -130,7 +136,11 @@ def cmd_oracle(args) -> int:
     v = _load(args.input)
     budget = args.budget
     if budget is None:
-        budget = int(os.environ.get(BUDGET_ENV, oracle_mod.DEFAULT_BUDGET))
+        raw = os.environ.get(BUDGET_ENV, str(oracle_mod.DEFAULT_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise VassError(f"{BUDGET_ENV} is not an integer: '{raw}'")
     if args.sweep:
         ns = _parse_sweep(args.sweep)
     else:

@@ -145,19 +145,18 @@ def max_reachable(v: Vass, n: int, variable: str,
 def sweep(v: Vass, metric: str, n_values, budget: int = DEFAULT_BUDGET) -> list[tuple[int, str, MetricResult]]:
     """Rows (n, metric, value) for a range of scale parameters.
 
-    `metric` is "longest", "var:<name>" or "trans:<id>"."""
-    rows = []
-    for n in n_values:
-        if metric == "longest":
-            value = longest_trace(v, n, budget)
-        elif metric.startswith("var:"):
-            value = max_reachable(v, n, metric[4:], budget)
-        elif metric.startswith("trans:"):
-            value = max_instances(v, n, int(metric[6:]), budget)
-        else:
-            raise VassError(f"unknown metric '{metric}'")
-        rows.append((n, metric, value))
-    return rows
+    `metric` is "longest", "var:<name>" or "trans:<id>" naming a variable
+    or transition of `v`; any other metric raises VassError."""
+    kind, _, arg = metric.partition(":")
+    if metric == "longest":
+        measure = lambda n: longest_trace(v, n, budget)
+    elif kind == "var" and arg in v.variables:
+        measure = lambda n: max_reachable(v, n, arg, budget)
+    elif kind == "trans" and arg in {str(t.tid) for t in v.transitions}:
+        measure = lambda n: max_instances(v, n, int(arg), budget)
+    else:
+        raise VassError(f"unknown metric '{metric}'")
+    return [(n, metric, measure(n)) for n in n_values]
 
 
 def sweep_csv(rows) -> str:

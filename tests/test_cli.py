@@ -105,6 +105,12 @@ class TestAnalyze:
         capsys.readouterr()
         assert dot.read_text().startswith("digraph")
 
+    def test_unwritable_tree_path_is_error(self, v_run_file, tmp_path, capsys):
+        dot = tmp_path / "missing" / "tree.dot"
+        assert main(["analyze", v_run_file, "--tree", str(dot)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
+
 
 class TestWitness:
     def test_check_passes(self, v_run_file, capsys):
@@ -127,6 +133,13 @@ class TestWitness:
         assert lines[0].startswith("witness N=2")
         assert lines[1].startswith("init ")
         assert lines[-1].startswith("final ")
+
+    def test_unwritable_out_path_is_error(self, v_run_file, tmp_path, capsys):
+        out_path = tmp_path / "missing" / "w.txt"
+        assert main(["witness", v_run_file, "--n", "2",
+                     "--out", str(out_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot write") and err.count("\n") == 1
 
     def test_dump_round_trips_through_independent_replay(self, v_run_file,
                                                          tmp_path, capsys):
@@ -179,6 +192,18 @@ class TestOracle:
     def test_budget_env_override(self, v_run_file, capsys, monkeypatch):
         monkeypatch.setenv("VASSBOUND_ORACLE_BUDGET", "10")
         assert main(["oracle", v_run_file, "--n", "3", "--metric", "longest"]) == 3
+
+    def test_non_integer_budget_env_is_error(self, v_run_file, capsys, monkeypatch):
+        monkeypatch.setenv("VASSBOUND_ORACLE_BUDGET", "lots")
+        assert main(["oracle", v_run_file, "--n", "1", "--metric", "longest"]) == 1
+        err = capsys.readouterr().err
+        assert "VASSBOUND_ORACLE_BUDGET" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("metric", ["var:w", "trans:abc", "trans:99"],
+                             ids=["unknown-variable", "non-integer-id", "unknown-id"])
+    def test_unknown_metric_is_error(self, v_run_file, capsys, metric):
+        assert main(["oracle", v_run_file, "--n", "1", "--metric", metric]) == 1
+        assert capsys.readouterr().err == f"error: unknown metric '{metric}'\n"
 
 
 class TestValidate:
