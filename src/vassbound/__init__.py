@@ -11,7 +11,6 @@ certificate.
 from .analyzer import (
     AnalysisResult,
     BoundsReport,
-    ExtendedSystem,
     InternalInvariantError,
     LayerTree,
     analyze,
@@ -19,18 +18,8 @@ from .analyzer import (
     check_quasi_ranking,
     exponential_check,
     next_relevant_layer,
-    solve_layer,
-)
-from .exactlp import (
-    LpProblem,
-    LpRow,
-    LpSolution,
-    lp_feasible,
-    max_strict_set,
-    scale_to_integer,
 )
 from .model import (
-    IntegerMatrix,
     NotConnectedError,
     Path,
     PrePath,
@@ -60,6 +49,7 @@ from .witness import (
     CertificateError,
     ExponentialCertificate,
     MultiCycle,
+    WitnessError,
     WitnessPath,
     build_witness,
     check_certificate,
@@ -71,5 +61,23 @@ from .witness import (
     verify_witness,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # analysis
+    "AnalysisResult", "BoundsReport", "InternalInvariantError", "LayerTree",
+    "analyze", "build_extended_system", "check_quasi_ranking",
+    "exponential_check", "next_relevant_layer",
+    # model
+    "NotConnectedError", "Path", "PrePath", "Transition", "Valuation", "Vass",
+    "VassError", "VassSyntaxError", "execute_path", "flow_matrix",
+    "min_initial_valuation", "parse_vass", "scc_decompose", "serialize_vass",
+    "unconnected_pair", "update_matrix", "validate_connected",
+    # brute-force oracle
+    "NONTERMINATING", "BudgetExceededError", "longest_trace", "max_instances",
+    "max_reachable",
+    # witnesses and certificates
+    "CertificateError", "ExponentialCertificate", "MultiCycle", "WitnessError",
+    "WitnessPath", "build_witness", "check_certificate", "choose_k",
+    "covering_cycle", "exponential_certificate", "multicycle_from_solution",
+    "node_cycles", "verify_witness",
+]
 __version__ = "0.1.0"
