@@ -402,13 +402,13 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
     builder = _Builder(result, n)
     root = result.tree.root.nid
     anchor = builder.cycles[root].start
-    taus = {layer: PrePath(tuple(builder.path(root, 0, layer, False) * n), anchor)
+    taus = {layer: PrePath(tuple(builder.path(root, 0, layer, proper=False) * n), anchor)
             for layer in range(1, builder.max_layer + 1)}
     k = choose_k(taus, result.report.variable_exponents, v, n)
 
     steps: list[Transition] = []
     for layer in range(builder.max_layer + 1):
-        steps.extend(builder.path(root, 0, layer, True) * (n * k))
+        steps.extend(builder.path(root, 0, layer, proper=True) * (n * k))
     path = Path(tuple(steps), anchor=anchor)
 
     base = min_initial_valuation(v, path)
