@@ -29,13 +29,11 @@ from .model import (
     VassError,
     VassSyntaxError,
     execute_path,
-    flow_matrix,
     min_initial_valuation,
     parse_vass,
     scc_decompose,
     serialize_vass,
     unconnected_pair,
-    update_matrix,
     validate_connected,
 )
 from .oracle import (
@@ -48,7 +46,6 @@ from .oracle import (
 from .witness import (
     CertificateError,
     ExponentialCertificate,
-    MultiCycle,
     WitnessError,
     WitnessPath,
     build_witness,
@@ -68,14 +65,14 @@ __all__ = [
     "exponential_check", "next_relevant_layer",
     # model
     "NotConnectedError", "Path", "PrePath", "Transition", "Valuation", "Vass",
-    "VassError", "VassSyntaxError", "execute_path", "flow_matrix",
-    "min_initial_valuation", "parse_vass", "scc_decompose", "serialize_vass",
-    "unconnected_pair", "update_matrix", "validate_connected",
+    "VassError", "VassSyntaxError", "execute_path", "min_initial_valuation",
+    "parse_vass", "scc_decompose", "serialize_vass", "unconnected_pair",
+    "validate_connected",
     # brute-force oracle
     "NONTERMINATING", "BudgetExceededError", "longest_trace", "max_instances",
     "max_reachable",
     # witnesses and certificates
-    "CertificateError", "ExponentialCertificate", "MultiCycle", "WitnessError",
+    "CertificateError", "ExponentialCertificate", "WitnessError",
     "WitnessPath", "build_witness", "check_certificate", "choose_k",
     "covering_cycle", "exponential_certificate", "multicycle_from_solution",
     "node_cycles", "verify_witness",

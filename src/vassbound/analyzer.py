@@ -22,17 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .exactlp import GE, EQ, LpError, LpProblem, LpRow, max_strict_set, scale_to_integer
-from .model import (
-    IntegerMatrix,
-    NotConnectedError,
-    Transition,
-    Vass,
-    VassError,
-    flow_matrix,
-    scc_decompose,
-    unconnected_pair,
-    update_matrix,
-)
+from .model import NotConnectedError, Transition, Vass, VassError, scc_decompose, unconnected_pair
 
 POLYNOMIAL = "polynomial"
 EXPONENTIAL = "exponential"
@@ -105,14 +95,20 @@ class LayerTree:
 class ExtendedSystem:
     """The per-iteration constraint data: alive transitions, variable copies
     (one per node in layer `layer - exponent`, the root copy for variables
-    without a bound yet), the extended update matrix over those copies, and
-    the flow matrix restricted to the alive transitions."""
+    without a bound yet), and two integer matrices whose column j belongs to
+    `transitions[j]`.
+
+    `d_ext` has one row per copy `var_ext[i] = (x, nid)`: the update of x by
+    each alive transition of node nid, 0 for the other alive transitions.
+    `flow` has one row per state `states[i]`: +1 where a transition enters
+    the state, -1 where it leaves it, 0 elsewhere and for self-loops."""
 
     layer: int
     transitions: tuple[Transition, ...]
     var_ext: tuple[tuple[str, int], ...]
-    d_ext: IntegerMatrix
-    flow: IntegerMatrix
+    d_ext: tuple[tuple[int, ...], ...]
+    flow: tuple[tuple[int, ...], ...]
+    states: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -214,29 +210,17 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     u = tuple(alive[tid] for tid in sorted(alive))
 
     var_ext: list[tuple[str, int]] = []
-    for x in v.variables:
+    d_ext: list[tuple[int, ...]] = []
+    for i, x in enumerate(v.variables):
         e = vexp[x]
         target = 0 if e is None else layer - e
         for node in tree.nodes_at(target):
+            node_tids = {t.tid for t in node.vass.transitions}
             var_ext.append((x, node.nid))
+            d_ext.append(tuple(t.update[i] if t.tid in node_tids else 0 for t in u))
 
-    d = update_matrix(v)
-    f = flow_matrix(v)
-    # Positions of the alive transitions among the full matrices' columns.
-    column = {tid: j for j, tid in enumerate(d.col_labels)}
-    alive_cols = [column[t.tid] for t in u]
-    var_row = dict(zip(d.row_labels, d.rows))
-    rows = []
-    for x, nid in var_ext:
-        node_tids = {t.tid for t in tree.node(nid).vass.transitions}
-        row = var_row[x]
-        rows.append(tuple(row[j] if t.tid in node_tids else 0
-                          for t, j in zip(u, alive_cols)))
-    d_ext = IntegerMatrix(tuple(var_ext), tuple(t.tid for t in u), tuple(rows))
-
-    flow_rows = tuple(tuple(row[j] for j in alive_cols) for row in f.rows)
-    flow = IntegerMatrix(tuple(v.states), tuple(t.tid for t in u), flow_rows)
-    return ExtendedSystem(layer, u, tuple(var_ext), d_ext, flow)
+    flow = tuple(tuple((t.dst == s) - (t.src == s) for t in u) for s in v.states)
+    return ExtendedSystem(layer, u, tuple(var_ext), tuple(d_ext), flow, v.states)
 
 
 def _multicycle_problem(sys: ExtendedSystem) -> tuple[LpProblem, dict]:
@@ -245,10 +229,10 @@ def _multicycle_problem(sys: ExtendedSystem) -> tuple[LpProblem, dict]:
     names = tuple(f"mu{t.tid}" for t in sys.transitions)
     rows: list[LpRow] = []
     labels: dict[int, tuple] = {}
-    for i, ve in enumerate(sys.var_ext):
-        rows.append(LpRow.of(sys.d_ext.rows[i], GE))
+    for ve, row in zip(sys.var_ext, sys.d_ext):
+        rows.append(LpRow.of(row, GE))
         labels[len(rows) - 1] = ("var", ve)
-    for s_row in sys.flow.rows:
+    for s_row in sys.flow:
         rows.append(LpRow.of(s_row, EQ))
     for j, t in enumerate(sys.transitions):
         coeffs = [0] * len(names)
@@ -265,13 +249,13 @@ def _ranking_problem(sys: ExtendedSystem) -> tuple[LpProblem, dict]:
     d_ext^T r + flow^T z <= 0 (encoded negated as >= 0); candidate strictness
     on every transition row and every r >= 0 row."""
     r_names = tuple(f"r[{x},{nid}]" for x, nid in sys.var_ext)
-    z_names = tuple(f"z[{s}]" for s in sys.flow.row_labels)
+    z_names = tuple(f"z[{s}]" for s in sys.states)
     names = r_names + z_names
     rows: list[LpRow] = []
     labels: dict[int, tuple] = {}
     for j, t in enumerate(sys.transitions):
-        coeffs = [-row[j] for row in sys.d_ext.rows]
-        coeffs.extend(-row[j] for row in sys.flow.rows)
+        coeffs = [-row[j] for row in sys.d_ext]
+        coeffs.extend(-row[j] for row in sys.flow)
         rows.append(LpRow.of(coeffs, GE))
         labels[len(rows) - 1] = ("trans", t.tid)
     for i, ve in enumerate(sys.var_ext):
@@ -305,7 +289,7 @@ def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolutio
     mu = MultiCycleSolution(counts, mu_strict_vars, mu_strict_trans)
 
     r = {ve: int(rz_sol.assignment[f"r[{ve[0]},{ve[1]}]"]) for ve in sys.var_ext}
-    z = {s: int(rz_sol.assignment[f"z[{s}]"]) for s in sys.flow.row_labels}
+    z = {s: int(rz_sol.assignment[f"z[{s}]"]) for s in sys.states}
     ranked = frozenset(rz_labels[i][1] for i in rz_sol.strict_set
                        if rz_labels[i][0] == "trans")
     bounded = frozenset(rz_labels[i][1] for i in rz_sol.strict_set
@@ -348,9 +332,8 @@ def check_quasi_ranking(sys: ExtendedSystem, ranking: RankingSolution) -> bool:
     if any(c < 0 for c in ranking.r.values()) or any(c < 0 for c in ranking.z.values()):
         return False
     for j, t in enumerate(sys.transitions):
-        value = sum(row[j] * ranking.r[ve] for row, ve in zip(sys.d_ext.rows, sys.var_ext))
-        value += sum(row[j] * ranking.z[s]
-                     for row, s in zip(sys.flow.rows, sys.flow.row_labels))
+        value = sum(row[j] * ranking.r[ve] for row, ve in zip(sys.d_ext, sys.var_ext))
+        value += sum(row[j] * ranking.z[s] for row, s in zip(sys.flow, sys.states))
         if value > 0:
             return False
         if (value < 0) != (t.tid in ranking.ranked):

@@ -337,15 +337,3 @@ def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
         raise LpInternalError("integer scaling broke a row")
     return LpSolution(scaled, solution.strict_set)
 
-
-def dump_problem(problem: LpProblem) -> str:
-    """Plain-text `rows:` dump for bug reports."""
-    out = ["vars: " + " ".join(
-        (name if nn else f"{name}(free)")
-        for name, nn in zip(problem.variables, problem.nonneg))]
-    out.append("rows:")
-    for i, row in enumerate(problem.rows):
-        terms = " + ".join(f"{c}*{x}" for c, x in zip(row.coeffs, problem.variables) if c != 0)
-        mark = " [strict?]" if i in problem.strict_candidates else ""
-        out.append(f"  {i}: {terms or '0'} {row.relation} {row.rhs}{mark}")
-    return "\n".join(out) + "\n"

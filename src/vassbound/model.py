@@ -6,9 +6,9 @@ transitions, adding the update to the current valuation; a step is only
 allowed if every counter stays non-negative.
 
 This module provides the immutable model types, the line-based text format,
-update/flow matrices, strongly-connected-component decomposition, and
-path execution semantics.  All types are immutable after construction and
-every operation here is a pure function.
+strongly-connected-component decomposition, and path execution semantics.
+All types are immutable after construction and every operation here is a
+pure function.
 """
 
 from __future__ import annotations
@@ -236,30 +236,6 @@ class Path(PrePath):
         return self.start == self.end
 
 
-@dataclass(frozen=True)
-class IntegerMatrix:
-    """A dense integer matrix with named row and column labels."""
-
-    row_labels: tuple
-    col_labels: tuple
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        if len(set(self.row_labels)) != len(self.row_labels):
-            raise VassError("duplicate row labels")
-        if len(set(self.col_labels)) != len(self.col_labels):
-            raise VassError("duplicate column labels")
-        if len(self.rows) != len(self.row_labels):
-            raise VassError("row count does not match row labels")
-        for row in self.rows:
-            if len(row) != len(self.col_labels):
-                raise VassError("ragged matrix row")
-
-    def column(self, col_label) -> tuple[int, ...]:
-        j = self.col_labels.index(col_label)
-        return tuple(row[j] for row in self.rows)
-
-
 def parse_vass(text: str) -> Vass:
     """Parse the VASS text format.
 
@@ -373,34 +349,6 @@ def unconnected_pair(v: Vass) -> Optional[tuple[str, str]]:
 def validate_connected(v: Vass) -> bool:
     """True iff every ordered state pair is joined by a path (vacuous for <= 1 state)."""
     return unconnected_pair(v) is None
-
-
-def update_matrix(v: Vass) -> IntegerMatrix:
-    """Matrix with one row per variable and one column per transition id."""
-    cols = tuple(t.tid for t in v.transitions)
-    rows = tuple(
-        tuple(t.update[i] for t in v.transitions) for i in range(v.dimension)
-    )
-    return IntegerMatrix(tuple(v.variables), cols, rows)
-
-
-def flow_matrix(v: Vass) -> IntegerMatrix:
-    """Incidence matrix: -1 at the source, +1 at the target, all zero for self-loops."""
-    cols = tuple(t.tid for t in v.transitions)
-    rows = []
-    for s in v.states:
-        row = []
-        for t in v.transitions:
-            if t.src == t.dst:
-                row.append(0)
-            elif t.src == s:
-                row.append(-1)
-            elif t.dst == s:
-                row.append(1)
-            else:
-                row.append(0)
-        rows.append(tuple(row))
-    return IntegerMatrix(tuple(v.states), cols, tuple(rows))
 
 
 def scc_decompose(states: Iterable[str], transitions: Iterable[Transition]) -> list[tuple[tuple[str, ...], tuple[Transition, ...]]]:

@@ -117,6 +117,8 @@ def _explore(v: Vass, n: int, step_weight: Callable[[Transition], int],
 def _metric(v: Vass, n: int, step_weight, node_value, budget) -> MetricResult:
     if n < 0:
         raise VassError("scale parameter must be >= 0")
+    if budget < 0:
+        raise VassError("oracle budget must be >= 0")
     try:
         return _explore(v, n, step_weight, node_value, budget)
     except _CycleFound:
@@ -132,12 +134,16 @@ def longest_trace(v: Vass, n: int, budget: int = DEFAULT_BUDGET) -> MetricResult
 def max_instances(v: Vass, n: int, tid: int,
                   budget: int = DEFAULT_BUDGET) -> MetricResult:
     """Exact supremum of the number of occurrences of one transition."""
+    if not any(t.tid == tid for t in v.transitions):
+        raise VassError(f"unknown transition id {tid}")
     return _metric(v, n, lambda t: 1 if t.tid == tid else 0, None, budget)
 
 
 def max_reachable(v: Vass, n: int, variable: str,
                   budget: int = DEFAULT_BUDGET) -> MetricResult:
     """Exact supremum of a variable's value over all reachable configurations."""
+    if variable not in v.variables:
+        raise VassError(f"unknown variable '{variable}'")
     idx = v.variables.index(variable)
     return _metric(v, n, lambda t: 0, lambda vec: vec[idx], budget)
 

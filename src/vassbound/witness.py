@@ -56,31 +56,6 @@ class CertificateError(VassError):
 
 
 @dataclass(frozen=True)
-class MultiCycle:
-    """A finite set of cycles; its value is the sum of its members' values."""
-
-    cycles: tuple[Path, ...]
-
-    def __post_init__(self):
-        for c in self.cycles:
-            if not c.is_cycle:
-                raise VassError(f"multi-cycle member is not a cycle: {c.steps}")
-
-    def value(self, dimension: int) -> tuple[int, ...]:
-        total = [0] * dimension
-        for c in self.cycles:
-            for i, x in enumerate(c.value(dimension)):
-                total[i] += x
-        return tuple(total)
-
-    def instances(self) -> Counter:
-        counts: Counter = Counter()
-        for c in self.cycles:
-            counts.update(c.instances())
-        return counts
-
-
-@dataclass(frozen=True)
 class WitnessPath:
     """A concrete executable path realizing the polynomial lower bounds."""
 
@@ -187,7 +162,7 @@ def _euler_cycle(start: str, edges: Sequence[Transition],
 
 
 def multicycle_from_solution(v: Vass, transitions: Sequence[Transition],
-                             mu: Mapping[int, int]) -> MultiCycle:
+                             mu: Mapping[int, int]) -> tuple[Path, ...]:
     """Cycles containing exactly mu(t) instances of each transition.
 
     Requires mu >= 0 with balanced flow at every state; each returned cycle
@@ -209,13 +184,14 @@ def multicycle_from_solution(v: Vass, transitions: Sequence[Transition],
     states = {t.src for t in support} | {t.dst for t in support}
     cycles = []
     for comp_states, comp_transitions in scc_decompose(states, support):
-        steps = _euler_cycle(comp_states[0], comp_transitions, mu)
-        cycles.append(Path(tuple(steps)))
-    result = MultiCycle(tuple(cycles))
+        cycle = Path(tuple(_euler_cycle(comp_states[0], comp_transitions, mu)))
+        if not cycle.is_cycle:
+            raise VassError(f"multi-cycle member is not a cycle: {cycle.steps}")
+        cycles.append(cycle)
     expected = {t.tid: mu[t.tid] for t in support}
-    if dict(result.instances()) != expected:
+    if dict(Counter(t.tid for c in cycles for t in c.steps)) != expected:
         raise WitnessError("cycle extraction lost transition instances")
-    return result
+    return tuple(cycles)
 
 
 def _bfs_tree(out_edges: Mapping[str, list[Transition]],
@@ -302,10 +278,10 @@ def node_cycles(tree: LayerTree, layer: int,
         if all(c == 0 for c in counts.values()):
             result[node.nid] = Path((), anchor=node.vass.states[0])
             continue
-        mc = multicycle_from_solution(v, node.vass.transitions, counts)
-        if len(mc.cycles) != 1:
+        cycles = multicycle_from_solution(v, node.vass.transitions, counts)
+        if len(cycles) != 1:
             raise WitnessError(f"node {node.nid} support is not a single component")
-        result[node.nid] = mc.cycles[0]
+        result[node.nid] = cycles[0]
     return result
 
 

@@ -131,14 +131,14 @@ def _replay_dichotomy(v, result):
         assert sys.var_ext == record.var_ext
         mu = record.mu.counts
         r, z = record.ranking.r, record.ranking.z
-        for row, ve in zip(sys.d_ext.rows, sys.var_ext):
+        for row, ve in zip(sys.d_ext, sys.var_ext):
             mu_gain = sum(c * mu[t.tid] for c, t in zip(row, sys.transitions))
             assert (r[ve] > 0) != (mu_gain >= 1), (ve, r[ve], mu_gain)
         for j, t in enumerate(sys.transitions):
             drop = sum(row[j] * r[ve] for row, ve in
-                       zip(sys.d_ext.rows, sys.var_ext))
+                       zip(sys.d_ext, sys.var_ext))
             drop += sum(row[j] * z[s] for row, s in
-                        zip(sys.flow.rows, sys.flow.row_labels))
+                        zip(sys.flow, sys.states))
             assert drop <= 0
             assert (drop < 0) != (mu[t.tid] >= 1), (t.tid, drop, mu[t.tid])
         for x in record.new_variable_bounds:

@@ -199,6 +199,16 @@ class TestOracle:
         err = capsys.readouterr().err
         assert "VASSBOUND_ORACLE_BUDGET" in err and err.count("\n") == 1
 
+    def test_negative_budget_flag_is_error(self, v_run_file, capsys):
+        assert main(["oracle", v_run_file, "--n", "1", "--metric", "longest",
+                     "--budget", "-3"]) == 1
+        assert capsys.readouterr().err == "error: oracle budget must be >= 0\n"
+
+    def test_negative_budget_env_is_error(self, v_run_file, capsys, monkeypatch):
+        monkeypatch.setenv("VASSBOUND_ORACLE_BUDGET", "-1")
+        assert main(["oracle", v_run_file, "--n", "1", "--metric", "longest"]) == 1
+        assert capsys.readouterr().err == "error: oracle budget must be >= 0\n"
+
     @pytest.mark.parametrize("metric", ["var:w", "trans:abc", "trans:99"],
                              ids=["unknown-variable", "non-integer-id", "unknown-id"])
     def test_unknown_metric_is_error(self, v_run_file, capsys, metric):

@@ -12,7 +12,6 @@ from vassbound.exactlp import (
     LpProblem,
     LpRow,
     LpSolution,
-    dump_problem,
     lp_feasible,
     max_strict_set,
     satisfies,
@@ -198,8 +197,3 @@ class TestScaling:
         with pytest.raises(LpError, match="homogeneous"):
             scale_to_integer(p, sol)
 
-
-def test_dump_mentions_rows_and_candidates():
-    p = problem(["x", "y"], [((1, -1), GE, 0), ((1, 1), EQ, 0)], candidates=[0])
-    text = dump_problem(p)
-    assert "rows:" in text and "[strict?]" in text and "1*x" in text

@@ -1,30 +1,32 @@
-"""Model layer: parsing, matrices, SCCs, and execution semantics."""
+"""Model layer: parsing, the extended system's matrices, SCCs, and execution
+semantics."""
 
 import random
 
 import pytest
 
 from vassbound import (
+    LayerTree,
     Path,
     PrePath,
     Valuation,
     Vass,
     VassError,
     VassSyntaxError,
+    analyze,
+    build_extended_system,
     execute_path,
-    flow_matrix,
     min_initial_valuation,
     parse_vass,
     scc_decompose,
     serialize_vass,
     unconnected_pair,
-    update_matrix,
     validate_connected,
 )
 from conftest import V_RUN_TEXT, random_connected_vass
 
-# Update and flow matrices of the running example, rows x/y/z resp.
-# s1..s4, columns in file order.
+# Update and flow matrices of the running example's first iteration, rows
+# x/y/z resp. s1..s4, columns in file order.
 EXPECTED_D = (
     (-1, 1, -1, 1, 0, 0, 0, 0, -1, 0),
     (1, -1, 1, -1, 0, 0, 0, 0, 0, 0),
@@ -36,6 +38,30 @@ EXPECTED_F = (
     (0, 0, 0, 0, 0, 0, 1, -1, 1, 0),
     (0, 0, 0, 0, 0, 0, -1, 1, 0, -1),
 )
+
+
+def first_system(v):
+    """The first iteration's extended system: every transition alive, one
+    root copy per variable."""
+    tree = LayerTree()
+    tree.add(v, None, 0)
+    return build_extended_system(v, tree, 1, {x: None for x in v.variables})
+
+
+def replayed_systems(v):
+    """Every executed iteration's extended system, rebuilt from the archive."""
+    result = analyze(v)
+    vexp = {x: None for x in v.variables}
+    for record in result.archive:
+        sys = build_extended_system(v, result.tree, record.layer, vexp)
+        assert tuple(t.tid for t in sys.transitions) == record.u
+        yield sys
+        for x in record.new_variable_bounds:
+            vexp[x] = record.layer
+
+
+def column(rows, j):
+    return tuple(row[j] for row in rows)
 
 
 def path_of(v, tids, anchor=None):
@@ -133,46 +159,49 @@ class TestConnectivity:
 
 class TestMatrices:
     def test_update_matrix_running_example(self, v_run):
-        d = update_matrix(v_run)
-        assert d.row_labels == ("x", "y", "z")
-        assert d.col_labels == tuple(range(10))
-        assert d.rows == EXPECTED_D
+        sys = first_system(v_run)
+        assert sys.var_ext == (("x", 0), ("y", 0), ("z", 0))
+        assert tuple(t.tid for t in sys.transitions) == tuple(range(10))
+        assert sys.d_ext == EXPECTED_D
 
     def test_flow_matrix_running_example(self, v_run):
-        f = flow_matrix(v_run)
-        assert f.row_labels == ("s1", "s2", "s3", "s4")
-        assert f.rows == EXPECTED_F
+        sys = first_system(v_run)
+        assert sys.states == ("s1", "s2", "s3", "s4")
+        assert sys.flow == EXPECTED_F
 
     def test_self_loop_column_is_zero(self, v_run):
-        f = flow_matrix(v_run)
-        assert f.column(0) == (0, 0, 0, 0)
+        sys = first_system(v_run)
+        assert column(sys.flow, 0) == (0, 0, 0, 0)
 
     def test_chain_columns(self):
         v = Vass.from_triples(["x"], [("s1", (1,), "s2"), ("s2", (1,), "s3")])
-        f = flow_matrix(v)
+        sys = first_system(v)
         for tid in (0, 1):
-            col = f.column(tid)
+            col = column(sys.flow, tid)
             assert sorted(col) == [-1, 0, 1]
 
     def test_update_columns_match_declared_updates(self):
         rng = random.Random(6)
         for _ in range(25):
             v = random_connected_vass(rng, max_vars=2)
-            d = update_matrix(v)
-            for t in v.transitions:
-                assert d.column(t.tid) == t.update
+            sys = first_system(v)
+            assert sys.transitions == v.transitions
+            for j, t in enumerate(sys.transitions):
+                assert column(sys.d_ext, j) == t.update
 
     def test_flow_column_property_on_randoms(self):
         rng = random.Random(7)
         for _ in range(25):
             v = random_connected_vass(rng)
-            f = flow_matrix(v)
-            for t in v.transitions:
-                col = f.column(t.tid)
-                if t.src == t.dst:
-                    assert all(c == 0 for c in col)
-                else:
-                    assert sorted(col) == [-1] * 1 + [0] * (len(col) - 2) + [1]
+            for sys in replayed_systems(v):
+                for j, t in enumerate(sys.transitions):
+                    col = column(sys.flow, j)
+                    if t.src == t.dst:
+                        assert all(c == 0 for c in col)
+                    else:
+                        assert sorted(col) == [-1] * 1 + [0] * (len(col) - 2) + [1]
+                        assert col[sys.states.index(t.src)] == -1
+                        assert col[sys.states.index(t.dst)] == 1
 
 
 class TestSccDecomposition:

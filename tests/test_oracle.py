@@ -12,6 +12,7 @@ from vassbound import (
     Path,
     Valuation,
     Vass,
+    VassError,
     analyze,
     execute_path,
     longest_trace,
@@ -126,6 +127,14 @@ class TestOtherMetrics:
     def test_max_instances_cubic_transition(self, v_run):
         values = [max_instances(v_run, n, 1) for n in range(1, 5)]
         assert values == sorted(values)
+
+    def test_max_instances_rejects_unknown_transition(self, v_run):
+        with pytest.raises(VassError, match="unknown transition id 99"):
+            max_instances(v_run, 1, 99)
+
+    def test_max_reachable_rejects_unknown_variable(self, v_run):
+        with pytest.raises(VassError, match="unknown variable 'q'"):
+            max_reachable(v_run, 1, "q")
 
 
 class TestPumping:

@@ -1,5 +1,9 @@
-"""The package's public surface: `__all__` names exactly what it exports."""
+"""The package's public surface: `__all__` names exactly what it exports,
+and every name the benchmark's tracer rebinds exists."""
 
+import importlib.util
+import pathlib
+import sys
 import types
 
 import vassbound
@@ -16,3 +20,23 @@ def test_documented_library_names_are_exported():
                   "exponential_certificate", "Vass", "Transition", "Path",
                   "Valuation", "longest_trace", "max_reachable", "max_instances"}
     assert documented <= set(vassbound.__all__)
+
+
+def test_benchmark_trace_points_resolve():
+    """Every name the benchmark's tracer rebinds (`perfbench/spans.py`
+    `TRACE_POINTS`) must exist in the package, or a traced run fails."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = spans  # dataclasses look their module up here
+    try:
+        spec.loader.exec_module(spans)
+    finally:
+        del sys.modules[spec.name]
+    assert spans.TRACE_POINTS
+    for owner_path, attr, name, _ in spans.TRACE_POINTS:
+        module, _, cls = owner_path.partition(":")
+        owner = importlib.import_module(module)
+        if cls:
+            owner = getattr(owner, cls)
+        assert callable(getattr(owner, attr, None)), (owner_path, attr, name)
