@@ -16,7 +16,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import oracle as oracle_mod
 from .analyzer import AnalysisResult, InternalInvariantError, POLYNOMIAL, analyze
@@ -55,10 +55,10 @@ def _load(path: str) -> Vass:
     return parse_vass(text)
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as err:
         raise VassError(f"cannot write '{path}': {err.strerror}")
 
@@ -94,7 +94,7 @@ def cmd_analyze(args) -> int:
     v = _load(args.input)
     result = analyze(v, skip_optimization=(args.skip_opt == "on"))
     if args.tree:
-        _write(args.tree, result.tree.to_dot())
+        _write(args.tree, [result.tree.to_dot()])
     if args.json:
         sys.stdout.write(result.report.to_json(v))
     else:
@@ -110,11 +110,10 @@ def cmd_witness(args) -> int:
               file=sys.stderr)
         return EXIT_EXPONENTIAL_INPUT
     witness = build_witness(result, args.n)
-    dump = witness.dump(v)
     if args.out:
-        _write(args.out, dump)
+        _write(args.out, witness.chunks(v))
     else:
-        sys.stdout.write(dump)
+        sys.stdout.writelines(witness.chunks(v))
     if args.check:
         verification = verify_witness(v, witness, result.report)
         sys.stdout.write(verification.dump())
@@ -127,9 +126,12 @@ def cmd_witness(args) -> int:
 def _parse_sweep(spec: str) -> range:
     lo, _, hi = spec.partition("..")
     try:
-        return range(int(lo), int(hi) + 1)
+        ns = range(int(lo), int(hi) + 1)
     except ValueError:
         raise VassSyntaxError(f"bad sweep range '{spec}'", 0)
+    if not ns:
+        raise VassSyntaxError(f"empty sweep range '{spec}'", 0)
+    return ns
 
 
 def cmd_oracle(args) -> int:
@@ -141,6 +143,8 @@ def cmd_oracle(args) -> int:
             budget = int(raw)
         except ValueError:
             raise VassError(f"{BUDGET_ENV} is not an integer: '{raw}'")
+    if budget < 0:  # checked before the range, so it is reported whatever the range
+        raise VassError("oracle budget must be >= 0")
     if args.sweep:
         ns = _parse_sweep(args.sweep)
     else:

@@ -202,24 +202,23 @@ class PrePath:
 
     def value(self, dimension: int) -> tuple[int, ...]:
         """Component-wise sum of all updates."""
-        total = [0] * dimension
+        return self.summary(dimension)[0]
+
+    def summary(self, dimension: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The net effect and the per-counter minimal prefix sum (<= 0; the
+        empty prefix counts), from one walk over the steps."""
+        running = [0] * dimension
+        lowest = [0] * dimension
         for t in self.steps:
             for i, c in enumerate(t.update):
-                total[i] += c
-        return tuple(total)
+                running[i] += c
+                if running[i] < lowest[i]:
+                    lowest[i] = running[i]
+        return tuple(running), tuple(lowest)
 
     def instances(self) -> Counter:
         """Number of occurrences of each transition id."""
         return Counter(t.tid for t in self.steps)
-
-    def state_sequence(self) -> list[str]:
-        """The visited state sequence (length len(self) + 1 when adjacent)."""
-        if not self.steps:
-            return [self.anchor] if self.anchor is not None else []
-        seq = [self.steps[0].src]
-        for t in self.steps:
-            seq.append(t.dst)
-        return seq
 
 
 @dataclass(frozen=True)
@@ -419,31 +418,17 @@ def scc_decompose(states: Iterable[str], transitions: Iterable[Transition]) -> l
     return result
 
 
-def _run_vectors(v: Vass, start: Sequence[int], p: PrePath) -> Optional[tuple[int, ...]]:
-    current = list(start)
-    for t in p.steps:
-        for i, c in enumerate(t.update):
-            current[i] += c
-            if current[i] < 0:
-                return None
-    return tuple(current)
-
-
 def execute_path(v: Vass, start: Valuation, p: PrePath) -> Optional[Valuation]:
-    """Final valuation of running p from start, or None if a counter would go negative."""
-    final = _run_vectors(v, start.as_vector(v.variables), p)
-    if final is None:
+    """Final valuation of running p from start, or None if a counter would go
+    negative: exactly when start plus p's minimal prefix sum does, so no step
+    is replayed.  `p` is a PrePath or a witness path program."""
+    effect, lowest = p.summary(v.dimension)
+    vector = start.as_vector(v.variables)
+    if any(s + m < 0 for s, m in zip(vector, lowest)):
         return None
-    return Valuation.from_vector(v.variables, final)
+    return Valuation.from_vector(v.variables, tuple(s + e for s, e in zip(vector, effect)))
 
 
 def min_initial_valuation(v: Vass, p: PrePath) -> Valuation:
     """The pointwise-minimal valuation from which p executes."""
-    running = [0] * v.dimension
-    lowest = [0] * v.dimension
-    for t in p.steps:
-        for i, c in enumerate(t.update):
-            running[i] += c
-            if running[i] < lowest[i]:
-                lowest[i] = running[i]
-    return Valuation.from_vector(v.variables, tuple(-m for m in lowest))
+    return Valuation.from_vector(v.variables, tuple(-m for m in p.summary(v.dimension)[1]))

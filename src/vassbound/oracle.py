@@ -152,7 +152,10 @@ def sweep(v: Vass, metric: str, n_values, budget: int = DEFAULT_BUDGET) -> list[
     """Rows (n, metric, value) for a range of scale parameters.
 
     `metric` is "longest", "var:<name>" or "trans:<id>" naming a variable
-    or transition of `v`; any other metric raises VassError."""
+    or transition of `v`; any other metric, or a negative budget, raises
+    VassError before any N is measured."""
+    if budget < 0:
+        raise VassError("oracle budget must be >= 0")
     kind, _, arg = metric.partition(":")
     if metric == "longest":
         measure = lambda n: longest_trace(v, n, budget)

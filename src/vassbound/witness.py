@@ -8,15 +8,21 @@ initial valuation of size O(N).
 
 The construction follows the layer tree.  Every node carries one fixed
 cycle (an Eulerian traversal of the per-layer multi-cycle solution; a
-covering cycle for the root).  One recursive constructor, `_Builder.path`,
-nests N-fold repetitions: for target layer l a node at layer l gives its
-cycle, and a node above it gives its cycle cut at the start states of its
-next-layer parts, each part's contribution repeated N times in its slot.
-Read with the cycle's segments kept around the slots, this is the proper
-path, which executes; read with the slots alone, it is the pre-path, which
-picks the repetition constant k so that each layer's phase executes from
-an O(N) valuation.  The witness is each layer's proper path repeated
-N * k times, layer after layer.
+covering cycle for the root).  `_Builder.path` nests N-fold repetitions:
+for target layer l a node at layer l gives its cycle, and a node above it
+gives its cycle cut at the start states of its next-layer parts, each
+part's contribution repeated N times in its slot.  Read with the cycle's
+segments kept around the slots, this is the proper path, which executes;
+read with the slots alone, it is the pre-path, which picks the repetition
+constant k so that each layer's phase executes from an O(N) valuation.
+The witness is each layer's proper path repeated N * k times.  Paths are
+programs, never flat lists: cycles and cut segments are the leaves, and
+`Seq(parts)` and `Repeat(count, body)` nest them.  Each node records its
+length, instance counts, start, end, net effect e and per-counter minimal
+prefix sum m <= 0 when built; Seq gives (e1 + e2, min(m1, e1 + m2)) and
+Repeat(r, B) gives (r * e, m + min(0, (r - 1) * e)).  A path runs from v
+exactly when v + m >= 0, ending at v + e, so building and verifying cost
+O(program size); only the dump expands the program.
 
 For an exponential outcome the module extracts the per-node cycles of the
 final layer together with the variable partition (bounded / still growing)
@@ -27,7 +33,9 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from itertools import islice, repeat
+from operator import add
+from typing import Iterator, Mapping, Optional, Sequence
 
 from .analyzer import AnalysisResult, EXPONENTIAL, LayerRecord, LayerTree, POLYNOMIAL
 from .model import (
@@ -55,26 +63,127 @@ class CertificateError(VassError):
     """The extracted cycles violate the exponential-growth conditions."""
 
 
+class _Program:
+    """A program node.  It reads like a PrePath (`len`, `start`, `end`,
+    `anchor`, `instances`, `summary`); `steps` is the node itself, a lazy
+    sequence of transitions that expands only what is read."""
+
+    __slots__ = ("length", "counts", "effect", "low", "start", "end")
+    steps = property(lambda self: self)
+    anchor = property(lambda self: self.start)
+
+    def __len__(self) -> int:
+        return self.length
+
+    def __iter__(self) -> Iterator[Transition]:
+        return (t for leaf in _leaves(self) for t in leaf.path.steps)
+
+    def __getitem__(self, index: slice) -> tuple[Transition, ...]:
+        return tuple(islice(self, *index.indices(self.length)))
+
+    def instances(self) -> Counter:
+        return Counter(self.counts)
+
+    def summary(self, dimension: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        return self.effect, self.low
+
+
+class Leaf(_Program):
+    """A node's cycle or a cut segment; `text` is its part of the dump."""
+
+    __slots__ = ("path", "text")
+
+    def __init__(self, path: PrePath, dimension: int):
+        self.path, self.length, self.start, self.end = path, len(path), path.start, path.end
+        self.counts, (self.effect, self.low) = dict(path.instances()), path.summary(dimension)
+        self.text = "".join(f"{t.tid}\n" for t in path.steps)
+
+
+class Seq(_Program):
+    """The non-empty parts in order; in a proper path they must be adjacent."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, parts: Sequence[_Program], dimension: int, proper: bool):
+        self.parts = tuple(p for p in parts if p.length)
+        if proper and any(a.end != b.start for a, b in zip(self.parts, self.parts[1:])):
+            raise WitnessError("non-adjacent parts in a proper path")
+        self.effect, self.low, counts = (0,) * dimension, (0,) * dimension, Counter()
+        for p in self.parts:  # (e1 + e2, min(m1, e1 + m2)), counter by counter
+            reach = map(add, self.effect, p.low)
+            self.low = tuple([m if m < r else r for m, r in zip(self.low, reach)])
+            self.effect = tuple(map(add, self.effect, p.effect))
+            counts.update(p.counts)
+        self.counts, self.length = dict(counts), sum(p.length for p in self.parts)
+        self.start = self.parts[0].start if self.parts else None
+        self.end = self.parts[-1].end if self.parts else None
+
+
+class Repeat(_Program):
+    """The body `count` >= 1 times; in a proper path a repeated body must be a cycle."""
+
+    __slots__ = ("count", "body")
+
+    def __init__(self, count: int, body: _Program, proper: bool):
+        if proper and count > 1 and body.start != body.end:
+            raise WitnessError("repeated part of a proper path is not a cycle")
+        self.count, self.body, self.length = count, body, count * body.length
+        self.counts = {tid: count * c for tid, c in body.counts.items()}
+        self.effect = tuple(count * e for e in body.effect)
+        self.low = tuple([m + (count - 1) * e if e < 0 else m  # m + min(0, (count - 1) * e)
+                          for m, e in zip(body.low, body.effect)])
+        self.start, self.end = body.start, body.end
+
+
+def _leaves(program: _Program, short: int = 0) -> Iterator[_Program]:
+    """The leaves in path order, by an explicit stack; a repeat whose body
+    has fewer than `short` steps is yielded whole."""
+    stack = [iter((program,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif isinstance(node, Seq):
+            stack.append(iter(node.parts))
+        elif isinstance(node, Repeat) and node.body.length >= short:
+            stack.append(repeat(node.body, node.count))
+        else:
+            yield node
+
+
 @dataclass(frozen=True)
 class WitnessPath:
     """A concrete executable path realizing the polynomial lower bounds."""
 
     n: int
     k: int
-    path: Path
+    path: Path | Seq
     initial: Valuation
     final: Valuation
     instance_counts: dict[int, int]
     envelope: int  # ceil(norm(initial) / n), the measured O(N) constant
 
+    def chunks(self, v: Vass) -> Iterator[str]:
+        """The dump in pieces of at most about `piece` steps; a repeated body
+        shorter than a piece is rendered once and multiplied as a string."""
+        piece = 8192
+        yield (f"witness N={self.n} k={self.k}\ninit "
+               + " ".join(str(self.initial[x]) for x in v.variables) + "\n")
+        program = self.path if isinstance(self.path, _Program) else Leaf(self.path, v.dimension)
+        for node in _leaves(program, piece):
+            if isinstance(node, Repeat):
+                text = "".join(leaf.text for leaf in _leaves(node.body))
+                per_piece = piece // max(node.body.length, 1)
+                yield from repeat(text * per_piece, node.count // per_piece)
+                yield text * (node.count % per_piece)
+            else:
+                yield node.text
+        yield ("instances " + " ".join(
+            f"{t.tid}={self.instance_counts.get(t.tid, 0)}" for t in v.transitions)
+            + "\nfinal " + " ".join(str(self.final[x]) for x in v.variables) + "\n")
+
     def dump(self, v: Vass) -> str:
-        lines = [f"witness N={self.n} k={self.k}"]
-        lines.append("init " + " ".join(str(self.initial[x]) for x in v.variables))
-        lines.extend(str(t.tid) for t in self.path.steps)
-        lines.append("instances " + " ".join(
-            f"{t.tid}={self.instance_counts.get(t.tid, 0)}" for t in v.transitions))
-        lines.append("final " + " ".join(str(self.final[x]) for x in v.variables))
-        return "\n".join(lines) + "\n"
+        return "".join(self.chunks(v))
 
 
 @dataclass(frozen=True)
@@ -285,64 +394,62 @@ def node_cycles(tree: LayerTree, layer: int,
     return result
 
 
-def _decompose(cycle: Path, parts: list[tuple[int, str]]) -> tuple[list[list[Transition]], list[int]]:
-    """Split a node's cycle at the first occurrence of each part's start
-    state; parts are ordered by that occurrence."""
-    states = cycle.state_sequence()
-    positioned = []
-    for nid, part_start in parts:
-        try:
-            pos = states.index(part_start)
-        except ValueError:
-            raise WitnessError(f"child start state {part_start} not on parent cycle")
-        positioned.append((pos, nid))
-    positioned.sort()
-    segments = []
-    order = [nid for _, nid in positioned]
-    boundaries = [pos for pos, _ in positioned]
-    prev = 0
-    for b in boundaries:
-        segments.append(list(cycle.steps[prev:b]))
-        prev = b
-    segments.append(list(cycle.steps[prev:]))
-    return segments, order
-
-
 class _Builder:
-    """The fixed node cycles of one analysis result at scale parameter N."""
+    """The fixed node cycles of one analysis result at scale parameter N,
+    as leaves, and each node's cycle cut at its next-layer parts."""
 
     def __init__(self, result: AnalysisResult, n: int):
-        self.tree = result.tree
-        self.n = n
+        self.tree, self.n, self.dimension = result.tree, n, result.vass.dimension
         self.max_layer = result.tree.max_layer()
-        self.cycles: dict[int, Path] = {}
+        self.layers = [self.tree.nodes_at(layer) for layer in range(self.max_layer + 1)]
+        self.leaves: dict[int, Leaf] = {}
         for layer in range(self.max_layer + 1):
-            self.cycles.update(node_cycles(self.tree, layer, result.archive, result.vass))
+            cycles = node_cycles(self.tree, layer, result.archive, result.vass)
+            self.leaves.update((nid, Leaf(c, self.dimension)) for nid, c in cycles.items())
+        self.cuts: dict[tuple[int, int], tuple[list[Leaf], list[int]]] = {}
 
-    def path(self, nid: int, layer: int, target: int, proper: bool) -> list[Transition]:
-        """The node's contribution for the target layer, seen from `layer`.
+    def cut(self, nid: int, layer: int) -> tuple[list[Leaf], list[int]]:
+        """The node's cycle split at the first occurrence of the start state
+        of each next-layer part (itself while `layer < last_layer`, else its
+        children): the segments, and the parts in that order.  Cached, as it
+        does not depend on the target layer."""
+        if (nid, layer) not in self.cuts:
+            node, cycle = self.tree.node(nid), self.leaves[nid].path
+            states, positioned = [cycle.start] + [t.dst for t in cycle.steps], []
+            for part in [nid] if layer < node.last_layer else node.children:
+                start = self.leaves[part].start
+                if start not in states:
+                    raise WitnessError(f"child start state {start} not on parent cycle")
+                positioned.append((states.index(start), part))
+            positioned.sort()
+            bounds = [0] + [pos for pos, _ in positioned] + [len(cycle)]
+            self.cuts[nid, layer] = ([Leaf(Path(cycle.steps[a:b]), self.dimension)
+                                      for a, b in zip(bounds, bounds[1:])],
+                                     [part for _, part in positioned])
+        return self.cuts[nid, layer]
 
-        At the target it is the node's cycle.  Below it the cycle is cut
-        at the start states of the node's next-layer parts (itself while
-        `layer < last_layer`, else its children), and each part's
-        contribution, repeated N times, fills its slot in cycle order.
-        `proper` keeps the cycle's segments around the slots (the proper
-        path); otherwise only the slots are concatenated (the pre-path)."""
-        cycle = self.cycles[nid]
-        if layer == target:
-            return list(cycle.steps)
-        node = self.tree.node(nid)
-        parts = [nid] if layer < node.last_layer else node.children
-        segments, order = _decompose(cycle, [(p, self.cycles[p].start) for p in parts])
-        out = list(segments[0]) if proper else []
-        for part, segment in zip(order, segments[1:]):
-            out.extend(self.path(part, layer + 1, target, proper) * self.n)
-            if proper:
-                out.extend(segment)
-        return out
+    def path(self, target: int, proper: bool) -> _Program:
+        """The root's program for the target layer, built bottom-up.  At the
+        target a node gives its cycle; above it each next-layer part's
+        program, repeated N times, fills its slot in the node's cut cycle.
+        The proper path keeps the cycle's segments around the slots; the
+        pre-path is the slots alone."""
+        programs = {node.nid: self.leaves[node.nid] for node in self.layers[target]}
+        for layer in range(target - 1, -1, -1):
+            above = {}
+            for node in self.layers[layer]:
+                segments, order = self.cut(node.nid, layer)
+                parts = [segments[0]]
+                for part, segment in zip(order, segments[1:]):
+                    parts += [Repeat(self.n, programs[part], proper), segment]
+                parts = parts if proper else parts[1::2]
+                above[node.nid] = (parts[0] if len(parts) == 1
+                                   else Seq(parts, self.dimension, proper))
+            programs = above
+        return programs[self.tree.root.nid]
 
 
-def choose_k(taus: Mapping[int, PrePath], vexp: Mapping[str, Optional[int]],
+def choose_k(taus: Mapping[int, PrePath | _Program], vexp: Mapping[str, Optional[int]],
              v: Vass, n: int) -> int:
     """Smallest k such that each layer pre-path (layers >= 1) executes from
     the valuation with entries k * N^min(vexp(x), layer); at least 1."""
@@ -376,24 +483,15 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
         return WitnessPath(n, 1, empty, zero, zero, {}, 0)
 
     builder = _Builder(result, n)
-    root = result.tree.root.nid
-    anchor = builder.cycles[root].start
-    taus = {layer: PrePath(tuple(builder.path(root, 0, layer, proper=False) * n), anchor)
-            for layer in range(1, builder.max_layer + 1)}
-    k = choose_k(taus, result.report.variable_exponents, v, n)
-
-    steps: list[Transition] = []
-    for layer in range(builder.max_layer + 1):
-        steps.extend(builder.path(root, 0, layer, proper=True) * (n * k))
-    path = Path(tuple(steps), anchor=anchor)
+    k = choose_k({layer: Repeat(n, builder.path(layer, proper=False), proper=False)
+                  for layer in range(1, builder.max_layer + 1)},
+                 result.report.variable_exponents, v, n)
+    path = Seq([Repeat(n * k, builder.path(layer, proper=True), proper=True)
+                for layer in range(builder.max_layer + 1)], v.dimension, proper=True)
 
     base = min_initial_valuation(v, path)
-    total = path.value(v.dimension)
-    initial = {}
-    for i, x in enumerate(v.variables):
-        threshold = n ** result.report.variable_exponents[x]
-        initial[x] = max(base[x], threshold - total[i])
-    initial_val = Valuation(initial)
+    initial_val = Valuation({x: max(base[x], n ** result.report.variable_exponents[x] - e)
+                             for x, e in zip(v.variables, path.effect)})
     final = execute_path(v, initial_val, path)
     if final is None:
         raise WitnessError("constructed path does not execute from its initial valuation")

@@ -209,6 +209,18 @@ class TestOracle:
         assert main(["oracle", v_run_file, "--n", "1", "--metric", "longest"]) == 1
         assert capsys.readouterr().err == "error: oracle budget must be >= 0\n"
 
+    def test_inverted_sweep_range_is_error(self, v_run_file, capsys):
+        assert main(["oracle", v_run_file, "--sweep", "3..1",
+                     "--metric", "longest"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "parse error: line 0, column 1: empty sweep range '3..1'\n"
+
+    def test_negative_budget_with_empty_sweep_is_error(self, v_run_file, capsys):
+        assert main(["oracle", v_run_file, "--sweep", "3..1", "--metric", "longest",
+                     "--budget", "-5"]) == 1
+        assert capsys.readouterr().err == "error: oracle budget must be >= 0\n"
+
     @pytest.mark.parametrize("metric", ["var:w", "trans:abc", "trans:99"],
                              ids=["unknown-variable", "non-integer-id", "unknown-id"])
     def test_unknown_metric_is_error(self, v_run_file, capsys, metric):

@@ -222,3 +222,7 @@ class TestSweep:
         v = Vass.from_triples(["x"], [("s1", (0,), "s1")])
         text = sweep_csv(sweep(v, "longest", [1]))
         assert text.splitlines()[1] == "1,longest,NONTERMINATING"
+
+    def test_negative_budget_rejected_before_any_n(self, v_run):
+        with pytest.raises(VassError, match="oracle budget must be >= 0"):
+            sweep(v_run, "longest", [], budget=-1)

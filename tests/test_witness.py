@@ -278,9 +278,8 @@ class TestLayerPrePaths:
         result = analyze(v)
         builder = _Builder(result, n)
         vexp = result.report.variable_exponents
-        root = result.tree.root.nid
         for layer in range(1, builder.max_layer + 1):
-            tau = PrePath(tuple(builder.path(root, 0, layer, proper=False) * n))
+            tau = PrePath(tuple(builder.path(layer, proper=False).steps) * n)
             counts = tau.instances()
             for node in result.tree.nodes_at(layer):
                 for t in node.vass.transitions:
@@ -303,17 +302,16 @@ class TestLayerPrePaths:
     def test_interleaving_preserves_instance_counts(self, v_run):
         result = analyze(v_run)
         builder = _Builder(result, 3)
-        root = result.tree.root.nid
         for layer in range(1, builder.max_layer + 1):
-            merged = PrePath(tuple(builder.path(root, 0, layer, proper=True)))
-            parts = PrePath(tuple(builder.path(root, 0, layer, proper=False)))
-            previous = PrePath(tuple(builder.path(root, 0, layer - 1, proper=True)))
+            merged = PrePath(tuple(builder.path(layer, proper=True).steps))
+            parts = PrePath(tuple(builder.path(layer, proper=False).steps))
+            previous = PrePath(tuple(builder.path(layer - 1, proper=True).steps))
             assert merged.instances() == parts.instances() + previous.instances()
 
     def test_repeated_prepath_executes_from_scaled_valuation(self, v_run):
         result = analyze(v_run)
         builder = _Builder(result, 2)
-        sigma = PrePath(tuple(builder.path(result.tree.root.nid, 0, 1, proper=False)))
+        sigma = PrePath(tuple(builder.path(1, proper=False).steps))
         base = min_initial_valuation(v_run, sigma)
         value = sigma.value(v_run.dimension)
         for d in (1, 2, 3):

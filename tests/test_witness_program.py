@@ -1,0 +1,153 @@
+"""The witness path as a repetition program: every node's summary against
+its flat expansion, construction without per-layer recursion, scale
+parameters far beyond any flat path, and a dump streamed in bounded pieces."""
+
+import inspect
+import random
+import sys
+import tracemalloc
+from collections import Counter
+from itertools import chain
+
+from vassbound import analyze, build_witness, parse_vass, verify_witness
+from vassbound.analyzer import POLYNOMIAL
+from vassbound.witness import Leaf, Repeat, Seq, _Builder
+from conftest import V_RUN_TEXT, random_connected_vass, v_family
+
+
+def _nodes(program):
+    """Every node of the program once (leaves are shared between parts)."""
+    seen, stack = {}, [program]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            if isinstance(node, Seq):
+                stack.extend(node.parts)
+            elif isinstance(node, Repeat):
+                stack.append(node.body)
+    return list(seen.values())
+
+
+def _flat(node):
+    """The node's steps, expanded by this test's own recursion."""
+    if isinstance(node, Seq):
+        return list(chain.from_iterable(map(_flat, node.parts)))
+    if isinstance(node, Repeat):
+        return _flat(node.body) * node.count
+    assert isinstance(node, Leaf)
+    return list(node.path.steps)
+
+
+def _check_summaries(v, program):
+    """Length, net effect, minimal prefix, instance counts, start and end of
+    every node, each against a plain walk over the node's flat expansion."""
+    nonzero = {t.tid: [(i, c) for i, c in enumerate(t.update) if c] for t in v.transitions}
+    for node in _nodes(program):
+        steps = _flat(node)
+        running, lowest = [0] * v.dimension, [0] * v.dimension
+        for t in steps:
+            for i, c in nonzero[t.tid]:
+                running[i] += c
+                if running[i] < lowest[i]:
+                    lowest[i] = running[i]
+        assert node.length == len(steps)
+        assert node.effect == tuple(running)
+        assert node.low == tuple(lowest)
+        assert node.counts == dict(Counter(t.tid for t in steps))
+        if steps:
+            assert (node.start, node.end) == (steps[0].src, steps[-1].dst)
+
+
+def _programs(result, n):
+    """The witness path, which holds every layer's proper path, and every
+    layer's pre-path."""
+    builder = _Builder(result, n)
+    return ([build_witness(result, n).path]
+            + [builder.path(layer, proper=False) for layer in range(1, builder.max_layer + 1)])
+
+
+def test_summaries_match_flat_expansion():
+    rng = random.Random(20240601)
+    cases = []
+    for _ in range(200):
+        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+        result = analyze(v)
+        if result.report.status == POLYNOMIAL:
+            cases += [(v, result, n) for n in (1, 2, 3)]
+    for nu in range(1, 5):
+        v = v_family(nu)
+        result = analyze(v)
+        cases += [(v, result, n) for n in (1, 2)]
+    assert len(cases) == 197
+    for v, result, n in cases:
+        witness, *prepaths = _programs(result, n)
+        _check_summaries(v, witness)
+        steps = _flat(witness)
+        assert all(a.dst == b.src for a, b in zip(steps, steps[1:]))
+        assert list(witness.steps) == steps
+        for prepath in prepaths:
+            _check_summaries(v, prepath)
+
+
+def test_lazy_steps_read_like_a_tuple():
+    v = parse_vass(V_RUN_TEXT)
+    path = build_witness(analyze(v), 2).path
+    flat = tuple(path.steps)
+    assert len(path.steps) == len(flat) == len(path)
+    assert path.steps[:4] == flat[:4]
+    assert path.steps[5:40:3] == flat[5:40:3]
+    assert path.steps[-1:] == flat[-1:] and path.steps[17:18] == flat[17:18]
+
+
+def test_deep_family_needs_no_recursion_per_layer():
+    v = v_family(6)
+    result = analyze(v)
+    assert result.tree.max_layer() == 63
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        witness = build_witness(result, 1)
+        verification = verify_witness(v, witness, result.report)
+        size = sum(len(chunk) for chunk in witness.chunks(v))
+    finally:
+        sys.setrecursionlimit(limit)
+    assert verification.passed, verification.dump()
+    assert size == len(witness.dump(v))
+
+
+def test_million_fold_scale_builds_and_verifies():
+    """N = 10**6: about 2 * 10**19 steps, far beyond any flat path; only
+    the program's summaries are read."""
+    v = parse_vass(V_RUN_TEXT)
+    result = analyze(v)
+    n = 10 ** 6
+    witness = build_witness(result, n)
+    verification = verify_witness(v, witness, result.report)
+    assert verification.passed, verification.dump()
+    names = {c.name for c in verification.checks}
+    assert {f"instances[{t.tid}]" for t in v.transitions} <= names
+    assert {f"final[{x}]" for x in v.variables} <= names
+    assert witness.path.length > 10 ** 19
+    for tid, e in result.report.transition_exponents.items():
+        assert witness.instance_counts[tid] >= n ** e
+    for x, e in result.report.variable_exponents.items():
+        assert witness.final[x] >= n ** e
+
+
+def _streamed_peak(v, result, n):
+    witness = build_witness(result, n)
+    tracemalloc.start()
+    try:
+        for _ in witness.chunks(v):
+            pass
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_streamed_dump_memory_does_not_grow_with_n():
+    v = parse_vass(V_RUN_TEXT)
+    result = analyze(v)
+    small, large = _streamed_peak(v, result, 8), _streamed_peak(v, result, 64)
+    assert large < 2 * small, (small, large)
