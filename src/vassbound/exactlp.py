@@ -2,8 +2,9 @@
 
 Problems are solved by the primal simplex method with Bland's anti-cycling
 rule over a fraction-free integer tableau built directly from the integer
-rows (`LpRow`), so results are exact and deterministic.  `lp_feasible`
-finds a basic solution with a phase-1 simplex.
+rows (`LpRow`), so results are exact and deterministic.  Tableau rows are
+sparse `{column: int}` maps; elimination divides its two multipliers by
+their gcd first.  `lp_feasible` finds a basic solution with a phase-1 simplex.
 
 `max_strict_set` provides the "maximize the number of strict inequalities"
 objective needed by the bound analysis, for homogeneous problems, whose
@@ -26,6 +27,7 @@ from typing import Optional, Sequence
 
 GE = ">="
 EQ = "=="
+Row = dict[int, int]  # a sparse tableau row: its non-zero entries by column
 
 
 class LpError(Exception):
@@ -117,118 +119,123 @@ def _scaled_sides(problem: LpProblem, values: Sequence[Fraction]) -> tuple[list[
     return lhs, [row.rhs * den for row in problem.rows], den
 
 
+def _sides_hold(problem: LpProblem, lhs: list[int], rhs: list[int]) -> bool:
+    """Whether every row holds between its two (scaled) sides."""
+    return all(left >= right if row.relation == GE else left == right
+               for row, left, right in zip(problem.rows, lhs, rhs))
+
+
 def satisfies(problem: LpProblem, values: Sequence[Fraction]) -> bool:
     """Exact check of every row (no tolerances)."""
     lhs, rhs, _ = _scaled_sides(problem, values)
-    for row, left, right in zip(problem.rows, lhs, rhs):
-        if row.relation == GE and left < right:
-            return False
-        if row.relation == EQ and left != right:
-            return False
-    return True
+    return _sides_hold(problem, lhs, rhs)
 
 
-def _reduce_row(row: list[int]) -> list[int]:
-    g = gcd(*row)
-    return [a // g for a in row] if g > 1 else row
+def _reduce_row(row: Row) -> Row:
+    g = gcd(*row.values())
+    return {j: a // g for j, a in row.items()} if g > 1 else row
 
 
-def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int]) -> list[int]:
+def _eliminate(row: Row, pivot: Row, entering: int) -> Row:
+    """The primitive part of `piv * row - f * pivot` (see `_pivot_to_optimum`)."""
+    g = gcd(pivot[entering], row[entering])
+    piv, f = pivot[entering] // g, row[entering] // g
+    row = {j: piv * a for j, a in row.items()} if piv != 1 else row
+    for j, b in pivot.items():
+        row[j] = a = row.get(j, 0) - f * b
+        if not a:
+            del row[j]
+    return _reduce_row(row)
+
+
+def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int) -> Row:
     """Pivot until no reduced cost in the objective row `obj` is negative.
 
-    Fraction-free tableau: every row (right-hand side last) is an integer
-    vector that may carry an arbitrary positive scale, so pivoting uses
-    integer cross-elimination followed by a gcd reduction, and ratio
-    comparisons cross-multiply.  Bland's rule (smallest eligible index) on
-    entering and leaving variables keeps the pivoting finite and
-    deterministic.  `tableau` and `basis` are updated in place; the final
-    objective row, whose scale stays positive, is returned.
+    Every row, `obj` too, maps its non-zero columns to ints, with the
+    right-hand side under key `ncols`, and may carry any positive scale.
+    A row `a` with entry `f` in the entering column becomes the primitive
+    part of `piv * a - f * b`, `b` the pivot row with entry `piv`; dividing
+    `piv` and `f` by `gcd(piv, f)` first gives the same primitive row and,
+    when `piv` becomes 1, changes only the pivot row's non-zeros.  Bland's
+    rule (smallest eligible index, ratio ties to the smaller basic column)
+    keeps the pivoting finite and deterministic.  It updates `tableau` and
+    `basis` in place, may change `obj`, and returns the final objective row.
     """
-    m = len(tableau)
-    ncols = len(obj) - 1
     while True:
-        entering = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                entering = j
-                break
+        entering = min((j for j, a in obj.items() if a < 0 and j != ncols), default=-1)
         if entering < 0:
             return obj
-        pivot_row = -1
-        best_num = best_den = 0
-        for i in range(m):
-            a = tableau[i][entering]
-            if a > 0:
-                num, den = tableau[i][-1], a
-                if pivot_row < 0 or num * best_den < best_num * den or (
-                        num * best_den == best_num * den and basis[i] < basis[pivot_row]):
-                    best_num, best_den = num, den
-                    pivot_row = i
+        column = [i for i, row in enumerate(tableau) if entering in row]
+        pivot_row, best_num, best_den = -1, 0, 1
+        for i in column:
+            a, num = tableau[i][entering], tableau[i].get(ncols, 0)
+            if a > 0 and (pivot_row < 0 or (num * best_den, basis[i])
+                          < (best_num * a, basis[pivot_row])):
+                pivot_row, best_num, best_den = i, num, a
         if pivot_row < 0:
             raise LpInternalError("objective unbounded")
         pivot = tableau[pivot_row]
-        piv = pivot[entering]
-        for i in range(m):
-            if i != pivot_row and tableau[i][entering] != 0:
-                f = tableau[i][entering]
-                tableau[i] = _reduce_row(
-                    [piv * a - f * b for a, b in zip(tableau[i], pivot)])
-        if obj[entering] != 0:
-            f = obj[entering]
-            obj = _reduce_row([piv * a - f * b for a, b in zip(obj, pivot)])
+        for i in column:
+            if i != pivot_row:
+                tableau[i] = _eliminate(tableau[i], pivot, entering)
+        if entering in obj:
+            obj = _eliminate(obj, pivot, entering)
         basis[pivot_row] = entering
 
 
-def _identity_start(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
-    """Tableau of `rows` (`n` structural entries, then the right-hand side),
-    each flipped to a non-negative right-hand side, with one identity
-    column per row inserted before it; those columns form the basis."""
+def _identity_start(rows: list[tuple[Row, int]], n: int) -> tuple[list[Row], list[int]]:
+    """Tableau of `rows` (non-zeros among `n` structural columns, and the
+    right-hand side), each flipped to a non-negative right-hand side, with
+    one identity column per row inserted before it; those columns form the
+    basis, and their entry 1 keeps every row primitive."""
     m = len(rows)
-    tableau: list[list[int]] = []
-    for i, row in enumerate(rows):
-        sign = -1 if row[-1] < 0 else 1
-        full = [sign * a for a in row[:-1]] + [0] * m
-        full[n + i] = 1
-        full.append(sign * row[-1])
-        tableau.append(_reduce_row(full))
+    tableau: list[Row] = []
+    for i, (coeffs, rhs) in enumerate(rows):
+        sign = -1 if rhs < 0 else 1
+        row = {j: sign * a for j, a in coeffs.items()}
+        row[n + i] = 1
+        if rhs:
+            row[n + m] = sign * rhs
+        tableau.append(row)
     return tableau, [n + i for i in range(m)]
 
 
-def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
+def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[list[Fraction]]:
     """Solve A x = b, x >= 0 for feasibility; returns x or None.
 
-    Each of `rows` is one integer row of A over the `n` columns, followed by
-    its entry of b.
+    Each of `rows` holds the non-zeros of one row of A over the `n` columns
+    and its entry of b.
     """
     m = len(rows)
     tableau, basis = _identity_start(rows, n)
-    # Phase-1 objective: minimize the sum of the artificial (identity)
-    # columns.  The objective row starts as cost minus the sum of constraint
-    # rows (pricing out the artificial basis); the zero row keeps m = 0 valid.
-    obj = [-sum(column) for column in zip([0] * (n + m + 1), *tableau)]
-    for j in range(n, n + m):
-        obj[j] += 1
-    obj = _pivot_to_optimum(tableau, basis, _reduce_row(obj))
+    # Phase-1 objective: minimize the sum of the artificial (identity) columns,
+    # priced out of their basis: minus the sum of the rows, 0 on those columns.
+    obj: Row = {}
+    for row in tableau:
+        for j, a in row.items():
+            if not n <= j < n + m:
+                obj[j] = obj.get(j, 0) - a
+    obj = _pivot_to_optimum(tableau, basis, _reduce_row({j: a for j, a in obj.items() if a}), n + m)
 
-    if obj[-1] != 0:
+    if obj.get(n + m, 0) != 0:
         return None
     values = [Fraction(0)] * n
-    for i, b in enumerate(basis):
+    for row, b in zip(tableau, basis):
         if b < n:
-            values[b] = Fraction(tableau[i][-1], tableau[i][b])
+            values[b] = Fraction(row.get(n + m, 0), row[b])
     return values
 
 
-def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[list[int]]]:
+def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
     """The simplex columns, which stand for (variable index, sign) pairs
-    (free variables are split in two), and each row's coefficients on them."""
+    (free variables are split in two), and each row's non-zeros on them."""
     origin: list[tuple[int, int]] = []
     for idx, nn in enumerate(problem.nonneg):
         origin.append((idx, 1))
         if not nn:
             origin.append((idx, -1))
-    split = [[sign * row.coeffs[idx] for idx, sign in origin] for row in problem.rows]
-    return origin, split
+    return origin, [{j: sign * row.coeffs[idx] for j, (idx, sign) in enumerate(origin)
+                     if row.coeffs[idx]} for row in problem.rows]
 
 
 def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
@@ -236,9 +243,9 @@ def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
     origin, split = _split_rows(problem)
     # One surplus column (-1 in its own row) per '>=' row.
     surplus = [i for i, row in enumerate(problem.rows) if row.relation == GE]
-    rows = [x_part + [-1 if j == i else 0 for j in surplus] + [row.rhs]
-            for i, (x_part, row) in enumerate(zip(split, problem.rows))]
-
+    for column, i in enumerate(surplus, len(origin)):
+        split[i][column] = -1
+    rows = [(x_part, row.rhs) for x_part, row in zip(split, problem.rows)]
     raw = _phase_one(rows, len(origin) + len(surplus))
     if raw is None:
         return None
@@ -263,30 +270,25 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
     candidates = sorted(problem.strict_candidates)
     nx, k = len(origin), len(candidates)
     s_column = {i: nx + c for c, i in enumerate(candidates)}
-    rows: list[list[int]] = []
+    rows: list[tuple[Row, int]] = []
     for i, (row, x_part) in enumerate(zip(problem.rows, split)):
-        le_row = [-a for a in x_part] + [0] * (k + 1)
+        le_row = {j: -a for j, a in x_part.items()}
         if i in s_column:
             le_row[s_column[i]] = 1
-        rows.append(le_row)
+        rows.append((le_row, 0))
         if row.relation == EQ:
-            rows.append(x_part + [0] * (k + 1))
-    for column in s_column.values():
-        bound = [0] * (nx + k) + [1]
-        bound[column] = 1
-        rows.append(bound)
+            rows.append((x_part, 0))
+    rows += [({column: 1}, 1) for column in s_column.values()]
 
     tableau, basis = _identity_start(rows, nx + k)
-    obj = [0] * (nx + k + len(rows) + 1)
-    for column in s_column.values():
-        obj[column] = -1
-    _pivot_to_optimum(tableau, basis, obj)
+    rhs = nx + k + len(rows)
+    _pivot_to_optimum(tableau, basis, {column: -1 for column in s_column.values()}, rhs)
 
     strict = []
-    for r, b in enumerate(basis):
-        if nx <= b < nx + k and tableau[r][-1] != 0:
+    for row, b in zip(tableau, basis):
+        if nx <= b < nx + k and rhs in row:
             # By closure under addition and scaling every optimum is 0/1.
-            if tableau[r][-1] != tableau[r][b]:
+            if row[rhs] != row[b]:
                 raise LpInternalError("fractional strictness variable at the optimum")
             strict.append(candidates[b - nx])
     return sorted(strict)
@@ -309,10 +311,9 @@ def max_strict_set(problem: LpProblem) -> LpSolution:
     joint = lp_feasible(problem.tightened(*strict))
     if joint is None:
         raise LpInternalError("jointly tightened strict rows are infeasible")
-    values = [joint.assignment[x] for x in problem.variables]
-    if not satisfies(problem, values):
+    lhs, rhs, one = _scaled_sides(problem, [joint.assignment[x] for x in problem.variables])
+    if not _sides_hold(problem, lhs, rhs):
         raise LpInternalError("joint solution violates a row")
-    lhs, rhs, one = _scaled_sides(problem, values)
     for i in strict:
         if lhs[i] < rhs[i] + one:
             raise LpInternalError(f"joint solution lost strictness of row {i}")
@@ -329,8 +330,7 @@ def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
     for row in problem.rows:
         if row.rhs != 0 and not (row.relation == GE and row.rhs == 1):
             raise LpError("scaling needs homogeneous rows")
-    factor = lcm(*(v.denominator for v in solution.assignment.values())) \
-        if solution.assignment else 1
+    factor = lcm(*(v.denominator for v in solution.assignment.values()))
     scaled = {name: value * factor for name, value in solution.assignment.items()}
     values = [scaled[x] for x in problem.variables]
     if not satisfies(problem, values):

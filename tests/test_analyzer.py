@@ -136,6 +136,27 @@ class TestAnalyze:
         }
         assert report.complexity_exponent == 4
 
+    @pytest.mark.parametrize("nu", [8, 10])
+    def test_deep_family_closed_form(self, nu):
+        """Block i of v_family(nu) bounds its variables by N^(2^(i-1)) and
+        its self-loops by N^(2^i); k = 2^nu lies in the paper's [1, 2^d]."""
+        v = v_family(nu)
+        report = analyze(v).report
+        assert report.status == POLYNOMIAL
+        assert report.variable_exponents == {
+            f"x{i}{j}": 2 ** (i - 1) for i in range(1, nu + 1) for j in (1, 2)}
+        expected = {}
+        for i in range(1, nu + 1):
+            expected[(f"s{i}1", f"s{i}1")] = expected[(f"s{i}2", f"s{i}2")] = 2 ** i
+            expected[(f"s{i}1", f"s{i}2")] = expected[(f"s{i}2", f"s{i}1")] = 2 ** (i - 1)
+            if i < nu:
+                expected[(f"s{i}1", f"s{i+1}1")] = 2 ** (i - 1)
+                expected[(f"s{i+1}2", f"s{i}2")] = 2 ** (i - 1)
+        assert {(t.src, t.dst): report.transition_exponents[t.tid]
+                for t in v.transitions} == expected
+        assert report.complexity_exponent == 2 ** nu
+        assert 1 <= report.complexity_exponent <= 2 ** v.dimension
+
     def test_doubling_is_exponential_at_first_layer(self, doubling):
         report = analyze(doubling).report
         assert report.status == EXPONENTIAL

@@ -1,6 +1,8 @@
 """The package's public surface: `__all__` names exactly what it exports,
-and every name the benchmark's tracer rebinds exists."""
+every name the benchmark's tracer rebinds exists, and the exact LP module
+stays free of floating point."""
 
+import ast
 import importlib.util
 import pathlib
 import sys
@@ -40,3 +42,21 @@ def test_benchmark_trace_points_resolve():
         if cls:
             owner = getattr(owner, cls)
         assert callable(getattr(owner, attr, None)), (owner_path, attr, name)
+
+
+def test_exact_lp_module_is_float_free():
+    """`exactlp` computes in exact integer and rational arithmetic only: no
+    float literal, no `float(` call, and only the imports that needs."""
+    path = pathlib.Path(vassbound.__file__).resolve().parent / "exactlp.py"
+    tree = ast.parse(path.read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        assert not (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))), \
+            ast.dump(node)
+        assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "float"), ast.dump(node)
+        if isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "dataclasses", "fractions", "math", "typing"}, imported

@@ -1,0 +1,258 @@
+"""The sparse fraction-free tableau of `exactlp` against the dense one it
+replaced.
+
+`exactlp` stores each tableau row as a `{column: int}` map of its non-zeros
+and divides the two elimination multipliers by their gcd before
+cross-multiplying.  The dense reference below eliminates with the plain
+`piv * a - f * b`.  Both then divide each row by the gcd of its entries, so
+they must agree on every final tableau, basis and objective row, on every
+phase-1 assignment and on every strict set.  `DenseMirror` replays each
+sparse solve on the reference and compares, over every LP that `analyze`
+builds for the random suite, `v_family(1..5)` and both samples, and over
+edge cases the analysis never builds.
+"""
+
+import pathlib
+import random
+from fractions import Fraction
+from math import gcd
+from typing import Optional
+
+import pytest
+
+from vassbound import analyze, parse_vass
+from vassbound import exactlp
+from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible, max_strict_set
+from conftest import random_connected_vass, v_family
+from test_exactlp import problem, random_homogeneous
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+
+
+# The dense reference: the list-of-lists tableau, copied verbatim.
+
+def _reduce_row(row: list[int]) -> list[int]:
+    g = gcd(*row)
+    return [a // g for a in row] if g > 1 else row
+
+
+def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int]) -> list[int]:
+    """Pivot until no reduced cost in the objective row `obj` is negative.
+
+    Fraction-free tableau: every row (right-hand side last) is an integer
+    vector that may carry an arbitrary positive scale, so pivoting uses
+    integer cross-elimination followed by a gcd reduction, and ratio
+    comparisons cross-multiply.  Bland's rule (smallest eligible index) on
+    entering and leaving variables keeps the pivoting finite and
+    deterministic.  `tableau` and `basis` are updated in place; the final
+    objective row, whose scale stays positive, is returned.
+    """
+    m = len(tableau)
+    ncols = len(obj) - 1
+    while True:
+        entering = -1
+        for j in range(ncols):
+            if obj[j] < 0:
+                entering = j
+                break
+        if entering < 0:
+            return obj
+        pivot_row = -1
+        best_num = best_den = 0
+        for i in range(m):
+            a = tableau[i][entering]
+            if a > 0:
+                num, den = tableau[i][-1], a
+                if pivot_row < 0 or num * best_den < best_num * den or (
+                        num * best_den == best_num * den and basis[i] < basis[pivot_row]):
+                    best_num, best_den = num, den
+                    pivot_row = i
+        if pivot_row < 0:
+            raise LpInternalError("objective unbounded")
+        pivot = tableau[pivot_row]
+        piv = pivot[entering]
+        for i in range(m):
+            if i != pivot_row and tableau[i][entering] != 0:
+                f = tableau[i][entering]
+                tableau[i] = _reduce_row(
+                    [piv * a - f * b for a, b in zip(tableau[i], pivot)])
+        if obj[entering] != 0:
+            f = obj[entering]
+            obj = _reduce_row([piv * a - f * b for a, b in zip(obj, pivot)])
+        basis[pivot_row] = entering
+
+
+def _identity_start(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
+    """Tableau of `rows` (`n` structural entries, then the right-hand side),
+    each flipped to a non-negative right-hand side, with one identity
+    column per row inserted before it; those columns form the basis."""
+    m = len(rows)
+    tableau: list[list[int]] = []
+    for i, row in enumerate(rows):
+        sign = -1 if row[-1] < 0 else 1
+        full = [sign * a for a in row[:-1]] + [0] * m
+        full[n + i] = 1
+        full.append(sign * row[-1])
+        tableau.append(_reduce_row(full))
+    return tableau, [n + i for i in range(m)]
+
+
+def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
+    """Solve A x = b, x >= 0 for feasibility; returns x or None.
+
+    Each of `rows` is one integer row of A over the `n` columns, followed by
+    its entry of b.
+    """
+    m = len(rows)
+    tableau, basis = _identity_start(rows, n)
+    # Phase-1 objective: minimize the sum of the artificial (identity)
+    # columns.  The objective row starts as cost minus the sum of constraint
+    # rows (pricing out the artificial basis); the zero row keeps m = 0 valid.
+    obj = [-sum(column) for column in zip([0] * (n + m + 1), *tableau)]
+    for j in range(n, n + m):
+        obj[j] += 1
+    obj = _pivot_to_optimum(tableau, basis, _reduce_row(obj))
+
+    if obj[-1] != 0:
+        return None
+    values = [Fraction(0)] * n
+    for i, b in enumerate(basis):
+        if b < n:
+            values[b] = Fraction(tableau[i][-1], tableau[i][b])
+    return values
+
+
+# The comparison.
+
+def dense(row: dict[int, int], ncols: int) -> list[int]:
+    """A sparse row as a dense list, right-hand side (key `ncols`) last."""
+    assert all(type(a) is int and a != 0 for a in row.values()), row
+    assert all(0 <= j <= ncols for j in row), row
+    return [row.get(j, 0) for j in range(ncols + 1)]
+
+
+class DenseMirror:
+    """Replays every sparse solve on the dense reference and asserts the
+    same result; counts the solves it compared."""
+
+    def __init__(self, monkeypatch):
+        self.pivot_runs = self.phase_ones = self.strict_sets = 0
+        self.last_dense = None
+        sparse_pivot = exactlp._pivot_to_optimum
+        sparse_phase_one = exactlp._phase_one
+        sparse_strict = exactlp._strict_candidates
+
+        def pivot(tableau, basis, obj, ncols):
+            ref_tableau = [dense(row, ncols) for row in tableau]
+            ref_basis = list(basis)
+            ref_obj = _pivot_to_optimum(ref_tableau, ref_basis, dense(obj, ncols))
+            final = sparse_pivot(tableau, basis, obj, ncols)
+            assert basis == ref_basis
+            assert [dense(row, ncols) for row in tableau] == ref_tableau
+            assert dense(final, ncols) == ref_obj
+            self.last_dense = ref_tableau, ref_basis
+            self.pivot_runs += 1
+            return final
+
+        def phase_one(rows, n):
+            ref_rows = [dense(coeffs, n)[:-1] + [rhs] for coeffs, rhs in rows]
+            values = sparse_phase_one(rows, n)
+            assert values == _phase_one(ref_rows, n)
+            self.phase_ones += 1
+            return values
+
+        def strict_candidates(lp):
+            strict = sparse_strict(lp)
+            tableau, basis = self.last_dense  # of its own phase-2 solve
+            nx = len(exactlp._split_rows(lp)[0])
+            candidates = sorted(lp.strict_candidates)
+            assert strict == sorted(
+                candidates[b - nx] for r, b in enumerate(basis)
+                if nx <= b < nx + len(candidates) and tableau[r][-1] != 0)
+            self.strict_sets += 1
+            return strict
+
+        monkeypatch.setattr(exactlp, "_pivot_to_optimum", pivot)
+        monkeypatch.setattr(exactlp, "_phase_one", phase_one)
+        monkeypatch.setattr(exactlp, "_strict_candidates", strict_candidates)
+
+
+@pytest.fixture
+def mirror(monkeypatch):
+    return DenseMirror(monkeypatch)
+
+
+def assert_analysis_mirrored(mirror, v):
+    before = mirror.strict_sets
+    result = analyze(v)
+    # Each iteration solves two systems: one phase-2 and one joint phase-1
+    # solve per system.
+    assert mirror.strict_sets - before == 2 * result.iterations
+    assert mirror.phase_ones == mirror.strict_sets
+    assert mirror.pivot_runs == mirror.phase_ones + mirror.strict_sets
+
+
+def test_random_suite_lps_match_dense_reference(mirror):
+    rng = random.Random(20240601)
+    for _ in range(200):
+        assert_analysis_mirrored(
+            mirror, random_connected_vass(rng, max_vars=3, max_transitions=6, span=2))
+    assert mirror.strict_sets > 400
+
+
+@pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
+def test_family_lps_match_dense_reference(mirror, nu):
+    assert_analysis_mirrored(mirror, v_family(nu))
+
+
+@pytest.mark.parametrize("name", ["running.vass", "doubling.vass"])
+def test_sample_lps_match_dense_reference(mirror, name):
+    assert_analysis_mirrored(mirror, parse_vass((SAMPLES / name).read_text()))
+
+
+def test_random_problems_match_dense_reference(mirror):
+    rng = random.Random(18)
+    for _ in range(120):
+        p = random_homogeneous(rng)
+        max_strict_set(p)
+        lp_feasible(p.tightened(*range(len(p.rows))))
+    assert mirror.strict_sets == 120 and mirror.phase_ones == 240
+
+
+class TestEdgeCases:
+    def test_zero_rows(self, mirror):
+        p = problem(["x", "y"], [])
+        assert lp_feasible(p).assignment == {"x": 0, "y": 0}
+        assert max_strict_set(p).strict_set == frozenset()
+        assert mirror.phase_ones == 2 and mirror.strict_sets == 1
+
+    @pytest.mark.parametrize("relation", [GE, EQ])
+    def test_all_zero_row(self, mirror, relation):
+        p = problem(["x", "y"], [((0, 0), relation, 0), ((1, -1), GE, 0)],
+                    candidates=[0, 1] if relation == GE else [1])
+        assert max_strict_set(p).strict_set == {1}
+        sol = lp_feasible(problem(["x"], [((0,), relation, -3)]))
+        assert (sol is None) == (relation == EQ)
+        assert mirror.phase_ones == 2 and mirror.strict_sets == 1
+
+    def test_negative_right_hand_side_flips_the_row(self, mirror):
+        p = problem(["x", "y"], [((-1, -2), GE, -7), ((1, -1), EQ, -1),
+                                 ((1, 0), GE, 1)])
+        sol = lp_feasible(p)
+        assert sol is not None
+        x, y = sol.assignment["x"], sol.assignment["y"]
+        assert x + 2 * y <= 7 and x - y == -1 and x >= 1
+        assert mirror.phase_ones == 1 and mirror.pivot_runs == 1
+
+    def test_infeasible_problem(self, mirror):
+        p = problem(["x", "y"], [((1, 1), GE, 3), ((-1, 0), GE, -1),
+                                 ((0, -1), GE, -1)])
+        assert lp_feasible(p) is None
+        assert mirror.phase_ones == 1 and mirror.pivot_runs == 1
+
+    def test_no_strict_candidates(self, mirror):
+        p = problem(["x", "y"], [((1, -1), GE, 0), ((0, 1), EQ, 0)],
+                    nonneg=(False, True))
+        sol = max_strict_set(p)
+        assert sol.strict_set == frozenset()
+        assert mirror.strict_sets == 1 and mirror.phase_ones == 1
