@@ -281,15 +281,17 @@ def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolutio
         rz_sol = scale_to_integer(rz_problem, max_strict_set(rz_problem))
     except LpError as err:
         raise InternalInvariantError(f"LP solver failed: {err}") from err
-    counts = {t.tid: int(mu_sol.assignment[f"mu{t.tid}"]) for t in sys.transitions}
+    mu_values = dict(zip(mu_sol.variables, mu_sol.numerators))
+    counts = {t.tid: mu_values[f"mu{t.tid}"] for t in sys.transitions}
     mu_strict_vars = frozenset(mu_labels[i][1] for i in mu_sol.strict_set
                                if mu_labels[i][0] == "var")
     mu_strict_trans = frozenset(mu_labels[i][1] for i in mu_sol.strict_set
                                 if mu_labels[i][0] == "trans")
     mu = MultiCycleSolution(counts, mu_strict_vars, mu_strict_trans)
 
-    r = {ve: int(rz_sol.assignment[f"r[{ve[0]},{ve[1]}]"]) for ve in sys.var_ext}
-    z = {s: int(rz_sol.assignment[f"z[{s}]"]) for s in sys.states}
+    rz_values = dict(zip(rz_sol.variables, rz_sol.numerators))
+    r = {ve: rz_values[f"r[{ve[0]},{ve[1]}]"] for ve in sys.var_ext}
+    z = {s: rz_values[f"z[{s}]"] for s in sys.states}
     ranked = frozenset(rz_labels[i][1] for i in rz_sol.strict_set
                        if rz_labels[i][0] == "trans")
     bounded = frozenset(rz_labels[i][1] for i in rz_sol.strict_set

@@ -4,7 +4,10 @@ Problems are solved by the primal simplex method with Bland's anti-cycling
 rule over a fraction-free integer tableau built directly from the integer
 rows (`LpRow`), so results are exact and deterministic.  Tableau rows are
 sparse `{column: int}` maps; elimination divides its two multipliers by
-their gcd first.  `lp_feasible` finds a basic solution with a phase-1 simplex.
+their gcd first.  `lp_feasible` finds a basic solution with a phase-1 simplex,
+reads it out as integer numerators over one denominator and checks it once,
+exactly, against every row.  Only `LpSolution`'s rational view builds
+`Fraction`s.
 
 `max_strict_set` provides the "maximize the number of strict inequalities"
 objective needed by the bound analysis, for homogeneous problems, whose
@@ -19,7 +22,7 @@ tightened at once then yields the returned solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -98,37 +101,34 @@ class LpProblem:
 
 @dataclass(frozen=True)
 class LpSolution:
-    """A rational assignment satisfying every row of its problem.
-
-    `strict_set` lists candidate rows satisfied with slack >= 1.
+    """A solution of its problem: the point `numerators / denominator` over
+    `variables`, with one positive denominator; `assignment` and `vector`
+    are its rational view.  `strict_set` lists candidate rows satisfied
+    with slack >= 1.
     """
 
-    assignment: dict[str, Fraction]
+    variables: tuple[str, ...]
+    numerators: tuple[int, ...]
+    denominator: int
     strict_set: frozenset[int] = frozenset()
 
+    @property
+    def assignment(self) -> dict[str, Fraction]:
+        return {x: Fraction(v, self.denominator) for x, v in zip(self.variables, self.numerators)}
+
     def vector(self, variables: Sequence[str]) -> tuple[Fraction, ...]:
-        return tuple(self.assignment[x] for x in variables)
+        assignment = self.assignment
+        return tuple(assignment[x] for x in variables)
 
 
-def _scaled_sides(problem: LpProblem, values: Sequence[Fraction]) -> tuple[list[int], list[int], int]:
-    """Every row's left-hand side at `values`, every right-hand side, and 1,
-    all multiplied by the common denominator of `values`."""
-    den = lcm(*(v.denominator for v in values))
-    ints = [v.numerator * (den // v.denominator) for v in values]
-    lhs = [sum(c * v for c, v in zip(row.coeffs, ints)) for row in problem.rows]
-    return lhs, [row.rhs * den for row in problem.rows], den
-
-
-def _sides_hold(problem: LpProblem, lhs: list[int], rhs: list[int]) -> bool:
-    """Whether every row holds between its two (scaled) sides."""
-    return all(left >= right if row.relation == GE else left == right
-               for row, left, right in zip(problem.rows, lhs, rhs))
-
-
-def satisfies(problem: LpProblem, values: Sequence[Fraction]) -> bool:
-    """Exact check of every row (no tolerances)."""
-    lhs, rhs, _ = _scaled_sides(problem, values)
-    return _sides_hold(problem, lhs, rhs)
+def satisfies(problem: LpProblem, values: Sequence, denominator: int = 1) -> bool:
+    """Exact check of every row at `values / denominator` (no tolerances);
+    `values` may be rationals, or integer numerators over `denominator`."""
+    for row in problem.rows:
+        lhs, rhs = sum(c * v for c, v in zip(row.coeffs, values)), row.rhs * denominator
+        if not (lhs >= rhs if row.relation == GE else lhs == rhs):
+            return False
+    return True
 
 
 def _reduce_row(row: Row) -> Row:
@@ -200,11 +200,12 @@ def _identity_start(rows: list[tuple[Row, int]], n: int) -> tuple[list[Row], lis
     return tableau, [n + i for i in range(m)]
 
 
-def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[list[Fraction]]:
+def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int], int]]:
     """Solve A x = b, x >= 0 for feasibility; returns x or None.
 
     Each of `rows` holds the non-zeros of one row of A over the `n` columns
-    and its entry of b.
+    and its entry of b.  x comes as integer numerators over one denominator,
+    the lcm of the basic diagonal entries, which pivoting keeps positive.
     """
     m = len(rows)
     tableau, basis = _identity_start(rows, n)
@@ -219,11 +220,12 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[list[Fraction]]:
 
     if obj.get(n + m, 0) != 0:
         return None
-    values = [Fraction(0)] * n
-    for row, b in zip(tableau, basis):
-        if b < n:
-            values[b] = Fraction(row.get(n + m, 0), row[b])
-    return values
+    basic = [(b, row) for row, b in zip(tableau, basis) if b < n]
+    den = lcm(*(row[b] for b, row in basic))
+    numerators = [0] * n
+    for b, row in basic:
+        numerators[b] = row.get(n + m, 0) * (den // row[b])
+    return numerators, den
 
 
 def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
@@ -239,7 +241,8 @@ def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
 
 
 def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
-    """Some exact rational solution of the problem, or None if infeasible."""
+    """Some exact rational solution of the problem over the least common
+    denominator of its values, checked once, or None if infeasible."""
     origin, split = _split_rows(problem)
     # One surplus column (-1 in its own row) per '>=' row.
     surplus = [i for i, row in enumerate(problem.rows) if row.relation == GE]
@@ -249,12 +252,15 @@ def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
     raw = _phase_one(rows, len(origin) + len(surplus))
     if raw is None:
         return None
-    values = [Fraction(0)] * len(problem.variables)
-    for column_value, (var_idx, sign) in zip(raw, origin):
+    columns, den = raw
+    values = [0] * len(problem.variables)
+    for column_value, (var_idx, sign) in zip(columns, origin):
         values[var_idx] += sign * column_value
-    if not satisfies(problem, values):
+    g = gcd(den, *values)
+    values, den = [v // g for v in values], den // g
+    if not satisfies(problem, values, den):
         raise LpInternalError("simplex produced a non-solution")
-    return LpSolution(dict(zip(problem.variables, values)))
+    return LpSolution(problem.variables, tuple(values), den)
 
 
 def _strict_candidates(problem: LpProblem) -> list[int]:
@@ -300,9 +306,9 @@ def max_strict_set(problem: LpProblem) -> LpSolution:
     Requires homogeneous rows (right-hand side 0), so that the solution set
     is a cone, closed under addition and positive scaling; raises LpError
     otherwise.  The maximal strict set comes from one phase-2 simplex (see
-    `_strict_candidates`).  The returned assignment is a basic solution of
-    the problem with every member row tightened to slack >= 1 at once,
-    checked exactly against every row and for the strictness of every
+    `_strict_candidates`).  The returned solution is a basic solution of
+    the problem with every member row tightened to slack >= 1 at once, so
+    `lp_feasible`'s check covers every row and the strictness of every
     member.
     """
     if any(row.rhs != 0 for row in problem.rows):
@@ -311,29 +317,18 @@ def max_strict_set(problem: LpProblem) -> LpSolution:
     joint = lp_feasible(problem.tightened(*strict))
     if joint is None:
         raise LpInternalError("jointly tightened strict rows are infeasible")
-    lhs, rhs, one = _scaled_sides(problem, [joint.assignment[x] for x in problem.variables])
-    if not _sides_hold(problem, lhs, rhs):
-        raise LpInternalError("joint solution violates a row")
-    for i in strict:
-        if lhs[i] < rhs[i] + one:
-            raise LpInternalError(f"joint solution lost strictness of row {i}")
-    return LpSolution(joint.assignment, frozenset(strict))
+    return replace(joint, strict_set=frozenset(strict))
 
 
 def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
-    """Scale a solution of a homogeneous problem by the LCM of denominators.
+    """Scale a solution of a homogeneous problem to its integer numerators
+    by dropping its denominator.
 
-    Satisfaction of every row and membership of the strict set are
-    preserved because scaling by a positive integer fixes homogeneous rows
+    Satisfaction of every row and membership of the strict set hold without
+    a second check: scaling by a positive integer fixes homogeneous rows
     and can only widen slacks that were already >= 1.
     """
     for row in problem.rows:
         if row.rhs != 0 and not (row.relation == GE and row.rhs == 1):
             raise LpError("scaling needs homogeneous rows")
-    factor = lcm(*(v.denominator for v in solution.assignment.values()))
-    scaled = {name: value * factor for name, value in solution.assignment.items()}
-    values = [scaled[x] for x in problem.variables]
-    if not satisfies(problem, values):
-        raise LpInternalError("integer scaling broke a row")
-    return LpSolution(scaled, solution.strict_set)
-
+    return replace(solution, denominator=1)

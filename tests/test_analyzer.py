@@ -304,15 +304,12 @@ class TestInternalTripwires:
     def test_dichotomy_assertion_fires_on_suboptimal_solver(self, v_run, monkeypatch):
         # A solver that never tightens anything returns the zero solution
         # with an empty strict set; the layer solver must refuse it.
-        from fractions import Fraction
-
         import vassbound.analyzer as analyzer_mod
         from vassbound.exactlp import LpSolution
         from vassbound.analyzer import InternalInvariantError
 
         def lazy_solver(problem):
-            return LpSolution({x: Fraction(0) for x in problem.variables},
-                              frozenset())
+            return LpSolution(problem.variables, (0,) * len(problem.variables), 1)
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", lazy_solver)
         with pytest.raises(InternalInvariantError):

@@ -1,14 +1,18 @@
 """Exact LP layer: feasibility, maximal strict sets, integer scaling."""
 
+import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
+from vassbound import exactlp
+from vassbound.cli import main
 from vassbound.exactlp import (
     EQ,
     GE,
     LpError,
+    LpInternalError,
     LpProblem,
     LpRow,
     LpSolution,
@@ -17,6 +21,8 @@ from vassbound.exactlp import (
     satisfies,
     scale_to_integer,
 )
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def problem(names, rows, candidates=(), nonneg=None):
@@ -173,23 +179,32 @@ class TestMaxStrictSet:
 
 
 class TestScaling:
+    """`lp_feasible` reads each solution out over the least common
+    denominator of its values; `scale_to_integer` drops that denominator."""
+
     def test_halves_and_thirds(self):
-        p = problem(["x", "y"], [((1, 0), GE, 0), ((0, 1), GE, 0)])
-        scaled = scale_to_integer(p, LpSolution(
-            {"x": Fraction(1, 2), "y": Fraction(1, 3)}, frozenset()))
-        assert scaled.assignment == {"x": 3, "y": 2}
+        sol = lp_feasible(problem(["x", "y"], [((2, 0), EQ, 1), ((0, 3), EQ, 1)]))
+        assert sol.denominator == 6
+        assert dict(zip(sol.variables, sol.numerators)) == {"x": 3, "y": 2}
 
     def test_integer_solution_unchanged(self):
         p = problem(["x"], [((1,), GE, 0)])
-        sol = LpSolution({"x": Fraction(7)}, frozenset())
+        sol = LpSolution(("x",), (7,), 1)
         assert scale_to_integer(p, sol).assignment == {"x": 7}
 
     def test_lcm_of_mixed_denominators(self):
-        p = problem(["a", "b", "c"], [((1, 1, 1), GE, 0)])
-        sol = LpSolution(
-            {"a": Fraction(5, 6), "b": Fraction(0), "c": Fraction(7, 4)},
-            frozenset())
-        assert scale_to_integer(p, sol).assignment == {"a": 10, "b": 0, "c": 21}
+        sol = lp_feasible(problem(["a", "b", "c"], [((6, 0, 0), EQ, 5), ((0, 1, 0), EQ, 0),
+                                                    ((0, 0, 4), EQ, 7)]))
+        assert sol.denominator == 12
+        assert dict(zip(sol.variables, sol.numerators)) == {"a": 10, "b": 0, "c": 21}
+        assert sol.assignment == {"a": Fraction(5, 6), "b": 0, "c": Fraction(7, 4)}
+
+    def test_drops_the_denominator(self):
+        p = problem(["x", "y"], [((2, 0), GE, 0), ((0, 3), GE, 0)], candidates=[0, 1])
+        sol = max_strict_set(p)
+        assert sol.denominator == 6 and sol.strict_set == {0, 1}
+        scaled = scale_to_integer(p, sol)
+        assert scaled == LpSolution(("x", "y"), (3, 2), 1, frozenset({0, 1}))
 
     def test_rejects_inhomogeneous_rows(self):
         p = problem(["x"], [((1,), GE, 3)])
@@ -197,3 +212,36 @@ class TestScaling:
         with pytest.raises(LpError, match="homogeneous"):
             scale_to_integer(p, sol)
 
+
+def _zeroed(numerators):
+    return [0] * len(numerators)
+
+
+def _perturbed(numerators):
+    return [numerators[0] + 1, *numerators[1:]]
+
+
+class TestTheOneCheck:
+    """`lp_feasible` checks each solution once and nothing checks it again,
+    so a phase-1 read-out that loses a strict slack (all numerators zeroed)
+    or breaks a row (one numerator perturbed) must fail that check."""
+
+    @pytest.fixture(params=[_zeroed, _perturbed])
+    def faulty_phase_one(self, request, monkeypatch):
+        phase_one = exactlp._phase_one
+
+        def faulty(rows, n):
+            raw = phase_one(rows, n)
+            return None if raw is None else (request.param(raw[0]), raw[1])
+
+        monkeypatch.setattr(exactlp, "_phase_one", faulty)
+
+    def test_max_strict_set_raises(self, faulty_phase_one):
+        # x = y with x strict: the joint solution is x = y = 1.
+        p = problem(["x", "y"], [((1, -1), EQ, 0), ((1, 0), GE, 0)], candidates=[1])
+        with pytest.raises(LpInternalError, match="non-solution"):
+            max_strict_set(p)
+
+    def test_analyze_exits_with_internal_error(self, faulty_phase_one, capsys):
+        assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
+        assert "internal invariant violation" in capsys.readouterr().err

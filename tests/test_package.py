@@ -1,6 +1,7 @@
 """The package's public surface: `__all__` names exactly what it exports,
 every name the benchmark's tracer rebinds exists, and the exact LP module
-stays free of floating point."""
+stays free of floating point and builds `Fraction`s only in its rational
+view of a solution."""
 
 import ast
 import importlib.util
@@ -60,3 +61,23 @@ def test_exact_lp_module_is_float_free():
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
     assert imported <= {"__future__", "dataclasses", "fractions", "math", "typing"}, imported
+
+
+def test_exact_lp_builds_fractions_only_in_the_solution_view():
+    """`exactlp` computes on integers; every `Fraction` name in it lies in
+    `class LpSolution`, whose `assignment` and `vector` are the rational view."""
+    path = pathlib.Path(vassbound.__file__).resolve().parent / "exactlp.py"
+    tree = ast.parse(path.read_text())
+
+    def fraction_names(node):
+        return [n for n in ast.walk(node)
+                if isinstance(n, ast.Name) and n.id == "Fraction"
+                or isinstance(n, ast.Attribute) and n.attr == "Fraction"]
+
+    views = [node for node in tree.body
+             if isinstance(node, ast.ClassDef) and node.name == "LpSolution"]
+    assert len(views) == 1
+    inside = fraction_names(views[0])
+    assert inside
+    outside = [n for n in fraction_names(tree) if n not in inside]
+    assert not outside, [f"line {n.lineno}" for n in outside]

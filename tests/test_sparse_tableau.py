@@ -6,10 +6,13 @@ and divides the two elimination multipliers by their gcd before
 cross-multiplying.  The dense reference below eliminates with the plain
 `piv * a - f * b`.  Both then divide each row by the gcd of its entries, so
 they must agree on every final tableau, basis and objective row, on every
-phase-1 assignment and on every strict set.  `DenseMirror` replays each
-sparse solve on the reference and compares, over every LP that `analyze`
-builds for the random suite, `v_family(1..5)` and both samples, and over
-edge cases the analysis never builds.
+phase-1 assignment and on every strict set.  The sparse phase 1 reads its
+assignment out as integer numerators over one denominator; the reference
+keeps its `Fraction` read-out, and the two must name the same values.
+`DenseMirror` replays each sparse solve on the reference and compares, over
+every LP that `analyze` builds for the random suite, `v_family(1..5)` and
+both samples, and over edge cases the analysis never builds.  It also
+checks that every solution `lp_feasible` returns is in lowest terms.
 """
 
 import pathlib
@@ -136,11 +139,12 @@ class DenseMirror:
     same result; counts the solves it compared."""
 
     def __init__(self, monkeypatch):
-        self.pivot_runs = self.phase_ones = self.strict_sets = 0
+        self.pivot_runs = self.phase_ones = self.strict_sets = self.solutions = 0
         self.last_dense = None
         sparse_pivot = exactlp._pivot_to_optimum
         sparse_phase_one = exactlp._phase_one
         sparse_strict = exactlp._strict_candidates
+        sparse_feasible = exactlp.lp_feasible
 
         def pivot(tableau, basis, obj, ncols):
             ref_tableau = [dense(row, ncols) for row in tableau]
@@ -156,10 +160,23 @@ class DenseMirror:
 
         def phase_one(rows, n):
             ref_rows = [dense(coeffs, n)[:-1] + [rhs] for coeffs, rhs in rows]
-            values = sparse_phase_one(rows, n)
-            assert values == _phase_one(ref_rows, n)
+            raw = sparse_phase_one(rows, n)
+            ref = _phase_one(ref_rows, n)
+            if ref is None:
+                assert raw is None
+            else:
+                numerators, denominator = raw
+                assert all(type(x) is int for x in numerators) and denominator > 0
+                assert [Fraction(x, denominator) for x in numerators] == ref
             self.phase_ones += 1
-            return values
+            return raw
+
+        def feasible(lp):
+            solution = sparse_feasible(lp)
+            if solution is not None:
+                assert gcd(solution.denominator, *solution.numerators) == 1
+                self.solutions += 1
+            return solution
 
         def strict_candidates(lp):
             strict = sparse_strict(lp)
@@ -175,6 +192,7 @@ class DenseMirror:
         monkeypatch.setattr(exactlp, "_pivot_to_optimum", pivot)
         monkeypatch.setattr(exactlp, "_phase_one", phase_one)
         monkeypatch.setattr(exactlp, "_strict_candidates", strict_candidates)
+        monkeypatch.setattr(exactlp, "lp_feasible", feasible)
 
 
 @pytest.fixture
@@ -188,7 +206,7 @@ def assert_analysis_mirrored(mirror, v):
     # Each iteration solves two systems: one phase-2 and one joint phase-1
     # solve per system.
     assert mirror.strict_sets - before == 2 * result.iterations
-    assert mirror.phase_ones == mirror.strict_sets
+    assert mirror.phase_ones == mirror.strict_sets == mirror.solutions
     assert mirror.pivot_runs == mirror.phase_ones + mirror.strict_sets
 
 
