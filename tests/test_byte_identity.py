@@ -5,9 +5,11 @@ Each digest is the SHA-256 of the exact CLI output (or of a canonical text
 form of the archive), recorded before the single-solve maximal strict set
 replaced the per-candidate loop; the random-suite digest was recorded
 before LP rows became integers at construction, and the witness-dump
-digest before the twin pre-path/proper-path builders became one.  A mismatch means an
-output changed, not that the digest is stale: find out which byte moved
-before re-recording.
+digest before the twin pre-path/proper-path builders became one, and
+`RANDOM_SUITE_JSON_DIGEST`, which also covers the `layers` audit of the
+exponential models, before that audit was rendered from the archive.  A
+mismatch means an output changed, not that the digest is stale: find out
+which byte moved before re-recording.
 """
 
 import hashlib
@@ -61,6 +63,11 @@ ARCHIVE_DIGESTS = {
 # concatenated in generation order.
 RANDOM_SUITE_DIGEST = \
     "b50b31b6fb1e0389b60caac9c72980874e5d58d81091f4a36e747c9c062edeaa"
+
+# The JSON reports of the same 200 models, concatenated in generation order.
+# Unlike the text reports they hold the `layers` audit.
+RANDOM_SUITE_JSON_DIGEST = \
+    "833af60412c5b90d0b568796cb4f480fc2815d9bfbd5d87f709415757acd87fd"
 
 # Witness dumps at N = 1, 2, 3 of every polynomial model of that suite, in
 # generation order, then v_family(3) at N = 1, 2 and v_family(4) at N = 1:
@@ -116,6 +123,15 @@ def test_random_suite_text_reports_unchanged():
         v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
         reports.append(_render_text_report(analyze(v)))
     assert _digest("".join(reports)) == RANDOM_SUITE_DIGEST
+
+
+def test_random_suite_json_reports_unchanged():
+    rng = random.Random(20240601)
+    reports = []
+    for _ in range(200):
+        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+        reports.append(analyze(v).report.to_json(v))
+    assert _digest("".join(reports)) == RANDOM_SUITE_JSON_DIGEST
 
 
 def test_random_suite_witness_dumps_unchanged():
