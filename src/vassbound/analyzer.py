@@ -136,7 +136,11 @@ class RankingSolution:
 
 @dataclass(frozen=True)
 class LayerRecord:
-    """Archived per-iteration data (consumed by the witness construction)."""
+    """The analyzer's one record of an iteration: the alive transitions `u`,
+    the variable copies, both optimal solutions, the tree nodes the layer
+    split into and the variables bounded at it.  The report's `layers`
+    audit and the witness cycles read it, and so will any certificate or
+    trace of the analysis."""
 
     layer: int
     u: tuple[int, ...]
@@ -193,7 +197,10 @@ class AnalysisResult:
     report: BoundsReport
     tree: LayerTree
     archive: list[LayerRecord]
-    iterations: int
+
+    @property
+    def iterations(self) -> int:
+        return len(self.archive)
 
 
 def build_extended_system(v: Vass, tree: LayerTree, layer: int,
@@ -223,49 +230,59 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     return ExtendedSystem(layer, u, tuple(var_ext), tuple(d_ext), flow, v.states)
 
 
-def _multicycle_problem(sys: ExtendedSystem) -> tuple[LpProblem, dict]:
+def _solve_multicycle(sys: ExtendedSystem) -> MultiCycleSolution:
     """Multi-cycle system: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0; candidate
-    strictness on every d_ext row and every mu(t) >= 0 row."""
+    strictness on every d_ext row and every mu(t) >= 0 row.
+
+    Column j is mu(transitions[j]); the rows are the d_ext rows, then the
+    flow rows, then the mu(t) >= 0 rows in transition order."""
     names = tuple(f"mu{t.tid}" for t in sys.transitions)
-    rows: list[LpRow] = []
-    labels: dict[int, tuple] = {}
-    for ve, row in zip(sys.var_ext, sys.d_ext):
-        rows.append(LpRow.of(row, GE))
-        labels[len(rows) - 1] = ("var", ve)
-    for s_row in sys.flow:
-        rows.append(LpRow.of(s_row, EQ))
-    for j, t in enumerate(sys.transitions):
+    rows = [LpRow.of(row, GE) for row in sys.d_ext]
+    rows.extend(LpRow.of(s_row, EQ) for s_row in sys.flow)
+    first_trans = len(rows)
+    for j in range(len(names)):
         coeffs = [0] * len(names)
         coeffs[j] = 1
         rows.append(LpRow.of(coeffs, GE))
-        labels[len(rows) - 1] = ("trans", t.tid)
-    candidates = frozenset(labels)
+    candidates = frozenset(range(len(sys.d_ext))) | frozenset(range(first_trans, len(rows)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows), candidates)
-    return problem, labels
+    sol = scale_to_integer(problem, max_strict_set(problem))
+    strict = sol.strict_set
+    return MultiCycleSolution(
+        dict(zip((t.tid for t in sys.transitions), sol.numerators)),
+        frozenset(ve for i, ve in enumerate(sys.var_ext) if i in strict),
+        frozenset(t.tid for i, t in enumerate(sys.transitions, first_trans) if i in strict))
 
 
-def _ranking_problem(sys: ExtendedSystem) -> tuple[LpProblem, dict]:
+def _solve_ranking(sys: ExtendedSystem) -> RankingSolution:
     """Quasi-ranking system: r >= 0, z >= 0, and per alive transition
     d_ext^T r + flow^T z <= 0 (encoded negated as >= 0); candidate strictness
-    on every transition row and every r >= 0 row."""
+    on every transition row and every r >= 0 row.
+
+    The columns are r in var_ext order, then z in state order; the rows are
+    the transition rows in transition order, then the r >= 0 rows."""
     r_names = tuple(f"r[{x},{nid}]" for x, nid in sys.var_ext)
     z_names = tuple(f"z[{s}]" for s in sys.states)
     names = r_names + z_names
     rows: list[LpRow] = []
-    labels: dict[int, tuple] = {}
-    for j, t in enumerate(sys.transitions):
+    for j in range(len(sys.transitions)):
         coeffs = [-row[j] for row in sys.d_ext]
         coeffs.extend(-row[j] for row in sys.flow)
         rows.append(LpRow.of(coeffs, GE))
-        labels[len(rows) - 1] = ("trans", t.tid)
-    for i, ve in enumerate(sys.var_ext):
+    first_var = len(rows)
+    for i in range(len(r_names)):
         coeffs = [0] * len(names)
         coeffs[i] = 1
         rows.append(LpRow.of(coeffs, GE))
-        labels[len(rows) - 1] = ("var", ve)
-    candidates = frozenset(labels)
-    problem = LpProblem(names, tuple(True for _ in names), tuple(rows), candidates)
-    return problem, labels
+    problem = LpProblem(names, tuple(True for _ in names), tuple(rows),
+                        frozenset(range(len(rows))))
+    sol = scale_to_integer(problem, max_strict_set(problem))
+    strict = sol.strict_set
+    return RankingSolution(
+        dict(zip(sys.var_ext, sol.numerators)),
+        dict(zip(sys.states, sol.numerators[len(r_names):])),
+        frozenset(t.tid for j, t in enumerate(sys.transitions) if j in strict),
+        frozenset(ve for i, ve in enumerate(sys.var_ext, first_var) if i in strict))
 
 
 def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolution]:
@@ -274,30 +291,11 @@ def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolutio
     The two maximal strict sets must partition the variable copies and the
     alive transitions (the Farkas dichotomy); a violation means a solver bug
     and raises InternalInvariantError, as does any failure of the LP solver."""
-    mu_problem, mu_labels = _multicycle_problem(sys)
-    rz_problem, rz_labels = _ranking_problem(sys)
     try:
-        mu_sol = scale_to_integer(mu_problem, max_strict_set(mu_problem))
-        rz_sol = scale_to_integer(rz_problem, max_strict_set(rz_problem))
+        mu = _solve_multicycle(sys)
+        ranking = _solve_ranking(sys)
     except LpError as err:
         raise InternalInvariantError(f"LP solver failed: {err}") from err
-    mu_values = dict(zip(mu_sol.variables, mu_sol.numerators))
-    counts = {t.tid: mu_values[f"mu{t.tid}"] for t in sys.transitions}
-    mu_strict_vars = frozenset(mu_labels[i][1] for i in mu_sol.strict_set
-                               if mu_labels[i][0] == "var")
-    mu_strict_trans = frozenset(mu_labels[i][1] for i in mu_sol.strict_set
-                                if mu_labels[i][0] == "trans")
-    mu = MultiCycleSolution(counts, mu_strict_vars, mu_strict_trans)
-
-    rz_values = dict(zip(rz_sol.variables, rz_sol.numerators))
-    r = {ve: rz_values[f"r[{ve[0]},{ve[1]}]"] for ve in sys.var_ext}
-    z = {s: rz_values[f"z[{s}]"] for s in sys.states}
-    ranked = frozenset(rz_labels[i][1] for i in rz_sol.strict_set
-                       if rz_labels[i][0] == "trans")
-    bounded = frozenset(rz_labels[i][1] for i in rz_sol.strict_set
-                        if rz_labels[i][0] == "var")
-    ranking = RankingSolution(r, z, ranked, bounded)
-
     _assert_dichotomy(sys, mu, ranking)
     if not check_quasi_ranking(sys, ranking):
         raise InternalInvariantError("optimal solution is not a quasi-ranking")
@@ -389,13 +387,11 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
     if not v.transitions:
         # Nothing can ever move; empty exponent maps, overall exponent 0.
         report = BoundsReport(POLYNOMIAL, {}, {}, 0, [])
-        return AnalysisResult(v, report, tree, [], 0)
+        return AnalysisResult(v, report, tree, [])
 
     n, m = v.dimension, len(v.transitions)
     archive: list[LayerRecord] = []
-    audits: list[dict] = []
     layer = 1
-    iterations = 0
     status = POLYNOMIAL
     exp_layer: Optional[int] = None
     # With layer skipping every executed iteration lands on a relevant
@@ -404,8 +400,7 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
     budget = n * m + 1 if skip_optimization else 2 ** (n + 1) + n * m + 2
 
     while True:
-        iterations += 1
-        if iterations > budget:
+        if len(archive) >= budget:
             raise InternalInvariantError("iteration budget exceeded")
         sys = build_extended_system(v, tree, layer, vexp)
         mu, ranking = solve_layer(sys)
@@ -437,17 +432,6 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
         archive.append(LayerRecord(layer, tuple(t.tid for t in sys.transitions),
                                    sys.var_ext, mu, ranking,
                                    tuple(new_nodes), tuple(new_bounds)))
-        if ranking.ranked or new_bounds:
-            audits.append({
-                "layer": layer,
-                "u": sorted(t.tid for t in sys.transitions),
-                "var_ext_size": len(sys.var_ext),
-                "removed": sorted(ranking.ranked),
-                "bounded_variables": new_bounds,
-                "positive_counts": sorted(mu.strict_transitions),
-                "nodes": [{"states": list(tree.node(nid).vass.states)}
-                          for nid in new_nodes],
-            })
 
         if all(e is not None for e in vexp.values()) and \
                 all(e is not None for e in texp.values()):
@@ -477,8 +461,17 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
                 raise InternalInvariantError(f"transition exponent {tid}={e} outside [1, 2^n]")
         complexity = max(texp.values(), default=0)
 
+    audits = [{
+        "layer": rec.layer,
+        "u": list(rec.u),
+        "var_ext_size": len(rec.var_ext),
+        "removed": sorted(rec.ranking.ranked),
+        "bounded_variables": list(rec.new_variable_bounds),
+        "positive_counts": sorted(rec.mu.strict_transitions),
+        "nodes": [{"states": list(tree.node(nid).vass.states)} for nid in rec.new_nodes],
+    } for rec in archive if rec.ranking.ranked or rec.new_variable_bounds]
     report = BoundsReport(status, vexp, texp, complexity, audits, exp_layer)
-    return AnalysisResult(v, report, tree, archive, iterations)
+    return AnalysisResult(v, report, tree, archive)
 
 
 def _assert_tree_invariants(tree: LayerTree) -> None:

@@ -157,7 +157,7 @@ class WitnessPath:
 
     n: int
     k: int
-    path: Path | Seq
+    path: _Program
     initial: Valuation
     final: Valuation
     instance_counts: dict[int, int]
@@ -169,8 +169,7 @@ class WitnessPath:
         piece = 8192
         yield (f"witness N={self.n} k={self.k}\ninit "
                + " ".join(str(self.initial[x]) for x in v.variables) + "\n")
-        program = self.path if isinstance(self.path, _Program) else Leaf(self.path, v.dimension)
-        for node in _leaves(program, piece):
+        for node in _leaves(self.path, piece):
             if isinstance(node, Repeat):
                 text = "".join(leaf.text for leaf in _leaves(node.body))
                 per_piece = piece // max(node.body.length, 1)
@@ -478,7 +477,7 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
         raise WitnessError("scale parameter must be >= 1")
     v = result.vass
     if not v.transitions:
-        empty = Path((), anchor=v.states[0] if v.states else None)
+        empty = Leaf(Path((), anchor=v.states[0] if v.states else None), v.dimension)
         zero = Valuation.zero(v.variables)
         return WitnessPath(n, 1, empty, zero, zero, {}, 0)
 

@@ -350,6 +350,35 @@ class TestLpSolveCount:
             assert len(calls) == 2 * result.iterations
 
 
+def acceptance_models():
+    """The acceptance suite's 200 random models, then v_family(1..5)."""
+    rng = random.Random(20240601)
+    for _ in range(200):
+        yield random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+    for nu in range(1, 6):
+        yield v_family(nu)
+
+
+class TestArchiveContract:
+    """The archive is the analyzer's one per-layer record: every exponent,
+    the `layers` audit and the iteration count follow from it."""
+
+    def test_exponents_audit_and_iterations_follow_from_archive(self):
+        for v in acceptance_models():
+            result = analyze(v)
+            report, archive = result.report, result.archive
+            for tid, e in report.transition_exponents.items():
+                layers = [rec.layer for rec in archive if tid in rec.ranking.ranked]
+                assert layers == ([] if e is None else [e]), (v, tid)
+            for x, e in report.variable_exponents.items():
+                layers = [rec.layer for rec in archive if x in rec.new_variable_bounds]
+                assert layers == ([] if e is None else [e]), (v, x)
+            assert [a["layer"] for a in report.layers] == \
+                [rec.layer for rec in archive
+                 if rec.ranking.ranked or rec.new_variable_bounds]
+            assert result.iterations == len(archive)
+
+
 class TestRandomSweep:
     def test_invariants_on_random_vasss(self):
         rng = random.Random(99)

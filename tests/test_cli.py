@@ -119,6 +119,19 @@ class TestWitness:
         assert out.startswith("witness N=3")
         assert "FAIL" not in out
 
+    def test_model_without_transitions(self, tmp_path, capsys):
+        path = tmp_path / "still.vass"
+        path.write_text("vars x y\n")
+        assert main(["witness", str(path), "--n", "3", "--check"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "witness N=3 k=1",
+            "init 0 0",
+            "instances ",
+            "final 0 0",
+            "PASS initial-envelope: |initial| = 0, envelope 0 * N = 0",
+            "PASS executes: path executes and reaches the recorded final valuation",
+        ]
+
     def test_exponential_input_exit_code(self, doubling_file, capsys):
         assert main(["witness", doubling_file, "--n", "3"]) == 4
 
