@@ -21,7 +21,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlp import GE, EQ, LpError, LpProblem, LpRow, max_strict_set, scale_to_integer
+from .exactlp import (GE, EQ, LpError, LpInternalError, LpProblem, LpRow, max_strict_set,
+                      scale_to_integer, strict_solution)
 from .model import NotConnectedError, Transition, Vass, VassError, scc_decompose, unconnected_pair
 
 POLYNOMIAL = "polynomial"
@@ -230,12 +231,17 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     return ExtendedSystem(layer, u, tuple(var_ext), tuple(d_ext), flow, v.states)
 
 
-def _solve_multicycle(sys: ExtendedSystem) -> MultiCycleSolution:
+def _solve_multicycle(sys: ExtendedSystem, ranking: RankingSolution) -> MultiCycleSolution:
     """Multi-cycle system: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0; candidate
     strictness on every d_ext row and every mu(t) >= 0 row.
 
     Column j is mu(transitions[j]); the rows are the d_ext rows, then the
-    flow rows, then the mu(t) >= 0 rows in transition order."""
+    flow rows, then the mu(t) >= 0 rows in transition order.
+
+    No phase 2 runs: the strict set is the complement of the ranking's.  For
+    feasible mu and (r, z), 0 <= r.(d_ext mu) = sum_j mu_j (d_ext^T r +
+    flow^T z)_j <= 0, so their strict supports are disjoint (weak duality),
+    and the exact joint solves attaining both sets prove both maximal."""
     names = tuple(f"mu{t.tid}" for t in sys.transitions)
     rows = [LpRow.of(row, GE) for row in sys.d_ext]
     rows.extend(LpRow.of(s_row, EQ) for s_row in sys.flow)
@@ -246,12 +252,17 @@ def _solve_multicycle(sys: ExtendedSystem) -> MultiCycleSolution:
         rows.append(LpRow.of(coeffs, GE))
     candidates = frozenset(range(len(sys.d_ext))) | frozenset(range(first_trans, len(rows)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows), candidates)
-    sol = scale_to_integer(problem, max_strict_set(problem))
-    strict = sol.strict_set
-    return MultiCycleSolution(
-        dict(zip((t.tid for t in sys.transitions), sol.numerators)),
-        frozenset(ve for i, ve in enumerate(sys.var_ext) if i in strict),
-        frozenset(t.tid for i, t in enumerate(sys.transitions, first_trans) if i in strict))
+    strict_vars = frozenset(sys.var_ext) - ranking.bounded_vars
+    strict_tids = frozenset(t.tid for t in sys.transitions) - ranking.ranked
+    strict = [i for i, ve in enumerate(sys.var_ext) if ve in strict_vars]
+    strict += [i for i, t in enumerate(sys.transitions, first_trans) if t.tid in strict_tids]
+    try:
+        sol = scale_to_integer(problem, strict_solution(problem, strict))
+    except LpInternalError as err:
+        raise InternalInvariantError("dichotomy violated: the complement of the "
+                                     f"ranking's strict set is not attained ({err})") from err
+    return MultiCycleSolution(dict(zip((t.tid for t in sys.transitions), sol.numerators)),
+                              strict_vars, strict_tids)
 
 
 def _solve_ranking(sys: ExtendedSystem) -> RankingSolution:
@@ -286,14 +297,14 @@ def _solve_ranking(sys: ExtendedSystem) -> RankingSolution:
 
 
 def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolution]:
-    """Optimal integer solutions of both per-layer systems.
-
-    The two maximal strict sets must partition the variable copies and the
-    alive transitions (the Farkas dichotomy); a violation means a solver bug
-    and raises InternalInvariantError, as does any failure of the LP solver."""
+    """Optimal integer solutions of both per-layer systems: phase 2 finds the
+    ranking's maximal strict set, the multi-cycle's is its complement (see
+    `_solve_multicycle`).  The two must partition the variable copies and
+    the alive transitions (the Farkas dichotomy); a violation means a solver
+    bug and raises InternalInvariantError, as does any LP solver failure."""
     try:
-        mu = _solve_multicycle(sys)
         ranking = _solve_ranking(sys)
+        mu = _solve_multicycle(sys, ranking)
     except LpError as err:
         raise InternalInvariantError(f"LP solver failed: {err}") from err
     _assert_dichotomy(sys, mu, ranking)

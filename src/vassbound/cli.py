@@ -14,6 +14,7 @@ complexity.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import Iterable, Optional, Sequence
@@ -166,6 +167,8 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+# Built once per process: parsing leaves the parser as it was.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="vassbound",

@@ -16,8 +16,9 @@ is equivalent on a cone.  One phase-2 simplex, started from the feasible
 all-slack basis at the origin, maximizes the sum of s_i subject to
 row_i(x) - s_i >= 0 and 0 <= s_i <= 1 over the candidate rows; closure
 under addition and positive scaling makes s_i = 1 at the optimum exactly
-on the unique maximal strict set.  A phase-1 solve with all those rows
-tightened at once then yields the returned solution.
+on the unique maximal strict set.  `strict_solution` then solves with all
+those rows tightened at once; a caller that knows a maximal strict set, as
+by weak duality from its Farkas dual's, calls it alone and skips phase 2.
 """
 
 from __future__ import annotations
@@ -300,24 +301,29 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
     return sorted(strict)
 
 
+def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:
+    """A basic solution of the problem with every row of `strict` tightened
+    to slack >= 1 at once, with `strict` as its strict set; `lp_feasible`'s
+    check covers every row and every member.  Raises LpInternalError if no
+    solution is that strict.  Maximality of `strict` is the caller's to know.
+    """
+    joint = lp_feasible(problem.tightened(*strict))
+    if joint is None:
+        raise LpInternalError("jointly tightened strict rows are infeasible")
+    return replace(joint, strict_set=frozenset(strict))
+
+
 def max_strict_set(problem: LpProblem) -> LpSolution:
     """A solution attaining the unique maximal set of strict candidate rows.
 
     Requires homogeneous rows (right-hand side 0), so that the solution set
     is a cone, closed under addition and positive scaling; raises LpError
     otherwise.  The maximal strict set comes from one phase-2 simplex (see
-    `_strict_candidates`).  The returned solution is a basic solution of
-    the problem with every member row tightened to slack >= 1 at once, so
-    `lp_feasible`'s check covers every row and the strictness of every
-    member.
+    `_strict_candidates`), the solution from `strict_solution`.
     """
     if any(row.rhs != 0 for row in problem.rows):
         raise LpError("maximal strict sets need homogeneous rows")
-    strict = _strict_candidates(problem)
-    joint = lp_feasible(problem.tightened(*strict))
-    if joint is None:
-        raise LpInternalError("jointly tightened strict rows are infeasible")
-    return replace(joint, strict_set=frozenset(strict))
+    return strict_solution(problem, _strict_candidates(problem))
 
 
 def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:

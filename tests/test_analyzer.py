@@ -1,6 +1,7 @@
 """Analyzer layer: extended systems, per-layer solutions, full analysis."""
 
 import json
+import pathlib
 import random
 
 import pytest
@@ -17,6 +18,8 @@ from vassbound import (
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
 from conftest import DOUBLING_TEXT, random_connected_vass, v_family
+
+SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 V_RUN_VEXP = {"x": 1, "y": 1, "z": 2}
 V_RUN_TEXP = {0: 3, 1: 3, 2: 3, 3: 3, 4: 2, 5: 2, 6: 2, 7: 2, 8: 1, 9: 1}
@@ -314,6 +317,72 @@ class TestInternalTripwires:
         monkeypatch.setattr(analyzer_mod, "max_strict_set", lazy_solver)
         with pytest.raises(InternalInvariantError):
             analyze(v_run)
+
+
+class TestStrictSetCertificate:
+    """Phase 2 runs on the ranking system only; the multi-cycle's strict set
+    is its complement.  A phase 2 that returns a wrong set must be caught by
+    the exact joint solves, whichever way it errs."""
+
+    @staticmethod
+    def _mutate_phase_two(monkeypatch, mutate):
+        import vassbound.exactlp as exactlp_mod
+
+        phase_two = exactlp_mod._strict_candidates
+        monkeypatch.setattr(exactlp_mod, "_strict_candidates",
+                            lambda problem: mutate(problem, phase_two(problem)))
+
+    @staticmethod
+    def _assert_rejected(capsys, message):
+        from vassbound.analyzer import InternalInvariantError
+        from vassbound.cli import main
+
+        sample = SAMPLES / "running.vass"
+        with pytest.raises(InternalInvariantError, match=message):
+            analyze(parse_vass(sample.read_text()))
+        assert main(["analyze", str(sample)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant violation") and message in err
+
+    @pytest.mark.parametrize("position", [0, -1])
+    def test_dropped_member_violates_the_dichotomy(self, monkeypatch, capsys, position):
+        def drop(problem, strict):
+            if strict:
+                del strict[position]
+            return strict
+
+        self._mutate_phase_two(monkeypatch, drop)
+        self._assert_rejected(capsys, "dichotomy violated")
+
+    def test_added_non_member_is_not_attained(self, monkeypatch, capsys):
+        def add(problem, strict):
+            extra = sorted(problem.strict_candidates - set(strict))
+            return sorted(strict + extra[:1])
+
+        self._mutate_phase_two(monkeypatch, add)
+        self._assert_rejected(capsys, "infeasible")
+
+    def test_derived_solve_equals_phase_two_solve(self, monkeypatch):
+        import vassbound.analyzer as analyzer_mod
+        from vassbound.exactlp import max_strict_set
+
+        derive = analyzer_mod.strict_solution
+        calls = []
+
+        def checked(problem, strict):
+            solution = derive(problem, strict)
+            assert max_strict_set(problem) == solution
+            calls.append(problem)
+            return solution
+
+        monkeypatch.setattr(analyzer_mod, "strict_solution", checked)
+        iterations = 0
+        models = [*acceptance_models(),
+                  *(parse_vass((SAMPLES / name).read_text())
+                    for name in ("running.vass", "doubling.vass"))]
+        for v in models:
+            iterations += analyze(v).iterations
+        assert len(calls) == iterations > 200
 
 
 class TestLpSolveCount:

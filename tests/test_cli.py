@@ -1,10 +1,14 @@
 """Command-line interface: commands, exit codes, output determinism."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
-from vassbound.cli import main
+from vassbound.cli import _build_parser, main
 from conftest import DOUBLING_TEXT, V_RUN_TEXT
 
 
@@ -110,6 +114,48 @@ class TestAnalyze:
         assert main(["analyze", v_run_file, "--tree", str(dot)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+
+def outcome(argv, capsys):
+    """Exit code, stdout and stderr of one `main` call; usage errors exit
+    through SystemExit."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_repeated_calls_repeat_their_results(self, v_run_file, capsys):
+        calls = [["analyze", v_run_file], ["analyze"],
+                 ["analyze", v_run_file, "--json"],
+                 ["witness", v_run_file, "--n", "2", "--check"],
+                 ["witness", v_run_file, "--check"]]
+        first = [outcome(argv, capsys) for argv in calls]
+        assert [code for code, _, _ in first] == [0, 2, 0, 0, 2]
+        assert first[1][2].startswith("usage: vassbound analyze")
+        for _ in range(2):
+            assert [outcome(argv, capsys) for argv in calls] == first
+
+
+class TestModuleEntryPoint:
+    def test_python_m_vassbound_matches_main(self, tmp_path, capsys):
+        root = pathlib.Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+        for argv in (["analyze", str(root / "samples" / "running.vass")],
+                     ["analyze", str(tmp_path / "missing.vass")]):
+            proc = subprocess.run([sys.executable, "-m", "vassbound", *argv],
+                                  env=env, capture_output=True, text=True, timeout=60)
+            code = main(argv)
+            out, err = capsys.readouterr()
+            assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert proc.returncode == 1
 
 
 class TestWitness:
