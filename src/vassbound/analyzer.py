@@ -246,10 +246,7 @@ def _solve_multicycle(sys: ExtendedSystem, ranking: RankingSolution) -> MultiCyc
     rows = [LpRow.of(row, GE) for row in sys.d_ext]
     rows.extend(LpRow.of(s_row, EQ) for s_row in sys.flow)
     first_trans = len(rows)
-    for j in range(len(names)):
-        coeffs = [0] * len(names)
-        coeffs[j] = 1
-        rows.append(LpRow.of(coeffs, GE))
+    rows.extend(LpRow.of([int(i == j) for i in range(len(names))], GE) for j in range(len(names)))
     candidates = frozenset(range(len(sys.d_ext))) | frozenset(range(first_trans, len(rows)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows), candidates)
     strict_vars = frozenset(sys.var_ext) - ranking.bounded_vars
@@ -281,10 +278,7 @@ def _solve_ranking(sys: ExtendedSystem) -> RankingSolution:
         coeffs.extend(-row[j] for row in sys.flow)
         rows.append(LpRow.of(coeffs, GE))
     first_var = len(rows)
-    for i in range(len(r_names)):
-        coeffs = [0] * len(names)
-        coeffs[i] = 1
-        rows.append(LpRow.of(coeffs, GE))
+    rows.extend(LpRow.of([int(i == j) for j in range(len(names))], GE) for i in range(len(r_names)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows),
                         frozenset(range(len(rows))))
     sol = scale_to_integer(problem, max_strict_set(problem))

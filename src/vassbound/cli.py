@@ -111,6 +111,8 @@ def cmd_witness(args) -> int:
               file=sys.stderr)
         return EXIT_EXPONENTIAL_INPUT
     witness = build_witness(result, args.n)
+    if witness.path.length > sys.maxsize:
+        raise VassError(f"the witness path has {witness.path.length} steps, too many to dump flat")
     if args.out:
         _write(args.out, witness.chunks(v))
     else:
@@ -232,6 +234,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return EXIT_INTERNAL
     except VassError as err:
         print(f"error: {err}", file=sys.stderr)
+        return EXIT_PARSE
+    except BrokenPipeError:  # as in Python's `signal` docs, keep the flush at exit quiet
+        if sys.stdout is sys.__stdout__:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_PARSE
 
 

@@ -16,9 +16,14 @@ is equivalent on a cone.  One phase-2 simplex, started from the feasible
 all-slack basis at the origin, maximizes the sum of s_i subject to
 row_i(x) - s_i >= 0 and 0 <= s_i <= 1 over the candidate rows; closure
 under addition and positive scaling makes s_i = 1 at the optimum exactly
-on the unique maximal strict set.  `strict_solution` then solves with all
-those rows tightened at once; a caller that knows a maximal strict set, as
-by weak duality from its Farkas dual's, calls it alone and skips phase 2.
+on the unique maximal strict set.  Its tableau holds the constraints and
+nothing more: the pivot loop bounds the s columns by flipping a column at
+1 to stand for 1 - s_i (Dantzig's upper bounding), and a candidate sign
+row a x_j >= 0 takes no row, as x_j = s_i + w_j.  The joint solves bound
+no column, so they pivot exactly as the plain loop does.
+`strict_solution` then solves with all those rows tightened at once; a
+caller that knows a maximal strict set, as by weak duality from its
+Farkas dual's, calls it alone and skips phase 2.
 """
 
 from __future__ import annotations
@@ -55,7 +60,7 @@ class LpRow:
     rhs: int
 
     def __post_init__(self):
-        if any(type(a) is not int for a in (*self.coeffs, self.rhs)):
+        if {type(self.rhs), *map(type, self.coeffs)} != {int}:
             ints = [int(a) for a in (*self.coeffs, self.rhs)]
             if ints != [*self.coeffs, self.rhs]:
                 raise LpError("LP rows need integer coefficients and right-hand sides")
@@ -126,7 +131,7 @@ def satisfies(problem: LpProblem, values: Sequence, denominator: int = 1) -> boo
     """Exact check of every row at `values / denominator` (no tolerances);
     `values` may be rationals, or integer numerators over `denominator`."""
     for row in problem.rows:
-        lhs, rhs = sum(c * v for c, v in zip(row.coeffs, values)), row.rhs * denominator
+        lhs, rhs = sum([c * v for c, v in zip(row.coeffs, values)]), row.rhs * denominator
         if not (lhs >= rhs if row.relation == GE else lhs == rhs):
             return False
     return True
@@ -143,13 +148,23 @@ def _eliminate(row: Row, pivot: Row, entering: int) -> Row:
     piv, f = pivot[entering] // g, row[entering] // g
     row = {j: piv * a for j, a in row.items()} if piv != 1 else row
     for j, b in pivot.items():
-        row[j] = a = row.get(j, 0) - f * b
-        if not a:
+        a = row.get(j, 0) - f * b
+        if a:
+            row[j] = a
+        else:
             del row[j]
     return _reduce_row(row)
 
 
-def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int) -> Row:
+def _flip(row: Row, j: int, rhs: int) -> None:
+    """Put 1 - x_j for x_j in `row` (rhs -= a, a -> -a); it stays primitive."""
+    row[j], row[rhs] = -row[j], row.get(rhs, 0) - row[j]
+    if not row[rhs]:
+        del row[rhs]
+
+
+def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int,
+                      bounded: range = range(0)) -> tuple[Row, set[int]]:
     """Pivot until no reduced cost in the objective row `obj` is negative.
 
     Every row, `obj` too, maps its non-zero columns to ints, with the
@@ -160,22 +175,42 @@ def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int
     when `piv` becomes 1, changes only the pivot row's non-zeros.  Bland's
     rule (smallest eligible index, ratio ties to the smaller basic column)
     keeps the pivoting finite and deterministic.  It updates `tableau` and
-    `basis` in place, may change `obj`, and returns the final objective row.
+    `basis` in place, may change `obj`, and returns the final objective row
+    and the set of flipped columns.
+
+    The columns in `bounded` are at most 1 too; a flipped one stands for
+    1 - x_j, so non-basic columns stay at 0.  A row with entry -a < 0
+    whose basic column is bounded, with entry d, limits the step to
+    (d - rhs) / a, and a bounded entering column limits it to 1 under its
+    own index.  If that own bound wins, the column flips in every row and
+    `obj`; a basic column that hits its bound flips in its row and leaves.
+    With `bounded` empty, as in the joint solves, the plain loop remains.
     """
+    flipped: set[int] = set()
     while True:
-        entering = min((j for j, a in obj.items() if a < 0 and j != ncols), default=-1)
-        if entering < 0:
-            return obj
+        entering = min([j for j, a in obj.items() if a < 0], default=ncols)
+        if entering == ncols:
+            return obj, flipped
         column = [i for i, row in enumerate(tableau) if entering in row]
-        pivot_row, best_num, best_den = -1, 0, 1
+        pivot_row, leaving, best_num, best_den = -1, entering if entering in bounded else -1, 1, 1
         for i in column:
-            a, num = tableau[i][entering], tableau[i].get(ncols, 0)
-            if a > 0 and (pivot_row < 0 or (num * best_den, basis[i])
-                          < (best_num * a, basis[pivot_row])):
-                pivot_row, best_num, best_den = i, num, a
-        if pivot_row < 0:
+            a, num, b = tableau[i][entering], tableau[i].get(ncols, 0), basis[i]
+            if a < 0 and b in bounded:  # b rises towards its bound
+                a, num = -a, tableau[i][b] - num
+            if a > 0 and (leaving < 0 or (num * best_den, b) < (best_num * a, leaving)):
+                pivot_row, leaving, best_num, best_den = i, b, num, a
+        if leaving < 0:
             raise LpInternalError("objective unbounded")
+        if pivot_row < 0:  # the entering column's own bound wins
+            flipped ^= {entering}
+            for row in [obj, *(tableau[i] for i in column)]:
+                _flip(row, entering, ncols)
+            continue
         pivot = tableau[pivot_row]
+        if pivot[entering] < 0:  # its basic column leaves at its bound
+            flipped ^= {leaving}
+            pivot = tableau[pivot_row] = {j: -a for j, a in pivot.items()}
+            _flip(pivot, leaving, ncols)
         for i in column:
             if i != pivot_row:
                 tableau[i] = _eliminate(tableau[i], pivot, entering)
@@ -217,7 +252,7 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
         for j, a in row.items():
             if not n <= j < n + m:
                 obj[j] = obj.get(j, 0) - a
-    obj = _pivot_to_optimum(tableau, basis, _reduce_row({j: a for j, a in obj.items() if a}), n + m)
+    obj, _ = _pivot_to_optimum(tableau, basis, _reduce_row({j: a for j, a in obj.items() if a}), n + m)
 
     if obj.get(n + m, 0) != 0:
         return None
@@ -232,11 +267,10 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
 def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
     """The simplex columns, which stand for (variable index, sign) pairs
     (free variables are split in two), and each row's non-zeros on them."""
-    origin: list[tuple[int, int]] = []
-    for idx, nn in enumerate(problem.nonneg):
-        origin.append((idx, 1))
-        if not nn:
-            origin.append((idx, -1))
+    origin = [(idx, sign) for idx, nn in enumerate(problem.nonneg)
+              for sign in ((1,) if nn else (1, -1))]
+    if len(origin) == len(problem.nonneg):  # no free variable: one column each
+        return origin, [{j: a for j, a in enumerate(row.coeffs) if a} for row in problem.rows]
     return origin, [{j: sign * row.coeffs[idx] for j, (idx, sign) in enumerate(origin)
                      if row.coeffs[idx]} for row in problem.rows]
 
@@ -269,36 +303,42 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
     max sum s_i  s.t.  row_i(x) - s_i >= 0,  0 <= s_i <= 1
     over the homogeneous problem, found by one phase-2 simplex.
 
-    Every constraint becomes a '<=' row (an '==' row two of them) with
-    right-hand side 0 or 1 and its own slack, so the all-slack basis at
-    x = 0, s = 0 is feasible.
+    The s columns are bounded in `_pivot_to_optimum`, so s_i <= 1 takes no
+    row.  Nor does the first candidate sign row a x_j >= 0 (a > 0) of a
+    non-negative column: x_j = s_i + w_j, with w_j >= 0 in x_j's column, so
+    s_i gets x_j's entries; on a cone that keeps the strict set.  Every
+    other constraint is a '<=' row (an '==' row two) with right-hand side
+    0 and its own slack, so the all-slack basis at the origin is feasible.
     """
     origin, split = _split_rows(problem)
     candidates = sorted(problem.strict_candidates)
     nx, k = len(origin), len(candidates)
     s_column = {i: nx + c for c, i in enumerate(candidates)}
+    shift: dict[int, int] = {}  # x column j -> the s column of its sign row
+    for i in candidates:
+        if len(split[i]) == 1 and min(split[i].values()) > 0 and min(split[i]) not in shift:
+            shift[min(split[i])], split[i] = s_column[i], None  # row i is now x_j = s_i + w_j
     rows: list[tuple[Row, int]] = []
     for i, (row, x_part) in enumerate(zip(problem.rows, split)):
+        if x_part is None:
+            continue
+        x_part.update([(shift[j], a) for j, a in x_part.items() if j in shift])
         le_row = {j: -a for j, a in x_part.items()}
         if i in s_column:
             le_row[s_column[i]] = 1
         rows.append((le_row, 0))
         if row.relation == EQ:
             rows.append((x_part, 0))
-    rows += [({column: 1}, 1) for column in s_column.values()]
 
     tableau, basis = _identity_start(rows, nx + k)
     rhs = nx + k + len(rows)
-    _pivot_to_optimum(tableau, basis, {column: -1 for column in s_column.values()}, rhs)
-
-    strict = []
-    for row, b in zip(tableau, basis):
-        if nx <= b < nx + k and rhs in row:
-            # By closure under addition and scaling every optimum is 0/1.
-            if row[rhs] != row[b]:
-                raise LpInternalError("fractional strictness variable at the optimum")
-            strict.append(candidates[b - nx])
-    return sorted(strict)
+    _, flipped = _pivot_to_optimum(tableau, basis, {column: -1 for column in s_column.values()},
+                                   rhs, range(nx, nx + k))
+    at_one = {b: row for row, b in zip(tableau, basis) if nx <= b < nx + k and rhs in row}
+    # By closure under addition and scaling every optimum is 0/1.
+    if any(row[rhs] != row[b] for b, row in at_one.items()):
+        raise LpInternalError("fractional strictness variable at the optimum")
+    return [i for i, column in s_column.items() if (column in at_one) != (column in flipped)]
 
 
 def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:

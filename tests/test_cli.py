@@ -1,5 +1,6 @@
 """Command-line interface: commands, exit codes, output determinism."""
 
+import io
 import json
 import os
 import pathlib
@@ -10,6 +11,9 @@ import pytest
 
 from vassbound.cli import _build_parser, main
 from conftest import DOUBLING_TEXT, V_RUN_TEXT
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+RUNNING = str(ROOT / "samples" / "running.vass")
 
 
 @pytest.fixture()
@@ -143,19 +147,42 @@ class TestParserReuse:
             assert [outcome(argv, capsys) for argv in calls] == first
 
 
+def module_command(*argv):
+    """`python -m vassbound ...` from this checkout, and its environment."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])))
+    return [sys.executable, "-m", "vassbound", *argv], env
+
+
 class TestModuleEntryPoint:
     def test_python_m_vassbound_matches_main(self, tmp_path, capsys):
-        root = pathlib.Path(__file__).resolve().parent.parent
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
-        for argv in (["analyze", str(root / "samples" / "running.vass")],
-                     ["analyze", str(tmp_path / "missing.vass")]):
-            proc = subprocess.run([sys.executable, "-m", "vassbound", *argv],
-                                  env=env, capture_output=True, text=True, timeout=60)
+        for argv in (["analyze", RUNNING], ["analyze", str(tmp_path / "missing.vass")]):
+            command, env = module_command(*argv)
+            proc = subprocess.run(command, env=env, capture_output=True, text=True, timeout=60)
             code = main(argv)
             out, err = capsys.readouterr()
             assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
         assert proc.returncode == 1
+
+    def test_reader_closing_stdout_exits_1_without_traceback(self):
+        # The dump at N = 64 is about 12 MB, far more than a pipe holds.
+        command, env = module_command("witness", "--n", "64", RUNNING)
+        proc = subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        assert proc.stdout.readline() == b"witness N=64 k=5\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == 1
+        assert err == ""
+
+    def test_broken_pipe_on_a_replaced_stdout(self, monkeypatch, capsys):
+        class ClosedPipe(io.StringIO):
+            def write(self, text):
+                raise BrokenPipeError
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        assert main(["analyze", RUNNING]) == 1
 
 
 class TestWitness:
@@ -199,6 +226,31 @@ class TestWitness:
                      "--out", str(out_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("n, steps", [
+        (10 ** 22, "20000000000000000000026000000000000000000001800000000000000000000000"),
+        (10 ** 6, "20000260000180000000"),
+    ])
+    def test_flat_dump_past_sys_maxsize_is_an_error(self, n, steps, monkeypatch, capsys):
+        # Both lengths exceed sys.maxsize (about 9.2 * 10^18), so no flat
+        # dump could finish: nothing is written and the command exits 1.
+        # The capped stdout stops a dump that streams on.
+        class CappedStdout(io.StringIO):
+            def write(self, text):
+                assert self.tell() + len(text) < 1 << 20, "the dump streams on"
+                return super().write(text)
+
+        monkeypatch.setattr(sys, "stdout", CappedStdout())
+        assert main(["witness", RUNNING, "--n", str(n), "--check"]) == 1
+        assert sys.stdout.getvalue() == ""
+        assert capsys.readouterr().err == (
+            f"error: the witness path has {steps} steps, too many to dump flat\n")
+
+    def test_overlong_flat_dump_writes_no_file(self, tmp_path, capsys):
+        out_path = tmp_path / "w.txt"
+        assert main(["witness", RUNNING, "--n", str(10 ** 22), "--out", str(out_path)]) == 1
+        assert not out_path.exists()
+        assert "too many to dump flat" in capsys.readouterr().err
 
     def test_dump_round_trips_through_independent_replay(self, v_run_file,
                                                          tmp_path, capsys):

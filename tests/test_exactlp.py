@@ -46,6 +46,29 @@ def random_homogeneous(rng, max_vars=5, max_rows=7, span=3):
     return LpProblem(names, nonneg, tuple(rows), candidates)
 
 
+def random_with_sign_rows(rng, max_vars=4, max_rows=6):
+    """A homogeneous problem, often with sign rows a x_j >= 0 (a = 1 or 2,
+    or the reversed -x_j >= 0), some repeated, all-zero or '==' rows, and
+    about one free variable in four."""
+    nv = rng.randint(1, max_vars)
+    nonneg = tuple(rng.random() < 0.75 for _ in range(nv))
+    rows = []
+    for _ in range(rng.randint(0, max_rows)):
+        kind = rng.random()
+        coeffs = [0] * nv
+        if rows and kind < 0.15:
+            rows.append(rng.choice(rows))
+            continue
+        if kind < 0.55:
+            coeffs[rng.randrange(nv)] = rng.choice((1, 1, 2, -1))
+        elif kind > 0.62:
+            coeffs = [rng.randint(-2, 2) for _ in range(nv)]
+        rows.append(LpRow.of(coeffs, EQ if rng.random() < 0.12 else GE))
+    candidates = frozenset(i for i, row in enumerate(rows)
+                           if row.relation == GE and rng.random() < 0.8)
+    return LpProblem(tuple(f"v{j}" for j in range(nv)), nonneg, tuple(rows), candidates)
+
+
 class TestLpRow:
     @pytest.mark.parametrize("coeffs, rhs", [
         ((Fraction(1, 2), 1), 0),
@@ -176,6 +199,55 @@ class TestMaxStrictSet:
             a = max_strict_set(p).vector(p.variables)
             b = lp_feasible(p).vector(p.variables)
             assert satisfies(p, [u + w for u, w in zip(a, b)])
+
+
+class TestPhaseTwo:
+    """`_strict_candidates` bounds its strictness columns in the pivot loop
+    and substitutes x_j = s_i + w_j for a candidate sign row a x_j >= 0."""
+
+    def test_matches_per_candidate_solves(self):
+        rng = random.Random(19)
+        for _ in range(2000):
+            p = random_with_sign_rows(rng)
+            assert exactlp._strict_candidates(p) == sorted(
+                i for i in p.strict_candidates if lp_feasible(p.tightened(i)) is not None)
+
+    @pytest.fixture
+    def runs(self, monkeypatch):
+        """(tableau, basis, flipped columns) of every pivot run."""
+        records = []
+        pivot = exactlp._pivot_to_optimum
+
+        def recorded(tableau, basis, obj, ncols, bounded=range(0)):
+            final, flipped = pivot(tableau, basis, obj, ncols, bounded)
+            records.append((tableau, basis, flipped))
+            return final, flipped
+
+        monkeypatch.setattr(exactlp, "_pivot_to_optimum", recorded)
+        return records
+
+    def test_entering_column_flips_at_its_own_bound(self, runs):
+        # Columns w, y, s0, s1, then the slack of row 1 (column 4): x >= 0
+        # takes no row, and row 1 reads w + s0 - y - s1 >= 0.  Nothing stops
+        # s0, so it flips at its bound; then s1's own bound ties at 1 with
+        # the slack's row and wins under its smaller index.  The basis stays.
+        p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
+        assert exactlp._strict_candidates(p) == [0, 1]
+        [(tableau, basis, flipped)] = runs
+        assert len(tableau) == 1 and basis == [4] and flipped == {2, 3}
+
+    def test_basic_column_leaves_at_its_bound(self, runs):
+        # s0 (column 2) enters at 0 in the one row x - y - s0 >= 0; then x
+        # enters and raises s0 until it leaves at 1, flipped.
+        p = problem(["x", "y"], [((1, -1), GE, 0)], candidates=[0])
+        assert exactlp._strict_candidates(p) == [0]
+        [(tableau, basis, flipped)] = runs
+        assert basis == [0] and flipped == {2}
+
+    def test_joint_solves_flip_nothing(self, runs):
+        p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
+        assert max_strict_set(p).strict_set == {0, 1}
+        assert [flipped for _, _, flipped in runs] == [{2, 3}, set()]
 
 
 class TestScaling:

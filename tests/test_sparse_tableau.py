@@ -5,10 +5,18 @@ replaced.
 and divides the two elimination multipliers by their gcd before
 cross-multiplying.  The dense reference below eliminates with the plain
 `piv * a - f * b`.  Both then divide each row by the gcd of its entries, so
-they must agree on every final tableau, basis and objective row, on every
-phase-1 assignment and on every strict set.  The sparse phase 1 reads its
-assignment out as integer numerators over one denominator; the reference
-keeps its `Fraction` read-out, and the two must name the same values.
+they must agree on every final tableau, basis and objective row of a solve
+without bounded columns, and on every phase-1 assignment.  The sparse
+phase 1 reads its assignment out as integer numerators over one
+denominator; the reference keeps its `Fraction` read-out, and the two must
+name the same values.
+
+Phase 2 bounds its strictness columns in the pivot loop and substitutes
+candidate sign rows, so its pivots differ from the old layout's.  The
+mirror rebuilds that old layout on the dense reference (a '<=' row per
+constraint, sign rows included, and a row s_i <= 1 per candidate) and
+solves it with the plain loop; the two must name the same strict set, and
+the sparse tableau must have no row for a bound or a substituted sign row.
 `DenseMirror` replays each sparse solve on the reference and compares, over
 every LP that `analyze` builds for the random suite, `v_family(1..5)` and
 both samples, and over edge cases the analysis never builds.  It also
@@ -125,6 +133,44 @@ def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
     return values
 
 
+def _old_strict_candidates(lp) -> list[int]:
+    """The strict set from the old phase-2 layout, on the dense reference:
+    max sum s_i s.t. -row_i(x) + s_i <= 0 (and row_i(x) <= 0 for '=='),
+    s_i <= 1, every row with its own slack, by the plain Bland loop."""
+    origin = [(idx, sign) for idx, nn in enumerate(lp.nonneg)
+              for sign in ((1,) if nn else (1, -1))]
+    candidates = sorted(lp.strict_candidates)
+    nx, k = len(origin), len(candidates)
+    rows = []
+    for i, row in enumerate(lp.rows):
+        x = [sign * row.coeffs[idx] for idx, sign in origin]
+        s = [int(c == i) for c in candidates]
+        rows.append([-a for a in x] + s + [0])
+        if row.relation == EQ:
+            rows.append(x + [0] * k + [0])
+    rows += [[0] * nx + [int(c == d) for d in range(k)] + [1] for c in range(k)]
+    tableau, basis = _identity_start(rows, nx + k)
+    _pivot_to_optimum(tableau, basis, [0] * nx + [-1] * k + [0] * len(rows) + [0])
+    strict = []
+    for row, b in zip(tableau, basis):
+        if nx <= b < nx + k and row[-1] != 0:
+            assert row[-1] == row[b]
+            strict.append(candidates[b - nx])
+    return sorted(strict)
+
+
+def _phase_two_rows(lp) -> int:
+    """The rows of the new phase-2 tableau: one per constraint ('==' two),
+    less the first candidate sign row a x_j >= 0 (a > 0) of each
+    non-negative variable."""
+    signs = {}
+    for i in sorted(lp.strict_candidates):
+        support = [j for j, c in enumerate(lp.rows[i].coeffs) if c]
+        if len(support) == 1 and lp.rows[i].coeffs[support[0]] > 0 and lp.nonneg[support[0]]:
+            signs.setdefault(support[0], i)
+    return len(lp.rows) + sum(row.relation == EQ for row in lp.rows) - len(signs)
+
+
 # The comparison.
 
 def dense(row: dict[int, int], ncols: int) -> list[int]:
@@ -139,24 +185,27 @@ class DenseMirror:
     same result; counts the solves it compared."""
 
     def __init__(self, monkeypatch):
-        self.pivot_runs = self.phase_ones = self.strict_sets = self.solutions = 0
-        self.last_dense = None
+        self.pivot_runs = self.replays = self.phase_ones = self.strict_sets = self.solutions = 0
+        self.last_bounded = None
         sparse_pivot = exactlp._pivot_to_optimum
         sparse_phase_one = exactlp._phase_one
         sparse_strict = exactlp._strict_candidates
         sparse_feasible = exactlp.lp_feasible
 
-        def pivot(tableau, basis, obj, ncols):
+        def pivot(tableau, basis, obj, ncols, bounded=range(0)):
+            self.pivot_runs += 1
+            if bounded:  # phase 2: compared by its strict set, below
+                self.last_bounded = len(tableau), bounded
+                return sparse_pivot(tableau, basis, obj, ncols, bounded)
             ref_tableau = [dense(row, ncols) for row in tableau]
             ref_basis = list(basis)
             ref_obj = _pivot_to_optimum(ref_tableau, ref_basis, dense(obj, ncols))
-            final = sparse_pivot(tableau, basis, obj, ncols)
-            assert basis == ref_basis
+            final, flipped = sparse_pivot(tableau, basis, obj, ncols)
+            assert basis == ref_basis and flipped == set()
             assert [dense(row, ncols) for row in tableau] == ref_tableau
             assert dense(final, ncols) == ref_obj
-            self.last_dense = ref_tableau, ref_basis
-            self.pivot_runs += 1
-            return final
+            self.replays += 1
+            return final, flipped
 
         def phase_one(rows, n):
             ref_rows = [dense(coeffs, n)[:-1] + [rhs] for coeffs, rhs in rows]
@@ -179,13 +228,13 @@ class DenseMirror:
             return solution
 
         def strict_candidates(lp):
+            self.last_bounded = None
             strict = sparse_strict(lp)
-            tableau, basis = self.last_dense  # of its own phase-2 solve
-            nx = len(exactlp._split_rows(lp)[0])
-            candidates = sorted(lp.strict_candidates)
-            assert strict == sorted(
-                candidates[b - nx] for r, b in enumerate(basis)
-                if nx <= b < nx + len(candidates) and tableau[r][-1] != 0)
+            assert strict == _old_strict_candidates(lp)
+            if self.last_bounded is not None:  # of its own phase-2 solve
+                rows, bounded = self.last_bounded
+                assert rows == _phase_two_rows(lp)
+                assert len(bounded) == len(lp.strict_candidates)
             self.strict_sets += 1
             return strict
 
@@ -205,10 +254,11 @@ def assert_analysis_mirrored(mirror, v):
     result = analyze(v)
     # Each iteration solves two systems, each with one joint phase-1 solve;
     # only the ranking system runs phase 2, the multi-cycle's strict set
-    # being its complement.
+    # being its complement.  Every phase-1 pivot run is replayed exactly.
     assert mirror.strict_sets - before == result.iterations
     assert mirror.phase_ones == mirror.solutions == 2 * mirror.strict_sets
     assert mirror.pivot_runs == mirror.phase_ones + mirror.strict_sets
+    assert mirror.replays == mirror.phase_ones
 
 
 def test_random_suite_lps_match_dense_reference(mirror):
