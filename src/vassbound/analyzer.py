@@ -243,10 +243,10 @@ def _solve_multicycle(sys: ExtendedSystem, ranking: RankingSolution) -> MultiCyc
     flow^T z)_j <= 0, so their strict supports are disjoint (weak duality),
     and the exact joint solves attaining both sets prove both maximal."""
     names = tuple(f"mu{t.tid}" for t in sys.transitions)
-    rows = [LpRow.of(row, GE) for row in sys.d_ext]
-    rows.extend(LpRow.of(s_row, EQ) for s_row in sys.flow)
+    rows = [LpRow({j: a for j, a in enumerate(row) if a}, relation, 0)
+            for matrix, relation in ((sys.d_ext, GE), (sys.flow, EQ)) for row in matrix]
     first_trans = len(rows)
-    rows.extend(LpRow.of([int(i == j) for i in range(len(names))], GE) for j in range(len(names)))
+    rows.extend(LpRow({j: 1}, GE, 0) for j in range(len(names)))
     candidates = frozenset(range(len(sys.d_ext))) | frozenset(range(first_trans, len(rows)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows), candidates)
     strict_vars = frozenset(sys.var_ext) - ranking.bounded_vars
@@ -272,13 +272,10 @@ def _solve_ranking(sys: ExtendedSystem) -> RankingSolution:
     r_names = tuple(f"r[{x},{nid}]" for x, nid in sys.var_ext)
     z_names = tuple(f"z[{s}]" for s in sys.states)
     names = r_names + z_names
-    rows: list[LpRow] = []
-    for j in range(len(sys.transitions)):
-        coeffs = [-row[j] for row in sys.d_ext]
-        coeffs.extend(-row[j] for row in sys.flow)
-        rows.append(LpRow.of(coeffs, GE))
+    rows = [LpRow({i: -a for i, a in enumerate(column) if a}, GE, 0)
+            for column in zip(*sys.d_ext, *sys.flow)]
     first_var = len(rows)
-    rows.extend(LpRow.of([int(i == j) for j in range(len(names))], GE) for i in range(len(r_names)))
+    rows.extend(LpRow({i: 1}, GE, 0) for i in range(len(r_names)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows),
                         frozenset(range(len(rows))))
     sol = scale_to_integer(problem, max_strict_set(problem))
@@ -336,9 +333,9 @@ def check_quasi_ranking(sys: ExtendedSystem, ranking: RankingSolution) -> bool:
     ranked set."""
     if any(c < 0 for c in ranking.r.values()) or any(c < 0 for c in ranking.z.values()):
         return False
-    for j, t in enumerate(sys.transitions):
-        value = sum(row[j] * ranking.r[ve] for row, ve in zip(sys.d_ext, sys.var_ext))
-        value += sum(row[j] * ranking.z[s] for row, s in zip(sys.flow, sys.states))
+    coeffs = [ranking.r[ve] for ve in sys.var_ext] + [ranking.z[s] for s in sys.states]
+    for t, column in zip(sys.transitions, zip(*sys.d_ext, *sys.flow)):
+        value = sum([a * c for a, c in zip(column, coeffs)])
         if value > 0:
             return False
         if (value < 0) != (t.tid in ranking.ranked):

@@ -1,29 +1,28 @@
 """Exact rational linear constraint solving.
 
 Problems are solved by the primal simplex method with Bland's anti-cycling
-rule over a fraction-free integer tableau built directly from the integer
-rows (`LpRow`), so results are exact and deterministic.  Tableau rows are
-sparse `{column: int}` maps; elimination divides its two multipliers by
-their gcd first.  `lp_feasible` finds a basic solution with a phase-1 simplex,
-reads it out as integer numerators over one denominator and checks it once,
-exactly, against every row.  Only `LpSolution`'s rational view builds
-`Fraction`s.
+rule over a fraction-free integer tableau, so results are exact and
+deterministic.  One sparse row format, `Row` (non-zero ints by column),
+runs from `LpRow` to the tableau; elimination divides its two multipliers
+by their gcd first.  `lp_feasible` finds a basic solution with a phase-1
+simplex, reads it out as integer numerators over one denominator and checks
+it once, exactly, against every row; only `LpSolution` builds `Fraction`s.
 
-`max_strict_set` provides the "maximize the number of strict inequalities"
-objective needed by the bound analysis, for homogeneous problems, whose
-solution sets are cones.  Strictness is normalized to "slack >= 1", which
-is equivalent on a cone.  One phase-2 simplex, started from the feasible
-all-slack basis at the origin, maximizes the sum of s_i subject to
-row_i(x) - s_i >= 0 and 0 <= s_i <= 1 over the candidate rows; closure
-under addition and positive scaling makes s_i = 1 at the optimum exactly
-on the unique maximal strict set.  Its tableau holds the constraints and
-nothing more: the pivot loop bounds the s columns by flipping a column at
-1 to stand for 1 - s_i (Dantzig's upper bounding), and a candidate sign
-row a x_j >= 0 takes no row, as x_j = s_i + w_j.  The joint solves bound
-no column, so they pivot exactly as the plain loop does.
-`strict_solution` then solves with all those rows tightened at once; a
-caller that knows a maximal strict set, as by weak duality from its
-Farkas dual's, calls it alone and skips phase 2.
+Phase 1 stores no artificial column and stops at the first basis with no
+negative structural reduced cost.  There its duals y have A^T y <= 0, so a
+feasible x* >= 0 gives w = y^T b = y^T A x* <= 0: the sum w of the
+artificials is 0, or w > 0 proves the problem infeasible (weak duality).
+Bland's rule enters structural columns before artificial ones, so each
+pivot up to there is the textbook loop's, and each one after it has step 0.
+
+`max_strict_set` finds the unique maximal set of strict candidate rows of a
+homogeneous problem, whose solution set is a cone, so "strict" may mean
+"slack >= 1".  One phase-2 simplex from the all-slack basis at the origin
+maximizes the sum of s_i subject to row_i(x) - s_i >= 0 and 0 <= s_i <= 1,
+the bounds kept by Dantzig's upper bounding (see `_strict_candidates`); on
+a cone s_i = 1 at the optimum exactly on that set.  `strict_solution` then
+solves with those rows tightened at once; a caller that knows a maximal
+strict set, as by weak duality from its Farkas dual's, calls it alone.
 """
 
 from __future__ import annotations
@@ -52,24 +51,20 @@ class LpInternalError(LpError):
 class LpRow:
     """The constraint `coeffs . x  relation  rhs` over the integers.
 
-    Int entries are kept as they are, integral `Fraction`s are stored as
-    ints, and any other value raises LpError.  No solve rescales a row."""
+    `coeffs` is a `Row` over the variable indices, as `LpProblem` checks;
+    `of` builds one from a dense sequence, storing integral `Fraction`s as
+    ints and raising LpError on any other value.  No solve rescales a row."""
 
-    coeffs: tuple[int, ...]
+    coeffs: Row
     relation: str
     rhs: int
 
-    def __post_init__(self):
-        if {type(self.rhs), *map(type, self.coeffs)} != {int}:
-            ints = [int(a) for a in (*self.coeffs, self.rhs)]
-            if ints != [*self.coeffs, self.rhs]:
-                raise LpError("LP rows need integer coefficients and right-hand sides")
-            object.__setattr__(self, "coeffs", tuple(ints[:-1]))
-            object.__setattr__(self, "rhs", ints[-1])
-
     @staticmethod
     def of(coeffs: Sequence, relation: str, rhs=0) -> "LpRow":
-        return LpRow(tuple(coeffs), relation, rhs)
+        ints = [int(a) for a in (*coeffs, rhs)]
+        if ints != [*coeffs, rhs]:
+            raise LpError("LP rows need integer coefficients and right-hand sides")
+        return LpRow({j: a for j, a in enumerate(ints[:-1]) if a}, relation, ints[-1])
 
 
 @dataclass(frozen=True)
@@ -88,9 +83,13 @@ class LpProblem:
     def __post_init__(self):
         if len(self.nonneg) != len(self.variables):
             raise LpError("sign flags do not match variables")
+        keyed = [row.coeffs for row in self.rows if row.coeffs]
+        if keyed and (min(map(min, keyed)) < 0 or max(map(max, keyed)) >= len(self.variables)):
+            raise LpError("row arity does not match variables")
+        values = [a for coeffs in keyed for a in coeffs.values()]
+        if {*map(type, values), *[type(row.rhs) for row in self.rows]} - {int} or 0 in values:
+            raise LpError("LP rows need integer right-hand sides and non-zero integer coefficients")
         for row in self.rows:
-            if len(row.coeffs) != len(self.variables):
-                raise LpError("row arity does not match variables")
             if row.relation not in (GE, EQ):
                 raise LpError(f"bad relation {row.relation!r}")
         for i in self.strict_candidates:
@@ -131,7 +130,7 @@ def satisfies(problem: LpProblem, values: Sequence, denominator: int = 1) -> boo
     """Exact check of every row at `values / denominator` (no tolerances);
     `values` may be rationals, or integer numerators over `denominator`."""
     for row in problem.rows:
-        lhs, rhs = sum([c * v for c, v in zip(row.coeffs, values)]), row.rhs * denominator
+        lhs, rhs = sum([a * values[j] for j, a in row.coeffs.items()]), row.rhs * denominator
         if not (lhs >= rhs if row.relation == GE else lhs == rhs):
             return False
     return True
@@ -239,19 +238,23 @@ def _identity_start(rows: list[tuple[Row, int]], n: int) -> tuple[list[Row], lis
 def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int], int]]:
     """Solve A x = b, x >= 0 for feasibility; returns x or None.
 
-    Each of `rows` holds the non-zeros of one row of A over the `n` columns
-    and its entry of b.  x comes as integer numerators over one denominator,
-    the lcm of the basic diagonal entries, which pivoting keeps positive.
+    Each of `rows` holds the non-zeros of one row of A over the `n` columns,
+    a dict the tableau takes over, and its entry of b; artificial i is basic
+    as the label n + i but has no column (see the module docstring).  x comes
+    as integer numerators over the lcm of the positive basic diagonal entries.
     """
     m = len(rows)
-    tableau, basis = _identity_start(rows, n)
-    # Phase-1 objective: minimize the sum of the artificial (identity) columns,
-    # priced out of their basis: minus the sum of the rows, 0 on those columns.
+    tableau: list[Row] = []
+    # Minimize w, priced out of the basis: minus the sum of the unreduced rows.
     obj: Row = {}
-    for row in tableau:
+    for coeffs, rhs in rows:
+        row = {j: -a for j, a in coeffs.items()} if rhs < 0 else coeffs
+        if rhs:
+            row[n + m] = abs(rhs)
         for j, a in row.items():
-            if not n <= j < n + m:
-                obj[j] = obj.get(j, 0) - a
+            obj[j] = obj.get(j, 0) - a
+        tableau.append(_reduce_row(row))
+    basis = list(range(n, n + m))
     obj, _ = _pivot_to_optimum(tableau, basis, _reduce_row({j: a for j, a in obj.items() if a}), n + m)
 
     if obj.get(n + m, 0) != 0:
@@ -266,13 +269,13 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
 
 def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
     """The simplex columns, which stand for (variable index, sign) pairs
-    (free variables are split in two), and each row's non-zeros on them."""
+    (free variables are split in two), and a copy of each row on them."""
     origin = [(idx, sign) for idx, nn in enumerate(problem.nonneg)
               for sign in ((1,) if nn else (1, -1))]
     if len(origin) == len(problem.nonneg):  # no free variable: one column each
-        return origin, [{j: a for j, a in enumerate(row.coeffs) if a} for row in problem.rows]
+        return origin, [dict(row.coeffs) for row in problem.rows]
     return origin, [{j: sign * row.coeffs[idx] for j, (idx, sign) in enumerate(origin)
-                     if row.coeffs[idx]} for row in problem.rows]
+                     if idx in row.coeffs} for row in problem.rows]
 
 
 def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:

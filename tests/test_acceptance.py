@@ -244,7 +244,7 @@ def test_criterion_9_exact_lp_soundness():
                 assert solution.assignment[name] >= 0
         for i in sorted(problem.strict_candidates):
             row = problem.rows[i]
-            slack = sum(c * v for c, v in zip(row.coeffs, values))
+            slack = sum(c * values[j] for j, c in row.coeffs.items())
             if i in solution.strict_set:
                 assert slack >= row.rhs + 1
             else:

@@ -40,7 +40,7 @@ def random_homogeneous(rng, max_vars=5, max_rows=7, span=3):
     rows = []
     for _ in range(rng.randint(1, max_rows)):
         coeffs = tuple(Fraction(rng.randint(-span, span)) for _ in range(nv))
-        rows.append(LpRow(coeffs, GE if rng.random() < 0.8 else EQ, Fraction(0)))
+        rows.append(LpRow.of(coeffs, GE if rng.random() < 0.8 else EQ, Fraction(0)))
     candidates = frozenset(i for i, row in enumerate(rows)
                            if row.relation == GE and rng.random() < 0.6)
     return LpProblem(names, nonneg, tuple(rows), candidates)
@@ -80,8 +80,29 @@ class TestLpRow:
 
     def test_stores_integral_fractions_as_ints(self):
         row = LpRow.of((Fraction(4, 2), 3), GE, Fraction(2))
-        assert row.coeffs == (2, 3) and row.rhs == 2
-        assert all(type(a) is int for a in (*row.coeffs, row.rhs))
+        assert row.coeffs == {0: 2, 1: 3} and row.rhs == 2
+        assert all(type(a) is int for a in (*row.coeffs.values(), row.rhs))
+
+
+class TestLpProblem:
+    """`LpProblem` validates its sparse rows: every key a variable index,
+    every entry a non-zero int."""
+
+    @pytest.mark.parametrize("coeffs, rhs, message", [
+        ({-1: 1}, 0, "row arity does not match variables"),
+        ({0: 1, 2: 1}, 0, "row arity does not match variables"),
+        ({0: 1, 1: 0}, 0, "LP rows need integer .* non-zero"),
+        ({0: Fraction(1)}, 0, "LP rows need integer"),
+        ({0: 1}, Fraction(1), "LP rows need integer"),
+    ])
+    def test_rejects_malformed_rows(self, coeffs, rhs, message):
+        with pytest.raises(LpError, match=message):
+            LpProblem(("x", "y"), (True, True), (LpRow({1: 1}, GE, 0), LpRow(coeffs, GE, rhs)))
+
+    def test_satisfies_rejects_an_all_zero_row_with_rhs_one(self):
+        p = problem(["x"], [((0,), GE, 1)])
+        assert p.rows[0].coeffs == {}
+        assert not satisfies(p, [5])
 
 
 class TestFeasibility:
@@ -186,7 +207,7 @@ class TestMaxStrictSet:
             assert satisfies(p, values)
             for i in sorted(p.strict_candidates):
                 row = p.rows[i]
-                slack = sum(c * v for c, v in zip(row.coeffs, values))
+                slack = sum(c * values[j] for j, c in row.coeffs.items())
                 if i in sol.strict_set:
                     assert slack >= row.rhs + 1
                 else:

@@ -21,6 +21,12 @@ the sparse tableau must have no row for a bound or a substituted sign row.
 every LP that `analyze` builds for the random suite, `v_family(1..5)` and
 both samples, and over edge cases the analysis never builds.  It also
 checks that every solution `lp_feasible` returns is in lowest terms.
+
+The sparse phase 1 carries no artificial columns and stops at the first
+basis where no structural reduced cost is negative; the reference phase 1
+keeps them and may pivot on, bringing artificial columns in without
+moving the point.  The mirror asserts that no phase-1 row stores an
+artificial column, and the two must still name the same point.
 """
 
 import pathlib
@@ -40,14 +46,16 @@ from test_exactlp import problem, random_homogeneous
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
-# The dense reference: the list-of-lists tableau, copied verbatim.
+# The dense reference: the list-of-lists tableau, copied verbatim, except
+# that it can record its entering columns in `entered`.
 
 def _reduce_row(row: list[int]) -> list[int]:
     g = gcd(*row)
     return [a // g for a in row] if g > 1 else row
 
 
-def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int]) -> list[int]:
+def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int],
+                      entered: Optional[list[int]] = None) -> list[int]:
     """Pivot until no reduced cost in the objective row `obj` is negative.
 
     Fraction-free tableau: every row (right-hand side last) is an integer
@@ -91,6 +99,8 @@ def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int]
             f = obj[entering]
             obj = _reduce_row([piv * a - f * b for a, b in zip(obj, pivot)])
         basis[pivot_row] = entering
+        if entered is not None:
+            entered.append(entering)
 
 
 def _identity_start(rows: list[list[int]], n: int) -> tuple[list[list[int]], list[int]]:
@@ -108,7 +118,8 @@ def _identity_start(rows: list[list[int]], n: int) -> tuple[list[list[int]], lis
     return tableau, [n + i for i in range(m)]
 
 
-def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
+def _phase_one(rows: list[list[int]], n: int,
+               entered: Optional[list[int]] = None) -> Optional[list[Fraction]]:
     """Solve A x = b, x >= 0 for feasibility; returns x or None.
 
     Each of `rows` is one integer row of A over the `n` columns, followed by
@@ -122,7 +133,7 @@ def _phase_one(rows: list[list[int]], n: int) -> Optional[list[Fraction]]:
     obj = [-sum(column) for column in zip([0] * (n + m + 1), *tableau)]
     for j in range(n, n + m):
         obj[j] += 1
-    obj = _pivot_to_optimum(tableau, basis, _reduce_row(obj))
+    obj = _pivot_to_optimum(tableau, basis, _reduce_row(obj), entered)
 
     if obj[-1] != 0:
         return None
@@ -143,7 +154,7 @@ def _old_strict_candidates(lp) -> list[int]:
     nx, k = len(origin), len(candidates)
     rows = []
     for i, row in enumerate(lp.rows):
-        x = [sign * row.coeffs[idx] for idx, sign in origin]
+        x = [sign * row.coeffs.get(idx, 0) for idx, sign in origin]
         s = [int(c == i) for c in candidates]
         rows.append([-a for a in x] + s + [0])
         if row.relation == EQ:
@@ -165,7 +176,7 @@ def _phase_two_rows(lp) -> int:
     non-negative variable."""
     signs = {}
     for i in sorted(lp.strict_candidates):
-        support = [j for j, c in enumerate(lp.rows[i].coeffs) if c]
+        support = sorted(lp.rows[i].coeffs)
         if len(support) == 1 and lp.rows[i].coeffs[support[0]] > 0 and lp.nonneg[support[0]]:
             signs.setdefault(support[0], i)
     return len(lp.rows) + sum(row.relation == EQ for row in lp.rows) - len(signs)
@@ -182,11 +193,15 @@ def dense(row: dict[int, int], ncols: int) -> list[int]:
 
 class DenseMirror:
     """Replays every sparse solve on the dense reference and asserts the
-    same result; counts the solves it compared."""
+    same result; counts the solves it compared.  `entered` lists the
+    entering columns of the unbounded pivot runs, and `last_obj` holds the
+    final objective row of the last one."""
 
     def __init__(self, monkeypatch):
         self.pivot_runs = self.replays = self.phase_ones = self.strict_sets = self.solutions = 0
-        self.last_bounded = None
+        self.last_bounded = self.last_obj = None
+        self.phase_one_n: Optional[int] = None  # set while a phase-1 solve runs
+        self.entered: list[int] = []
         sparse_pivot = exactlp._pivot_to_optimum
         sparse_phase_one = exactlp._phase_one
         sparse_strict = exactlp._strict_candidates
@@ -199,17 +214,26 @@ class DenseMirror:
                 return sparse_pivot(tableau, basis, obj, ncols, bounded)
             ref_tableau = [dense(row, ncols) for row in tableau]
             ref_basis = list(basis)
-            ref_obj = _pivot_to_optimum(ref_tableau, ref_basis, dense(obj, ncols))
+            ref_obj = _pivot_to_optimum(ref_tableau, ref_basis, dense(obj, ncols), self.entered)
+            if self.phase_one_n is not None:  # no row, before or after, stores an artificial
+                assert all(j < self.phase_one_n or j == ncols for row in (*tableau, obj) for j in row)
             final, flipped = sparse_pivot(tableau, basis, obj, ncols)
+            if self.phase_one_n is not None:
+                assert all(j < self.phase_one_n or j == ncols for row in (*tableau, final) for j in row)
             assert basis == ref_basis and flipped == set()
             assert [dense(row, ncols) for row in tableau] == ref_tableau
             assert dense(final, ncols) == ref_obj
             self.replays += 1
+            self.last_obj = final
             return final, flipped
 
         def phase_one(rows, n):
             ref_rows = [dense(coeffs, n)[:-1] + [rhs] for coeffs, rhs in rows]
-            raw = sparse_phase_one(rows, n)
+            self.phase_one_n = n
+            try:
+                raw = sparse_phase_one(rows, n)
+            finally:
+                self.phase_one_n = None
             ref = _phase_one(ref_rows, n)
             if ref is None:
                 assert raw is None
@@ -325,3 +349,62 @@ class TestEdgeCases:
         sol = max_strict_set(p)
         assert sol.strict_set == frozenset()
         assert mirror.strict_sets == 1 and mirror.phase_ones == 1
+
+
+class TestStopRule:
+    """The sparse phase 1 stops at the first basis with no negative
+    structural reduced cost; the reference pivots on, entering artificial
+    columns that move no point."""
+
+    def test_feasible_problem_stops_at_w_zero(self, mirror):
+        # Columns x, y and the surplus of row 0; artificials 3-5, rhs 6.
+        # Entering y and x reaches w = 0 at x = y = 1, where the reference
+        # still brings artificial 5 in, at step 0.
+        p = problem(["x", "y"], [((-1, 2), GE, 1), ((2, -2), EQ, 0), ((-1, 1), EQ, 0)])
+        assert lp_feasible(p).assignment == {"x": 1, "y": 1}
+        entered: list[int] = []
+        ref = _phase_one([[-1, 2, -1, 1], [2, -2, 0, 0], [-1, 1, 0, 0]], 3, entered)
+        assert ref == [1, 1, 0]
+        assert mirror.entered == [1, 0] and entered == [1, 0, 5]
+        assert 6 not in mirror.last_obj  # w = 0
+
+    def test_infeasible_problem_stops_at_positive_w(self, mirror):
+        # y = z / 2 and y = z force y = z = 0, so -x + y + 2z >= 1 fails.
+        # Columns x, y, z and the surplus of row 1; artificials 4-6, rhs 7.
+        p = problem(["x", "y", "z"], [((0, -2, 1), EQ, 0), ((-1, 1, 2), GE, 1),
+                                      ((0, -2, 2), EQ, 0)])
+        assert lp_feasible(p) is None
+        entered: list[int] = []
+        ref = _phase_one([[0, -2, 1, 0, 0], [-1, 1, 2, -1, 1], [0, -2, 2, 0, 0]], 4, entered)
+        assert ref is None
+        assert mirror.entered == [2, 1] and entered == [2, 1, 4]
+        # The objective row's right-hand side is -w, times a positive scale.
+        assert mirror.last_obj[7] < 0
+
+
+def test_phase_one_work_on_the_family(monkeypatch):
+    """Phase-1 eliminations over `analyze(v_family(1..5))`, and the
+    non-zeros they read (the eliminated row's and the pivot row's), pinned:
+    a change to the shape of the joint LPs shows here, without timing."""
+    work = {"eliminations": 0, "nonzeros": 0}
+    solving: list[int] = []  # non-empty while a phase-1 solve runs
+    eliminate, phase_one = exactlp._eliminate, exactlp._phase_one
+
+    def counted_eliminate(row, pivot, entering):
+        if solving:
+            work["eliminations"] += 1
+            work["nonzeros"] += len(row) + len(pivot)
+        return eliminate(row, pivot, entering)
+
+    def counted_phase_one(rows, n):
+        solving.append(n)
+        try:
+            return phase_one(rows, n)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(exactlp, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(exactlp, "_phase_one", counted_phase_one)
+    for nu in range(1, 6):
+        analyze(v_family(nu))
+    assert work == {"eliminations": 8287, "nonzeros": 125623}
