@@ -11,18 +11,16 @@ cycle (an Eulerian traversal of the per-layer multi-cycle solution; a
 covering cycle for the root).  `_Builder.path` nests N-fold repetitions:
 for target layer l a node at layer l gives its cycle, and a node above it
 gives its cycle cut at the start states of its next-layer parts, each
-part's contribution repeated N times in its slot.  Read with the cycle's
-segments kept around the slots, this is the proper path, which executes;
-read with the slots alone, it is the pre-path, which picks the repetition
-constant k so that each layer's phase executes from an O(N) valuation.
-The witness is each layer's proper path repeated N * k times.  Paths are
-programs, never flat lists: cycles and cut segments are the leaves, and
-`Seq(parts)` and `Repeat(count, body)` nest them.  Each node records its
-length, instance counts, start, end, net effect e and per-counter minimal
-prefix sum m <= 0 when built; Seq gives (e1 + e2, min(m1, e1 + m2)) and
-Repeat(r, B) gives (r * e, m + min(0, (r - 1) * e)).  A path runs from v
-exactly when v + m >= 0, ending at v + e, so building and verifying cost
-O(program size); only the dump expands the program.
+part's contribution repeated N times in its slot: the layer's path, which
+executes.  The slots alone form the pre-path; it only picks the repetition
+constant k so that each layer's phase executes from an O(N) valuation, so
+it is kept as a summary, never built.  The witness is each layer's path
+repeated N * k times.  Paths are programs, never flat lists: cycles and cut
+segments are the leaves, and `Seq(parts)` and `Repeat(count, body)` nest
+them.  Each node records its length, instance counts, start, end, net
+effect e and per-counter minimal prefix sum m <= 0 when built, by `_then`
+and `_times`.  A path runs from v exactly when v + m >= 0, ending at v + e,
+so building and verifying cost O(program size); only the dump expands it.
 
 For an exponential outcome the module extracts the per-node cycles of the
 final layer together with the variable partition (bounded / still growing)
@@ -63,6 +61,18 @@ class CertificateError(VassError):
     """The extracted cycles violate the exponential-growth conditions."""
 
 
+def _then(a, b):
+    """The summary of path a, then path b: (e1 + e2, min(m1, e1 + m2))."""
+    (e, m), (f, n) = a, b
+    return tuple(map(add, e, f)), tuple([x if x < y else y for x, y in zip(m, map(add, e, n))])
+
+
+def _times(r, a):
+    """The summary of path a repeated r >= 1 times: (r * e, m + min(0, (r - 1) * e))."""
+    e, m = a
+    return tuple(r * x for x in e), tuple([y + (r - 1) * x if x < 0 else y for y, x in zip(m, e)])
+
+
 class _Program:
     """A program node.  It reads like a PrePath (`len`, `start`, `end`,
     `anchor`, `instances`, `summary`); `steps` is the node itself, a lazy
@@ -78,8 +88,12 @@ class _Program:
     def __iter__(self) -> Iterator[Transition]:
         return (t for leaf in _leaves(self) for t in leaf.path.steps)
 
-    def __getitem__(self, index: slice) -> tuple[Transition, ...]:
-        return tuple(islice(self, *index.indices(self.length)))
+    def __getitem__(self, index: int | slice) -> Transition | tuple[Transition, ...]:
+        if isinstance(index, slice):
+            return tuple(islice(self, *index.indices(self.length)))
+        if not -self.length <= index < self.length:
+            raise IndexError("path index out of range")
+        return next(islice(self, index % self.length, None))
 
     def instances(self) -> Counter:
         return Counter(self.counts)
@@ -100,19 +114,17 @@ class Leaf(_Program):
 
 
 class Seq(_Program):
-    """The non-empty parts in order; in a proper path they must be adjacent."""
+    """The non-empty parts in order; they must be adjacent."""
 
     __slots__ = ("parts",)
 
-    def __init__(self, parts: Sequence[_Program], dimension: int, proper: bool):
+    def __init__(self, parts: Sequence[_Program], dimension: int):
         self.parts = tuple(p for p in parts if p.length)
-        if proper and any(a.end != b.start for a, b in zip(self.parts, self.parts[1:])):
-            raise WitnessError("non-adjacent parts in a proper path")
+        if any(a.end != b.start for a, b in zip(self.parts, self.parts[1:])):
+            raise WitnessError("non-adjacent parts in a path")
         self.effect, self.low, counts = (0,) * dimension, (0,) * dimension, Counter()
-        for p in self.parts:  # (e1 + e2, min(m1, e1 + m2)), counter by counter
-            reach = map(add, self.effect, p.low)
-            self.low = tuple([m if m < r else r for m, r in zip(self.low, reach)])
-            self.effect = tuple(map(add, self.effect, p.effect))
+        for p in self.parts:
+            self.effect, self.low = _then((self.effect, self.low), (p.effect, p.low))
             counts.update(p.counts)
         self.counts, self.length = dict(counts), sum(p.length for p in self.parts)
         self.start = self.parts[0].start if self.parts else None
@@ -120,18 +132,16 @@ class Seq(_Program):
 
 
 class Repeat(_Program):
-    """The body `count` >= 1 times; in a proper path a repeated body must be a cycle."""
+    """The body `count` >= 1 times; a repeated body must be a cycle."""
 
     __slots__ = ("count", "body")
 
-    def __init__(self, count: int, body: _Program, proper: bool):
-        if proper and count > 1 and body.start != body.end:
-            raise WitnessError("repeated part of a proper path is not a cycle")
+    def __init__(self, count: int, body: _Program):
+        if count > 1 and body.start != body.end:
+            raise WitnessError("repeated part of a path is not a cycle")
         self.count, self.body, self.length = count, body, count * body.length
         self.counts = {tid: count * c for tid, c in body.counts.items()}
-        self.effect = tuple(count * e for e in body.effect)
-        self.low = tuple([m + (count - 1) * e if e < 0 else m  # m + min(0, (count - 1) * e)
-                          for m, e in zip(body.low, body.effect)])
+        self.effect, self.low = _times(count, (body.effect, body.low))
         self.start, self.end = body.start, body.end
 
 
@@ -405,63 +415,59 @@ class _Builder:
         for layer in range(self.max_layer + 1):
             cycles = node_cycles(self.tree, layer, result.archive, result.vass)
             self.leaves.update((nid, Leaf(c, self.dimension)) for nid, c in cycles.items())
-        self.cuts: dict[tuple[int, int], tuple[list[Leaf], list[int]]] = {}
+        self.cuts: dict[tuple[int, bool], tuple[list[Leaf], list[int]]] = {}
 
     def cut(self, nid: int, layer: int) -> tuple[list[Leaf], list[int]]:
         """The node's cycle split at the first occurrence of the start state
         of each next-layer part (itself while `layer < last_layer`, else its
-        children): the segments, and the parts in that order.  Cached, as it
-        does not depend on the target layer."""
-        if (nid, layer) not in self.cuts:
+        children): the segments, and the parts in that order.  Cached per
+        node side, as the cut at itself is the same at every layer."""
+        key = (nid, layer == self.tree.node(nid).last_layer)
+        if key not in self.cuts:
             node, cycle = self.tree.node(nid), self.leaves[nid].path
             states, positioned = [cycle.start] + [t.dst for t in cycle.steps], []
-            for part in [nid] if layer < node.last_layer else node.children:
+            for part in node.children if key[1] else [nid]:
                 start = self.leaves[part].start
                 if start not in states:
                     raise WitnessError(f"child start state {start} not on parent cycle")
                 positioned.append((states.index(start), part))
             positioned.sort()
             bounds = [0] + [pos for pos, _ in positioned] + [len(cycle)]
-            self.cuts[nid, layer] = ([Leaf(Path(cycle.steps[a:b]), self.dimension)
-                                      for a, b in zip(bounds, bounds[1:])],
-                                     [part for _, part in positioned])
-        return self.cuts[nid, layer]
+            self.cuts[key] = ([Leaf(Path(cycle.steps[a:b]), self.dimension)
+                               for a, b in zip(bounds, bounds[1:])],
+                              [part for _, part in positioned])
+        return self.cuts[key]
 
-    def path(self, target: int, proper: bool) -> _Program:
-        """The root's program for the target layer, built bottom-up.  At the
-        target a node gives its cycle; above it each next-layer part's
-        program, repeated N times, fills its slot in the node's cut cycle.
-        The proper path keeps the cycle's segments around the slots; the
-        pre-path is the slots alone."""
-        programs = {node.nid: self.leaves[node.nid] for node in self.layers[target]}
+    def path(self, target: int) -> tuple[_Program, tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The root's program for the target layer, built bottom-up, and the
+        summary of its pre-path.  At the target a node gives its cycle, and
+        its pre-path is that cycle; above it each next-layer part's program,
+        repeated N times, fills its slot in the node's cut cycle, and the
+        pre-path is those slots alone, in cut order."""
+        leaves = {node.nid: self.leaves[node.nid] for node in self.layers[target]}
+        programs = {nid: (leaf, (leaf.effect, leaf.low)) for nid, leaf in leaves.items()}
         for layer in range(target - 1, -1, -1):
             above = {}
             for node in self.layers[layer]:
                 segments, order = self.cut(node.nid, layer)
-                parts = [segments[0]]
+                parts, pre = [segments[0]], ((0,) * self.dimension,) * 2
                 for part, segment in zip(order, segments[1:]):
-                    parts += [Repeat(self.n, programs[part], proper), segment]
-                parts = parts if proper else parts[1::2]
+                    program, part_pre = programs[part]
+                    parts += [Repeat(self.n, program), segment]
+                    pre = _then(pre, _times(self.n, part_pre))
                 above[node.nid] = (parts[0] if len(parts) == 1
-                                   else Seq(parts, self.dimension, proper))
+                                   else Seq(parts, self.dimension), pre)
             programs = above
         return programs[self.tree.root.nid]
 
 
-def choose_k(taus: Mapping[int, PrePath | _Program], vexp: Mapping[str, Optional[int]],
+def choose_k(lows: Mapping[int, Sequence[int]], vexp: Mapping[str, Optional[int]],
              v: Vass, n: int) -> int:
-    """Smallest k such that each layer pre-path (layers >= 1) executes from
-    the valuation with entries k * N^min(vexp(x), layer); at least 1."""
-    k = 1
-    for layer, tau in taus.items():
-        if layer < 1:
-            continue
-        needed = min_initial_valuation(v, tau)
-        for x in v.variables:
-            e = vexp[x]
-            power = n ** min(e, layer)
-            k = max(k, _ceil_div(needed[x], power))
-    return k
+    """Smallest k >= 1 such that each layer's (>= 1) minimal prefix sums
+    `lows[layer]` are covered by the valuation k * N^min(vexp(x), layer)."""
+    return max([1] + [_ceil_div(-m, n ** min(vexp[x], layer))
+                      for layer, low in lows.items() if layer >= 1
+                      for x, m in zip(v.variables, low)])
 
 
 def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
@@ -482,11 +488,10 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
         return WitnessPath(n, 1, empty, zero, zero, {}, 0)
 
     builder = _Builder(result, n)
-    k = choose_k({layer: Repeat(n, builder.path(layer, proper=False), proper=False)
-                  for layer in range(1, builder.max_layer + 1)},
+    paths = [builder.path(layer) for layer in range(builder.max_layer + 1)]
+    k = choose_k({layer: _times(n, pre)[1] for layer, (_, pre) in enumerate(paths)},
                  result.report.variable_exponents, v, n)
-    path = Seq([Repeat(n * k, builder.path(layer, proper=True), proper=True)
-                for layer in range(builder.max_layer + 1)], v.dimension, proper=True)
+    path = Seq([Repeat(n * k, program) for program, _ in paths], v.dimension)
 
     base = min_initial_valuation(v, path)
     initial_val = Valuation({x: max(base[x], n ** result.report.variable_exponents[x] - e)

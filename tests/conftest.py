@@ -86,6 +86,18 @@ def random_connected_vass(rng: random.Random, max_vars=3, max_states=4,
             return v
 
 
+def prepath_steps(builder, target: int) -> list:
+    """The target layer's pre-path, flat, by this function's own recursion
+    over `builder.cut` and `builder.leaves`: at the target a node's cycle,
+    above it each slot's part's pre-path N times, in cut order."""
+    def steps(nid, layer):
+        if layer == target:
+            return list(builder.leaves[nid].path.steps)
+        return [t for part in builder.cut(nid, layer)[1]
+                for t in steps(part, layer + 1) * builder.n]
+    return steps(builder.tree.root.nid, 0)
+
+
 @pytest.fixture(scope="session")
 def v_run() -> Vass:
     return parse_vass(V_RUN_TEXT)

@@ -28,7 +28,7 @@ from vassbound import (
 )
 from vassbound.witness import CertificateError, WitnessError, WitnessPath, _Builder
 from vassbound.model import VassError
-from conftest import random_connected_vass, v_family
+from conftest import prepath_steps, random_connected_vass, v_family
 
 SAMPLES = FilePath(__file__).resolve().parent.parent / "samples"
 
@@ -183,7 +183,7 @@ class TestNodeCycles:
 
 class TestChooseK:
     def test_trivially_executable_gives_one(self, v_run):
-        taus = {1: PrePath((), anchor="s1")}
+        taus = {1: PrePath((), anchor="s1").summary(v_run.dimension)[1]}
         assert choose_k(taus, {"x": 1, "y": 1, "z": 2}, v_run, 3) == 1
 
     def test_arithmetic_example(self):
@@ -192,7 +192,7 @@ class TestChooseK:
         v = Vass.from_triples(["a", "b", "c"], [("s1", (0, -4, -1), "s1")])
         tau = PrePath((v.transitions[0],))
         assert min_initial_valuation(v, tau) == {"a": 0, "b": 4, "c": 1}
-        k = choose_k({1: tau}, {"a": 1, "b": 1, "c": 2}, v, 2)
+        k = choose_k({1: tau.summary(v.dimension)[1]}, {"a": 1, "b": 1, "c": 2}, v, 2)
         assert k == 2
 
     def test_constant_across_scales(self, v_run, v2):
@@ -279,7 +279,7 @@ class TestLayerPrePaths:
         builder = _Builder(result, n)
         vexp = result.report.variable_exponents
         for layer in range(1, builder.max_layer + 1):
-            tau = PrePath(tuple(builder.path(layer, proper=False).steps) * n)
+            tau = PrePath(tuple(prepath_steps(builder, layer)) * n)
             counts = tau.instances()
             for node in result.tree.nodes_at(layer):
                 for t in node.vass.transitions:
@@ -303,15 +303,15 @@ class TestLayerPrePaths:
         result = analyze(v_run)
         builder = _Builder(result, 3)
         for layer in range(1, builder.max_layer + 1):
-            merged = PrePath(tuple(builder.path(layer, proper=True).steps))
-            parts = PrePath(tuple(builder.path(layer, proper=False).steps))
-            previous = PrePath(tuple(builder.path(layer - 1, proper=True).steps))
+            merged = PrePath(tuple(builder.path(layer)[0].steps))
+            parts = PrePath(tuple(prepath_steps(builder, layer)))
+            previous = PrePath(tuple(builder.path(layer - 1)[0].steps))
             assert merged.instances() == parts.instances() + previous.instances()
 
     def test_repeated_prepath_executes_from_scaled_valuation(self, v_run):
         result = analyze(v_run)
         builder = _Builder(result, 2)
-        sigma = PrePath(tuple(builder.path(1, proper=False).steps))
+        sigma = PrePath(tuple(prepath_steps(builder, 1)))
         base = min_initial_valuation(v_run, sigma)
         value = sigma.value(v_run.dimension)
         for d in (1, 2, 3):

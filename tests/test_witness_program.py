@@ -1,6 +1,7 @@
 """The witness path as a repetition program: every node's summary against
 its flat expansion, construction without per-layer recursion, scale
-parameters far beyond any flat path, and a dump streamed in bounded pieces."""
+parameters far beyond any flat path, a dump streamed in bounded pieces,
+and the number of program nodes one witness build makes."""
 
 import inspect
 import random
@@ -9,10 +10,12 @@ import tracemalloc
 from collections import Counter
 from itertools import chain
 
-from vassbound import analyze, build_witness, parse_vass, verify_witness
+import pytest
+
+from vassbound import PrePath, analyze, build_witness, parse_vass, verify_witness
 from vassbound.analyzer import POLYNOMIAL
 from vassbound.witness import Leaf, Repeat, Seq, _Builder
-from conftest import V_RUN_TEXT, random_connected_vass, v_family
+from conftest import V_RUN_TEXT, prepath_steps, random_connected_vass, v_family
 
 
 def _nodes(program):
@@ -59,14 +62,6 @@ def _check_summaries(v, program):
             assert (node.start, node.end) == (steps[0].src, steps[-1].dst)
 
 
-def _programs(result, n):
-    """The witness path, which holds every layer's proper path, and every
-    layer's pre-path."""
-    builder = _Builder(result, n)
-    return ([build_witness(result, n).path]
-            + [builder.path(layer, proper=False) for layer in range(1, builder.max_layer + 1)])
-
-
 def test_summaries_match_flat_expansion():
     rng = random.Random(20240601)
     cases = []
@@ -81,13 +76,15 @@ def test_summaries_match_flat_expansion():
         cases += [(v, result, n) for n in (1, 2)]
     assert len(cases) == 197
     for v, result, n in cases:
-        witness, *prepaths = _programs(result, n)
+        witness = build_witness(result, n).path  # holds every layer's path
         _check_summaries(v, witness)
         steps = _flat(witness)
         assert all(a.dst == b.src for a, b in zip(steps, steps[1:]))
         assert list(witness.steps) == steps
-        for prepath in prepaths:
-            _check_summaries(v, prepath)
+        builder = _Builder(result, n)
+        for layer in range(builder.max_layer + 1):
+            reference = PrePath(tuple(prepath_steps(builder, layer)))
+            assert builder.path(layer)[1] == reference.summary(v.dimension)
 
 
 def test_lazy_steps_read_like_a_tuple():
@@ -98,6 +95,33 @@ def test_lazy_steps_read_like_a_tuple():
     assert path.steps[:4] == flat[:4]
     assert path.steps[5:40:3] == flat[5:40:3]
     assert path.steps[-1:] == flat[-1:] and path.steps[17:18] == flat[17:18]
+
+
+def test_lazy_steps_take_an_integer_index():
+    v = parse_vass(V_RUN_TEXT)
+    path = build_witness(analyze(v), 2).path
+    flat = tuple(path.steps)
+    assert path.steps[0] == flat[0] and path.steps[17] == flat[17]
+    assert path.steps[-1] == flat[-1] and path.steps[-len(flat)] == flat[0]
+    for index in (len(flat), -len(flat) - 1):
+        with pytest.raises(IndexError):
+            path.steps[index]
+
+
+def test_witness_build_work_on_the_family(monkeypatch):
+    """Program nodes built by `build_witness(analyze(v_family(1..6)), 1)`,
+    pinned: one build per target layer, the pre-path kept as a summary and
+    one cut per node side.  A second construction path shows here, without
+    timing."""
+    built = Counter()
+    for cls in (Leaf, Seq, Repeat):
+        def counted(self, *args, init=cls.__init__, name=cls.__name__):
+            built[name] += 1
+            init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted)
+    for nu in range(1, 7):
+        build_witness(analyze(v_family(nu)), 1)
+    assert built == {"Leaf": 691, "Seq": 6312, "Repeat": 7413}
 
 
 def test_deep_family_needs_no_recursion_per_layer():
