@@ -101,7 +101,9 @@ class LpProblem:
         rows = list(self.rows)
         for i in row_indices:
             rows[i] = LpRow(rows[i].coeffs, rows[i].relation, rows[i].rhs + 1)
-        return LpProblem(self.variables, self.nonneg, tuple(rows), frozenset())
+        copy = object.__new__(LpProblem)  # only int right-hand sides changed: not validated again
+        copy.__dict__.update(vars(self), rows=tuple(rows), strict_candidates=frozenset())
+        return copy
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ segments are the leaves, and `Seq(parts)` and `Repeat(count, body)` nest
 them.  Each node records its length, instance counts, start, end, net
 effect e and per-counter minimal prefix sum m <= 0 when built, by `_then`
 and `_times`.  A path runs from v exactly when v + m >= 0, ending at v + e,
-so building and verifying cost O(program size); only the dump expands it.
+so building and verifying cost O(program size); the dump renders each
+repeated body once and multiplies its text, so it costs about the bytes it writes.
 
 For an exponential outcome the module extracts the per-node cycles of the
 final layer together with the variable partition (bounded / still growing)
@@ -161,6 +162,26 @@ def _leaves(program: _Program, short: int = 0) -> Iterator[_Program]:
             yield node
 
 
+def _text(program: _Program) -> str:
+    """The program's dump lines by an explicit stack, as in `_leaves`, each
+    repeat of count >= 2 rendered once and multiplied.  Only those recurse,
+    each halving the length, so the depth is at most log2 of the length."""
+    pieces, stack = [], [iter((program,))]
+    while stack:
+        node = next(stack[-1], None)
+        if node is None:
+            stack.pop()
+        elif isinstance(node, Seq):
+            stack.append(iter(node.parts))
+        elif isinstance(node, Leaf):
+            pieces.append(node.text)
+        elif node.count == 1:
+            stack.append(iter((node.body,)))
+        else:
+            pieces.append(_text(node.body) * node.count)
+    return "".join(pieces)
+
+
 @dataclass(frozen=True)
 class WitnessPath:
     """A concrete executable path realizing the polynomial lower bounds."""
@@ -175,13 +196,13 @@ class WitnessPath:
 
     def chunks(self, v: Vass) -> Iterator[str]:
         """The dump in pieces of at most about `piece` steps; a repeated body
-        shorter than a piece is rendered once and multiplied as a string."""
+        shorter than a piece is rendered once by `_text` and multiplied."""
         piece = 8192
         yield (f"witness N={self.n} k={self.k}\ninit "
                + " ".join(str(self.initial[x]) for x in v.variables) + "\n")
         for node in _leaves(self.path, piece):
             if isinstance(node, Repeat):
-                text = "".join(leaf.text for leaf in _leaves(node.body))
+                text = _text(node.body)
                 per_piece = piece // max(node.body.length, 1)
                 yield from repeat(text * per_piece, node.count // per_piece)
                 yield text * (node.count % per_piece)

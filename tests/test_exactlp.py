@@ -104,6 +104,17 @@ class TestLpProblem:
         assert p.rows[0].coeffs == {}
         assert not satisfies(p, [5])
 
+    def test_tightened_copy_is_not_validated_again(self, monkeypatch):
+        rows = (LpRow({0: 1}, GE, 0), LpRow({1: 2}, EQ, 3), LpRow({0: -1, 1: 1}, GE, -2))
+        p = LpProblem(("x", "y"), (True, False), rows, frozenset({0, 2}))
+        validated = []
+        monkeypatch.setattr(LpProblem, "__post_init__", lambda self: validated.append(self))
+        q = p.tightened(0, 2)
+        assert validated == []
+        assert q == LpProblem(p.variables, p.nonneg, (LpRow({0: 1}, GE, 1), rows[1],
+                                                      LpRow({0: -1, 1: 1}, GE, -1)))
+        assert p.rows == rows and p.strict_candidates == {0, 2}
+
 
 class TestFeasibility:
     def test_homogeneous_single_row(self):

@@ -1,7 +1,8 @@
 """The witness path as a repetition program: every node's summary against
-its flat expansion, construction without per-layer recursion, scale
-parameters far beyond any flat path, a dump streamed in bounded pieces,
-and the number of program nodes one witness build makes."""
+its flat expansion, the dump against the lazy steps, construction and dump
+without per-layer recursion, scale parameters far beyond any flat path, a
+dump streamed in bounded pieces, and the work one witness build and one
+dump do."""
 
 import inspect
 import random
@@ -95,6 +96,10 @@ def test_lazy_steps_read_like_a_tuple():
     assert path.steps[:4] == flat[:4]
     assert path.steps[5:40:3] == flat[5:40:3]
     assert path.steps[-1:] == flat[-1:] and path.steps[17:18] == flat[17:18]
+    for v, n in ((v_family(3), 3), (v_family(2), 16), (parse_vass(V_RUN_TEXT), 16)):
+        witness = build_witness(analyze(v), n)  # the lazy steps do not go through `_text`
+        lines = witness.dump(v).splitlines(keepends=True)
+        assert lines[2:-2] == [f"{t.tid}\n" for t in witness.path.steps]
 
 
 def test_lazy_steps_take_an_integer_index():
@@ -124,20 +129,47 @@ def test_witness_build_work_on_the_family(monkeypatch):
     assert built == {"Leaf": 691, "Seq": 6312, "Repeat": 7413}
 
 
+def test_witness_dump_work_on_the_family(monkeypatch):
+    """`Leaf.text` reads while dumping `v_family(1..4)` at N = 2 and
+    `samples/running.vass` at N = 8, pinned: each repeated body shorter than
+    a piece is rendered once and multiplied, not expanded leaf by leaf."""
+    cases = [(v_family(nu), 2) for nu in range(1, 5)] + [(parse_vass(V_RUN_TEXT), 8)]
+    witnesses = [(v, build_witness(analyze(v), n)) for v, n in cases]
+    slot, reads = Leaf.text, []
+
+    def counted(self):
+        reads[-1] += 1
+        return slot.__get__(self, Leaf)
+    monkeypatch.setattr(Leaf, "text", property(counted))
+    for v, witness in witnesses:
+        reads.append(0)
+        for _ in witness.chunks(v):
+            pass
+    assert reads == [5, 27, 112, 13595, 15]
+
+
 def test_deep_family_needs_no_recursion_per_layer():
-    v = v_family(6)
-    result = analyze(v)
-    assert result.tree.max_layer() == 63
-    limit = sys.getrecursionlimit()
+    """The 63-layer `v_family(6)` at N = 1 builds, verifies and dumps, and
+    `v_family(4)` at N = 2 (11.8 MB, streamed and only measured) dumps, under
+    a recursion limit far below the number of layers."""
+    cases = [(v_family(6), 1), (v_family(4), 2)]
+    results = [analyze(v) for v, _ in cases]
+    assert results[0].tree.max_layer() == 63
+    limit, runs = sys.getrecursionlimit(), []
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
-        witness = build_witness(result, 1)
-        verification = verify_witness(v, witness, result.report)
-        size = sum(len(chunk) for chunk in witness.chunks(v))
+        for (v, n), result in zip(cases, results):
+            witness = build_witness(result, n)
+            runs.append((witness, verify_witness(v, witness, result.report),
+                         [len(chunk) for chunk in witness.chunks(v)]))
     finally:
         sys.setrecursionlimit(limit)
-    assert verification.passed, verification.dump()
-    assert size == len(witness.dump(v))
+    for witness, verification, sizes in runs:
+        assert verification.passed, verification.dump()
+        assert sum(sizes[1:-1]) == sum(  # the step lines, from the instance counts
+            c * len(f"{tid}\n") for tid, c in witness.instance_counts.items())
+    assert sum(runs[0][2]) == len(runs[0][0].dump(cases[0][0]))
+    assert sum(runs[1][2]) == 11_777_878
 
 
 def test_million_fold_scale_builds_and_verifies():
