@@ -7,7 +7,9 @@ replaced the per-candidate loop; the random-suite digest was recorded
 before LP rows became integers at construction, and the witness-dump
 digest before the twin pre-path/proper-path builders became one, and
 `RANDOM_SUITE_JSON_DIGEST`, which also covers the `layers` audit of the
-exponential models, before that audit was rendered from the archive.  A
+exponential models, before that audit was rendered from the archive.  The
+deep witness digests were recorded before the state-graph walks moved
+into `model`.  A
 mismatch means an output changed, not that the digest is stale: find out
 which byte moved before re-recording.
 """
@@ -75,6 +77,15 @@ RANDOM_SUITE_JSON_DIGEST = \
 # dump (the node's cycle after, not before, its N-fold repeated deeper path).
 RANDOM_SUITE_WITNESS_DIGEST = \
     "1a10d9686b36175cff310b7e93a22bbe870783a725a4cd151a77162019b39df6"
+
+# Streamed witness dumps of v_family(nu) at N = 1, with their byte counts:
+# nodes spanning 7, 15 and 31 skipped layers, each dump opening with the
+# root's covering cycle.
+DEEP_WITNESS_DIGESTS = {
+    5: (237_108, "9d761d2057645867b9d815555b061a73ad57294961e87caf36e2c43feeb43680"),
+    6: (1_259_672, "d448740dd878c748428f01d23b3b7a979221956e932ba1a5f8d0d44842ddb3e8"),
+    7: (6_268_460, "9c9f28830ae4b5ec1784350aa0364a884f7badb0c10cb6b9b1b8dc8f3e288912"),
+}
 
 
 def _model_text(name: str) -> str:
@@ -149,3 +160,14 @@ def test_random_suite_witness_dumps_unchanged():
              for v, result, ns in cases for n in ns]
     assert len(dumps) == 192
     assert _digest("".join(dumps)) == RANDOM_SUITE_WITNESS_DIGEST
+
+
+@pytest.mark.parametrize("nu", sorted(DEEP_WITNESS_DIGESTS))
+def test_deep_witness_dumps_unchanged(nu):
+    v = v_family(nu)
+    digest, size = hashlib.sha256(), 0
+    for chunk in build_witness(analyze(v), 1).chunks(v):
+        data = chunk.encode("utf-8")
+        digest.update(data)
+        size += len(data)
+    assert (size, digest.hexdigest()) == DEEP_WITNESS_DIGESTS[nu]

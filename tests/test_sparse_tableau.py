@@ -408,3 +408,31 @@ def test_phase_one_work_on_the_family(monkeypatch):
     for nu in range(1, 6):
         analyze(v_family(nu))
     assert work == {"eliminations": 8287, "nonzeros": 125623}
+
+
+def test_phase_two_work_on_the_family(monkeypatch):
+    """Phase-2 eliminations over `analyze(v_family(1..5))`, and the
+    non-zeros they read, pinned like phase 1's: a change to the strict-set
+    tableau or to its pivot path shows here, without timing."""
+    work = {"eliminations": 0, "nonzeros": 0}
+    solving: list[int] = []  # non-empty while a phase-2 solve runs
+    eliminate, strict_candidates = exactlp._eliminate, exactlp._strict_candidates
+
+    def counted_eliminate(row, pivot, entering):
+        if solving:
+            work["eliminations"] += 1
+            work["nonzeros"] += len(row) + len(pivot)
+        return eliminate(row, pivot, entering)
+
+    def counted_strict_candidates(problem):
+        solving.append(1)
+        try:
+            return strict_candidates(problem)
+        finally:
+            solving.pop()
+
+    monkeypatch.setattr(exactlp, "_eliminate", counted_eliminate)
+    monkeypatch.setattr(exactlp, "_strict_candidates", counted_strict_candidates)
+    for nu in range(1, 6):
+        analyze(v_family(nu))
+    assert work == {"eliminations": 1912, "nonzeros": 52855}
