@@ -32,6 +32,11 @@ EXPONENTIAL = "exponential"
 UNBOUNDED = None
 
 
+def _exp_value(e: Optional[int]):
+    """An exponent as both reports print it: "inf" for UNBOUNDED."""
+    return "inf" if e is None else e
+
+
 class InternalInvariantError(VassError):
     """An internal consistency assertion failed; indicates a solver bug."""
 
@@ -119,6 +124,7 @@ class MultiCycleSolution:
     counts: dict[int, int]
     strict_vars: frozenset[tuple[str, int]]
     strict_transitions: frozenset[int]
+    __hash__ = None  # compared by value; holds dicts, so never hashed
 
 
 @dataclass(frozen=True)
@@ -133,6 +139,7 @@ class RankingSolution:
     z: dict[str, int]
     ranked: frozenset[int]
     bounded_vars: frozenset[tuple[str, int]]
+    __hash__ = None  # compared by value; holds dicts, so never hashed
 
 
 @dataclass(frozen=True)
@@ -150,6 +157,7 @@ class LayerRecord:
     ranking: RankingSolution
     new_nodes: tuple[int, ...]
     new_variable_bounds: tuple[str, ...]
+    __hash__ = None  # compared by value; holds dicts, so never hashed
 
 
 @dataclass
@@ -166,21 +174,18 @@ class BoundsReport:
     exponential_layer: Optional[int] = None
 
     def to_json_dict(self, v: Vass) -> dict:
-        def exp_value(e):
-            return "inf" if e is None else e
-
         return {
             "schema": 1,
             "status": self.status,
             "complexity_exponent": self.complexity_exponent,
-            "variables": {x: exp_value(e) for x, e in self.variable_exponents.items()},
+            "variables": {x: _exp_value(e) for x, e in self.variable_exponents.items()},
             "transitions": [
                 {
                     "id": t.tid,
                     "src": t.src,
                     "dst": t.dst,
                     "update": list(t.update),
-                    "exp": exp_value(self.transition_exponents[t.tid]),
+                    "exp": _exp_value(self.transition_exponents[t.tid]),
                 }
                 for t in v.transitions
                 if t.tid in self.transition_exponents

@@ -20,7 +20,7 @@ import sys
 from typing import Iterable, Optional, Sequence
 
 from . import oracle as oracle_mod
-from .analyzer import AnalysisResult, InternalInvariantError, POLYNOMIAL, analyze
+from .analyzer import AnalysisResult, InternalInvariantError, POLYNOMIAL, _exp_value, analyze
 from .model import (
     NotConnectedError,
     Vass,
@@ -64,10 +64,6 @@ def _write(path: str, chunks: Iterable[str]) -> None:
         raise VassError(f"cannot write '{path}': {err.strerror}")
 
 
-def _exp_str(e: Optional[int]) -> str:
-    return "inf" if e is None else str(e)
-
-
 def _render_text_report(result: AnalysisResult) -> str:
     report = result.report
     v = result.vass
@@ -78,10 +74,10 @@ def _render_text_report(result: AnalysisResult) -> str:
         lines.append(f"stalled at layer: {report.exponential_layer}")
     lines.append("variable bounds:")
     for x, e in report.variable_exponents.items():
-        lines.append(f"  {x}: N^{_exp_str(e)}")
+        lines.append(f"  {x}: N^{_exp_value(e)}")
     lines.append("transition bounds:")
     for tid, e in report.transition_exponents.items():
-        lines.append(f"  [{tid}] {v.transition(tid)}: N^{_exp_str(e)}")
+        lines.append(f"  [{tid}] {v.transition(tid)}: N^{_exp_value(e)}")
     if report.status != POLYNOMIAL:
         try:
             cert = exponential_certificate(result)

@@ -58,6 +58,7 @@ class LpRow:
     coeffs: Row
     relation: str
     rhs: int
+    __hash__ = None  # compared by value; holds dicts, so never hashed
 
     @staticmethod
     def of(coeffs: Sequence, relation: str, rhs=0) -> "LpRow":
@@ -79,6 +80,7 @@ class LpProblem:
     nonneg: tuple[bool, ...]
     rows: tuple[LpRow, ...]
     strict_candidates: frozenset[int] = frozenset()
+    __hash__ = None  # compared by value; holds dicts, so never hashed
 
     def __post_init__(self):
         if len(self.nonneg) != len(self.variables):
@@ -220,23 +222,6 @@ def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int
         basis[pivot_row] = entering
 
 
-def _identity_start(rows: list[tuple[Row, int]], n: int) -> tuple[list[Row], list[int]]:
-    """Tableau of `rows` (non-zeros among `n` structural columns, and the
-    right-hand side), each flipped to a non-negative right-hand side, with
-    one identity column per row inserted before it; those columns form the
-    basis, and their entry 1 keeps every row primitive."""
-    m = len(rows)
-    tableau: list[Row] = []
-    for i, (coeffs, rhs) in enumerate(rows):
-        sign = -1 if rhs < 0 else 1
-        row = {j: sign * a for j, a in coeffs.items()}
-        row[n + i] = 1
-        if rhs:
-            row[n + m] = sign * rhs
-        tableau.append(row)
-    return tableau, [n + i for i in range(m)]
-
-
 def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int], int]]:
     """Solve A x = b, x >= 0 for feasibility; returns x or None.
 
@@ -323,7 +308,7 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
     for i in candidates:
         if len(split[i]) == 1 and min(split[i].values()) > 0 and min(split[i]) not in shift:
             shift[min(split[i])], split[i] = s_column[i], None  # row i is now x_j = s_i + w_j
-    rows: list[tuple[Row, int]] = []
+    tableau: list[Row] = []
     for i, (row, x_part) in enumerate(zip(problem.rows, split)):
         if x_part is None:
             continue
@@ -331,12 +316,13 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
         le_row = {j: -a for j, a in x_part.items()}
         if i in s_column:
             le_row[s_column[i]] = 1
-        rows.append((le_row, 0))
+        tableau.append(le_row)
         if row.relation == EQ:
-            rows.append((x_part, 0))
-
-    tableau, basis = _identity_start(rows, nx + k)
-    rhs = nx + k + len(rows)
+            tableau.append(x_part)
+    rhs = nx + k + len(tableau)
+    basis = list(range(nx + k, rhs))  # each row's own slack, with entry 1
+    for row, b in zip(tableau, basis):
+        row[b] = 1
     _, flipped = _pivot_to_optimum(tableau, basis, {column: -1 for column in s_column.values()},
                                    rhs, range(nx, nx + k))
     at_one = {b: row for row, b in zip(tableau, basis) if nx <= b < nx + k and rhs in row}

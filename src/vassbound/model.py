@@ -7,14 +7,17 @@ allowed if every counter stays non-negative.
 
 This module provides the immutable model types, the line-based text format,
 strongly-connected-component decomposition, and path execution semantics.
-All types are immutable after construction and every operation here is a
-pure function.
+It also holds the package's shared state-graph helpers: `_out_edges`
+indexes each state's outgoing transitions, which the oracle's search also
+walks, and `_bfs_tree` searches breadth-first from one state for
+`unconnected_pair` and the witness's covering cycle.  All types are
+immutable after construction and every operation here is a pure function.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -148,11 +151,6 @@ class Valuation(Mapping[str, int]):
 
     def __len__(self) -> int:
         return len(self._entries)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Mapping):
-            return dict(self._entries) == dict(other)
-        return NotImplemented
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in sorted(self._entries.items()))
@@ -315,32 +313,40 @@ def serialize_vass(v: Vass) -> str:
     return "\n".join(out) + "\n"
 
 
-def _successors(v: Vass) -> dict[str, list[str]]:
-    succ: dict[str, list[str]] = {s: [] for s in v.states}
+def _out_edges(v: Vass) -> dict[str, list[Transition]]:
+    """Each state's outgoing transitions, in the id order of `v.transitions`."""
+    out: dict[str, list[Transition]] = {s: [] for s in v.states}
     for t in v.transitions:
-        succ[t.src].append(t.dst)
-    return succ
+        out[t.src].append(t)
+    return out
 
 
-def _reachable(succ: Mapping[str, list[str]], start: str) -> set[str]:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        s = queue.popleft()
-        for s2 in succ[s]:
-            if s2 not in seen:
-                seen.add(s2)
-                queue.append(s2)
-    return seen
+def _bfs_tree(out_edges: Mapping[str, list[Transition]],
+              src: str) -> tuple[dict[str, int], dict[str, Transition]]:
+    """BFS distances from src, and the transition that first reached each
+    other state; each state's out-edges are explored in list order."""
+    dist = {src: 0}
+    parent: dict[str, Transition] = {}
+    frontier = [src]
+    while frontier:
+        nxt = []
+        for s in frontier:
+            for t in out_edges[s]:
+                if t.dst not in dist:
+                    dist[t.dst] = dist[s] + 1
+                    parent[t.dst] = t
+                    nxt.append(t.dst)
+        frontier = nxt
+    return dist, parent
 
 
 def unconnected_pair(v: Vass) -> Optional[tuple[str, str]]:
     """Some ordered state pair (s, s') with no path s -> s', or None."""
-    succ = _successors(v)
+    out = _out_edges(v)
     for s in v.states:
-        reach = _reachable(succ, s)
+        dist, _ = _bfs_tree(out, s)
         for s2 in v.states:
-            if s2 not in reach:
+            if s2 not in dist:
                 return (s, s2)
     return None
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Callable, Optional, Union
 
-from .model import Transition, Vass, VassError
+from .model import Transition, Vass, VassError, _out_edges
 
 DEFAULT_BUDGET = 10_000_000
 
@@ -51,9 +51,7 @@ def _explore(v: Vass, n: int, step_weight: Callable[[Transition], int],
     Returns the maximal step-weighted path value over all roots, or, when
     `node_value` is given, the maximum of that function over every visited
     valuation; raises _CycleFound on a configuration cycle."""
-    by_state: dict[str, list[Transition]] = {s: [] for s in v.states}
-    for t in v.transitions:
-        by_state[t.src].append(t)
+    out_edges = _out_edges(v)
     dim = v.dimension
 
     color: dict[tuple, int] = {}
@@ -61,7 +59,7 @@ def _explore(v: Vass, n: int, step_weight: Callable[[Transition], int],
     overall = 0
 
     def successors(state: str, vec: tuple[int, ...]):
-        for t in by_state[state]:
+        for t in out_edges[state]:
             nxt = tuple(a + b for a, b in zip(vec, t.update))
             if all(c >= 0 for c in nxt):
                 yield t, (t.dst, nxt)

@@ -44,6 +44,8 @@ from .model import (
     Valuation,
     Vass,
     VassError,
+    _bfs_tree,
+    _out_edges,
     execute_path,
     min_initial_valuation,
     scc_decompose,
@@ -193,6 +195,7 @@ class WitnessPath:
     final: Valuation
     instance_counts: dict[int, int]
     envelope: int  # ceil(norm(initial) / n), the measured O(N) constant
+    __hash__ = None  # compared by value; holds dicts, so never hashed
 
     def chunks(self, v: Vass) -> Iterator[str]:
         """The dump in pieces of at most about `piece` steps; a repeated body
@@ -333,25 +336,6 @@ def multicycle_from_solution(v: Vass, transitions: Sequence[Transition],
     return tuple(cycles)
 
 
-def _bfs_tree(out_edges: Mapping[str, list[Transition]],
-              src: str) -> tuple[dict[str, int], dict[str, Transition]]:
-    """BFS distances from src, and the transition that first reached each
-    other state; each state's out-edges are explored in list order."""
-    dist = {src: 0}
-    parent: dict[str, Transition] = {}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in out_edges[s]:
-                if t.dst not in dist:
-                    dist[t.dst] = dist[s] + 1
-                    parent[t.dst] = t
-                    nxt.append(t.dst)
-        frontier = nxt
-    return dist, parent
-
-
 def _tree_path(parent: Mapping[str, Transition], src: str, dst: str) -> list[Transition]:
     """The path from src to dst in the BFS tree `parent` rooted at src."""
     steps = []
@@ -372,9 +356,7 @@ def covering_cycle(v: Vass) -> Path:
         anchor = v.states[0] if v.states else None
         return Path((), anchor)
     start = v.states[0]
-    out_edges: dict[str, list[Transition]] = {s: [] for s in v.states}
-    for t in v.transitions:  # transition-id order
-        out_edges[t.src].append(t)
+    out_edges = _out_edges(v)
     unused = {t.tid: t for t in v.transitions}
     steps: list[Transition] = []
     current = start

@@ -156,6 +156,35 @@ class TestConnectivity:
         assert not validate_connected(v)
         assert unconnected_pair(v) == ("s1", "s2") or unconnected_pair(v) == ("s2", "s1")
 
+    def test_unconnected_pair_is_the_first_in_state_order(self):
+        """The pair is the first state, in sorted order, whose forward reach
+        misses a state, and the first state it misses."""
+        def reference(v):
+            for s in v.states:
+                reach, todo = {s}, [s]
+                while todo:
+                    here = todo.pop()
+                    for t in v.transitions:
+                        if t.src == here and t.dst not in reach:
+                            reach.add(t.dst)
+                            todo.append(t.dst)
+                missed = [s2 for s2 in v.states if s2 not in reach]
+                if missed:
+                    return (s, missed[0])
+            return None
+
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(300):
+            states = [f"q{i}" for i in range(rng.randint(1, 6))]
+            triples = {(rng.choice(states), (0,), rng.choice(states))
+                       for _ in range(rng.randint(0, 2 * len(states)))}
+            v = Vass.from_triples(["x"], sorted(triples), extra_states=states)
+            expected = reference(v)
+            assert unconnected_pair(v) == expected
+            outcomes.add(expected is None)
+        assert outcomes == {True, False}
+
 
 class TestMatrices:
     def test_update_matrix_running_example(self, v_run):

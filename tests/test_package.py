@@ -1,15 +1,21 @@
 """The package's public surface: `__all__` names exactly what it exports,
-every name the benchmark's tracer rebinds exists, and the exact LP module
+every name the benchmark's tracer rebinds exists, the frozen records that
+hold dicts refuse hashing under their own name, and the exact LP module
 stays free of floating point and builds `Fraction`s only in its rational
 view of a solution."""
 
 import ast
+import dataclasses
 import importlib.util
 import pathlib
 import sys
 import types
 
+import pytest
+
 import vassbound
+from vassbound import analyze, build_witness
+from vassbound.exactlp import GE, LpProblem, LpRow
 
 
 def test_every_all_entry_resolves_to_a_public_object():
@@ -23,6 +29,26 @@ def test_documented_library_names_are_exported():
                   "exponential_certificate", "Vass", "Transition", "Path",
                   "Valuation", "longest_trace", "max_reachable", "max_instances"}
     assert documented <= set(vassbound.__all__)
+
+
+# Frozen records with dict-valued contents: equal by value, never hashed.
+UNHASHABLE = {
+    "LpRow": lambda result: LpRow.of([1], GE),
+    "LpProblem": lambda result: LpProblem(("x",), (True,), (LpRow.of([1], GE),)),
+    "MultiCycleSolution": lambda result: result.archive[0].mu,
+    "RankingSolution": lambda result: result.archive[0].ranking,
+    "LayerRecord": lambda result: result.archive[0],
+    "WitnessPath": lambda result: build_witness(result, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(UNHASHABLE))
+def test_frozen_records_refuse_hashing_by_name(name, v_run):
+    record = UNHASHABLE[name](analyze(v_run))
+    assert type(record).__name__ == name
+    with pytest.raises(TypeError, match=f"unhashable type: '{name}'"):
+        hash(record)
+    assert dataclasses.replace(record) == record
 
 
 def test_benchmark_trace_points_resolve():
