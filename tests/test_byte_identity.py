@@ -9,9 +9,10 @@ digest before the twin pre-path/proper-path builders became one, and
 `RANDOM_SUITE_JSON_DIGEST`, which also covers the `layers` audit of the
 exponential models, before that audit was rendered from the archive.  The
 deep witness digests were recorded before the state-graph walks moved
-into `model`.  A
-mismatch means an output changed, not that the digest is stale: find out
-which byte moved before re-recording.
+into `model`, and the `v_family5`..`v_family7` archive digests, whose
+iterations repeat the numbers of earlier ones, before repeated layer
+systems reused their solve.  A mismatch means an output changed, not that
+the digest is stale: find out which byte moved before re-recording.
 """
 
 import hashlib
@@ -59,6 +60,12 @@ ARCHIVE_DIGESTS = {
         "a0e5fd58d0c09313c30a64b9d380d90a6f1b38bc66834bfdd2853676d0ad8acb",
     "v_family4":
         "d8f4e471442a223f05320c7f93a7aa5eb29352b402e886f1d67efffdd73f19bb",
+    "v_family5":
+        "d332d27b6c9bbe0162f04b0f7471147acdb0e33f38549721f2827668decbea0a",
+    "v_family6":
+        "480e58bc1fda23ec30fcede49f6a7ba706b033b709836f9dff4a5e7916e3d419",
+    "v_family7":
+        "8a4d3f2cca8d1abf16648cc8e18c9d8bb0d6ac71bbfc07a150badc3b0c0d4edd",
 }
 
 # The default text reports of the acceptance suite's 200 random models,
