@@ -10,9 +10,11 @@ transitions).  Transitions on which the optimal quasi-ranking strictly
 decreases get their exponent assigned at the current layer and are removed;
 the surviving graph is SCC-decomposed into the next layer.  Variables whose
 root copy gets a strictly positive ranking coefficient get their exponent
-assigned likewise.  The result is either the exact exponent of every
-variable and transition bound, or a certificate point where growth is at
-least exponential.
+assigned likewise.  An iteration whose systems have the same numbers as
+an earlier one of the same analysis reuses that solve, renamed to its own
+variable copies and transitions.  The result is either the exact exponent
+of every variable and transition bound, or a certificate point where
+growth is at least exponential.
 """
 
 from __future__ import annotations
@@ -21,8 +23,8 @@ import json
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .exactlp import (GE, EQ, LpError, LpInternalError, LpProblem, LpRow, max_strict_set,
-                      scale_to_integer, strict_solution)
+from .exactlp import (GE, EQ, LpError, LpInternalError, LpProblem, LpRow, LpSolution,
+                      max_strict_set, scale_to_integer, strict_solution)
 from .model import NotConnectedError, Transition, Vass, VassError, scc_decompose, unconnected_pair
 
 POLYNOMIAL = "polynomial"
@@ -236,17 +238,18 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     return ExtendedSystem(layer, u, tuple(var_ext), tuple(d_ext), flow, v.states)
 
 
-def _solve_multicycle(sys: ExtendedSystem, ranking: RankingSolution) -> MultiCycleSolution:
+def _solve_multicycle(sys: ExtendedSystem, ranked_rows: frozenset[int]) -> LpSolution:
     """Multi-cycle system: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0; candidate
     strictness on every d_ext row and every mu(t) >= 0 row.
 
     Column j is mu(transitions[j]); the rows are the d_ext rows, then the
     flow rows, then the mu(t) >= 0 rows in transition order.
 
-    No phase 2 runs: the strict set is the complement of the ranking's.  For
-    feasible mu and (r, z), 0 <= r.(d_ext mu) = sum_j mu_j (d_ext^T r +
-    flow^T z)_j <= 0, so their strict supports are disjoint (weak duality),
-    and the exact joint solves attaining both sets prove both maximal."""
+    No phase 2 runs: the strict set is the complement of the ranking's
+    strict rows `ranked_rows`.  For feasible mu and (r, z), 0 <= r.(d_ext mu)
+    = sum_j mu_j (d_ext^T r + flow^T z)_j <= 0, so their strict supports are
+    disjoint (weak duality), and the exact joint solves attaining both sets
+    prove both maximal."""
     names = tuple(f"mu{t.tid}" for t in sys.transitions)
     rows = [LpRow({j: a for j, a in enumerate(row) if a}, relation, 0)
             for matrix, relation in ((sys.d_ext, GE), (sys.flow, EQ)) for row in matrix]
@@ -254,20 +257,17 @@ def _solve_multicycle(sys: ExtendedSystem, ranking: RankingSolution) -> MultiCyc
     rows.extend(LpRow({j: 1}, GE, 0) for j in range(len(names)))
     candidates = frozenset(range(len(sys.d_ext))) | frozenset(range(first_trans, len(rows)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows), candidates)
-    strict_vars = frozenset(sys.var_ext) - ranking.bounded_vars
-    strict_tids = frozenset(t.tid for t in sys.transitions) - ranking.ranked
-    strict = [i for i, ve in enumerate(sys.var_ext) if ve in strict_vars]
-    strict += [i for i, t in enumerate(sys.transitions, first_trans) if t.tid in strict_tids]
+    m = len(names)
+    strict = [i for i in range(len(sys.d_ext)) if m + i not in ranked_rows]
+    strict += [first_trans + j for j in range(m) if j not in ranked_rows]
     try:
-        sol = scale_to_integer(problem, strict_solution(problem, strict))
+        return scale_to_integer(problem, strict_solution(problem, strict))
     except LpInternalError as err:
         raise InternalInvariantError("dichotomy violated: the complement of the "
                                      f"ranking's strict set is not attained ({err})") from err
-    return MultiCycleSolution(dict(zip((t.tid for t in sys.transitions), sol.numerators)),
-                              strict_vars, strict_tids)
 
 
-def _solve_ranking(sys: ExtendedSystem) -> RankingSolution:
+def _solve_ranking(sys: ExtendedSystem) -> LpSolution:
     """Quasi-ranking system: r >= 0, z >= 0, and per alive transition
     d_ext^T r + flow^T z <= 0 (encoded negated as >= 0); candidate strictness
     on every transition row and every r >= 0 row.
@@ -279,30 +279,49 @@ def _solve_ranking(sys: ExtendedSystem) -> RankingSolution:
     names = r_names + z_names
     rows = [LpRow({i: -a for i, a in enumerate(column) if a}, GE, 0)
             for column in zip(*sys.d_ext, *sys.flow)]
-    first_var = len(rows)
     rows.extend(LpRow({i: 1}, GE, 0) for i in range(len(r_names)))
     problem = LpProblem(names, tuple(True for _ in names), tuple(rows),
                         frozenset(range(len(rows))))
-    sol = scale_to_integer(problem, max_strict_set(problem))
-    strict = sol.strict_set
-    return RankingSolution(
-        dict(zip(sys.var_ext, sol.numerators)),
-        dict(zip(sys.states, sol.numerators[len(r_names):])),
-        frozenset(t.tid for j, t in enumerate(sys.transitions) if j in strict),
-        frozenset(ve for i, ve in enumerate(sys.var_ext, first_var) if i in strict))
+    return scale_to_integer(problem, max_strict_set(problem))
 
 
-def solve_layer(sys: ExtendedSystem) -> tuple[MultiCycleSolution, RankingSolution]:
+def _layer_solutions(sys: ExtendedSystem, ranking: LpSolution,
+                     mu: LpSolution) -> tuple[MultiCycleSolution, RankingSolution]:
+    """Both records of the layer, from the two LP solutions read by position
+    (numerators and strict rows, in the row orders of `_solve_ranking` and
+    `_solve_multicycle`)."""
+    tids, k = [t.tid for t in sys.transitions], len(sys.var_ext)
+
+    def strict(items, first_row, sol):
+        return frozenset(x for i, x in enumerate(items, first_row) if i in sol.strict_set)
+
+    return (MultiCycleSolution(dict(zip(tids, mu.numerators)), strict(sys.var_ext, 0, mu),
+                               strict(tids, k + len(sys.flow), mu)),
+            RankingSolution(dict(zip(sys.var_ext, ranking.numerators)),
+                            dict(zip(sys.states, ranking.numerators[k:])),
+                            strict(tids, 0, ranking), strict(sys.var_ext, len(tids), ranking)))
+
+
+def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, LpSolution]]
+                ) -> tuple[MultiCycleSolution, RankingSolution]:
     """Optimal integer solutions of both per-layer systems: phase 2 finds the
     ranking's maximal strict set, the multi-cycle's is its complement (see
     `_solve_multicycle`).  The two must partition the variable copies and
     the alive transitions (the Farkas dichotomy); a violation means a solver
-    bug and raises InternalInvariantError, as does any LP solver failure."""
-    try:
-        ranking = _solve_ranking(sys)
-        mu = _solve_multicycle(sys, ranking)
-    except LpError as err:
-        raise InternalInvariantError(f"LP solver failed: {err}") from err
+    bug and raises InternalInvariantError, as does any LP solver failure.
+
+    `solved` maps the numbers `(d_ext, flow)` of each system solved so far
+    to its two LP solutions.  A repeated system reuses them: equal numbers
+    pose the same LPs up to variable names, which no pivot reads.  The
+    dichotomy and the quasi-ranking are checked on every layer."""
+    key = (sys.d_ext, sys.flow)
+    if key not in solved:
+        try:
+            ranking = _solve_ranking(sys)
+            solved[key] = ranking, _solve_multicycle(sys, ranking.strict_set)
+        except LpError as err:
+            raise InternalInvariantError(f"LP solver failed: {err}") from err
+    mu, ranking = _layer_solutions(sys, *solved[key])
     _assert_dichotomy(sys, mu, ranking)
     if not check_quasi_ranking(sys, ranking):
         raise InternalInvariantError("optimal solution is not a quasi-ranking")
@@ -381,7 +400,12 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
 
     Returns exact exponents for every variable and transition bound when the
     system is polynomial, or the exponential status with the layer at which
-    discovery stalled.  Raises NotConnectedError on disconnected input."""
+    discovery stalled.  Raises NotConnectedError on disconnected input.
+
+    Each distinct layer system is solved once per call: an iteration that
+    repeats the numbers `(d_ext, flow)` of an earlier one reuses its LP
+    solutions (see `solve_layer`), so skipping no-op layers or stepping
+    through them makes the same solves.  Nothing is kept between calls."""
     pair = unconnected_pair(v)
     if pair is not None:
         raise NotConnectedError(*pair)
@@ -405,12 +429,13 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
     # exponent sum, of which there are at most n*m; plain stepping also
     # walks the no-op layers in between (bounded by the largest finite sum).
     budget = n * m + 1 if skip_optimization else 2 ** (n + 1) + n * m + 2
+    solved: dict = {}  # each distinct system's LP solutions, for this call only
 
     while True:
         if len(archive) >= budget:
             raise InternalInvariantError("iteration budget exceeded")
         sys = build_extended_system(v, tree, layer, vexp)
-        mu, ranking = solve_layer(sys)
+        mu, ranking = solve_layer(sys, solved)
 
         for t in sys.transitions:
             if t.tid in ranking.ranked:

@@ -408,16 +408,19 @@ def node_cycles(tree: LayerTree, layer: int,
 
 class _Builder:
     """The fixed node cycles of one analysis result at scale parameter N,
-    as leaves, and each node's cycle cut at its next-layer parts."""
+    as leaves (each built once, at the node's first layer), and each node's
+    cycle cut at its next-layer parts."""
 
     def __init__(self, result: AnalysisResult, n: int):
         self.tree, self.n, self.dimension = result.tree, n, result.vass.dimension
         self.max_layer = result.tree.max_layer()
         self.layers = [self.tree.nodes_at(layer) for layer in range(self.max_layer + 1)]
         self.leaves: dict[int, Leaf] = {}
-        for layer in range(self.max_layer + 1):
-            cycles = node_cycles(self.tree, layer, result.archive, result.vass)
-            self.leaves.update((nid, Leaf(c, self.dimension)) for nid, c in cycles.items())
+        for layer, nodes in enumerate(self.layers):
+            if any(node.first_layer == layer for node in nodes):
+                cycles = node_cycles(self.tree, layer, result.archive, result.vass)
+                self.leaves.update((nid, Leaf(c, self.dimension))
+                                   for nid, c in cycles.items() if nid not in self.leaves)
         self.cuts: dict[tuple[int, bool], tuple[list[Leaf], list[int]]] = {}
 
     def cut(self, nid: int, layer: int) -> tuple[list[Leaf], list[int]]:

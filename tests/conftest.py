@@ -1,6 +1,7 @@
 """Shared fixtures: the two worked examples, a family generator with
-exponents growing exponentially in the dimension, and a seeded random
-VASS generator for property sweeps."""
+exponents growing exponentially in the dimension, a seeded random VASS
+generator for property sweeps, and a recorder of the layer systems an
+analysis builds."""
 
 import random
 
@@ -84,6 +85,23 @@ def random_connected_vass(rng: random.Random, max_vars=3, max_states=4,
         v = Vass.from_triples([f"x{i}" for i in range(nvars)], triples)
         if validate_connected(v):
             return v
+
+
+def record_systems(monkeypatch) -> list:
+    """A list that collects the numbers `(d_ext, flow)` of every layer
+    system `analyze` builds, by wrapping `analyzer.build_extended_system`.
+    Its distinct members are the systems an analysis solves."""
+    import vassbound.analyzer as analyzer_mod
+
+    keys, build = [], analyzer_mod.build_extended_system
+
+    def recorded(*args):
+        sys = build(*args)
+        keys.append((sys.d_ext, sys.flow))
+        return sys
+
+    monkeypatch.setattr(analyzer_mod, "build_extended_system", recorded)
+    return keys
 
 
 def prepath_steps(builder, target: int) -> list:

@@ -17,7 +17,7 @@ from vassbound import (
     parse_vass,
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
-from conftest import DOUBLING_TEXT, random_connected_vass, v_family
+from conftest import DOUBLING_TEXT, random_connected_vass, record_systems, v_family
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -376,18 +376,22 @@ class TestStrictSetCertificate:
             return solution
 
         monkeypatch.setattr(analyzer_mod, "strict_solution", checked)
-        iterations = 0
+        keys, systems = record_systems(monkeypatch), 0
         models = [*acceptance_models(),
                   *(parse_vass((SAMPLES / name).read_text())
                     for name in ("running.vass", "doubling.vass"))]
         for v in models:
-            iterations += analyze(v).iterations
-        assert len(calls) == iterations > 200
+            keys.clear()
+            analyze(v)
+            systems += len(set(keys))
+        assert len(calls) == systems > 200
 
 
 class TestLpSolveCount:
-    """Each iteration costs one joint solve per system: the maximal strict
-    sets themselves come from the phase-2 simplex, not from lp_feasible."""
+    """Each distinct layer system costs one joint solve per LP: the maximal
+    strict sets themselves come from the phase-2 simplex, not from
+    lp_feasible, and an iteration that repeats the numbers of an earlier
+    one reuses its solve."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -407,16 +411,47 @@ class TestLpSolveCount:
         calls = self._count_solves(monkeypatch)
         result = analyze(v_family(4))
         assert result.iterations == 11
-        assert len(calls) == 2 * result.iterations == 22
+        assert len(calls) == 20
 
     def test_random_models(self, monkeypatch):
         calls = self._count_solves(monkeypatch)
+        keys = record_systems(monkeypatch)
         rng = random.Random(7)
         for _ in range(30):
             v = random_connected_vass(rng)
             calls.clear()
-            result = analyze(v)
-            assert len(calls) == 2 * result.iterations
+            keys.clear()
+            analyze(v)
+            assert len(calls) == 2 * len(set(keys))
+
+    def test_reuse_needs_equal_flow_too(self, v_run):
+        # Equal update rows over another flow pose another system: without
+        # the flow matrix the running example's first layer would also rank
+        # transition 9, and its solve must not be reused.
+        from dataclasses import replace
+        from vassbound.analyzer import solve_layer
+
+        sys = build_extended_system(v_run, analyze(v_run).tree, 1,
+                                    {x: None for x in v_run.variables})
+        loops = replace(sys, flow=tuple((0,) * len(row) for row in sys.flow))
+        solved = {}
+        assert solve_layer(sys, solved)[1].ranked == {8, 9}
+        assert solve_layer(loops, solved) == solve_layer(loops, {})
+        assert solve_layer(loops, solved)[1].ranked == {8}
+        assert len(solved) == 2
+
+    @pytest.mark.parametrize("skip", [True, False])
+    @pytest.mark.parametrize("nu", [2, 3, 4, 5, 6])
+    def test_family_solves_each_distinct_system_once(self, monkeypatch, nu, skip):
+        # Of the iterations on v_family(nu), 3 nu - 2 pose new systems,
+        # with or without layer skipping.  A second analysis solves them
+        # all again: no solve outlives its call.
+        calls = self._count_solves(monkeypatch)
+        for _ in range(2):
+            calls.clear()
+            result = analyze(v_family(nu), skip_optimization=skip)
+            assert result.iterations == (nu * (nu + 1) // 2 + 1 if skip else 2 ** nu)
+            assert len(calls) == 2 * (3 * nu - 2)
 
 
 def acceptance_models():

@@ -40,7 +40,7 @@ import pytest
 from vassbound import analyze, parse_vass
 from vassbound import exactlp
 from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible, max_strict_set
-from conftest import random_connected_vass, v_family
+from conftest import random_connected_vass, record_systems, v_family
 from test_exactlp import problem, random_homogeneous
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -194,14 +194,16 @@ def dense(row: dict[int, int], ncols: int) -> list[int]:
 class DenseMirror:
     """Replays every sparse solve on the dense reference and asserts the
     same result; counts the solves it compared.  `entered` lists the
-    entering columns of the unbounded pivot runs, and `last_obj` holds the
-    final objective row of the last one."""
+    entering columns of the unbounded pivot runs, `last_obj` holds the
+    final objective row of the last one, and `systems` the numbers of
+    every layer system the analysis built."""
 
     def __init__(self, monkeypatch):
         self.pivot_runs = self.replays = self.phase_ones = self.strict_sets = self.solutions = 0
         self.last_bounded = self.last_obj = None
         self.phase_one_n: Optional[int] = None  # set while a phase-1 solve runs
         self.entered: list[int] = []
+        self.systems = record_systems(monkeypatch)
         sparse_pivot = exactlp._pivot_to_optimum
         sparse_phase_one = exactlp._phase_one
         sparse_strict = exactlp._strict_candidates
@@ -275,11 +277,13 @@ def mirror(monkeypatch):
 
 def assert_analysis_mirrored(mirror, v):
     before = mirror.strict_sets
-    result = analyze(v)
-    # Each iteration solves two systems, each with one joint phase-1 solve;
-    # only the ranking system runs phase 2, the multi-cycle's strict set
-    # being its complement.  Every phase-1 pivot run is replayed exactly.
-    assert mirror.strict_sets - before == result.iterations
+    mirror.systems.clear()
+    analyze(v)
+    # Each distinct layer system is solved once, as two LPs, each with one
+    # joint phase-1 solve; only the ranking LP runs phase 2, the
+    # multi-cycle's strict set being its complement.  Every phase-1 pivot
+    # run is replayed exactly.
+    assert mirror.strict_sets - before == len(set(mirror.systems))
     assert mirror.phase_ones == mirror.solutions == 2 * mirror.strict_sets
     assert mirror.pivot_runs == mirror.phase_ones + mirror.strict_sets
     assert mirror.replays == mirror.phase_ones
@@ -407,7 +411,7 @@ def test_phase_one_work_on_the_family(monkeypatch):
     monkeypatch.setattr(exactlp, "_phase_one", counted_phase_one)
     for nu in range(1, 6):
         analyze(v_family(nu))
-    assert work == {"eliminations": 8287, "nonzeros": 125623}
+    assert work == {"eliminations": 7658, "nonzeros": 115239}
 
 
 def test_phase_two_work_on_the_family(monkeypatch):
@@ -435,4 +439,4 @@ def test_phase_two_work_on_the_family(monkeypatch):
     monkeypatch.setattr(exactlp, "_strict_candidates", counted_strict_candidates)
     for nu in range(1, 6):
         analyze(v_family(nu))
-    assert work == {"eliminations": 1912, "nonzeros": 52855}
+    assert work == {"eliminations": 1821, "nonzeros": 50025}
