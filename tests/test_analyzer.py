@@ -434,11 +434,10 @@ class TestLpSolveCount:
         sys = build_extended_system(v_run, analyze(v_run).tree, 1,
                                     {x: None for x in v_run.variables})
         loops = replace(sys, flow=tuple((0,) * len(row) for row in sys.flow))
-        solved = {}
+        solved, fresh = {}, solve_layer(loops, {})
         assert solve_layer(sys, solved)[1].ranked == {8, 9}
-        assert solve_layer(loops, solved) == solve_layer(loops, {})
-        assert solve_layer(loops, solved)[1].ranked == {8}
-        assert len(solved) == 2
+        assert fresh[1].ranked == {8}
+        assert solve_layer(loops, solved) == fresh and len(solved) == 2
 
     @pytest.mark.parametrize("skip", [True, False])
     @pytest.mark.parametrize("nu", [2, 3, 4, 5, 6])
