@@ -11,7 +11,9 @@ exponential models, before that audit was rendered from the archive.  The
 deep witness digests were recorded before the state-graph walks moved
 into `model`, and the `v_family5`..`v_family7` archive digests, whose
 iterations repeat the numbers of earlier ones, before repeated layer
-systems reused their solve.  A mismatch means an output changed, not that
+systems reused their solve.  `STRICT_SET_DIGEST` was recorded before the
+ranking's solution was read from phase 2's optimum instead of a second,
+joint solve.  A mismatch means an output changed, not that
 the digest is stale: find out which byte moved before re-recording.
 """
 
@@ -85,6 +87,13 @@ RANDOM_SUITE_JSON_DIGEST = \
 RANDOM_SUITE_WITNESS_DIGEST = \
     "1a10d9686b36175cff310b7e93a22bbe870783a725a4cd151a77162019b39df6"
 
+# Every archived layer's multi-cycle counts and both strict sets, but not
+# the ranking's (r, z), over the acceptance suite's 200 random models, then
+# v_family(1..6), running and doubling: the multi-cycle solve and both
+# maximal strict sets are pinned, and only the ranking's numbers may move.
+STRICT_SET_DIGEST = \
+    "93b915a56a49d2dfb2a7d4853237440da54c13f68f00accb87ced2ded52d0848"
+
 # Streamed witness dumps of v_family(nu) at N = 1, with their byte counts:
 # nodes spanning 7, 15 and 31 skipped layers, each dump opening with the
 # root's covering cycle.
@@ -119,6 +128,19 @@ def archive_text(result) -> str:
     return "\n".join(lines) + "\n"
 
 
+def strict_set_text(result) -> str:
+    """Canonical text of every layer's multi-cycle counts and both strict sets."""
+    lines = []
+    for rec in result.archive:
+        lines.append(f"layer {rec.layer}")
+        lines.append("counts " + repr(sorted(rec.mu.counts.items())))
+        lines.append("strict_vars " + repr(sorted(rec.mu.strict_vars)))
+        lines.append("strict_transitions " + repr(sorted(rec.mu.strict_transitions)))
+        lines.append("ranked " + repr(sorted(rec.ranking.ranked)))
+        lines.append("bounded_vars " + repr(sorted(rec.ranking.bounded_vars)))
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize("key", sorted(CLI_DIGESTS), ids="-".join)
 def test_cli_output_bytes_unchanged(key, tmp_path, capsys):
     model, command, *flags = key
@@ -150,6 +172,16 @@ def test_random_suite_json_reports_unchanged():
         v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
         reports.append(analyze(v).report.to_json(v))
     assert _digest("".join(reports)) == RANDOM_SUITE_JSON_DIGEST
+
+
+def test_strict_sets_and_multicycle_counts_unchanged():
+    rng = random.Random(20240601)
+    models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+              for _ in range(200)]
+    models += [v_family(nu) for nu in range(1, 7)]
+    models += [parse_vass(_model_text(name)) for name in ("running", "doubling")]
+    text = "".join(strict_set_text(analyze(v)) for v in models)
+    assert _digest(text) == STRICT_SET_DIGEST
 
 
 def test_random_suite_witness_dumps_unchanged():
