@@ -224,14 +224,14 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
             alive[t.tid] = t
     u = tuple(alive[tid] for tid in sorted(alive))
 
+    targets = {x: 0 if e is None else layer - e for x, e in vexp.items()}
+    copies = {target: [(node.nid, {t.tid for t in node.vass.transitions})
+                       for node in tree.nodes_at(target)] for target in set(targets.values())}
     var_ext: list[tuple[str, int]] = []
     d_ext: list[tuple[int, ...]] = []
     for i, x in enumerate(v.variables):
-        e = vexp[x]
-        target = 0 if e is None else layer - e
-        for node in tree.nodes_at(target):
-            node_tids = {t.tid for t in node.vass.transitions}
-            var_ext.append((x, node.nid))
+        for nid, node_tids in copies[targets[x]]:
+            var_ext.append((x, nid))
             d_ext.append(tuple(t.update[i] if t.tid in node_tids else 0 for t in u))
 
     flow = tuple(tuple((t.dst == s) - (t.src == s) for t in u) for s in v.states)
@@ -248,8 +248,8 @@ def _solve_multicycle(sys: ExtendedSystem, ranked_rows: frozenset[int]) -> LpSol
     No phase 2 runs: the strict set is the complement of the ranking's
     strict rows `ranked_rows`.  For feasible mu and (r, z), 0 <= r.(d_ext mu)
     = sum_j mu_j (d_ext^T r + flow^T z)_j <= 0, so their strict supports are
-    disjoint (weak duality), and the exact joint solves attaining both sets
-    prove both maximal."""
+    disjoint (weak duality).  The ranking's phase-2 optimum and this exact
+    joint solve attain both sets, so they prove both maximal."""
     names = tuple(f"mu{t.tid}" for t in sys.transitions)
     rows = [LpRow({j: a for j, a in enumerate(row) if a}, relation, 0)
             for matrix, relation in ((sys.d_ext, GE), (sys.flow, EQ)) for row in matrix]
@@ -507,12 +507,16 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
 
 
 def _assert_tree_invariants(tree: LayerTree) -> None:
-    for layer in range(tree.max_layer() + 1):
-        seen: set[str] = set()
-        for node in tree.nodes_at(layer):
-            if seen & set(node.vass.states):
-                raise InternalInvariantError(f"layer {layer} nodes share states")
-            seen.update(node.vass.states)
+    # No two nodes holding a state may share a layer.  Sorted, a state's spans
+    # first overlap between neighbours; the lowest such layer is reported.
+    spans: dict[str, list[tuple[int, int]]] = {}
+    for node in tree.nodes:
+        for s in node.vass.states:
+            spans.setdefault(s, []).append((node.first_layer, node.last_layer))
+    shared = [b[0] for held in map(sorted, spans.values())
+              for a, b in zip(held, held[1:]) if b[0] <= a[1]]
+    if shared:
+        raise InternalInvariantError(f"layer {min(shared)} nodes share states")
     for node in tree.nodes:
         if node.parent is None:
             continue

@@ -20,9 +20,9 @@ homogeneous problem, whose solution set is a cone, so "strict" may mean
 "slack >= 1".  One phase-2 simplex from the all-slack basis at the origin
 maximizes the sum of s_i subject to row_i(x) - s_i >= 0 and 0 <= s_i <= 1,
 the bounds kept by Dantzig's upper bounding (see `_strict_candidates`); on
-a cone s_i = 1 at the optimum exactly on that set.  `strict_solution` then
-solves with those rows tightened at once; a caller that knows a maximal
-strict set, as by weak duality from its Farkas dual's, calls it alone.
+a cone s_i = 1 at the optimum exactly on that set, and its x, read out and
+checked once like phase 1's, attains it.  `strict_solution` tightens a set
+known to be maximal, as by weak duality from its Farkas dual's, at once.
 """
 
 from __future__ import annotations
@@ -222,6 +222,16 @@ def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int
         basis[pivot_row] = entering
 
 
+def _basic_point(tableau: list[Row], basis: list[int], n: int, rhs: int) -> tuple[list, int]:
+    """Columns 0..n-1 at the basic solution, over the lcm of their basic entries."""
+    basic = [(b, row) for row, b in zip(tableau, basis) if b < n]
+    den = lcm(*(row[b] for b, row in basic))
+    numerators = [0] * n
+    for b, row in basic:
+        numerators[b] = row.get(rhs, 0) * (den // row[b])
+    return numerators, den
+
+
 def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int], int]]:
     """Solve A x = b, x >= 0 for feasibility; returns x or None.
 
@@ -244,14 +254,7 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
     basis = list(range(n, n + m))
     obj, _ = _pivot_to_optimum(tableau, basis, _reduce_row({j: a for j, a in obj.items() if a}), n + m)
 
-    if obj.get(n + m, 0) != 0:
-        return None
-    basic = [(b, row) for row, b in zip(tableau, basis) if b < n]
-    den = lcm(*(row[b] for b, row in basic))
-    numerators = [0] * n
-    for b, row in basic:
-        numerators[b] = row.get(n + m, 0) * (den // row[b])
-    return numerators, den
+    return None if obj.get(n + m, 0) != 0 else _basic_point(tableau, basis, n, n + m)
 
 
 def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
@@ -265,6 +268,21 @@ def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
                      if idx in row.coeffs} for row in problem.rows]
 
 
+def _solution(problem: LpProblem, strict: Sequence[int], origin: list[tuple[int, int]],
+              columns: Sequence[int], den: int) -> LpSolution:
+    """The point `columns / den` of the simplex columns `origin` (see `_split_rows`)
+    in lowest terms, with strict set `strict`, checked once, exactly, against
+    every row with those of `strict` tightened to slack >= 1."""
+    values = [0] * len(problem.variables)
+    for column_value, (var_idx, sign) in zip(columns, origin):
+        values[var_idx] += sign * column_value
+    g = gcd(den, *values)
+    values, den = [v // g for v in values], den // g
+    if not satisfies(problem.tightened(*strict), values, den):
+        raise LpInternalError("simplex produced a non-solution")
+    return LpSolution(problem.variables, tuple(values), den, frozenset(strict))
+
+
 def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
     """Some exact rational solution of the problem over the least common
     denominator of its values, checked once, or None if infeasible."""
@@ -275,23 +293,14 @@ def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
         split[i][column] = -1
     rows = [(x_part, row.rhs) for x_part, row in zip(split, problem.rows)]
     raw = _phase_one(rows, len(origin) + len(surplus))
-    if raw is None:
-        return None
-    columns, den = raw
-    values = [0] * len(problem.variables)
-    for column_value, (var_idx, sign) in zip(columns, origin):
-        values[var_idx] += sign * column_value
-    g = gcd(den, *values)
-    values, den = [v // g for v in values], den // g
-    if not satisfies(problem, values, den):
-        raise LpInternalError("simplex produced a non-solution")
-    return LpSolution(problem.variables, tuple(values), den)
+    return None if raw is None else _solution(problem, (), origin, *raw)
 
 
-def _strict_candidates(problem: LpProblem) -> list[int]:
+def _strict_candidates(problem: LpProblem) -> tuple[list[int], list, list[int], int]:
     """The candidate rows i with s_i = 1 at an optimum of
     max sum s_i  s.t.  row_i(x) - s_i >= 0,  0 <= s_i <= 1
-    over the homogeneous problem, found by one phase-2 simplex.
+    over the homogeneous problem, found by one phase-2 simplex, with the
+    optimum's x: its columns (see `_split_rows`) and numerators over one lcm.
 
     The s columns are bounded in `_pivot_to_optimum`, so s_i <= 1 takes no
     row.  Nor does the first candidate sign row a x_j >= 0 (a > 0) of a
@@ -299,6 +308,7 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
     s_i gets x_j's entries; on a cone that keeps the strict set.  Every
     other constraint is a '<=' row (an '==' row two) with right-hand side
     0 and its own slack, so the all-slack basis at the origin is feasible.
+    A flipped column takes 1 minus its read-out, a shifted one s_i + w_j.
     """
     origin, split = _split_rows(problem)
     candidates = sorted(problem.strict_candidates)
@@ -325,11 +335,15 @@ def _strict_candidates(problem: LpProblem) -> list[int]:
         row[b] = 1
     _, flipped = _pivot_to_optimum(tableau, basis, {column: -1 for column in s_column.values()},
                                    rhs, range(nx, nx + k))
-    at_one = {b: row for row, b in zip(tableau, basis) if nx <= b < nx + k and rhs in row}
+    values, den = _basic_point(tableau, basis, nx + k, rhs)  # the x and s columns
+    for j in flipped:
+        values[j] = den - values[j]
+    for j, column in shift.items():
+        values[j] += values[column]
     # By closure under addition and scaling every optimum is 0/1.
-    if any(row[rhs] != row[b] for b, row in at_one.items()):
+    if any(values[column] not in (0, den) for column in s_column.values()):
         raise LpInternalError("fractional strictness variable at the optimum")
-    return [i for i, column in s_column.items() if (column in at_one) != (column in flipped)]
+    return [i for i, column in s_column.items() if values[column]], origin, values[:nx], den
 
 
 def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:
@@ -349,12 +363,12 @@ def max_strict_set(problem: LpProblem) -> LpSolution:
 
     Requires homogeneous rows (right-hand side 0), so that the solution set
     is a cone, closed under addition and positive scaling; raises LpError
-    otherwise.  The maximal strict set comes from one phase-2 simplex (see
-    `_strict_candidates`), the solution from `strict_solution`.
+    otherwise.  One phase-2 simplex gives both the set and the solution, its
+    optimum (see `_strict_candidates`); no joint solve runs.
     """
     if any(row.rhs != 0 for row in problem.rows):
         raise LpError("maximal strict sets need homogeneous rows")
-    return strict_solution(problem, _strict_candidates(problem))
+    return _solution(problem, *_strict_candidates(problem))
 
 
 def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:

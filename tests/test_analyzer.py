@@ -247,6 +247,31 @@ class TestTree:
         assert dot.count("->") == 6
         assert "s1 s2 s3 s4" in dot
 
+    @staticmethod
+    def _chain(child_first: int):
+        """Root at layer 0, a node at layers 1-3 and its child from
+        `child_first` to 5, all holding both states of one VASS."""
+        from vassbound.analyzer import LayerTree
+
+        v, tree = parse_vass(DOUBLING_TEXT), LayerTree()
+        node = tree.add(v, tree.add(v, None, 0).nid, 1)
+        node.last_layer = 3
+        tree.add(v, node.nid, child_first).last_layer = 5
+        return tree
+
+    @pytest.mark.parametrize("child_first", [1, 2, 3])
+    def test_overlapping_spans_sharing_states_raise(self, child_first):
+        from vassbound.analyzer import InternalInvariantError, _assert_tree_invariants
+
+        with pytest.raises(InternalInvariantError,
+                           match=f"^layer {child_first} nodes share states$"):
+            _assert_tree_invariants(self._chain(child_first))
+
+    def test_touching_spans_pass(self):
+        from vassbound.analyzer import _assert_tree_invariants
+
+        _assert_tree_invariants(self._chain(4))
+
 
 class TestHelpers:
     def test_next_relevant_layer_simple(self):
@@ -298,9 +323,10 @@ class TestHelpers:
         assert not check_quasi_ranking(sys, mislabeled)
 
     def test_archived_solutions_pass_quasi_ranking_check(self, v_run):
-        result = analyze(v_run)
-        for record, sys in replay_systems(result):
-            assert check_quasi_ranking(sys, record.ranking)
+        for v in (v_run, *acceptance_models()):
+            result = analyze(v)
+            for record, sys in replay_systems(result):
+                assert check_quasi_ranking(sys, record.ranking), (v, record.layer)
 
 
 class TestInternalTripwires:
@@ -320,17 +346,23 @@ class TestInternalTripwires:
 
 
 class TestStrictSetCertificate:
-    """Phase 2 runs on the ranking system only; the multi-cycle's strict set
-    is its complement.  A phase 2 that returns a wrong set must be caught by
-    the exact joint solves, whichever way it errs."""
+    """Phase 2 runs on the ranking system only; its optimum is the ranking's
+    point, and the multi-cycle's strict set is the complement of its strict
+    set.  A phase 2 that returns a wrong set with its point must be caught,
+    whichever way it errs: a dropped member by the multi-cycle's exact joint
+    solve, an added one by the exact check of phase 2's point."""
 
     @staticmethod
     def _mutate_phase_two(monkeypatch, mutate):
         import vassbound.exactlp as exactlp_mod
 
         phase_two = exactlp_mod._strict_candidates
-        monkeypatch.setattr(exactlp_mod, "_strict_candidates",
-                            lambda problem: mutate(problem, phase_two(problem)))
+
+        def mutated(problem):
+            strict, *point = phase_two(problem)
+            return (mutate(problem, strict), *point)
+
+        monkeypatch.setattr(exactlp_mod, "_strict_candidates", mutated)
 
     @staticmethod
     def _assert_rejected(capsys, message):
@@ -360,7 +392,7 @@ class TestStrictSetCertificate:
             return sorted(strict + extra[:1])
 
         self._mutate_phase_two(monkeypatch, add)
-        self._assert_rejected(capsys, "infeasible")
+        self._assert_rejected(capsys, "non-solution")
 
     def test_derived_solve_equals_phase_two_solve(self, monkeypatch):
         import vassbound.analyzer as analyzer_mod
@@ -371,7 +403,7 @@ class TestStrictSetCertificate:
 
         def checked(problem, strict):
             solution = derive(problem, strict)
-            assert max_strict_set(problem) == solution
+            assert max_strict_set(problem).strict_set == solution.strict_set
             calls.append(problem)
             return solution
 
@@ -388,10 +420,10 @@ class TestStrictSetCertificate:
 
 
 class TestLpSolveCount:
-    """Each distinct layer system costs one joint solve per LP: the maximal
-    strict sets themselves come from the phase-2 simplex, not from
-    lp_feasible, and an iteration that repeats the numbers of an earlier
-    one reuses its solve."""
+    """Each distinct layer system costs one joint solve, the multi-cycle's:
+    the ranking's maximal strict set and its point come from the phase-2
+    simplex, not from lp_feasible, and an iteration that repeats the
+    numbers of an earlier one reuses its solve."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -411,7 +443,7 @@ class TestLpSolveCount:
         calls = self._count_solves(monkeypatch)
         result = analyze(v_family(4))
         assert result.iterations == 11
-        assert len(calls) == 20
+        assert len(calls) == 10
 
     def test_random_models(self, monkeypatch):
         calls = self._count_solves(monkeypatch)
@@ -422,7 +454,7 @@ class TestLpSolveCount:
             calls.clear()
             keys.clear()
             analyze(v)
-            assert len(calls) == 2 * len(set(keys))
+            assert len(calls) == len(set(keys))
 
     def test_reuse_needs_equal_flow_too(self, v_run):
         # Equal update rows over another flow pose another system: without
@@ -450,7 +482,7 @@ class TestLpSolveCount:
             calls.clear()
             result = analyze(v_family(nu), skip_optimization=skip)
             assert result.iterations == (nu * (nu + 1) // 2 + 1 if skip else 2 ** nu)
-            assert len(calls) == 2 * (3 * nu - 2)
+            assert len(calls) == 3 * nu - 2
 
 
 def acceptance_models():

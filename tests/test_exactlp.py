@@ -20,6 +20,7 @@ from vassbound.exactlp import (
     max_strict_set,
     satisfies,
     scale_to_integer,
+    strict_solution,
 )
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -224,6 +225,17 @@ class TestMaxStrictSet:
                 else:
                     assert lp_feasible(p.tightened(i)) is None
 
+    def test_makes_no_joint_solve(self, monkeypatch):
+        # The point comes from phase 2's own optimum, not from lp_feasible.
+        def joint_solve(problem):
+            raise AssertionError("max_strict_set called lp_feasible")
+
+        monkeypatch.setattr(exactlp, "lp_feasible", joint_solve)
+        rng = random.Random(20)
+        for _ in range(200):
+            p = random_with_sign_rows(rng)
+            assert satisfies(p, max_strict_set(p).vector(p.variables))
+
     def test_additivity_on_randoms(self):
         rng = random.Random(17)
         for _ in range(60):
@@ -235,14 +247,21 @@ class TestMaxStrictSet:
 
 class TestPhaseTwo:
     """`_strict_candidates` bounds its strictness columns in the pivot loop
-    and substitutes x_j = s_i + w_j for a candidate sign row a x_j >= 0."""
+    and substitutes x_j = s_i + w_j for a candidate sign row a x_j >= 0;
+    `max_strict_set` returns the point it reads out of the final tableau."""
 
     def test_matches_per_candidate_solves(self):
         rng = random.Random(19)
         for _ in range(2000):
             p = random_with_sign_rows(rng)
-            assert exactlp._strict_candidates(p) == sorted(
-                i for i in p.strict_candidates if lp_feasible(p.tightened(i)) is not None)
+            strict = sorted(i for i in p.strict_candidates
+                            if lp_feasible(p.tightened(i)) is not None)
+            assert exactlp._strict_candidates(p)[0] == strict
+            sol = max_strict_set(p)
+            assert sol.strict_set == set(strict)
+            assert satisfies(p.tightened(*strict), sol.numerators, sol.denominator)
+            for i in p.strict_candidates - sol.strict_set:  # zero slack
+                assert sum(a * sol.numerators[j] for j, a in p.rows[i].coeffs.items()) == 0
 
     @pytest.fixture
     def runs(self, monkeypatch):
@@ -262,23 +281,25 @@ class TestPhaseTwo:
         # Columns w, y, s0, s1, then the slack of row 1 (column 4): x >= 0
         # takes no row, and row 1 reads w + s0 - y - s1 >= 0.  Nothing stops
         # s0, so it flips at its bound; then s1's own bound ties at 1 with
-        # the slack's row and wins under its smaller index.  The basis stays.
+        # the slack's row and wins under its smaller index.  The basis stays,
+        # so w = y = 0 and s0 = s1 = 1 are read out, and x = s0 + w = 1.
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
-        assert exactlp._strict_candidates(p) == [0, 1]
+        assert exactlp._strict_candidates(p) == ([0, 1], [(0, 1), (1, 1)], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert len(tableau) == 1 and basis == [4] and flipped == {2, 3}
 
     def test_basic_column_leaves_at_its_bound(self, runs):
         # s0 (column 2) enters at 0 in the one row x - y - s0 >= 0; then x
-        # enters and raises s0 until it leaves at 1, flipped.
+        # enters and raises s0 until it leaves at 1, flipped: x = 1, y = 0.
         p = problem(["x", "y"], [((1, -1), GE, 0)], candidates=[0])
-        assert exactlp._strict_candidates(p) == [0]
+        assert exactlp._strict_candidates(p) == ([0], [(0, 1), (1, 1)], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert basis == [0] and flipped == {2}
 
     def test_joint_solves_flip_nothing(self, runs):
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
         assert max_strict_set(p).strict_set == {0, 1}
+        assert strict_solution(p, [0, 1]).strict_set == {0, 1}
         assert [flipped for _, _, flipped in runs] == [{2, 3}, set()]
 
 
@@ -305,7 +326,7 @@ class TestScaling:
 
     def test_drops_the_denominator(self):
         p = problem(["x", "y"], [((2, 0), GE, 0), ((0, 3), GE, 0)], candidates=[0, 1])
-        sol = max_strict_set(p)
+        sol = strict_solution(p, [0, 1])
         assert sol.denominator == 6 and sol.strict_set == {0, 1}
         scaled = scale_to_integer(p, sol)
         assert scaled == LpSolution(("x", "y"), (3, 2), 1, frozenset({0, 1}))
@@ -326,9 +347,10 @@ def _perturbed(numerators):
 
 
 class TestTheOneCheck:
-    """`lp_feasible` checks each solution once and nothing checks it again,
-    so a phase-1 read-out that loses a strict slack (all numerators zeroed)
-    or breaks a row (one numerator perturbed) must fail that check."""
+    """`lp_feasible` and `max_strict_set` each check their solution once and
+    nothing checks it again, so a phase-1 or phase-2 read-out that loses a
+    strict slack (all numerators zeroed) or breaks a row (one numerator
+    perturbed) must fail that check."""
 
     @pytest.fixture(params=[_zeroed, _perturbed])
     def faulty_phase_one(self, request, monkeypatch):
@@ -340,12 +362,32 @@ class TestTheOneCheck:
 
         monkeypatch.setattr(exactlp, "_phase_one", faulty)
 
-    def test_max_strict_set_raises(self, faulty_phase_one):
-        # x = y with x strict: the joint solution is x = y = 1.
+    @pytest.fixture(params=[_zeroed, _perturbed])
+    def faulty_phase_two(self, request, monkeypatch):
+        phase_two = exactlp._strict_candidates
+
+        def faulty(problem):
+            strict, origin, columns, den = phase_two(problem)
+            return strict, origin, request.param(columns), den
+
+        monkeypatch.setattr(exactlp, "_strict_candidates", faulty)
+
+    def test_lp_feasible_raises(self, faulty_phase_one):
+        # x = y with x >= 1: the solution is x = y = 1.
+        p = problem(["x", "y"], [((1, -1), EQ, 0), ((1, 0), GE, 1)])
+        with pytest.raises(LpInternalError, match="non-solution"):
+            lp_feasible(p)
+
+    def test_max_strict_set_raises(self, faulty_phase_two):
+        # x = y with x strict: phase 2's optimum is x = y = 1.
         p = problem(["x", "y"], [((1, -1), EQ, 0), ((1, 0), GE, 0)], candidates=[1])
         with pytest.raises(LpInternalError, match="non-solution"):
             max_strict_set(p)
 
     def test_analyze_exits_with_internal_error(self, faulty_phase_one, capsys):
+        assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
+        assert "internal invariant violation" in capsys.readouterr().err
+
+    def test_analyze_exits_with_internal_error_in_phase_two(self, faulty_phase_two, capsys):
         assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
         assert "internal invariant violation" in capsys.readouterr().err

@@ -255,14 +255,14 @@ class DenseMirror:
 
         def strict_candidates(lp):
             self.last_bounded = None
-            strict = sparse_strict(lp)
+            strict, *point = sparse_strict(lp)
             assert strict == _old_strict_candidates(lp)
             if self.last_bounded is not None:  # of its own phase-2 solve
                 rows, bounded = self.last_bounded
                 assert rows == _phase_two_rows(lp)
                 assert len(bounded) == len(lp.strict_candidates)
             self.strict_sets += 1
-            return strict
+            return (strict, *point)
 
         monkeypatch.setattr(exactlp, "_pivot_to_optimum", pivot)
         monkeypatch.setattr(exactlp, "_phase_one", phase_one)
@@ -279,12 +279,12 @@ def assert_analysis_mirrored(mirror, v):
     before = mirror.strict_sets
     mirror.systems.clear()
     analyze(v)
-    # Each distinct layer system is solved once, as two LPs, each with one
-    # joint phase-1 solve; only the ranking LP runs phase 2, the
-    # multi-cycle's strict set being its complement.  Every phase-1 pivot
-    # run is replayed exactly.
+    # Each distinct layer system is solved once, as two LPs: the ranking LP
+    # by phase 2 alone, whose optimum is its point, the multi-cycle LP by
+    # one joint phase-1 solve, its strict set being the complement.  Every
+    # phase-1 pivot run is replayed exactly.
     assert mirror.strict_sets - before == len(set(mirror.systems))
-    assert mirror.phase_ones == mirror.solutions == 2 * mirror.strict_sets
+    assert mirror.phase_ones == mirror.solutions == mirror.strict_sets
     assert mirror.pivot_runs == mirror.phase_ones + mirror.strict_sets
     assert mirror.replays == mirror.phase_ones
 
@@ -294,7 +294,7 @@ def test_random_suite_lps_match_dense_reference(mirror):
     for _ in range(200):
         assert_analysis_mirrored(
             mirror, random_connected_vass(rng, max_vars=3, max_transitions=6, span=2))
-    assert mirror.phase_ones > 400
+    assert mirror.phase_ones == mirror.strict_sets > 200
 
 
 @pytest.mark.parametrize("nu", [1, 2, 3, 4, 5])
@@ -313,7 +313,7 @@ def test_random_problems_match_dense_reference(mirror):
         p = random_homogeneous(rng)
         max_strict_set(p)
         lp_feasible(p.tightened(*range(len(p.rows))))
-    assert mirror.strict_sets == 120 and mirror.phase_ones == 240
+    assert mirror.strict_sets == 120 and mirror.phase_ones == 120
 
 
 class TestEdgeCases:
@@ -321,7 +321,7 @@ class TestEdgeCases:
         p = problem(["x", "y"], [])
         assert lp_feasible(p).assignment == {"x": 0, "y": 0}
         assert max_strict_set(p).strict_set == frozenset()
-        assert mirror.phase_ones == 2 and mirror.strict_sets == 1
+        assert mirror.phase_ones == 1 and mirror.strict_sets == 1
 
     @pytest.mark.parametrize("relation", [GE, EQ])
     def test_all_zero_row(self, mirror, relation):
@@ -330,7 +330,7 @@ class TestEdgeCases:
         assert max_strict_set(p).strict_set == {1}
         sol = lp_feasible(problem(["x"], [((0,), relation, -3)]))
         assert (sol is None) == (relation == EQ)
-        assert mirror.phase_ones == 2 and mirror.strict_sets == 1
+        assert mirror.phase_ones == 1 and mirror.strict_sets == 1
 
     def test_negative_right_hand_side_flips_the_row(self, mirror):
         p = problem(["x", "y"], [((-1, -2), GE, -7), ((1, -1), EQ, -1),
@@ -352,7 +352,7 @@ class TestEdgeCases:
                     nonneg=(False, True))
         sol = max_strict_set(p)
         assert sol.strict_set == frozenset()
-        assert mirror.strict_sets == 1 and mirror.phase_ones == 1
+        assert mirror.strict_sets == 1 and mirror.phase_ones == 0
 
 
 class TestStopRule:
@@ -411,7 +411,7 @@ def test_phase_one_work_on_the_family(monkeypatch):
     monkeypatch.setattr(exactlp, "_phase_one", counted_phase_one)
     for nu in range(1, 6):
         analyze(v_family(nu))
-    assert work == {"eliminations": 7658, "nonzeros": 115239}
+    assert work == {"eliminations": 4788, "nonzeros": 69145}
 
 
 def test_phase_two_work_on_the_family(monkeypatch):
