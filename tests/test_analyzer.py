@@ -248,29 +248,32 @@ class TestTree:
         assert "s1 s2 s3 s4" in dot
 
     @staticmethod
-    def _chain(child_first: int):
-        """Root at layer 0, a node at layers 1-3 and its child from
-        `child_first` to 5, all holding both states of one VASS."""
+    def _chain(*spans):
+        """A root at layer 0 and a chain of descendants with the given
+        (first, last) layer spans, all holding both states of one VASS."""
         from vassbound.analyzer import LayerTree
 
         v, tree = parse_vass(DOUBLING_TEXT), LayerTree()
-        node = tree.add(v, tree.add(v, None, 0).nid, 1)
-        node.last_layer = 3
-        tree.add(v, node.nid, child_first).last_layer = 5
+        node = tree.add(v, None, 0)
+        for first, last in spans:
+            node = tree.add(v, node.nid, first)
+            node.last_layer = last
         return tree
 
     @pytest.mark.parametrize("child_first", [1, 2, 3])
     def test_overlapping_spans_sharing_states_raise(self, child_first):
+        # The middle node shares layers child_first..3 with its parent and
+        # layer 5 with its child; the lowest shared layer is reported.
         from vassbound.analyzer import InternalInvariantError, _assert_tree_invariants
 
         with pytest.raises(InternalInvariantError,
                            match=f"^layer {child_first} nodes share states$"):
-            _assert_tree_invariants(self._chain(child_first))
+            _assert_tree_invariants(self._chain((1, 3), (child_first, 5), (5, 6)))
 
     def test_touching_spans_pass(self):
         from vassbound.analyzer import _assert_tree_invariants
 
-        _assert_tree_invariants(self._chain(4))
+        _assert_tree_invariants(self._chain((1, 3), (4, 5), (6, 6)))
 
 
 class TestHelpers:
