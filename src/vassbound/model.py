@@ -342,6 +342,8 @@ def _bfs_tree(out_edges: Mapping[str, list[Transition]],
 
 def unconnected_pair(v: Vass) -> Optional[tuple[str, str]]:
     """Some ordered state pair (s, s') with no path s -> s', or None."""
+    if len(v.states) < 2 or [c for c, _ in scc_decompose(v.states, v.transitions)] == [v.states]:
+        return None
     out = _out_edges(v)
     for s in v.states:
         dist, _ = _bfs_tree(out, s)
@@ -356,72 +358,52 @@ def validate_connected(v: Vass) -> bool:
     return unconnected_pair(v) is None
 
 
+def _finish_order(adjacent: Mapping[str, list[str]], roots: Iterable[str], seen: set[str]) -> list[str]:
+    """The states reachable from `roots` and not in `seen`, in the order a
+    depth-first walk finishes them; each is added to `seen`.  The walk keeps
+    (state, iterator over its neighbours) pairs on an explicit stack."""
+    order, stack = [], [(None, iter(roots))]  # a pseudo-state whose neighbours are the roots
+    while stack:
+        state, children = stack[-1]
+        for child in children:
+            if child not in seen:
+                seen.add(child)
+                stack.append((child, iter(adjacent[child])))
+                break
+        else:
+            stack.pop()
+            order.append(state)
+    return order[:-1]
+
+
 def scc_decompose(states: Iterable[str], transitions: Iterable[Transition]) -> list[tuple[tuple[str, ...], tuple[Transition, ...]]]:
     """Maximal strongly connected sub-VASSs with at least one transition.
 
     Returns (sorted states, transitions in id order) pairs, ordered by the
-    smallest contained state name.  Iterative Tarjan; deterministic.
+    smallest contained state name.  Kosaraju-Sharir, linear in states plus
+    transitions: a walk along the edges records the states' finish order,
+    and walks against the edges, from each state in reverse finish order,
+    collect the states each reaches first as one component under it as
+    leader.  Every walk keeps an explicit stack (`_finish_order`).
     """
-    state_list = sorted(set(states))
-    trans = sorted(transitions, key=lambda t: t.tid)
-    succ: dict[str, list[str]] = {s: [] for s in state_list}
+    succ: dict[str, list[str]] = {s: [] for s in sorted(set(states))}
+    pred: dict[str, list[str]] = {s: [] for s in succ}
+    trans = sorted((t for t in transitions if t.src in succ and t.dst in succ), key=lambda t: t.tid)
     for t in trans:
-        if t.src in succ and t.dst in succ:
-            succ[t.src].append(t.dst)
-
-    index: dict[str, int] = {}
-    lowlink: dict[str, int] = {}
-    on_stack: set[str] = set()
-    stack: list[str] = []
-    counter = 0
-    components: list[set[str]] = []
-
-    for root in state_list:
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        while work:
-            node, child_i = work[-1]
-            if child_i == 0:
-                index[node] = lowlink[node] = counter
-                counter += 1
-                stack.append(node)
-                on_stack.add(node)
-            advanced = False
-            children = succ[node]
-            while child_i < len(children):
-                child = children[child_i]
-                child_i += 1
-                if child not in index:
-                    work[-1] = (node, child_i)
-                    work.append((child, 0))
-                    advanced = True
-                    break
-                if child in on_stack:
-                    lowlink[node] = min(lowlink[node], index[child])
-            if advanced:
-                continue
-            work.pop()
-            if lowlink[node] == index[node]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == node:
-                        break
-                components.append(comp)
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[node])
-
-    result = []
-    for comp in components:
-        internal = tuple(t for t in trans if t.src in comp and t.dst in comp)
-        if internal:
-            result.append((tuple(sorted(comp)), internal))
-    result.sort(key=lambda pair: pair[0][0])
-    return result
+        succ[t.src].append(t.dst)
+        pred[t.dst].append(t.src)
+    leader: dict[str, str] = {}
+    members: dict[str, list[str]] = {}
+    seen: set[str] = set()
+    for root in reversed(_finish_order(succ, succ, set())):
+        if root not in seen:
+            members[root] = _finish_order(pred, (root,), seen)
+            leader.update(dict.fromkeys(members[root], root))
+    internal: dict[str, list[Transition]] = {}
+    for t in trans:
+        if leader[t.src] == leader[t.dst]:
+            internal.setdefault(leader[t.src], []).append(t)
+    return sorted((tuple(sorted(members[root])), tuple(ts)) for root, ts in internal.items())
 
 
 def execute_path(v: Vass, start: Valuation, p: PrePath) -> Optional[Valuation]:

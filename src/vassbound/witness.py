@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from operator import add
 from typing import Iterator, Mapping, Optional, Sequence
 
@@ -149,8 +149,9 @@ class Repeat(_Program):
 
 
 def _leaves(program: _Program, short: int = 0) -> Iterator[_Program]:
-    """The leaves in path order, by an explicit stack; a repeat whose body
-    has fewer than `short` steps is yielded whole."""
+    """The leaves in path order, by an explicit stack of iterators; `Seq`
+    parts and repeats of count 1 are walked in place, and any other repeat
+    whose body has fewer than `short` steps is yielded whole."""
     stack = [iter((program,))]
     while stack:
         node = next(stack[-1], None)
@@ -158,29 +159,19 @@ def _leaves(program: _Program, short: int = 0) -> Iterator[_Program]:
             stack.pop()
         elif isinstance(node, Seq):
             stack.append(iter(node.parts))
-        elif isinstance(node, Repeat) and node.body.length >= short:
+        elif isinstance(node, Repeat) and (node.count == 1 or node.body.length >= short):
             stack.append(repeat(node.body, node.count))
         else:
             yield node
 
 
 def _text(program: _Program) -> str:
-    """The program's dump lines by an explicit stack, as in `_leaves`, each
-    repeat of count >= 2 rendered once and multiplied.  Only those recurse,
-    each halving the length, so the depth is at most log2 of the length."""
-    pieces, stack = [], [iter((program,))]
-    while stack:
-        node = next(stack[-1], None)
-        if node is None:
-            stack.pop()
-        elif isinstance(node, Seq):
-            stack.append(iter(node.parts))
-        elif isinstance(node, Leaf):
-            pieces.append(node.text)
-        elif node.count == 1:
-            stack.append(iter((node.body,)))
-        else:
-            pieces.append(_text(node.body) * node.count)
+    """The program's dump lines: each leaf's text, and each repeat of count
+    >= 2 rendered once and multiplied.  Only those recurse, each halving the
+    length, so the depth is at most log2 of the length."""
+    pieces = []
+    for node in _leaves(program, program.length + 1):
+        pieces.append(node.text if isinstance(node, Leaf) else _text(node.body) * node.count)
     return "".join(pieces)
 
 
@@ -270,37 +261,30 @@ class WitnessVerification:
 
 def _euler_cycle(start: str, edges: Sequence[Transition],
                  counts: Mapping[int, int]) -> list[Transition]:
-    """Eulerian circuit over a balanced multigraph, one edge copy per count.
+    """Eulerian circuit over a balanced multigraph, one edge copy per count
+    (Hierholzer's algorithm on an explicit stack).
 
-    Edges at each state are consumed in transition-id order, so the circuit
-    is deterministic."""
-    remaining: dict[str, list[list]] = {}
-    total = 0
+    Each state keeps one iterator over its edge copies in transition-id
+    order, each edge repeated `count` times, so at every state the copies
+    of lower-id edges are taken first and the circuit is deterministic."""
+    copies: dict[str, list[Iterator[Transition]]] = {}
     for t in sorted(edges, key=lambda t: t.tid):
-        c = counts.get(t.tid, 0)
-        if c > 0:
-            remaining.setdefault(t.src, []).append([t, c])
-            total += c
+        copies.setdefault(t.src, []).append(repeat(t, counts.get(t.tid, 0)))
+    out = {s: chain.from_iterable(its) for s, its in copies.items()}
     stack: list[tuple[str, Optional[Transition]]] = [(start, None)]
     reversed_circuit: list[Transition] = []
     while stack:
         state, via = stack[-1]
-        chosen = None
-        for slot in remaining.get(state, ()):
-            if slot[1] > 0:
-                chosen = slot[0]
-                slot[1] -= 1
-                break
+        chosen = next(out.get(state, iter(())), None)
         if chosen is None:
             stack.pop()
             if via is not None:
                 reversed_circuit.append(via)
         else:
             stack.append((chosen.dst, chosen))
-    circuit = list(reversed(reversed_circuit))
-    if len(circuit) != total:
+    if len(reversed_circuit) != sum(max(counts.get(t.tid, 0), 0) for t in edges):
         raise WitnessError("multigraph is not connected on its support")
-    return circuit
+    return reversed_circuit[::-1]
 
 
 def multicycle_from_solution(v: Vass, transitions: Sequence[Transition],

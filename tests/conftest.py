@@ -1,9 +1,11 @@
 """Shared fixtures: the two worked examples, a family generator with
 exponents growing exponentially in the dimension, a seeded random VASS
-generator for property sweeps, and a recorder of the layer systems an
-analysis builds."""
+generator for property sweeps, a recorder of the layer systems an
+analysis builds, and a runner under a shallow recursion limit."""
 
+import inspect
 import random
+import sys
 
 import pytest
 
@@ -61,6 +63,17 @@ def v_family(nu: int) -> Vass:
             triples.append((f"s{i}1", upd(**{f"x{i}1": -1}), f"s{i+1}1"))
             triples.append((f"s{i+1}2", upd(), f"s{i}2"))
     return Vass.from_triples(variables, triples)
+
+
+def without_deep_recursion(fn, *args):
+    """fn(*args) under a recursion limit 40 frames above the caller's depth,
+    so a walk that recurses per state or per edge fails on a large input."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        return fn(*args)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def random_connected_vass(rng: random.Random, max_vars=3, max_states=4,

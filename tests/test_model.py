@@ -23,7 +23,7 @@ from vassbound import (
     unconnected_pair,
     validate_connected,
 )
-from conftest import V_RUN_TEXT, random_connected_vass
+from conftest import V_RUN_TEXT, random_connected_vass, without_deep_recursion
 
 # Update and flow matrices of the running example's first iteration, rows
 # x/y/z resp. s1..s4, columns in file order.
@@ -185,6 +185,15 @@ class TestConnectivity:
             outcomes.add(expected is None)
         assert outcomes == {True, False}
 
+    def test_long_ring_needs_no_pairwise_search(self):
+        """A 3,000-state ring is found connected by its one component; with
+        one edge cut, the pair is still the first in state order."""
+        n = 3000
+        ring = [(f"q{i:04d}", (0,), f"q{(i + 1) % n:04d}") for i in range(n)]
+        assert unconnected_pair(Vass.from_triples(["x"], ring)) is None
+        cut = Vass.from_triples(["x"], ring[:1499] + ring[1500:])  # no q1499 -> q1500
+        assert unconnected_pair(cut) == ("q0000", "q1500")
+
 
 class TestMatrices:
     def test_update_matrix_running_example(self, v_run):
@@ -298,6 +307,26 @@ class TestSccDecomposition:
             drop = {t.tid for t in v.transitions if rng.random() < 0.5}
             kept = [t for t in v.transitions if t.tid not in drop]
             assert scc_decompose(v.states, kept) == closure_sccs(v.states, kept)
+        # Arbitrary digraphs, disconnected ones and isolated states included.
+        component_counts = set()
+        for _ in range(150):
+            states = [f"s{i}" for i in range(rng.randint(1, 9))]
+            triples = [(rng.choice(states), (i,), rng.choice(states))
+                       for i in range(rng.randint(0, 20))]
+            v = Vass.from_triples(["x"], triples, extra_states=states)
+            expected = closure_sccs(v.states, v.transitions)
+            assert scc_decompose(v.states, v.transitions) == expected
+            component_counts.add(min(len(expected), 2))
+        assert component_counts == {0, 1, 2}
+
+    def test_long_chain_and_ring_need_no_recursion(self):
+        n = 5000
+        states = [f"q{i:04d}" for i in range(n)]
+        chain = Vass.from_triples(["x"], [(states[i], (0,), states[i + 1]) for i in range(n - 1)])
+        ring = Vass.from_triples(["x"], [(states[i], (0,), states[(i + 1) % n]) for i in range(n)])
+        assert without_deep_recursion(scc_decompose, chain.states, chain.transitions) == []
+        assert without_deep_recursion(scc_decompose, ring.states, ring.transitions) == \
+            [(ring.states, ring.transitions)]
 
 
 class TestExecution:

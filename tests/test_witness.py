@@ -26,9 +26,9 @@ from vassbound import (
     parse_vass,
     verify_witness,
 )
-from vassbound.witness import CertificateError, WitnessError, WitnessPath, _Builder
+from vassbound.witness import CertificateError, WitnessError, WitnessPath, _Builder, _euler_cycle
 from vassbound.model import VassError
-from conftest import prepath_steps, random_connected_vass, v_family
+from conftest import prepath_steps, random_connected_vass, v_family, without_deep_recursion
 
 SAMPLES = FilePath(__file__).resolve().parent.parent / "samples"
 
@@ -65,6 +65,34 @@ class TestMultiCycleExtraction:
         cycles = multicycle_from_solution(v_run, v_run.transitions, HAND_MU)
         instances = sum((c.instances() for c in cycles), Counter())
         assert dict(instances) == {t: c for t, c in HAND_MU.items() if c}
+
+    def test_euler_order_takes_lower_ids_first_and_consecutively(self):
+        """At each state the walk takes the copies of the lowest-id edge left
+        first: a -> b -> a twice, then a -> c -> a, where it is stuck.  The
+        edges left over (b's three self-loops, in a row) are spliced in at
+        the last visit to b, as Hierholzer's algorithm backs up."""
+        v = Vass.from_triples(["x"], [("a", (0,), "b"), ("b", (0,), "a"), ("a", (0,), "c"),
+                                      ("c", (0,), "a"), ("b", (0,), "b")])
+        circuit = _euler_cycle("a", v.transitions[::-1], {0: 2, 1: 2, 2: 1, 3: 1, 4: 3})
+        assert [t.tid for t in circuit] == [0, 1, 0, 4, 4, 4, 1, 2, 3]
+
+    def test_euler_rejects_a_support_in_two_pieces(self):
+        v = Vass.from_triples(["x"], [("a", (0,), "b"), ("b", (0,), "a"),
+                                      ("c", (0,), "d"), ("d", (0,), "c")])
+        with pytest.raises(WitnessError, match="not connected"):
+            _euler_cycle("a", v.transitions, {0: 1, 1: 1, 2: 1, 3: 1})
+
+    def test_long_ring_and_large_counts_need_no_recursion(self):
+        n = 5000
+        states = [f"q{i:04d}" for i in range(n)]
+        ring = Vass.from_triples(["x"], [(states[i], (1,), states[(i + 1) % n]) for i in range(n)])
+        (cycle,) = without_deep_recursion(multicycle_from_solution, ring, ring.transitions,
+                                          {t.tid: 1 for t in ring.transitions})
+        assert cycle.start == "q0000" and cycle.steps == ring.transitions
+        pair = Vass.from_triples(["x"], [("a", (1,), "b"), ("b", (-1,), "a")])
+        (cycle,) = without_deep_recursion(multicycle_from_solution, pair, pair.transitions,
+                                          {0: 100_000, 1: 100_000})
+        assert cycle.steps == pair.transitions * 100_000
 
 
 class TestCoveringCycle:
