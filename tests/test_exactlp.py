@@ -303,6 +303,62 @@ class TestPhaseTwo:
         assert [flipped for _, _, flipped in runs] == [{2, 3}, set()]
 
 
+class TestInertRowsAndColumns:
+    """A row with no variable, and a candidate column seen only in its own
+    sign row, cannot move a solve's point.  The row's surplus has no entry
+    outside its own row; the column's strictness variable has no entry in
+    any row.  Adding either, anywhere, keeps every relative column order,
+    so the point, and the mapped strict set, must stay as they were."""
+
+    @staticmethod
+    def with_right_hand_sides(rng, p):
+        rows = tuple(LpRow(row.coeffs, row.relation, rng.choice((0, 0, 1, -1, 2)))
+                     for row in p.rows)
+        return LpProblem(p.variables, p.nonneg, rows)
+
+    def test_empty_rows_leave_the_feasible_point(self):
+        rng = random.Random(21)
+        for _ in range(600):
+            p = random_homogeneous(rng)
+            p = self.with_right_hand_sides(rng, p) if rng.random() < 0.7 else p
+            rows = list(p.rows)
+            for _ in range(rng.randint(1, 3)):
+                relation = rng.choice((GE, EQ))
+                rhs = rng.choice((0, 0, -1, -2)) if relation == GE else 0
+                rows.insert(rng.randint(0, len(rows)), LpRow({}, relation, rhs))
+            assert lp_feasible(LpProblem(p.variables, p.nonneg, tuple(rows))) == lp_feasible(p)
+
+    @pytest.mark.parametrize("relation, rhs", [(GE, 1), (EQ, 1), (EQ, -1)])
+    def test_a_failing_empty_row_is_infeasible(self, relation, rhs):
+        p = problem(["x", "y"], [((1, -1), GE, 1), ((0, 0), relation, rhs), ((1, 1), EQ, 3)])
+        assert lp_feasible(p) is None
+
+    def test_lone_sign_columns_leave_the_strict_set(self):
+        rng = random.Random(22)
+        for trial in range(600):
+            p = (random_homogeneous if trial % 2 else random_with_sign_rows)(rng)
+            fresh = [f"f{k}" for k in range(rng.randint(1, 3))]
+            order = [*p.variables]
+            for name in fresh:
+                order.insert(rng.randint(0, len(order)), name)
+            column = {name: j for j, name in enumerate(order)}
+            rows = [(i, LpRow({column[p.variables[j]]: a for j, a in row.coeffs.items()},
+                              row.relation, 0)) for i, row in enumerate(p.rows)]
+            for name in fresh:
+                rows.insert(rng.randint(0, len(rows)),
+                            (None, LpRow({column[name]: rng.choice((1, 2))}, GE, 0)))
+            nonneg = dict(zip(p.variables, p.nonneg))
+            q = LpProblem(tuple(order), tuple(nonneg.get(name, True) for name in order),
+                          tuple(row for _, row in rows),
+                          frozenset(k for k, (i, _) in enumerate(rows)
+                                    if i is None or i in p.strict_candidates))
+            sol, padded = max_strict_set(p), max_strict_set(q)
+            assert padded.strict_set == {k for k, (i, _) in enumerate(rows)
+                                         if i is None or i in sol.strict_set}
+            assert padded.vector(p.variables) == sol.vector(p.variables)
+            assert padded.vector(fresh) == (1,) * len(fresh)
+
+
 class TestScaling:
     """`lp_feasible` reads each solution out over the least common
     denominator of its values; `scale_to_integer` drops that denominator."""
