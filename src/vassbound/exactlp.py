@@ -8,12 +8,16 @@ by their gcd first.  `lp_feasible` finds a basic solution with a phase-1
 simplex, reads it out as integer numerators over one denominator and checks
 it once, exactly, against every row; only `LpSolution` builds `Fraction`s.
 
-Phase 1 stores no artificial column and stops at the first basis with no
-negative structural reduced cost.  There its duals y have A^T y <= 0, so a
-feasible x* >= 0 gives w = y^T b = y^T A x* <= 0: the sum w of the
-artificials is 0, or w > 0 proves the problem infeasible (weak duality).
-Bland's rule enters structural columns before artificial ones, so each
-pivot up to there is the textbook loop's, and each one after it has step 0.
+Phase 1 stores no artificial column.  It stops at the first basis where
+the sum w of the artificials is 0, or where no structural reduced cost is
+negative with w > 0: there the duals y have A^T y <= 0, so a feasible
+x* >= 0 would give w = y^T b = y^T A x* <= 0 (weak duality).  Bland's rule
+enters structural columns before artificial ones, so each pivot up to there
+is the textbook loop's, which pivots on from w = 0 at step 0 only (a step t
+on reduced cost d < 0 changes w >= 0 by t d) and so ends at the same point.
+`lp_feasible` decides a row with no variable alone, as its surplus has no
+entry outside its row; `_strict_candidates` flips at once each strictness
+column that no row holds.  Either keeps every order Bland's rule reads.
 
 `max_strict_set` finds the unique maximal set of strict candidate rows of a
 homogeneous problem, whose solution set is a cone, so "strict" may mean
@@ -27,7 +31,7 @@ known to be maximal, as by weak duality from its Farkas dual's, at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
@@ -130,11 +134,14 @@ class LpSolution:
         return tuple(assignment[x] for x in variables)
 
 
-def satisfies(problem: LpProblem, values: Sequence, denominator: int = 1) -> bool:
-    """Exact check of every row at `values / denominator` (no tolerances);
-    `values` may be rationals, or integer numerators over `denominator`."""
-    for row in problem.rows:
-        lhs, rhs = sum([a * values[j] for j, a in row.coeffs.items()]), row.rhs * denominator
+def satisfies(problem: LpProblem, values: Sequence, denominator: int = 1,
+              strict: frozenset[int] = frozenset()) -> bool:
+    """Exact check of every row at `values / denominator` (no tolerances),
+    the rows in `strict` at slack >= 1; `values` may be rationals, or
+    integer numerators over `denominator`."""
+    for i, row in enumerate(problem.rows):
+        lhs = sum([a * values[j] for j, a in row.coeffs.items()])
+        rhs = (row.rhs + (i in strict)) * denominator
         if not (lhs >= rhs if row.relation == GE else lhs == rhs):
             return False
     return True
@@ -167,8 +174,9 @@ def _flip(row: Row, j: int, rhs: int) -> None:
 
 
 def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int,
-                      bounded: range = range(0)) -> tuple[Row, set[int]]:
-    """Pivot until no reduced cost in the objective row `obj` is negative.
+                      bounded: range = range(0), stop_at_zero: bool = False) -> tuple[Row, set[int]]:
+    """Pivot until no reduced cost in the objective row `obj` is negative,
+    or, with `stop_at_zero` (phase 1), until `obj` has no right-hand side.
 
     Every row, `obj` too, maps its non-zero columns to ints, with the
     right-hand side under key `ncols`, and may carry any positive scale.
@@ -192,7 +200,7 @@ def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int
     flipped: set[int] = set()
     while True:
         entering = min([j for j, a in obj.items() if a < 0], default=ncols)
-        if entering == ncols:
+        if entering == ncols or (stop_at_zero and ncols not in obj):
             return obj, flipped
         column = [i for i, row in enumerate(tableau) if entering in row]
         pivot_row, leaving, best_num, best_den = -1, entering if entering in bounded else -1, 1, 1
@@ -237,9 +245,12 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
 
     Each of `rows` holds the non-zeros of one row of A over the `n` columns,
     a dict the tableau takes over, and its entry of b; artificial i is basic
-    as the label n + i but has no column (see the module docstring).  x comes
-    as integer numerators over the lcm of the positive basic diagonal entries.
+    as the label n + i but has no column; b = 0 gives the origin at once
+    (see the module docstring).  x comes as integer numerators over the
+    lcm of the positive basic diagonal entries.
     """
+    if not any(rhs for _, rhs in rows):
+        return [0] * n, 1
     m = len(rows)
     tableau: list[Row] = []
     # Minimize w, priced out of the basis: minus the sum of the unreduced rows.
@@ -252,9 +263,9 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
             obj[j] = obj.get(j, 0) - a
         tableau.append(_reduce_row(row))
     basis = list(range(n, n + m))
-    obj, _ = _pivot_to_optimum(tableau, basis, _reduce_row({j: a for j, a in obj.items() if a}), n + m)
-
-    return None if obj.get(n + m, 0) != 0 else _basic_point(tableau, basis, n, n + m)
+    obj, _ = _pivot_to_optimum(tableau, basis, _reduce_row({j: a for j, a in obj.items() if a}), n + m,
+                               stop_at_zero=True)
+    return None if n + m in obj else _basic_point(tableau, basis, n, n + m)
 
 
 def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
@@ -276,23 +287,25 @@ def _solution(problem: LpProblem, strict: Sequence[int], origin: list[tuple[int,
     values = [0] * len(problem.variables)
     for column_value, (var_idx, sign) in zip(columns, origin):
         values[var_idx] += sign * column_value
-    g = gcd(den, *values)
+    g, strict = gcd(den, *values), frozenset(strict)
     values, den = [v // g for v in values], den // g
-    if not satisfies(problem.tightened(*strict), values, den):
+    if not satisfies(problem, values, den, strict):
         raise LpInternalError("simplex produced a non-solution")
-    return LpSolution(problem.variables, tuple(values), den, frozenset(strict))
+    return LpSolution(problem.variables, tuple(values), den, strict)
 
 
 def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
     """Some exact rational solution of the problem over the least common
     denominator of its values, checked once, or None if infeasible."""
     origin, split = _split_rows(problem)
-    # One surplus column (-1 in its own row) per '>=' row.
-    surplus = [i for i, row in enumerate(problem.rows) if row.relation == GE]
-    for column, i in enumerate(surplus, len(origin)):
-        split[i][column] = -1
-    rows = [(x_part, row.rhs) for x_part, row in zip(split, problem.rows)]
-    raw = _phase_one(rows, len(origin) + len(surplus))
+    pairs = list(zip(split, problem.rows))
+    if any(not x_part and (row.rhs > 0 or (row.rhs and row.relation == EQ)) for x_part, row in pairs):
+        return None  # a row with no variable fails 0 >= rhs or 0 == rhs
+    # One surplus column (-1 in its own row) per '>=' row with a variable.
+    surplus = [x_part for x_part, row in pairs if x_part and row.relation == GE]
+    for column, x_part in enumerate(surplus, len(origin)):
+        x_part[column] = -1
+    raw = _phase_one([(x_part, row.rhs) for x_part, row in pairs if x_part], len(origin) + len(surplus))
     return None if raw is None else _solution(problem, (), origin, *raw)
 
 
@@ -309,6 +322,9 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list, list[int], 
     other constraint is a '<=' row (an '==' row two) with right-hand side
     0 and its own slack, so the all-slack basis at the origin is feasible.
     A flipped column takes 1 minus its read-out, a shifted one s_i + w_j.
+    An s column that no row holds (x_j's sign row was its only row) flips
+    at once, off the objective: Bland's rule would enter it, find no row
+    and flip it, moving nothing else.
     """
     origin, split = _split_rows(problem)
     candidates = sorted(problem.strict_candidates)
@@ -333,10 +349,11 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list, list[int], 
     basis = list(range(nx + k, rhs))  # each row's own slack, with entry 1
     for row, b in zip(tableau, basis):
         row[b] = 1
-    _, flipped = _pivot_to_optimum(tableau, basis, {column: -1 for column in s_column.values()},
-                                   rhs, range(nx, nx + k))
+    inert = set(s_column.values()).difference(*tableau)
+    obj = {column: -1 for column in s_column.values() if column not in inert}
+    _, flipped = _pivot_to_optimum(tableau, basis, obj, rhs, range(nx, nx + k))
     values, den = _basic_point(tableau, basis, nx + k, rhs)  # the x and s columns
-    for j in flipped:
+    for j in flipped | inert:
         values[j] = den - values[j]
     for j, column in shift.items():
         values[j] += values[column]
@@ -355,7 +372,7 @@ def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:
     joint = lp_feasible(problem.tightened(*strict))
     if joint is None:
         raise LpInternalError("jointly tightened strict rows are infeasible")
-    return replace(joint, strict_set=frozenset(strict))
+    return LpSolution(joint.variables, joint.numerators, joint.denominator, frozenset(strict))
 
 
 def max_strict_set(problem: LpProblem) -> LpSolution:
@@ -382,4 +399,4 @@ def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
     for row in problem.rows:
         if row.rhs != 0 and not (row.relation == GE and row.rhs == 1):
             raise LpError("scaling needs homogeneous rows")
-    return replace(solution, denominator=1)
+    return LpSolution(solution.variables, solution.numerators, 1, solution.strict_set)

@@ -9,9 +9,9 @@ This module provides the immutable model types, the line-based text format,
 strongly-connected-component decomposition, and path execution semantics.
 It also holds the package's shared state-graph helpers: `_out_edges`
 indexes each state's outgoing transitions, which the oracle's search also
-walks, and `_bfs_tree` searches breadth-first from one state for
-`unconnected_pair` and the witness's covering cycle.  All types are
-immutable after construction and every operation here is a pure function.
+walks, and `_bfs_tree` searches breadth-first from one state for the
+witness's covering cycle.  All types are immutable after construction and
+every operation here is a pure function.
 """
 
 from __future__ import annotations
@@ -341,16 +341,26 @@ def _bfs_tree(out_edges: Mapping[str, list[Transition]],
 
 
 def unconnected_pair(v: Vass) -> Optional[tuple[str, str]]:
-    """Some ordered state pair (s, s') with no path s -> s', or None."""
-    if len(v.states) < 2 or [c for c, _ in scc_decompose(v.states, v.transitions)] == [v.states]:
+    """The first state s that does not reach every state, and the first
+    state that s does not reach; or None.  A state reaches every state just
+    when its component is the condensation's only source.  The state that a
+    depth-first walk finishes last lies in a source.  If it reaches every
+    state, the states that reach it form the only source; if not, there are
+    several sources, and no state reaches every state."""
+    if len(v.states) < 2:
         return None
-    out = _out_edges(v)
-    for s in v.states:
-        dist, _ = _bfs_tree(out, s)
-        for s2 in v.states:
-            if s2 not in dist:
-                return (s, s2)
-    return None
+    succ = {s: [t.dst for t in ts] for s, ts in _out_edges(v).items()}
+    pred: dict[str, list[str]] = {s: [] for s in v.states}
+    for t in v.transitions:
+        pred[t.dst].append(t.src)
+    last = _finish_order(succ, v.states, set())[-1:]
+    only = len(_finish_order(succ, last, set())) == len(v.states)
+    source = set(_finish_order(pred, last, set()) if only else ())
+    s = next((u for u in v.states if u not in source), None)
+    if s is None:
+        return None
+    reached = set(_finish_order(succ, [s], set()))
+    return s, next(u for u in v.states if u not in reached)
 
 
 def validate_connected(v: Vass) -> bool:

@@ -30,6 +30,7 @@ and checks the two growth conditions that force 2^Omega(N) complexity.
 
 from __future__ import annotations
 
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
@@ -86,6 +87,8 @@ class _Program:
     anchor = property(lambda self: self.start)
 
     def __len__(self) -> int:
+        if self.length > sys.maxsize:
+            raise WitnessError(f"path of {self.length} steps is too long for len(); read .length")
         return self.length
 
     def __iter__(self) -> Iterator[Transition]:

@@ -269,8 +269,8 @@ class TestPhaseTwo:
         records = []
         pivot = exactlp._pivot_to_optimum
 
-        def recorded(tableau, basis, obj, ncols, bounded=range(0)):
-            final, flipped = pivot(tableau, basis, obj, ncols, bounded)
+        def recorded(tableau, basis, obj, ncols, bounded=range(0), stop_at_zero=False):
+            final, flipped = pivot(tableau, basis, obj, ncols, bounded, stop_at_zero)
             records.append((tableau, basis, flipped))
             return final, flipped
 

@@ -2,6 +2,7 @@
 semantics."""
 
 import random
+import time
 
 import pytest
 
@@ -193,6 +194,17 @@ class TestConnectivity:
         assert unconnected_pair(Vass.from_triples(["x"], ring)) is None
         cut = Vass.from_triples(["x"], ring[:1499] + ring[1500:])  # no q1499 -> q1500
         assert unconnected_pair(cut) == ("q0000", "q1500")
+
+    def test_ring_with_a_sink_needs_no_search_per_state(self):
+        """Every state of a 3,000-state ring reaches a sink z through a0000,
+        so the pair is z and the first ring state.  The state order alone
+        would search from each of the 3,000 ring states first."""
+        n = 3000
+        ring = [(f"a{i:04d}", (0,), f"a{(i + 1) % n:04d}") for i in range(n)]
+        v = Vass.from_triples(["x"], ring + [("a0000", (0,), "z")])
+        start = time.perf_counter()
+        assert unconnected_pair(v) == ("z", "a0000")
+        assert time.perf_counter() - start < 0.5
 
 
 class TestMatrices:

@@ -22,11 +22,14 @@ every LP that `analyze` builds for the random suite, `v_family(1..5)` and
 both samples, and over edge cases the analysis never builds.  It also
 checks that every solution `lp_feasible` returns is in lowest terms.
 
-The sparse phase 1 carries no artificial columns and stops at the first
-basis where no structural reduced cost is negative; the reference phase 1
-keeps them and may pivot on, bringing artificial columns in without
-moving the point.  The mirror asserts that no phase-1 row stores an
-artificial column, and the two must still name the same point.
+The sparse phase 1 carries no artificial columns.  It stops at the first
+basis where the artificial sum w is 0, or where no structural reduced cost
+is negative, and with b = 0 it returns the origin without a tableau.  The
+mirror replays each phase-1 pivot run on the reference with the same w = 0
+stop, so the two must agree on every tableau, and asserts that no phase-1
+row stores an artificial column.  The reference phase 1 that the point is
+compared with keeps the artificial columns and pivots on to its optimum,
+entering columns at step 0 after w = 0; the two must name the same point.
 """
 
 import pathlib
@@ -47,7 +50,8 @@ SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 # The dense reference: the list-of-lists tableau, copied verbatim, except
-# that it can record its entering columns in `entered`.
+# that it can record its entering columns in `entered`, and stop at w = 0
+# when it replays a sparse phase-1 run.
 
 def _reduce_row(row: list[int]) -> list[int]:
     g = gcd(*row)
@@ -55,8 +59,9 @@ def _reduce_row(row: list[int]) -> list[int]:
 
 
 def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int],
-                      entered: Optional[list[int]] = None) -> list[int]:
-    """Pivot until no reduced cost in the objective row `obj` is negative.
+                      entered: Optional[list[int]] = None, stop_at_zero: bool = False) -> list[int]:
+    """Pivot until no reduced cost in the objective row `obj` is negative,
+    or, with `stop_at_zero`, until its right-hand side is 0.
 
     Fraction-free tableau: every row (right-hand side last) is an integer
     vector that may carry an arbitrary positive scale, so pivoting uses
@@ -69,6 +74,8 @@ def _pivot_to_optimum(tableau: list[list[int]], basis: list[int], obj: list[int]
     m = len(tableau)
     ncols = len(obj) - 1
     while True:
+        if stop_at_zero and obj[-1] == 0:
+            return obj
         entering = -1
         for j in range(ncols):
             if obj[j] < 0:
@@ -193,13 +200,15 @@ def dense(row: dict[int, int], ncols: int) -> list[int]:
 
 class DenseMirror:
     """Replays every sparse solve on the dense reference and asserts the
-    same result; counts the solves it compared.  `entered` lists the
+    same result; counts the solves it compared, and in `origins` the
+    phase-1 solves with b = 0, which pivot nothing.  `entered` lists the
     entering columns of the unbounded pivot runs, `last_obj` holds the
     final objective row of the last one, and `systems` the numbers of
     every layer system the analysis built."""
 
     def __init__(self, monkeypatch):
         self.pivot_runs = self.replays = self.phase_ones = self.strict_sets = self.solutions = 0
+        self.origins = 0
         self.last_bounded = self.last_obj = None
         self.phase_one_n: Optional[int] = None  # set while a phase-1 solve runs
         self.entered: list[int] = []
@@ -209,17 +218,19 @@ class DenseMirror:
         sparse_strict = exactlp._strict_candidates
         sparse_feasible = exactlp.lp_feasible
 
-        def pivot(tableau, basis, obj, ncols, bounded=range(0)):
+        def pivot(tableau, basis, obj, ncols, bounded=range(0), stop_at_zero=False):
             self.pivot_runs += 1
             if bounded:  # phase 2: compared by its strict set, below
                 self.last_bounded = len(tableau), bounded
-                return sparse_pivot(tableau, basis, obj, ncols, bounded)
+                return sparse_pivot(tableau, basis, obj, ncols, bounded, stop_at_zero)
+            assert stop_at_zero == (self.phase_one_n is not None)
             ref_tableau = [dense(row, ncols) for row in tableau]
             ref_basis = list(basis)
-            ref_obj = _pivot_to_optimum(ref_tableau, ref_basis, dense(obj, ncols), self.entered)
+            ref_obj = _pivot_to_optimum(ref_tableau, ref_basis, dense(obj, ncols), self.entered,
+                                        stop_at_zero)
             if self.phase_one_n is not None:  # no row, before or after, stores an artificial
                 assert all(j < self.phase_one_n or j == ncols for row in (*tableau, obj) for j in row)
-            final, flipped = sparse_pivot(tableau, basis, obj, ncols)
+            final, flipped = sparse_pivot(tableau, basis, obj, ncols, stop_at_zero=stop_at_zero)
             if self.phase_one_n is not None:
                 assert all(j < self.phase_one_n or j == ncols for row in (*tableau, final) for j in row)
             assert basis == ref_basis and flipped == set()
@@ -231,12 +242,13 @@ class DenseMirror:
 
         def phase_one(rows, n):
             ref_rows = [dense(coeffs, n)[:-1] + [rhs] for coeffs, rhs in rows]
+            self.origins += not any(rhs for _, rhs in rows)
             self.phase_one_n = n
             try:
                 raw = sparse_phase_one(rows, n)
             finally:
                 self.phase_one_n = None
-            ref = _phase_one(ref_rows, n)
+            ref = _phase_one(ref_rows, n)  # pivots on to an optimum
             if ref is None:
                 assert raw is None
             else:
@@ -282,11 +294,11 @@ def assert_analysis_mirrored(mirror, v):
     # Each distinct layer system is solved once, as two LPs: the ranking LP
     # by phase 2 alone, whose optimum is its point, the multi-cycle LP by
     # one joint phase-1 solve, its strict set being the complement.  Every
-    # phase-1 pivot run is replayed exactly.
+    # phase-1 pivot run is replayed exactly; one with b = 0 makes none.
     assert mirror.strict_sets - before == len(set(mirror.systems))
     assert mirror.phase_ones == mirror.solutions == mirror.strict_sets
-    assert mirror.pivot_runs == mirror.phase_ones + mirror.strict_sets
-    assert mirror.replays == mirror.phase_ones
+    assert mirror.pivot_runs == mirror.phase_ones - mirror.origins + mirror.strict_sets
+    assert mirror.replays == mirror.phase_ones - mirror.origins
 
 
 def test_random_suite_lps_match_dense_reference(mirror):
@@ -309,11 +321,15 @@ def test_sample_lps_match_dense_reference(mirror, name):
 
 def test_random_problems_match_dense_reference(mirror):
     rng = random.Random(18)
+    decided = 0  # tightened to 0 >= 1 by an all-zero row: infeasible before phase 1
     for _ in range(120):
         p = random_homogeneous(rng)
         max_strict_set(p)
-        lp_feasible(p.tightened(*range(len(p.rows))))
-    assert mirror.strict_sets == 120 and mirror.phase_ones == 120
+        solution = lp_feasible(p.tightened(*range(len(p.rows))))
+        if any(not row.coeffs for row in p.rows):
+            assert solution is None
+            decided += 1
+    assert mirror.strict_sets == 120 and decided == 9 and mirror.phase_ones == 111
 
 
 class TestEdgeCases:
@@ -330,7 +346,9 @@ class TestEdgeCases:
         assert max_strict_set(p).strict_set == {1}
         sol = lp_feasible(problem(["x"], [((0,), relation, -3)]))
         assert (sol is None) == (relation == EQ)
-        assert mirror.phase_ones == 1 and mirror.strict_sets == 1
+        # Decided alone: 0 >= -3 leaves no row, so b = 0; 0 == -3 fails at once.
+        assert mirror.phase_ones == mirror.origins == (relation == GE)
+        assert mirror.strict_sets == 1 and mirror.pivot_runs == 1
 
     def test_negative_right_hand_side_flips_the_row(self, mirror):
         p = problem(["x", "y"], [((-1, -2), GE, -7), ((1, -1), EQ, -1),
@@ -356,9 +374,9 @@ class TestEdgeCases:
 
 
 class TestStopRule:
-    """The sparse phase 1 stops at the first basis with no negative
-    structural reduced cost; the reference pivots on, entering artificial
-    columns that move no point."""
+    """The sparse phase 1 stops at the first basis with w = 0, or at an
+    optimum with w > 0; the reference run to its optimum pivots on after
+    w = 0, entering columns at step 0 that move no point."""
 
     def test_feasible_problem_stops_at_w_zero(self, mirror):
         # Columns x, y and the surplus of row 0; artificials 3-5, rhs 6.
@@ -371,6 +389,22 @@ class TestStopRule:
         assert ref == [1, 1, 0]
         assert mirror.entered == [1, 0] and entered == [1, 0, 5]
         assert 6 not in mirror.last_obj  # w = 0
+
+    def test_stops_while_a_structural_reduced_cost_is_negative(self, mirror):
+        # x = 1 and y = 0.  Columns x, y; artificials 2 and 3; rhs 4.
+        # Entering x reaches w = 0 while y's reduced cost is still -1: the
+        # reference enters y too, at step 0, in the row of artificial 3.
+        p = problem(["x", "y"], [((1, 0), EQ, 1), ((0, 1), EQ, 0)])
+        assert lp_feasible(p).assignment == {"x": 1, "y": 0}
+        entered: list[int] = []
+        assert _phase_one([[1, 0, 1], [0, 1, 0]], 2, entered) == [1, 0]
+        assert mirror.entered == [0] and entered == [0, 1]
+        assert mirror.last_obj == {1: -1}
+
+    def test_zero_right_hand_sides_give_the_origin_unpivoted(self, mirror):
+        p = problem(["x", "y"], [((1, -1), GE, 0), ((-1, 2), EQ, 0)])
+        assert lp_feasible(p).assignment == {"x": 0, "y": 0}
+        assert mirror.phase_ones == mirror.origins == 1 and mirror.pivot_runs == 0
 
     def test_infeasible_problem_stops_at_positive_w(self, mirror):
         # y = z / 2 and y = z force y = z = 0, so -x + y + 2z >= 1 fails.
@@ -411,7 +445,7 @@ def test_phase_one_work_on_the_family(monkeypatch):
     monkeypatch.setattr(exactlp, "_phase_one", counted_phase_one)
     for nu in range(1, 6):
         analyze(v_family(nu))
-    assert work == {"eliminations": 4788, "nonzeros": 69145}
+    assert work == {"eliminations": 4257, "nonzeros": 60734}
 
 
 def test_phase_two_work_on_the_family(monkeypatch):
@@ -439,4 +473,4 @@ def test_phase_two_work_on_the_family(monkeypatch):
     monkeypatch.setattr(exactlp, "_strict_candidates", counted_strict_candidates)
     for nu in range(1, 6):
         analyze(v_family(nu))
-    assert work == {"eliminations": 1821, "nonzeros": 50025}
+    assert work == {"eliminations": 1821, "nonzeros": 45919}

@@ -15,7 +15,7 @@ import pytest
 
 from vassbound import PrePath, analyze, build_witness, parse_vass, verify_witness
 from vassbound.analyzer import POLYNOMIAL
-from vassbound.witness import Leaf, Repeat, Seq, _Builder
+from vassbound.witness import Leaf, Repeat, Seq, WitnessError, _Builder
 from conftest import V_RUN_TEXT, prepath_steps, random_connected_vass, v_family
 
 
@@ -189,6 +189,16 @@ def test_million_fold_scale_builds_and_verifies():
         assert witness.instance_counts[tid] >= n ** e
     for x, e in result.report.variable_exponents.items():
         assert witness.final[x] >= n ** e
+
+
+def test_len_past_sys_maxsize_names_the_length():
+    """`len()` returns at most sys.maxsize.  Past it, a program raises
+    WitnessError naming `.length`, which stays exact."""
+    witness = build_witness(analyze(parse_vass(V_RUN_TEXT)), 10 ** 6)
+    assert witness.path.length == 20_000_260_000_180_000_000 > sys.maxsize
+    for program in (witness.path, witness.path.steps):
+        with pytest.raises(WitnessError, match=r"20000260000180000000 steps .*\.length"):
+            len(program)
 
 
 def _streamed_peak(v, result, n):
