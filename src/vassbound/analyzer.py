@@ -256,7 +256,7 @@ def _solve_multicycle(sys: ExtendedSystem, ranked_rows: frozenset[int]) -> LpSol
     first_trans = len(rows)
     rows.extend(LpRow({j: 1}, GE, 0) for j in range(len(names)))
     candidates = frozenset(range(len(sys.d_ext))) | frozenset(range(first_trans, len(rows)))
-    problem = LpProblem(names, tuple(True for _ in names), tuple(rows), candidates)
+    problem = LpProblem(names, tuple(rows), candidates)
     m = len(names)
     strict = [i for i in range(len(sys.d_ext)) if m + i not in ranked_rows]
     strict += [first_trans + j for j in range(m) if j not in ranked_rows]
@@ -280,8 +280,7 @@ def _solve_ranking(sys: ExtendedSystem) -> LpSolution:
     rows = [LpRow({i: -a for i, a in enumerate(column) if a}, GE, 0)
             for column in zip(*sys.d_ext, *sys.flow)]
     rows.extend(LpRow({i: 1}, GE, 0) for i in range(len(r_names)))
-    problem = LpProblem(names, tuple(True for _ in names), tuple(rows),
-                        frozenset(range(len(rows))))
+    problem = LpProblem(names, tuple(rows), frozenset(range(len(rows))))
     return scale_to_integer(problem, max_strict_set(problem))
 
 

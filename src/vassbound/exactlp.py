@@ -74,21 +74,19 @@ class LpRow:
 
 @dataclass(frozen=True)
 class LpProblem:
-    """Constraint rows over named variables, each either free or >= 0.
+    """Constraint rows over named variables, every one of them >= 0 (each is
+    one simplex column).
 
     `strict_candidates` are indices of `>=` rows that the maximization
     objective may tighten to slack >= 1.
     """
 
     variables: tuple[str, ...]
-    nonneg: tuple[bool, ...]
     rows: tuple[LpRow, ...]
     strict_candidates: frozenset[int] = frozenset()
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
     def __post_init__(self):
-        if len(self.nonneg) != len(self.variables):
-            raise LpError("sign flags do not match variables")
         keyed = [row.coeffs for row in self.rows if row.coeffs]
         if keyed and (min(map(min, keyed)) < 0 or max(map(max, keyed)) >= len(self.variables)):
             raise LpError("row arity does not match variables")
@@ -268,28 +266,14 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
     return None if n + m in obj else _basic_point(tableau, basis, n, n + m)
 
 
-def _split_rows(problem: LpProblem) -> tuple[list[tuple[int, int]], list[Row]]:
-    """The simplex columns, which stand for (variable index, sign) pairs
-    (free variables are split in two), and a copy of each row on them."""
-    origin = [(idx, sign) for idx, nn in enumerate(problem.nonneg)
-              for sign in ((1,) if nn else (1, -1))]
-    if len(origin) == len(problem.nonneg):  # no free variable: one column each
-        return origin, [dict(row.coeffs) for row in problem.rows]
-    return origin, [{j: sign * row.coeffs[idx] for j, (idx, sign) in enumerate(origin)
-                     if idx in row.coeffs} for row in problem.rows]
-
-
-def _solution(problem: LpProblem, strict: Sequence[int], origin: list[tuple[int, int]],
-              columns: Sequence[int], den: int) -> LpSolution:
-    """The point `columns / den` of the simplex columns `origin` (see `_split_rows`)
-    in lowest terms, with strict set `strict`, checked once, exactly, against
-    every row with those of `strict` tightened to slack >= 1."""
-    values = [0] * len(problem.variables)
-    for column_value, (var_idx, sign) in zip(columns, origin):
-        values[var_idx] += sign * column_value
+def _solution(problem: LpProblem, strict: Sequence[int], values: Sequence[int],
+              den: int) -> LpSolution:
+    """The point `values / den`, one value per variable, in lowest terms, with
+    strict set `strict`, checked once, exactly: every value >= 0 and every
+    row satisfied, those of `strict` at slack >= 1."""
     g, strict = gcd(den, *values), frozenset(strict)
     values, den = [v // g for v in values], den // g
-    if not satisfies(problem, values, den, strict):
+    if min(values, default=0) < 0 or not satisfies(problem, values, den, strict):
         raise LpInternalError("simplex produced a non-solution")
     return LpSolution(problem.variables, tuple(values), den, strict)
 
@@ -297,28 +281,28 @@ def _solution(problem: LpProblem, strict: Sequence[int], origin: list[tuple[int,
 def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
     """Some exact rational solution of the problem over the least common
     denominator of its values, checked once, or None if infeasible."""
-    origin, split = _split_rows(problem)
-    pairs = list(zip(split, problem.rows))
+    n = len(problem.variables)
+    pairs = [(dict(row.coeffs), row) for row in problem.rows]
     if any(not x_part and (row.rhs > 0 or (row.rhs and row.relation == EQ)) for x_part, row in pairs):
         return None  # a row with no variable fails 0 >= rhs or 0 == rhs
     # One surplus column (-1 in its own row) per '>=' row with a variable.
     surplus = [x_part for x_part, row in pairs if x_part and row.relation == GE]
-    for column, x_part in enumerate(surplus, len(origin)):
+    for column, x_part in enumerate(surplus, n):
         x_part[column] = -1
-    raw = _phase_one([(x_part, row.rhs) for x_part, row in pairs if x_part], len(origin) + len(surplus))
-    return None if raw is None else _solution(problem, (), origin, *raw)
+    raw = _phase_one([(x_part, row.rhs) for x_part, row in pairs if x_part], n + len(surplus))
+    return None if raw is None else _solution(problem, (), raw[0][:n], raw[1])  # surplus dropped
 
 
-def _strict_candidates(problem: LpProblem) -> tuple[list[int], list, list[int], int]:
+def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int]:
     """The candidate rows i with s_i = 1 at an optimum of
     max sum s_i  s.t.  row_i(x) - s_i >= 0,  0 <= s_i <= 1
     over the homogeneous problem, found by one phase-2 simplex, with the
-    optimum's x: its columns (see `_split_rows`) and numerators over one lcm.
+    optimum's x: its numerators over one lcm.
 
     The s columns are bounded in `_pivot_to_optimum`, so s_i <= 1 takes no
     row.  Nor does the first candidate sign row a x_j >= 0 (a > 0) of a
-    non-negative column: x_j = s_i + w_j, with w_j >= 0 in x_j's column, so
-    s_i gets x_j's entries; on a cone that keeps the strict set.  Every
+    column: x_j = s_i + w_j, with w_j >= 0 in x_j's column, so s_i gets
+    x_j's entries; on a cone that keeps the strict set.  Every
     other constraint is a '<=' row (an '==' row two) with right-hand side
     0 and its own slack, so the all-slack basis at the origin is feasible.
     A flipped column takes 1 minus its read-out, a shifted one s_i + w_j.
@@ -326,9 +310,9 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list, list[int], 
     at once, off the objective: Bland's rule would enter it, find no row
     and flip it, moving nothing else.
     """
-    origin, split = _split_rows(problem)
+    split = [dict(row.coeffs) for row in problem.rows]
     candidates = sorted(problem.strict_candidates)
-    nx, k = len(origin), len(candidates)
+    nx, k = len(problem.variables), len(candidates)
     s_column = {i: nx + c for c, i in enumerate(candidates)}
     shift: dict[int, int] = {}  # x column j -> the s column of its sign row
     for i in candidates:
@@ -360,7 +344,7 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list, list[int], 
     # By closure under addition and scaling every optimum is 0/1.
     if any(values[column] not in (0, den) for column in s_column.values()):
         raise LpInternalError("fractional strictness variable at the optimum")
-    return [i for i, column in s_column.items() if values[column]], origin, values[:nx], den
+    return [i for i, column in s_column.items() if values[column]], values[:nx], den
 
 
 def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:

@@ -239,9 +239,7 @@ def test_criterion_9_exact_lp_soundness():
         solution = max_strict_set(problem)
         values = solution.vector(problem.variables)
         assert satisfies(problem, values)
-        for sign, name in zip(problem.nonneg, problem.variables):
-            if sign:
-                assert solution.assignment[name] >= 0
+        assert all(value >= 0 for value in values)
         for i in sorted(problem.strict_candidates):
             row = problem.rows[i]
             slack = sum(c * values[j] for j, c in row.coeffs.items())

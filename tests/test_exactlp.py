@@ -26,33 +26,29 @@ from vassbound.exactlp import (
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
-def problem(names, rows, candidates=(), nonneg=None):
-    if nonneg is None:
-        nonneg = tuple(True for _ in names)
-    return LpProblem(tuple(names), tuple(nonneg),
-                     tuple(LpRow.of(c, rel, rhs) for c, rel, rhs in rows),
+def problem(names, rows, candidates=()):
+    return LpProblem(tuple(names), tuple(LpRow.of(c, rel, rhs) for c, rel, rhs in rows),
                      frozenset(candidates))
 
 
 def random_homogeneous(rng, max_vars=5, max_rows=7, span=3):
     nv = rng.randint(1, max_vars)
     names = tuple(f"v{j}" for j in range(nv))
-    nonneg = tuple(rng.random() < 0.7 for _ in range(nv))
+    [rng.random() for _ in range(nv)]  # unused draws that keep every later draw, and row, as seeded
     rows = []
     for _ in range(rng.randint(1, max_rows)):
         coeffs = tuple(Fraction(rng.randint(-span, span)) for _ in range(nv))
         rows.append(LpRow.of(coeffs, GE if rng.random() < 0.8 else EQ, Fraction(0)))
     candidates = frozenset(i for i, row in enumerate(rows)
                            if row.relation == GE and rng.random() < 0.6)
-    return LpProblem(names, nonneg, tuple(rows), candidates)
+    return LpProblem(names, tuple(rows), candidates)
 
 
 def random_with_sign_rows(rng, max_vars=4, max_rows=6):
     """A homogeneous problem, often with sign rows a x_j >= 0 (a = 1 or 2,
-    or the reversed -x_j >= 0), some repeated, all-zero or '==' rows, and
-    about one free variable in four."""
+    or the reversed -x_j >= 0), and some repeated, all-zero or '==' rows."""
     nv = rng.randint(1, max_vars)
-    nonneg = tuple(rng.random() < 0.75 for _ in range(nv))
+    [rng.random() for _ in range(nv)]  # unused draws that keep every later draw, and row, as seeded
     rows = []
     for _ in range(rng.randint(0, max_rows)):
         kind = rng.random()
@@ -67,7 +63,7 @@ def random_with_sign_rows(rng, max_vars=4, max_rows=6):
         rows.append(LpRow.of(coeffs, EQ if rng.random() < 0.12 else GE))
     candidates = frozenset(i for i, row in enumerate(rows)
                            if row.relation == GE and rng.random() < 0.8)
-    return LpProblem(tuple(f"v{j}" for j in range(nv)), nonneg, tuple(rows), candidates)
+    return LpProblem(tuple(f"v{j}" for j in range(nv)), tuple(rows), candidates)
 
 
 class TestLpRow:
@@ -98,7 +94,7 @@ class TestLpProblem:
     ])
     def test_rejects_malformed_rows(self, coeffs, rhs, message):
         with pytest.raises(LpError, match=message):
-            LpProblem(("x", "y"), (True, True), (LpRow({1: 1}, GE, 0), LpRow(coeffs, GE, rhs)))
+            LpProblem(("x", "y"), (LpRow({1: 1}, GE, 0), LpRow(coeffs, GE, rhs)))
 
     def test_satisfies_rejects_an_all_zero_row_with_rhs_one(self):
         p = problem(["x"], [((0,), GE, 1)])
@@ -107,13 +103,13 @@ class TestLpProblem:
 
     def test_tightened_copy_is_not_validated_again(self, monkeypatch):
         rows = (LpRow({0: 1}, GE, 0), LpRow({1: 2}, EQ, 3), LpRow({0: -1, 1: 1}, GE, -2))
-        p = LpProblem(("x", "y"), (True, False), rows, frozenset({0, 2}))
+        p = LpProblem(("x", "y"), rows, frozenset({0, 2}))
         validated = []
         monkeypatch.setattr(LpProblem, "__post_init__", lambda self: validated.append(self))
         q = p.tightened(0, 2)
         assert validated == []
-        assert q == LpProblem(p.variables, p.nonneg, (LpRow({0: 1}, GE, 1), rows[1],
-                                                      LpRow({0: -1, 1: 1}, GE, -1)))
+        assert q == LpProblem(p.variables, (LpRow({0: 1}, GE, 1), rows[1],
+                                            LpRow({0: -1, 1: 1}, GE, -1)))
         assert p.rows == rows and p.strict_candidates == {0, 2}
 
 
@@ -133,11 +129,6 @@ class TestFeasibility:
         assert sol is not None
         x, y = sol.assignment["x"], sol.assignment["y"]
         assert 2 * x + 3 * y == 5 and x >= 0 and y >= 0
-
-    def test_free_variable(self):
-        p = problem(["x"], [((1,), EQ, -4)], nonneg=(False,))
-        sol = lp_feasible(p)
-        assert sol is not None and sol.assignment["x"] == -4
 
     def test_empty_problem(self):
         sol = lp_feasible(problem([], []))
@@ -176,28 +167,27 @@ class TestMaxStrictSet:
         with pytest.raises(LpError, match="homogeneous"):
             max_strict_set(p)
 
-    @pytest.mark.parametrize("names, rows, candidates, nonneg", [
+    @pytest.mark.parametrize("names, rows, candidates", [
         # An all-zero candidate row can never be strict.
-        (["x", "y"], [((0, 0), GE, 0), ((1, 0), GE, 0)], [0, 1], None),
+        (["x", "y"], [((0, 0), GE, 0), ((1, 0), GE, 0)], [0, 1]),
         # Duplicate rows are strict together or not at all.
         (["x", "y"], [((1, -1), GE, 0), ((1, -1), GE, 0), ((-1, 1), GE, 0),
-                      ((0, 1), GE, 0)], [0, 1, 2, 3], None),
+                      ((0, 1), GE, 0)], [0, 1, 2, 3]),
         # An equality pins y to zero, so only rows through x go strict.
         (["x", "y"], [((0, 1), EQ, 0), ((0, 1), GE, 0), ((1, 1), GE, 0),
-                      ((1, -1), GE, 0)], [1, 2, 3], None),
-        # Free x and z: x = y and y >= z >= x leave one ray, x = y = z >= 0.
+                      ((1, -1), GE, 0)], [1, 2, 3]),
+        # x = y and y >= z >= x leave one ray, x = y = z: only x >= 0 goes strict.
         (["x", "y", "z"], [((1, -1, 0), EQ, 0), ((1, 0, 0), GE, 0),
                            ((-1, 0, 1), GE, 0), ((0, 1, -1), GE, 0)],
-         [1, 2, 3], (False, True, False)),
-        # Only free variables: x = -y goes strict both ways, z is pinned.
+         [1, 2, 3]),
+        # x + y = 0 pins x and y to 0, and -z >= 0 pins z: nothing goes strict.
         (["x", "y", "z"], [((1, 1, 0), EQ, 0), ((1, 0, 0), GE, 0),
                            ((0, -1, 0), GE, 0), ((0, 0, 1), GE, 0),
                            ((0, 0, -1), GE, 0)],
-         [1, 2, 3], (False, False, False)),
+         [1, 2, 3]),
     ])
-    def test_degenerate_cases_match_per_candidate_solves(self, names, rows,
-                                                         candidates, nonneg):
-        p = problem(names, rows, candidates, nonneg)
+    def test_degenerate_cases_match_per_candidate_solves(self, names, rows, candidates):
+        p = problem(names, rows, candidates)
         expected = {i for i in p.strict_candidates
                     if lp_feasible(p.tightened(i)) is not None}
         sol = max_strict_set(p)
@@ -284,7 +274,7 @@ class TestPhaseTwo:
         # the slack's row and wins under its smaller index.  The basis stays,
         # so w = y = 0 and s0 = s1 = 1 are read out, and x = s0 + w = 1.
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
-        assert exactlp._strict_candidates(p) == ([0, 1], [(0, 1), (1, 1)], [1, 0], 1)
+        assert exactlp._strict_candidates(p) == ([0, 1], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert len(tableau) == 1 and basis == [4] and flipped == {2, 3}
 
@@ -292,7 +282,7 @@ class TestPhaseTwo:
         # s0 (column 2) enters at 0 in the one row x - y - s0 >= 0; then x
         # enters and raises s0 until it leaves at 1, flipped: x = 1, y = 0.
         p = problem(["x", "y"], [((1, -1), GE, 0)], candidates=[0])
-        assert exactlp._strict_candidates(p) == ([0], [(0, 1), (1, 1)], [1, 0], 1)
+        assert exactlp._strict_candidates(p) == ([0], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert basis == [0] and flipped == {2}
 
@@ -314,7 +304,7 @@ class TestInertRowsAndColumns:
     def with_right_hand_sides(rng, p):
         rows = tuple(LpRow(row.coeffs, row.relation, rng.choice((0, 0, 1, -1, 2)))
                      for row in p.rows)
-        return LpProblem(p.variables, p.nonneg, rows)
+        return LpProblem(p.variables, rows)
 
     def test_empty_rows_leave_the_feasible_point(self):
         rng = random.Random(21)
@@ -326,7 +316,7 @@ class TestInertRowsAndColumns:
                 relation = rng.choice((GE, EQ))
                 rhs = rng.choice((0, 0, -1, -2)) if relation == GE else 0
                 rows.insert(rng.randint(0, len(rows)), LpRow({}, relation, rhs))
-            assert lp_feasible(LpProblem(p.variables, p.nonneg, tuple(rows))) == lp_feasible(p)
+            assert lp_feasible(LpProblem(p.variables, tuple(rows))) == lp_feasible(p)
 
     @pytest.mark.parametrize("relation, rhs", [(GE, 1), (EQ, 1), (EQ, -1)])
     def test_a_failing_empty_row_is_infeasible(self, relation, rhs):
@@ -347,9 +337,7 @@ class TestInertRowsAndColumns:
             for name in fresh:
                 rows.insert(rng.randint(0, len(rows)),
                             (None, LpRow({column[name]: rng.choice((1, 2))}, GE, 0)))
-            nonneg = dict(zip(p.variables, p.nonneg))
-            q = LpProblem(tuple(order), tuple(nonneg.get(name, True) for name in order),
-                          tuple(row for _, row in rows),
+            q = LpProblem(tuple(order), tuple(row for _, row in rows),
                           frozenset(k for k, (i, _) in enumerate(rows)
                                     if i is None or i in p.strict_candidates))
             sol, padded = max_strict_set(p), max_strict_set(q)
@@ -402,31 +390,44 @@ def _perturbed(numerators):
     return [numerators[0] + 1, *numerators[1:]]
 
 
+def _second_negative(numerators):
+    return [-1 if j == 1 else v for j, v in enumerate(numerators)]
+
+
+def break_phase_one(monkeypatch, fault):
+    phase_one = exactlp._phase_one
+
+    def faulty(rows, n):
+        raw = phase_one(rows, n)
+        return None if raw is None else (fault(raw[0]), raw[1])
+
+    monkeypatch.setattr(exactlp, "_phase_one", faulty)
+
+
+def break_phase_two(monkeypatch, fault):
+    phase_two = exactlp._strict_candidates
+
+    def faulty(problem):
+        strict, values, den = phase_two(problem)
+        return strict, fault(values), den
+
+    monkeypatch.setattr(exactlp, "_strict_candidates", faulty)
+
+
 class TestTheOneCheck:
     """`lp_feasible` and `max_strict_set` each check their solution once and
     nothing checks it again, so a phase-1 or phase-2 read-out that loses a
-    strict slack (all numerators zeroed) or breaks a row (one numerator
-    perturbed) must fail that check."""
+    strict slack (all numerators zeroed), breaks a row (one numerator
+    perturbed) or gives a variable a negative value (the second set to -1)
+    must fail that check."""
 
-    @pytest.fixture(params=[_zeroed, _perturbed])
+    @pytest.fixture(params=[_zeroed, _perturbed, _second_negative])
     def faulty_phase_one(self, request, monkeypatch):
-        phase_one = exactlp._phase_one
+        break_phase_one(monkeypatch, request.param)
 
-        def faulty(rows, n):
-            raw = phase_one(rows, n)
-            return None if raw is None else (request.param(raw[0]), raw[1])
-
-        monkeypatch.setattr(exactlp, "_phase_one", faulty)
-
-    @pytest.fixture(params=[_zeroed, _perturbed])
+    @pytest.fixture(params=[_zeroed, _perturbed, _second_negative])
     def faulty_phase_two(self, request, monkeypatch):
-        phase_two = exactlp._strict_candidates
-
-        def faulty(problem):
-            strict, origin, columns, den = phase_two(problem)
-            return strict, origin, request.param(columns), den
-
-        monkeypatch.setattr(exactlp, "_strict_candidates", faulty)
+        break_phase_two(monkeypatch, request.param)
 
     def test_lp_feasible_raises(self, faulty_phase_one):
         # x = y with x >= 1: the solution is x = y = 1.
@@ -439,6 +440,15 @@ class TestTheOneCheck:
         p = problem(["x", "y"], [((1, -1), EQ, 0), ((1, 0), GE, 0)], candidates=[1])
         with pytest.raises(LpInternalError, match="non-solution"):
             max_strict_set(p)
+
+    def test_a_negative_value_in_no_row_raises(self, monkeypatch):
+        # y is in no row, so only the sign check sees y = -1.
+        break_phase_one(monkeypatch, _second_negative)
+        break_phase_two(monkeypatch, _second_negative)
+        with pytest.raises(LpInternalError, match="non-solution"):
+            lp_feasible(problem(["x", "y"], [((1, 0), GE, 1)]))
+        with pytest.raises(LpInternalError, match="non-solution"):
+            max_strict_set(problem(["x", "y"], [((1, 0), GE, 0)], candidates=[0]))
 
     def test_analyze_exits_with_internal_error(self, faulty_phase_one, capsys):
         assert main(["analyze", str(SAMPLES / "running.vass")]) == 3

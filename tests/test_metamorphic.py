@@ -1,4 +1,5 @@
-"""Metamorphic relations of the verdict: renamings and a split transition.
+"""Metamorphic relations of the verdict: renamings, a split transition,
+scaled updates and an unused variable.
 
 The Theta(N^k) verdict is a property of the VASS up to names and order.
 Shuffling the variables, renaming the states or reordering the
@@ -14,6 +15,31 @@ exactly as often as the original did, and m is alive exactly when the
 original was.  Both halves must get the original's exponent, and every
 other exponent must stay.
 
+Multiplying every update by c > 0 scales every d_ext row by c and keeps
+the flow rows.  The multi-cycle cone c d_ext mu >= 0 is the cone
+d_ext mu >= 0, with the same rows positive at each point; the ranking
+systems correspond through (r, z) -> (r, c z), whose transition rows are
+c times the original's and whose r >= 0 rows are the same.  So every
+iteration finds the same maximal strict sets, the same tree grows, and
+equal systems stay equal, so the same solves are reused.  The whole
+report but the updates is the same, exponential verdicts included:
+status, every exponent, `exponential_layer` and the layer audits.
+
+A variable that no transition touches has an all-zero row in every
+layer's d_ext.  The multi-cycle row 0 >= 0 is never strict.  The ranking
+solutions are the old ones times any r >= 0 on its copies, so its root
+copy goes strict at layer 1 and it gets exponent 1, while every other
+strict set stays.  Its sums 1 + e(t) add no layer to the skip and no
+sum to the stall check: a transition ranked at layer 1 needs a strict r
+(z alone ranks nothing in a strongly connected VASS), so if any layer
+after 1 runs, some variable already has exponent 1; and if none runs,
+nothing is bounded and nothing is ranked.  So the same layers run, and
+status, every other exponent and `exponential_layer` stay, exponential
+verdicts included.
+
+For each polynomial variant, its witness at N = 2 must pass
+`verify_witness`; its dump is not compared.
+
 The models are the acceptance suite's 200 random models, 100 wider random
 models, `v_family(1..4)` and the two samples.
 """
@@ -23,7 +49,8 @@ import random
 
 import pytest
 
-from vassbound import Vass, analyze, parse_vass
+from vassbound import Vass, analyze, build_witness, parse_vass, verify_witness
+from vassbound.analyzer import POLYNOMIAL
 from conftest import random_connected_vass, v_family
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -100,3 +127,37 @@ def test_split_transition_halves_keep_its_exponent(verdicts):
         second = len(v.transitions)
         assert got.transition_exponents == {**report.transition_exponents,
                                             second: report.transition_exponents[t.tid]}
+
+
+def _assert_witness_verifies(result):
+    if result.report.status == POLYNOMIAL:
+        verification = verify_witness(result.vass, build_witness(result, 2), result.report)
+        assert verification.passed, verification.dump()
+
+
+@pytest.mark.parametrize("c", [2, 3])
+def test_scaled_updates_keep_the_report(verdicts, c):
+    for v, report in zip(MODELS, verdicts):
+        triples = [(t.src, tuple(c * a for a in t.update), t.dst) for t in v.transitions]
+        result = analyze(Vass.from_triples(v.variables, triples))
+        got = result.report
+        assert got.status == report.status
+        assert got.complexity_exponent == report.complexity_exponent
+        assert got.variable_exponents == report.variable_exponents
+        assert got.transition_exponents == report.transition_exponents
+        assert got.exponential_layer == report.exponential_layer
+        assert got.layers == report.layers
+        _assert_witness_verifies(result)
+
+
+def test_unused_variable_gets_exponent_one(verdicts):
+    for v, report in zip(MODELS, verdicts):
+        triples = [(t.src, (*t.update, 0), t.dst) for t in v.transitions]
+        result = analyze(Vass.from_triples((*v.variables, "unused"), triples))
+        got = result.report
+        assert got.status == report.status
+        assert got.complexity_exponent == report.complexity_exponent
+        assert got.variable_exponents == {**report.variable_exponents, "unused": 1}
+        assert got.transition_exponents == report.transition_exponents
+        assert got.exponential_layer == report.exponential_layer
+        _assert_witness_verifies(result)

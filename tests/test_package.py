@@ -34,7 +34,7 @@ def test_documented_library_names_are_exported():
 # Frozen records with dict-valued contents: equal by value, never hashed.
 UNHASHABLE = {
     "LpRow": lambda result: LpRow.of([1], GE),
-    "LpProblem": lambda result: LpProblem(("x",), (True,), (LpRow.of([1], GE),)),
+    "LpProblem": lambda result: LpProblem(("x",), (LpRow.of([1], GE),)),
     "MultiCycleSolution": lambda result: result.archive[0].mu,
     "RankingSolution": lambda result: result.archive[0].ranking,
     "LayerRecord": lambda result: result.archive[0],

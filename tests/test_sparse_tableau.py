@@ -155,13 +155,11 @@ def _old_strict_candidates(lp) -> list[int]:
     """The strict set from the old phase-2 layout, on the dense reference:
     max sum s_i s.t. -row_i(x) + s_i <= 0 (and row_i(x) <= 0 for '=='),
     s_i <= 1, every row with its own slack, by the plain Bland loop."""
-    origin = [(idx, sign) for idx, nn in enumerate(lp.nonneg)
-              for sign in ((1,) if nn else (1, -1))]
     candidates = sorted(lp.strict_candidates)
-    nx, k = len(origin), len(candidates)
+    nx, k = len(lp.variables), len(candidates)
     rows = []
     for i, row in enumerate(lp.rows):
-        x = [sign * row.coeffs.get(idx, 0) for idx, sign in origin]
+        x = [row.coeffs.get(j, 0) for j in range(nx)]
         s = [int(c == i) for c in candidates]
         rows.append([-a for a in x] + s + [0])
         if row.relation == EQ:
@@ -179,12 +177,11 @@ def _old_strict_candidates(lp) -> list[int]:
 
 def _phase_two_rows(lp) -> int:
     """The rows of the new phase-2 tableau: one per constraint ('==' two),
-    less the first candidate sign row a x_j >= 0 (a > 0) of each
-    non-negative variable."""
+    less the first candidate sign row a x_j >= 0 (a > 0) of each variable."""
     signs = {}
     for i in sorted(lp.strict_candidates):
         support = sorted(lp.rows[i].coeffs)
-        if len(support) == 1 and lp.rows[i].coeffs[support[0]] > 0 and lp.nonneg[support[0]]:
+        if len(support) == 1 and lp.rows[i].coeffs[support[0]] > 0:
             signs.setdefault(support[0], i)
     return len(lp.rows) + sum(row.relation == EQ for row in lp.rows) - len(signs)
 
@@ -366,8 +363,7 @@ class TestEdgeCases:
         assert mirror.phase_ones == 1 and mirror.pivot_runs == 1
 
     def test_no_strict_candidates(self, mirror):
-        p = problem(["x", "y"], [((1, -1), GE, 0), ((0, 1), EQ, 0)],
-                    nonneg=(False, True))
+        p = problem(["x", "y"], [((1, -1), GE, 0), ((0, 1), EQ, 0)])
         sol = max_strict_set(p)
         assert sol.strict_set == frozenset()
         assert mirror.strict_sets == 1 and mirror.phase_ones == 0
