@@ -36,97 +36,61 @@ NONTERMINATING = _Nonterminating()
 
 MetricResult = Union[int, _Nonterminating]
 
-_GRAY, _BLACK = 1, 2
+def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
+          node_value: Optional[Callable[[tuple[int, ...]], int]],
+          budget: int) -> MetricResult:
+    """Walk every configuration reachable from the {0..n} box, depth first.
 
-
-class _CycleFound(Exception):
-    pass
-
-
-def _explore(v: Vass, n: int, step_weight: Callable[[Transition], int],
-             node_value: Optional[Callable[[tuple[int, ...]], int]],
-             budget: int) -> int:
-    """Explore every configuration reachable from the {0..n} box.
-
-    Returns the maximal step-weighted path value over all roots, or, when
-    `node_value` is given, the maximum of that function over every visited
-    valuation; raises _CycleFound on a configuration cycle."""
-    out_edges = _out_edges(v)
-    dim = v.dimension
-
-    color: dict[tuple, int] = {}
-    best: dict[tuple, int] = {}
-    overall = 0
-
-    def successors(state: str, vec: tuple[int, ...]):
-        for t in out_edges[state]:
-            nxt = tuple(a + b for a, b in zip(vec, t.update))
-            if all(c >= 0 for c in nxt):
-                yield t, (t.dst, nxt)
-
-    for root_state in v.states:
-        for root_vec in product(range(n + 1), repeat=dim):
-            root = (root_state, root_vec)
-            if root in color:
-                overall = max(overall, best[root])
-                continue
-            stack: list[tuple[tuple, list, int, int]] = []
-
-            def push(cfg):
-                if len(color) > budget:
-                    raise BudgetExceededError(
-                        f"more than {budget} configurations reachable")
-                color[cfg] = _GRAY
-                succ = list(successors(*cfg))
-                stack.append((cfg, succ, 0, 0))
-
-            push(root)
-            while stack:
-                cfg, succ, idx, acc = stack.pop()
-                if idx < len(succ):
-                    t, nxt = succ[idx]
-                    state = color.get(nxt)
-                    if state == _GRAY:
-                        raise _CycleFound()
-                    if state == _BLACK:
-                        acc = max(acc, step_weight(t) + best[nxt])
-                        stack.append((cfg, succ, idx + 1, acc))
-                    else:
-                        stack.append((cfg, succ, idx + 1, acc))
-                        push(nxt)
-                else:
-                    color[cfg] = _BLACK
-                    best[cfg] = max(acc, 0)
-                    if stack:
-                        prev_cfg, prev_succ, prev_idx, prev_acc = stack.pop()
-                        t, _ = prev_succ[prev_idx - 1]
-                        prev_acc = max(prev_acc, step_weight(t) + best[cfg])
-                        stack.append((prev_cfg, prev_succ, prev_idx, prev_acc))
-            overall = max(overall, best[root])
-
-    if node_value is not None:
-        peak = 0
-        for (state, vec) in color:
-            peak = max(peak, node_value(vec))
-        return peak
-    return overall
-
-
-def _metric(v: Vass, n: int, step_weight, node_value, budget) -> MetricResult:
+    Returns NONTERMINATING on a configuration cycle; otherwise the maximum
+    of `node_value` over every reached valuation when it is given, else the
+    maximal step-weighted path value over all roots.  Each stack frame is
+    [configuration, iterator over its (weight, successor) moves, best value
+    so far, weight of the move being followed]; a configuration that is
+    reached but has no `best` value yet is on the stack, so reaching it
+    again closes a cycle."""
     if n < 0:
         raise VassError("scale parameter must be >= 0")
     if budget < 0:
         raise VassError("oracle budget must be >= 0")
-    try:
-        return _explore(v, n, step_weight, node_value, budget)
-    except _CycleFound:
-        return NONTERMINATING
+    out_edges = _out_edges(v)
+
+    def moves(state: str, vec: tuple[int, ...]):
+        for t in out_edges[state]:
+            nxt = tuple(a + b for a, b in zip(vec, t.update))
+            if all(c >= 0 for c in nxt):
+                yield step_weight(t), (t.dst, nxt)
+
+    roots = ((0, (s, vec)) for s in v.states for vec in product(range(n + 1), repeat=v.dimension))
+    reached: set[tuple] = set()
+    best: dict[tuple, int] = {}
+    stack: list[list] = [[None, roots, 0, 0]]  # a pseudo-configuration whose moves reach the roots
+    while stack:
+        frame = stack[-1]
+        for weight, nxt in frame[1]:
+            if nxt not in reached:
+                if len(reached) > budget:
+                    raise BudgetExceededError(f"more than {budget} configurations reachable")
+                reached.add(nxt)
+                frame[3] = weight
+                stack.append([nxt, moves(*nxt), 0, 0])
+                break
+            if nxt not in best:
+                return NONTERMINATING
+            frame[2] = max(frame[2], weight + best[nxt])
+        else:
+            cfg, _, value, _ = stack.pop()
+            if stack:
+                best[cfg] = value
+                stack[-1][2] = max(stack[-1][2], stack[-1][3] + value)
+    if node_value is None:
+        return value
+    return max((node_value(vec) for _, vec in reached), default=0)
 
 
 def longest_trace(v: Vass, n: int, budget: int = DEFAULT_BUDGET) -> MetricResult:
     """Exact supremum of trace lengths over all initial states and all
     initial valuations with max-norm <= n."""
-    return _metric(v, n, lambda t: 1, None, budget)
+    return _walk(v, n, lambda t: 1, None, budget)
 
 
 def max_instances(v: Vass, n: int, tid: int,
@@ -134,7 +98,7 @@ def max_instances(v: Vass, n: int, tid: int,
     """Exact supremum of the number of occurrences of one transition."""
     if not any(t.tid == tid for t in v.transitions):
         raise VassError(f"unknown transition id {tid}")
-    return _metric(v, n, lambda t: 1 if t.tid == tid else 0, None, budget)
+    return _walk(v, n, lambda t: 1 if t.tid == tid else 0, None, budget)
 
 
 def max_reachable(v: Vass, n: int, variable: str,
@@ -143,7 +107,7 @@ def max_reachable(v: Vass, n: int, variable: str,
     if variable not in v.variables:
         raise VassError(f"unknown variable '{variable}'")
     idx = v.variables.index(variable)
-    return _metric(v, n, lambda t: 0, lambda vec: vec[idx], budget)
+    return _walk(v, n, lambda t: 0, lambda vec: vec[idx], budget)
 
 
 def sweep(v: Vass, metric: str, n_values, budget: int = DEFAULT_BUDGET) -> list[tuple[int, str, MetricResult]]:

@@ -20,24 +20,32 @@ from vassbound import (
     max_reachable,
 )
 from vassbound.analyzer import POLYNOMIAL
-from vassbound.oracle import sweep, sweep_csv
-from conftest import random_connected_vass
+from vassbound.oracle import DEFAULT_BUDGET, sweep, sweep_csv
+from conftest import random_connected_vass, without_deep_recursion
 
 # Exact values for the running example, cross-checked against the
 # independent recursive search below for the small parameters.
 V_RUN_LONGEST = {0: 1, 1: 17, 2: 78, 3: 215, 4: 460}
 
 
-def reference_longest(v, n):
-    """Independent memoized recursive longest-trace search."""
+def reference_metric(v, n, step_weight=lambda t: 1, node_value=None):
+    """Independent memoized recursive search: the maximal step-weighted
+    path value over every root in the {0..n} box, or the maximum of
+    `node_value` over every reachable valuation when it is given, or
+    NONTERMINATING on a configuration cycle."""
+    limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200000)
     memo = {}
     on_path = set()
 
+    class Cycle(Exception):
+        pass
+
     def explore(cfg):
         if cfg in memo:
             return memo[cfg]
-        assert cfg not in on_path, "configuration cycle"
+        if cfg in on_path:
+            raise Cycle()
         on_path.add(cfg)
         state, vec = cfg
         best = 0
@@ -46,14 +54,36 @@ def reference_longest(v, n):
                 continue
             nxt = tuple(a + b for a, b in zip(vec, t.update))
             if all(c >= 0 for c in nxt):
-                best = max(best, 1 + explore((t.dst, nxt)))
+                best = max(best, step_weight(t) + explore((t.dst, nxt)))
         on_path.discard(cfg)
         memo[cfg] = best
         return best
 
-    return max(explore((s, vec))
-               for s in v.states
-               for vec in product(range(n + 1), repeat=v.dimension))
+    try:
+        longest = max((explore((s, vec))
+                       for s in v.states
+                       for vec in product(range(n + 1), repeat=v.dimension)),
+                      default=0)
+    except Cycle:
+        return NONTERMINATING
+    finally:
+        sys.setrecursionlimit(limit)
+    if node_value is None:
+        return longest
+    return max((node_value(vec) for _, vec in memo), default=0)
+
+
+def reference_sweep(v, n):
+    """{metric: reference value} for `longest`, every variable and every
+    transition of `v`, in the metric names `sweep` takes."""
+    refs = {"longest": reference_metric(v, n)}
+    for i, x in enumerate(v.variables):
+        refs[f"var:{x}"] = reference_metric(
+            v, n, lambda t: 0, lambda vec, i=i: vec[i])
+    for t in v.transitions:
+        refs[f"trans:{t.tid}"] = reference_metric(
+            v, n, lambda u, tid=t.tid: 1 if u.tid == tid else 0)
+    return refs
 
 
 def doubling_pump_path(v, n, rounds):
@@ -83,9 +113,6 @@ class TestLongestTrace:
         for n, expected in V_RUN_LONGEST.items():
             assert longest_trace(v_run, n) == expected
 
-    def test_agrees_with_reference_search(self, v_run):
-        for n in (0, 1, 2):
-            assert longest_trace(v_run, n) == reference_longest(v_run, n)
 
     def test_monotone_in_scale(self, v_run):
         values = [longest_trace(v_run, n) for n in range(5)]
@@ -105,6 +132,47 @@ class TestLongestTrace:
     def test_budget_guard(self, v_run):
         with pytest.raises(BudgetExceededError):
             longest_trace(v_run, 3, budget=10)
+
+
+    def test_deep_chain_needs_no_recursion(self):
+        v = Vass.from_triples(["x"], [(f"s{i:04d}", (0,), f"s{i + 1:04d}")
+                                      for i in range(5000)])
+        assert without_deep_recursion(longest_trace, v, 0) == 5000
+        assert without_deep_recursion(max_instances, v, 0, 4999) == 1
+
+
+class TestReference:
+    """The oracle agrees with an independent recursive search on every
+    metric: values, and NONTERMINATING on a configuration cycle."""
+
+    def check(self, v, n, budget=DEFAULT_BUDGET):
+        for metric, expected in reference_sweep(v, n).items():
+            assert sweep(v, metric, [n], budget) == [(n, metric, expected)], metric
+
+    @pytest.mark.parametrize("n", range(4))
+    def test_agrees_with_reference_search(self, v_run, n):
+        self.check(v_run, n)
+
+    def test_agrees_on_random_models(self):
+        """A model whose walk outgrows the budget is skipped: its reachable
+        set may be infinite, and the reference, which visits in the same
+        order, would not stop either."""
+        rng = random.Random(2310)
+        outcomes = []
+        for _ in range(100):
+            v = random_connected_vass(rng)
+            for n in range(3):
+                try:
+                    outcomes.append(longest_trace(v, n, 300) is NONTERMINATING)
+                except BudgetExceededError:
+                    continue
+                self.check(v, n, 300)
+        assert (len(outcomes), sum(outcomes)) == (139, 58)  # checks, cycles among them
+
+    def test_restores_recursion_limit(self, v_run):
+        limit = sys.getrecursionlimit()
+        reference_metric(v_run, 1)
+        assert sys.getrecursionlimit() == limit
 
 
 class TestOtherMetrics:
