@@ -68,7 +68,7 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
         frame = stack[-1]
         for weight, nxt in frame[1]:
             if nxt not in reached:
-                if len(reached) > budget:
+                if len(reached) >= budget:
                     raise BudgetExceededError(f"more than {budget} configurations reachable")
                 reached.add(nxt)
                 frame[3] = weight

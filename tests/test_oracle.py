@@ -133,6 +133,18 @@ class TestLongestTrace:
         with pytest.raises(BudgetExceededError):
             longest_trace(v_run, 3, budget=10)
 
+    def test_budget_admits_exactly_budget_configurations(self, v_run):
+        # running.vass reaches 58 configurations from the {0..1} box
+        with pytest.raises(BudgetExceededError,
+                           match="more than 57 configurations reachable"):
+            longest_trace(v_run, 1, budget=57)
+        assert longest_trace(v_run, 1, budget=58) == 17
+
+    def test_zero_budget_refuses_any_state(self):
+        v = Vass.from_triples(["x"], [("s1", (-1,), "s1")])
+        with pytest.raises(BudgetExceededError):
+            longest_trace(v, 0, budget=0)
+
 
     def test_deep_chain_needs_no_recursion(self):
         v = Vass.from_triples(["x"], [(f"s{i:04d}", (0,), f"s{i + 1:04d}")
