@@ -3,12 +3,15 @@
 Enumerates every configuration reachable from any state with any initial
 valuation inside the {0..N} box and computes exact suprema: longest trace
 length, maximal reachable value of a variable, or maximal instance count of
-a transition.  Longest-path values are memoized over the configuration
-graph; a configuration cycle means an infinite trace exists and all three
+a transition.  One depth-first walk, on an explicit stack of iterators,
+visits the configurations and memoizes each one's longest-path value when
+it finishes; reaching a configuration that is still on the stack closes a
+configuration cycle, which means an infinite trace exists, and all three
 metrics report the NONTERMINATING sentinel.
 
-Enumeration is exact, never sampled; exceeding the node budget raises
-instead of silently truncating.
+Enumeration is exact, never sampled.  The walk admits at most `budget`
+configurations and raises BudgetExceededError on the next one, instead of
+silently truncating.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ DEFAULT_BUDGET = 10_000_000
 
 
 class BudgetExceededError(VassError):
-    """The reachable configuration space outgrew the node budget."""
+    """More configurations are reachable than the budget admits."""
 
 
 class _Nonterminating:
@@ -36,6 +39,7 @@ NONTERMINATING = _Nonterminating()
 
 MetricResult = Union[int, _Nonterminating]
 
+
 def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
           node_value: Optional[Callable[[tuple[int, ...]], int]],
           budget: int) -> MetricResult:
@@ -44,8 +48,8 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
     Returns NONTERMINATING on a configuration cycle; otherwise the maximum
     of `node_value` over every reached valuation when it is given, else the
     maximal step-weighted path value over all roots.  Each stack frame is
-    [configuration, iterator over its (weight, successor) moves, best value
-    so far, weight of the move being followed]; a configuration that is
+    [configuration, weight of the move that reached it, iterator over its
+    (weight, successor) moves, best value so far]; a configuration that is
     reached but has no `best` value yet is on the stack, so reaching it
     again closes a cycle."""
     if n < 0:
@@ -63,25 +67,24 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
     roots = ((0, (s, vec)) for s in v.states for vec in product(range(n + 1), repeat=v.dimension))
     reached: set[tuple] = set()
     best: dict[tuple, int] = {}
-    stack: list[list] = [[None, roots, 0, 0]]  # a pseudo-configuration whose moves reach the roots
+    stack: list[list] = [[None, 0, roots, 0]]  # a pseudo-configuration whose moves reach the roots
     while stack:
         frame = stack[-1]
-        for weight, nxt in frame[1]:
+        for weight, nxt in frame[2]:
             if nxt not in reached:
                 if len(reached) >= budget:
                     raise BudgetExceededError(f"more than {budget} configurations reachable")
                 reached.add(nxt)
-                frame[3] = weight
-                stack.append([nxt, moves(*nxt), 0, 0])
+                stack.append([nxt, weight, moves(*nxt), 0])
                 break
             if nxt not in best:
                 return NONTERMINATING
-            frame[2] = max(frame[2], weight + best[nxt])
+            frame[3] = max(frame[3], weight + best[nxt])
         else:
-            cfg, _, value, _ = stack.pop()
+            cfg, weight, _, value = stack.pop()
             if stack:
                 best[cfg] = value
-                stack[-1][2] = max(stack[-1][2], stack[-1][3] + value)
+                stack[-1][3] = max(stack[-1][3], weight + value)
     if node_value is None:
         return value
     return max((node_value(vec) for _, vec in reached), default=0)

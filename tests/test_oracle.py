@@ -108,10 +108,42 @@ def doubling_pump_path(v, n, rounds):
     return Path(tuple(steps), anchor="s1")
 
 
+def check_against_reference(v, n, budget=DEFAULT_BUDGET):
+    """The oracle agrees with the reference search on every metric of `v`
+    at scale n: values, and NONTERMINATING on a configuration cycle."""
+    for metric, expected in reference_sweep(v, n).items():
+        assert sweep(v, metric, [n], budget) == [(n, metric, expected)], metric
+
+
 class TestLongestTrace:
     def test_running_example_regression(self, v_run):
         for n, expected in V_RUN_LONGEST.items():
             assert longest_trace(v_run, n) == expected
+
+    def test_agrees_with_reference_search(self, v_run):
+        for n in range(4):
+            check_against_reference(v_run, n)
+
+    def test_agrees_with_reference_on_random_models(self):
+        """A model whose walk outgrows the budget is skipped: its reachable
+        set may be infinite, and the reference, which visits in the same
+        order, would not stop either."""
+        rng = random.Random(2310)
+        outcomes = []
+        for _ in range(100):
+            v = random_connected_vass(rng)
+            for n in range(3):
+                try:
+                    outcomes.append(longest_trace(v, n, 300) is NONTERMINATING)
+                except BudgetExceededError:
+                    continue
+                check_against_reference(v, n, 300)
+        assert (len(outcomes), sum(outcomes)) == (139, 58)  # checks, cycles among them
+
+    def test_reference_restores_recursion_limit(self, v_run):
+        limit = sys.getrecursionlimit()
+        reference_metric(v_run, 1)
+        assert sys.getrecursionlimit() == limit
 
 
     def test_monotone_in_scale(self, v_run):
@@ -151,40 +183,6 @@ class TestLongestTrace:
                                       for i in range(5000)])
         assert without_deep_recursion(longest_trace, v, 0) == 5000
         assert without_deep_recursion(max_instances, v, 0, 4999) == 1
-
-
-class TestReference:
-    """The oracle agrees with an independent recursive search on every
-    metric: values, and NONTERMINATING on a configuration cycle."""
-
-    def check(self, v, n, budget=DEFAULT_BUDGET):
-        for metric, expected in reference_sweep(v, n).items():
-            assert sweep(v, metric, [n], budget) == [(n, metric, expected)], metric
-
-    @pytest.mark.parametrize("n", range(4))
-    def test_agrees_with_reference_search(self, v_run, n):
-        self.check(v_run, n)
-
-    def test_agrees_on_random_models(self):
-        """A model whose walk outgrows the budget is skipped: its reachable
-        set may be infinite, and the reference, which visits in the same
-        order, would not stop either."""
-        rng = random.Random(2310)
-        outcomes = []
-        for _ in range(100):
-            v = random_connected_vass(rng)
-            for n in range(3):
-                try:
-                    outcomes.append(longest_trace(v, n, 300) is NONTERMINATING)
-                except BudgetExceededError:
-                    continue
-                self.check(v, n, 300)
-        assert (len(outcomes), sum(outcomes)) == (139, 58)  # checks, cycles among them
-
-    def test_restores_recursion_limit(self, v_run):
-        limit = sys.getrecursionlimit()
-        reference_metric(v_run, 1)
-        assert sys.getrecursionlimit() == limit
 
 
 class TestOtherMetrics:
