@@ -16,12 +16,13 @@ executes.  The slots alone form the pre-path; it only picks the repetition
 constant k so that each layer's phase executes from an O(N) valuation, so
 it is kept as a summary, never built.  The witness is each layer's path
 repeated N * k times.  Paths are programs, never flat lists: cycles and cut
-segments are the leaves, and `Seq(parts)` and `Repeat(count, body)` nest
-them.  Each node records its length, instance counts, start, end, net
-effect e and per-counter minimal prefix sum m <= 0 when built, by `_then`
-and `_times`.  A path runs from v exactly when v + m >= 0, ending at v + e,
-so building and verifying cost O(program size); the dump renders each
-repeated body once and multiplies its text, so it costs about the bytes it writes.
+segments are the leaves, and one composite node, `Repeat(count, parts)`,
+nests them: its parts in order, `count` times.  Each node records its
+length, instance counts, start, end, net effect e and per-counter minimal
+prefix sum m <= 0 when built, by `_then` and `_times`.  A path runs from v
+exactly when v + m >= 0, ending at v + e, so building and verifying cost
+O(program size); the dump renders one pass over each repeated node's parts
+and multiplies its text, so it costs about the bytes it writes.
 
 For an exponential outcome the module extracts the per-node cycles of the
 final layer together with the variable partition (bounded / still growing)
@@ -35,7 +36,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, islice, repeat
 from operator import add
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .analyzer import AnalysisResult, EXPONENTIAL, LayerRecord, LayerTree, POLYNOMIAL
 from .model import (
@@ -92,7 +93,7 @@ class _Program:
         return self.length
 
     def __iter__(self) -> Iterator[Transition]:
-        return (t for leaf in _leaves(self) for t in leaf.path.steps)
+        return (t for leaf in _leaves((self,)) for t in leaf.path.steps)
 
     def __getitem__(self, index: int | slice) -> Transition | tuple[Transition, ...]:
         if isinstance(index, slice):
@@ -119,62 +120,53 @@ class Leaf(_Program):
         self.text = "".join(f"{t.tid}\n" for t in path.steps)
 
 
-class Seq(_Program):
-    """The non-empty parts in order; they must be adjacent."""
+class Repeat(_Program):
+    """The non-empty parts in order, `count` >= 1 times.  The parts must be
+    adjacent, and with `count` >= 2 they must form a cycle."""
 
-    __slots__ = ("parts",)
+    __slots__ = ("count", "parts")
 
-    def __init__(self, parts: Sequence[_Program], dimension: int):
-        self.parts = tuple(p for p in parts if p.length)
+    def __init__(self, count: int, parts: Sequence[_Program], dimension: int):
+        self.count, self.parts = count, tuple(p for p in parts if p.length)
         if any(a.end != b.start for a, b in zip(self.parts, self.parts[1:])):
             raise WitnessError("non-adjacent parts in a path")
-        self.effect, self.low, counts = (0,) * dimension, (0,) * dimension, Counter()
-        for p in self.parts:
-            self.effect, self.low = _then((self.effect, self.low), (p.effect, p.low))
-            counts.update(p.counts)
-        self.counts, self.length = dict(counts), sum(p.length for p in self.parts)
         self.start = self.parts[0].start if self.parts else None
         self.end = self.parts[-1].end if self.parts else None
-
-
-class Repeat(_Program):
-    """The body `count` >= 1 times; a repeated body must be a cycle."""
-
-    __slots__ = ("count", "body")
-
-    def __init__(self, count: int, body: _Program):
-        if count > 1 and body.start != body.end:
+        if count > 1 and self.start != self.end:
             raise WitnessError("repeated part of a path is not a cycle")
-        self.count, self.body, self.length = count, body, count * body.length
-        self.counts = {tid: count * c for tid, c in body.counts.items()}
-        self.effect, self.low = _times(count, (body.effect, body.low))
-        self.start, self.end = body.start, body.end
+        summary, counts = ((0,) * dimension,) * 2, Counter()
+        for p in self.parts:
+            summary = _then(summary, (p.effect, p.low))
+            counts.update(p.counts)
+        self.effect, self.low = _times(count, summary)
+        self.counts = {tid: count * c for tid, c in counts.items()}
+        self.length = count * sum(p.length for p in self.parts)
 
 
-def _leaves(program: _Program, short: int = 0) -> Iterator[_Program]:
-    """The leaves in path order, by an explicit stack of iterators; `Seq`
-    parts and repeats of count 1 are walked in place, and any other repeat
-    whose body has fewer than `short` steps is yielded whole."""
-    stack = [iter((program,))]
+def _leaves(parts: Iterable[_Program], short: int = 0) -> Iterator[_Program]:
+    """The leaves of `parts` in path order, by an explicit stack of
+    iterators.  A repeat's parts are walked in place, `count` times, unless
+    its count is at least 2 and one pass has fewer than `short` steps; such a
+    repeat is yielded whole."""
+    stack = [iter(parts)]
     while stack:
         node = next(stack[-1], None)
         if node is None:
             stack.pop()
-        elif isinstance(node, Seq):
-            stack.append(iter(node.parts))
-        elif isinstance(node, Repeat) and (node.count == 1 or node.body.length >= short):
-            stack.append(repeat(node.body, node.count))
+        elif isinstance(node, Repeat) and (node.count == 1 or node.length >= short * node.count):
+            stack.append(chain.from_iterable(repeat(node.parts, node.count)))
         else:
             yield node
 
 
-def _text(program: _Program) -> str:
-    """The program's dump lines: each leaf's text, and each repeat of count
-    >= 2 rendered once and multiplied.  Only those recurse, each halving the
-    length, so the depth is at most log2 of the length."""
+def _text(parts: Sequence[_Program]) -> str:
+    """The dump lines of one pass over `parts`: each leaf's text, and each
+    repeat of count >= 2 rendered as one pass over its own parts, multiplied.
+    Only those recurse, each at least halving the length, so the depth is at
+    most log2 of the length."""
     pieces = []
-    for node in _leaves(program, program.length + 1):
-        pieces.append(node.text if isinstance(node, Leaf) else _text(node.body) * node.count)
+    for node in _leaves(parts, sum(p.length for p in parts) + 1):
+        pieces.append(node.text if isinstance(node, Leaf) else _text(node.parts) * node.count)
     return "".join(pieces)
 
 
@@ -192,15 +184,16 @@ class WitnessPath:
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
     def chunks(self, v: Vass) -> Iterator[str]:
-        """The dump in pieces of at most about `piece` steps; a repeated body
-        shorter than a piece is rendered once by `_text` and multiplied."""
+        """The dump in pieces of at most about `piece` steps; a repeat whose
+        pass over its parts is shorter than a piece renders that pass once by
+        `_text` and multiplies it."""
         piece = 8192
         yield (f"witness N={self.n} k={self.k}\ninit "
                + " ".join(str(self.initial[x]) for x in v.variables) + "\n")
-        for node in _leaves(self.path, piece):
+        for node in _leaves((self.path,), piece):
             if isinstance(node, Repeat):
-                text = _text(node.body)
-                per_piece = piece // max(node.body.length, 1)
+                text = _text(node.parts)
+                per_piece = piece // max(node.length // node.count, 1)
                 yield from repeat(text * per_piece, node.count // per_piece)
                 yield text * (node.count % per_piece)
             else:
@@ -433,25 +426,25 @@ class _Builder:
 
     def path(self, target: int) -> tuple[_Program, tuple[tuple[int, ...], tuple[int, ...]]]:
         """The root's program for the target layer, built bottom-up, and the
-        summary of its pre-path.  At the target a node gives its cycle, and
-        its pre-path is that cycle; above it each next-layer part's program,
-        repeated N times, fills its slot in the node's cut cycle, and the
-        pre-path is those slots alone, in cut order."""
+        summary of its pre-path.  Each node's path is a list of parts: at the
+        target its cycle, and its pre-path is that cycle; above it the node's
+        cut cycle with each next-layer part's parts, repeated N times, in its
+        slot, and the pre-path is those slots alone, in cut order."""
         leaves = {node.nid: self.leaves[node.nid] for node in self.layers[target]}
-        programs = {nid: (leaf, (leaf.effect, leaf.low)) for nid, leaf in leaves.items()}
+        paths = {nid: ([leaf], (leaf.effect, leaf.low)) for nid, leaf in leaves.items()}
         for layer in range(target - 1, -1, -1):
             above = {}
             for node in self.layers[layer]:
                 segments, order = self.cut(node.nid, layer)
                 parts, pre = [segments[0]], ((0,) * self.dimension,) * 2
                 for part, segment in zip(order, segments[1:]):
-                    program, part_pre = programs[part]
-                    parts += [Repeat(self.n, program), segment]
-                    pre = _then(pre, _times(self.n, part_pre))
-                above[node.nid] = (parts[0] if len(parts) == 1
-                                   else Seq(parts, self.dimension), pre)
-            programs = above
-        return programs[self.tree.root.nid]
+                    inner, inner_pre = paths[part]
+                    parts += [Repeat(self.n, inner, self.dimension), segment]
+                    pre = _then(pre, _times(self.n, inner_pre))
+                above[node.nid] = (parts, pre)
+            paths = above
+        parts, pre = paths[self.tree.root.nid]
+        return Repeat(1, parts, self.dimension), pre
 
 
 def choose_k(lows: Mapping[int, Sequence[int]], vexp: Mapping[str, Optional[int]],
@@ -484,7 +477,7 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
     paths = [builder.path(layer) for layer in range(builder.max_layer + 1)]
     k = choose_k({layer: _times(n, pre)[1] for layer, (_, pre) in enumerate(paths)},
                  result.report.variable_exponents, v, n)
-    path = Seq([Repeat(n * k, program) for program, _ in paths], v.dimension)
+    path = Repeat(1, [Repeat(n * k, [program], v.dimension) for program, _ in paths], v.dimension)
 
     base = min_initial_valuation(v, path)
     initial_val = Valuation({x: max(base[x], n ** result.report.variable_exponents[x] - e)

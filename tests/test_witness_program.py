@@ -15,7 +15,8 @@ import pytest
 
 from vassbound import PrePath, analyze, build_witness, parse_vass, verify_witness
 from vassbound.analyzer import POLYNOMIAL
-from vassbound.witness import Leaf, Repeat, Seq, WitnessError, _Builder
+from vassbound.model import Path
+from vassbound.witness import Leaf, Repeat, WitnessError, _Builder
 from conftest import V_RUN_TEXT, prepath_steps, random_connected_vass, v_family
 
 
@@ -26,19 +27,15 @@ def _nodes(program):
         node = stack.pop()
         if id(node) not in seen:
             seen[id(node)] = node
-            if isinstance(node, Seq):
+            if isinstance(node, Repeat):
                 stack.extend(node.parts)
-            elif isinstance(node, Repeat):
-                stack.append(node.body)
     return list(seen.values())
 
 
 def _flat(node):
     """The node's steps, expanded by this test's own recursion."""
-    if isinstance(node, Seq):
-        return list(chain.from_iterable(map(_flat, node.parts)))
     if isinstance(node, Repeat):
-        return _flat(node.body) * node.count
+        return list(chain.from_iterable(map(_flat, node.parts))) * node.count
     assert isinstance(node, Leaf)
     return list(node.path.steps)
 
@@ -113,20 +110,63 @@ def test_lazy_steps_take_an_integer_index():
             path.steps[index]
 
 
+def _predicted_repeats(tree):
+    """`Repeat` builds of one witness, from the layer tree alone.  Take
+    L = max layer.  A node spanning layers f..l is its own next-layer part at
+    layers f..l-1 and has its children as parts at layer l; each part is one
+    `Repeat` for every target below that layer.  Each target adds its root's
+    count-1 node and its N * k repeat, and the witness one count-1 node."""
+    top = tree.max_layer()
+    return sum(sum(top - layer for layer in range(node.first_layer, node.last_layer))
+               + (top - node.last_layer) * len(node.children)
+               for node in tree.nodes) + 2 * (top + 1) + 1
+
+
 def test_witness_build_work_on_the_family(monkeypatch):
-    """Program nodes built by `build_witness(analyze(v_family(1..6)), 1)`,
-    pinned: one cycle leaf per node, one build per target layer, the
-    pre-path kept as a summary and one cut per node side.  A second
-    construction path shows here, without timing."""
+    """Program nodes built by `build_witness(analyze(v_family(nu)), 1)` for
+    nu = 1..7, pinned and checked against `_predicted_repeats`: one cycle
+    leaf per node, one build per target layer, the pre-path kept as a
+    summary and one cut per node side.  A second construction path shows
+    here, without timing."""
     built = Counter()
-    for cls in (Leaf, Seq, Repeat):
+    for cls in (Leaf, Repeat):
         def counted(self, *args, init=cls.__init__, name=cls.__name__):
             built[name] += 1
             init(self, *args)
         monkeypatch.setattr(cls, "__init__", counted)
-    for nu in range(1, 7):
-        build_witness(analyze(v_family(nu)), 1)
-    assert built == {"Leaf": 541, "Seq": 6312, "Repeat": 7413}
+    leaves, repeats = [], []
+    for nu in range(1, 8):
+        built.clear()
+        result = analyze(v_family(nu))
+        build_witness(result, 1)
+        assert built["Repeat"] == _predicted_repeats(result.tree)
+        leaves.append(built["Leaf"])
+        repeats.append(built["Repeat"])
+    assert sum(leaves[:6]) == 541
+    assert repeats == [7, 24, 91, 357, 1417, 5649, 22561]
+
+
+def _running_leaves():
+    """Leaves of single `running.vass` transitions, by id."""
+    v = parse_vass(V_RUN_TEXT)
+    return v, {t.tid: Leaf(Path((t,)), v.dimension) for t in v.transitions}
+
+
+def test_parts_must_be_adjacent():
+    v, leaf = _running_leaves()  # 4 is s2 -> s1, 0 is s1 -> s1, 1 is s2 -> s2
+    Repeat(1, [leaf[4], leaf[0]], v.dimension)
+    for count in (1, 2):
+        with pytest.raises(WitnessError, match="non-adjacent parts in a path"):
+            Repeat(count, [leaf[4], leaf[1]], v.dimension)
+
+
+def test_repeated_parts_must_form_a_cycle():
+    v, leaf = _running_leaves()  # 4 is s2 -> s1, 5 is s1 -> s2
+    for parts in ([leaf[4]], [leaf[4], leaf[0]]):
+        Repeat(1, parts, v.dimension)
+        with pytest.raises(WitnessError, match="repeated part of a path is not a cycle"):
+            Repeat(2, parts, v.dimension)
+    assert Repeat(3, [leaf[4], leaf[5]], v.dimension).length == 6
 
 
 def test_witness_dump_work_on_the_family(monkeypatch):
