@@ -5,9 +5,13 @@ valuation inside the {0..N} box and computes exact suprema: longest trace
 length, maximal reachable value of a variable, or maximal instance count of
 a transition.  One depth-first walk, on an explicit stack of iterators,
 visits the configurations and memoizes each one's longest-path value when
-it finishes; reaching a configuration that is still on the stack closes a
-configuration cycle, which means an infinite trace exists, and all three
-metrics report the NONTERMINATING sentinel.
+it finishes.  An infinite trace exists, and all three metrics report the
+NONTERMINATING sentinel, when a newly reached configuration covers,
+componentwise, one with the same state that is still on the stack: the
+path between the two is a cycle with non-negative effect, so it pumps
+forever (Dickson's lemma, the Karp-Miller test).  Reaching a configuration
+that is on the stack, a configuration cycle, is the equal case.  On a
+finite reachable set only that case can occur.
 
 Enumeration is exact, never sampled.  The walk admits at most `budget`
 configurations and raises BudgetExceededError on the next one, instead of
@@ -17,6 +21,7 @@ silently truncating.
 from __future__ import annotations
 
 from itertools import product
+from operator import le
 from typing import Callable, Optional, Union
 
 from .model import Transition, Vass, VassError, _out_edges
@@ -45,13 +50,14 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
           budget: int) -> MetricResult:
     """Walk every configuration reachable from the {0..n} box, depth first.
 
-    Returns NONTERMINATING on a configuration cycle; otherwise the maximum
-    of `node_value` over every reached valuation when it is given, else the
-    maximal step-weighted path value over all roots.  Each stack frame is
-    [configuration, weight of the move that reached it, iterator over its
-    (weight, successor) moves, best value so far]; a configuration that is
-    reached but has no `best` value yet is on the stack, so reaching it
-    again closes a cycle."""
+    Returns NONTERMINATING when a configuration covers one on the stack;
+    otherwise the maximum of `node_value` over every reached valuation when
+    it is given, else the maximal step-weighted path value over all roots.
+    Each stack frame is [configuration, weight of the move that reached it,
+    iterator over its (weight, successor) moves, best value so far], and
+    `on_stack` holds each state's valuations on the stack, in stack order.
+    A configuration that is reached but has no `best` value yet is on the
+    stack, so reaching it again closes a cycle."""
     if n < 0:
         raise VassError("scale parameter must be >= 0")
     if budget < 0:
@@ -67,14 +73,19 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
     roots = ((0, (s, vec)) for s in v.states for vec in product(range(n + 1), repeat=v.dimension))
     reached: set[tuple] = set()
     best: dict[tuple, int] = {}
+    on_stack: dict[str, list[tuple[int, ...]]] = {s: [] for s in v.states}
     stack: list[list] = [[None, 0, roots, 0]]  # a pseudo-configuration whose moves reach the roots
     while stack:
         frame = stack[-1]
         for weight, nxt in frame[2]:
             if nxt not in reached:
+                state, vec = nxt
+                if any(all(map(le, low, vec)) for low in on_stack[state]):
+                    return NONTERMINATING
                 if len(reached) >= budget:
                     raise BudgetExceededError(f"more than {budget} configurations reachable")
                 reached.add(nxt)
+                on_stack[state].append(vec)
                 stack.append([nxt, weight, moves(*nxt), 0])
                 break
             if nxt not in best:
@@ -83,6 +94,7 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
         else:
             cfg, weight, _, value = stack.pop()
             if stack:
+                on_stack[cfg[0]].pop()
                 best[cfg] = value
                 stack[-1][3] = max(stack[-1][3], weight + value)
     if node_value is None:

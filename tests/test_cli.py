@@ -287,6 +287,16 @@ class TestOracle:
         assert main(["oracle", str(loop), "--n", "1", "--metric", "longest"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "1,longest,NONTERMINATING"
 
+    def test_unbounded_run_row(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.delenv("VASSBOUND_ORACLE_BUDGET", raising=False)
+        pump = tmp_path / "pump.vass"
+        pump.write_text("vars x\ns -> s : 1\n")
+        for budget in (["--budget", "100"], []):  # the small budget first fails fast
+            assert main(["oracle", str(pump), "--sweep", "0..2", "--metric", "longest",
+                         *budget]) == 0
+            assert capsys.readouterr().out.splitlines()[1:] == [
+                f"{n},longest,NONTERMINATING" for n in range(3)]
+
     def test_sweep_monotone(self, v_run_file, capsys):
         assert main(["oracle", v_run_file, "--sweep", "1..4",
                      "--metric", "var:z"]) == 0

@@ -32,11 +32,13 @@ def reference_metric(v, n, step_weight=lambda t: 1, node_value=None):
     """Independent memoized recursive search: the maximal step-weighted
     path value over every root in the {0..n} box, or the maximum of
     `node_value` over every reachable valuation when it is given, or
-    NONTERMINATING on a configuration cycle."""
+    NONTERMINATING when a configuration covers, componentwise, one with the
+    same state on the current path (a configuration cycle is the equal
+    case)."""
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(200000)
     memo = {}
-    on_path = set()
+    on_path = []
 
     class Cycle(Exception):
         pass
@@ -44,10 +46,10 @@ def reference_metric(v, n, step_weight=lambda t: 1, node_value=None):
     def explore(cfg):
         if cfg in memo:
             return memo[cfg]
-        if cfg in on_path:
-            raise Cycle()
-        on_path.add(cfg)
         state, vec = cfg
+        if any(s == state and all(a <= b for a, b in zip(u, vec)) for s, u in on_path):
+            raise Cycle()
+        on_path.append(cfg)
         best = 0
         for t in v.transitions:
             if t.src != state:
@@ -55,7 +57,7 @@ def reference_metric(v, n, step_weight=lambda t: 1, node_value=None):
             nxt = tuple(a + b for a, b in zip(vec, t.update))
             if all(c >= 0 for c in nxt):
                 best = max(best, step_weight(t) + explore((t.dst, nxt)))
-        on_path.discard(cfg)
+        on_path.pop()
         memo[cfg] = best
         return best
 
@@ -125,20 +127,16 @@ class TestLongestTrace:
             check_against_reference(v_run, n)
 
     def test_agrees_with_reference_on_random_models(self):
-        """A model whose walk outgrows the budget is skipped: its reachable
-        set may be infinite, and the reference, which visits in the same
-        order, would not stop either."""
+        """Every pair is decided within the budget: an unbounded run shows
+        as a covering pair on the stack long before it outgrows it."""
         rng = random.Random(2310)
         outcomes = []
         for _ in range(100):
             v = random_connected_vass(rng)
             for n in range(3):
-                try:
-                    outcomes.append(longest_trace(v, n, 300) is NONTERMINATING)
-                except BudgetExceededError:
-                    continue
+                outcomes.append(longest_trace(v, n, 300) is NONTERMINATING)
                 check_against_reference(v, n, 300)
-        assert (len(outcomes), sum(outcomes)) == (139, 58)  # checks, cycles among them
+        assert (len(outcomes), sum(outcomes)) == (300, 219)  # checks, NONTERMINATING among them
 
     def test_reference_restores_recursion_limit(self, v_run):
         limit = sys.getrecursionlimit()
@@ -160,6 +158,18 @@ class TestLongestTrace:
 
     def test_doubling_is_nonterminating(self, doubling):
         assert longest_trace(doubling, 2) is NONTERMINATING
+
+    def test_unbounded_run_without_configuration_cycle_is_nonterminating(self):
+        """`s -> s : 1` reaches infinitely many configurations and none
+        twice; each step covers the one before it, so every metric is
+        NONTERMINATING at once.  A budget of 100 is checked first, so that a
+        walk that misses the pair fails fast instead of filling the default
+        budget."""
+        v = Vass.from_triples(["x"], [("s", (1,), "s")])
+        for budget in (100, DEFAULT_BUDGET):
+            for n in range(3):
+                for metric in ("longest", "var:x", "trans:0"):
+                    assert sweep(v, metric, [n], budget) == [(n, metric, NONTERMINATING)]
 
     def test_budget_guard(self, v_run):
         with pytest.raises(BudgetExceededError):
