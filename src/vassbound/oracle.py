@@ -5,13 +5,12 @@ valuation inside the {0..N} box and computes exact suprema: longest trace
 length, maximal reachable value of a variable, or maximal instance count of
 a transition.  One depth-first walk, on an explicit stack of iterators,
 visits the configurations and memoizes each one's longest-path value when
-it finishes.  An infinite trace exists, and all three metrics report the
-NONTERMINATING sentinel, when a newly reached configuration covers,
-componentwise, one with the same state that is still on the stack: the
-path between the two is a cycle with non-negative effect, so it pumps
-forever (Dickson's lemma, the Karp-Miller test).  Reaching a configuration
-that is on the stack, a configuration cycle, is the equal case.  On a
-finite reachable set only that case can occur.
+it finishes.  A newly reached configuration that covers, componentwise, one
+with the same state still on the stack closes a cycle with non-negative
+effect, which pumps forever (Dickson's lemma, the Karp-Miller test): an
+infinite trace exists, and all three metrics report the NONTERMINATING
+sentinel.  A configuration cycle is the equal case, the only one that a
+finite reachable set can show.
 
 Enumeration is exact, never sampled.  The walk admits at most `budget`
 configurations and raises BudgetExceededError on the next one, instead of
@@ -55,9 +54,9 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
     it is given, else the maximal step-weighted path value over all roots.
     Each stack frame is [configuration, weight of the move that reached it,
     iterator over its (weight, successor) moves, best value so far], and
-    `on_stack` holds each state's valuations on the stack, in stack order.
-    A configuration that is reached but has no `best` value yet is on the
-    stack, so reaching it again closes a cycle."""
+    `on_stack` holds each state's valuations on the stack.  A configuration
+    reached but without a `best` value yet is on the stack, so reaching it
+    again closes a cycle."""
     if n < 0:
         raise VassError("scale parameter must be >= 0")
     if budget < 0:

@@ -16,13 +16,12 @@ executes.  The slots alone form the pre-path; it only picks the repetition
 constant k so that each layer's phase executes from an O(N) valuation, so
 it is kept as a summary, never built.  The witness is each layer's path
 repeated N * k times.  Paths are programs, never flat lists: cycles and cut
-segments are the leaves, and one composite node, `Repeat(count, parts)`,
-nests them: its parts in order, `count` times.  Each node records its
-length, instance counts, start, end, net effect e and per-counter minimal
-prefix sum m <= 0 when built, by `_then` and `_times`.  A path runs from v
-exactly when v + m >= 0, ending at v + e, so building and verifying cost
-O(program size); the dump renders one pass over each repeated node's parts
-and multiplies its text, so it costs about the bytes it writes.
+segments are the leaves, and `Repeat(count, parts)`, its parts `count`
+times, nests them.  Each node records its length, instance counts, start,
+end, net effect e and per-counter minimal prefix sum m <= 0 when built, by
+`_then` and `_times`.  A path runs from v exactly when v + m >= 0, ending at
+v + e, so building and verifying cost O(program size); the dump renders one
+pass of each repeat and multiplies its text, so it costs about the bytes it writes.
 
 For an exponential outcome the module extracts the per-node cycles of the
 final layer together with the variable partition (bounded / still growing)
@@ -130,24 +129,22 @@ class Repeat(_Program):
         self.count, self.parts = count, tuple(p for p in parts if p.length)
         if any(a.end != b.start for a, b in zip(self.parts, self.parts[1:])):
             raise WitnessError("non-adjacent parts in a path")
-        self.start = self.parts[0].start if self.parts else None
-        self.end = self.parts[-1].end if self.parts else None
+        self.start, self.end = (self.parts[0].start, self.parts[-1].end) if self.parts else (None, None)
         if count > 1 and self.start != self.end:
             raise WitnessError("repeated part of a path is not a cycle")
-        summary, counts = ((0,) * dimension,) * 2, Counter()
+        summary, counts = ((0,) * dimension,) * 2, {}
         for p in self.parts:
             summary = _then(summary, (p.effect, p.low))
-            counts.update(p.counts)
+            for tid, c in p.counts.items():
+                counts[tid] = counts.get(tid, 0) + count * c
         self.effect, self.low = _times(count, summary)
-        self.counts = {tid: count * c for tid, c in counts.items()}
-        self.length = count * sum(p.length for p in self.parts)
+        self.counts, self.length = counts, count * sum(p.length for p in self.parts)
 
 
 def _leaves(parts: Iterable[_Program], short: int = 0) -> Iterator[_Program]:
-    """The leaves of `parts` in path order, by an explicit stack of
-    iterators.  A repeat's parts are walked in place, `count` times, unless
-    its count is at least 2 and one pass has fewer than `short` steps; such a
-    repeat is yielded whole."""
+    """The leaves of `parts` in path order, by an explicit stack of iterators.
+    A repeat's parts are walked in place, `count` times, unless `count` >= 2
+    and one pass has fewer than `short` steps: then it is yielded whole."""
     stack = [iter(parts)]
     while stack:
         node = next(stack[-1], None)
@@ -159,14 +156,13 @@ def _leaves(parts: Iterable[_Program], short: int = 0) -> Iterator[_Program]:
             yield node
 
 
-def _text(parts: Sequence[_Program]) -> str:
-    """The dump lines of one pass over `parts`: each leaf's text, and each
-    repeat of count >= 2 rendered as one pass over its own parts, multiplied.
-    Only those recurse, each at least halving the length, so the depth is at
-    most log2 of the length."""
+def _text(node: Repeat) -> str:
+    """The dump lines of one pass over the node's parts: each leaf's text, and
+    each repeat of count >= 2 rendered as one pass, multiplied.  Only those
+    recurse, each halving the length, so the depth is at most log2 of it."""
     pieces = []
-    for node in _leaves(parts, sum(p.length for p in parts) + 1):
-        pieces.append(node.text if isinstance(node, Leaf) else _text(node.parts) * node.count)
+    for part in _leaves(node.parts, node.length // node.count + 1):
+        pieces.append(part.text if isinstance(part, Leaf) else _text(part) * part.count)
     return "".join(pieces)
 
 
@@ -184,15 +180,14 @@ class WitnessPath:
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
     def chunks(self, v: Vass) -> Iterator[str]:
-        """The dump in pieces of at most about `piece` steps; a repeat whose
-        pass over its parts is shorter than a piece renders that pass once by
-        `_text` and multiplies it."""
+        """The dump in pieces of at most about `piece` steps; a repeat with a
+        pass shorter than a piece renders it once by `_text` and multiplies it."""
         piece = 8192
         yield (f"witness N={self.n} k={self.k}\ninit "
                + " ".join(str(self.initial[x]) for x in v.variables) + "\n")
         for node in _leaves((self.path,), piece):
             if isinstance(node, Repeat):
-                text = _text(node.parts)
+                text = _text(node)
                 per_piece = piece // max(node.length // node.count, 1)
                 yield from repeat(text * per_piece, node.count // per_piece)
                 yield text * (node.count % per_piece)
