@@ -291,7 +291,7 @@ class TestOracle:
         monkeypatch.delenv("VASSBOUND_ORACLE_BUDGET", raising=False)
         pump = tmp_path / "pump.vass"
         pump.write_text("vars x\ns -> s : 1\n")
-        for budget in (["--budget", "100"], []):  # the small budget first fails fast
+        for budget in (["--budget", "100"], []):  # a missed pair fails fast at 100
             assert main(["oracle", str(pump), "--sweep", "0..2", "--metric", "longest",
                          *budget]) == 0
             assert capsys.readouterr().out.splitlines()[1:] == [

@@ -114,7 +114,7 @@ def _predicted_repeats(tree):
     """`Repeat` builds of one witness, from the layer tree alone.  Take
     L = max layer.  A node spanning layers f..l is its own next-layer part at
     layers f..l-1 and has its children as parts at layer l; each part is one
-    `Repeat` for every target below that layer.  Each target adds its root's
+    `Repeat` for every target deeper than that layer.  Each target adds its root's
     count-1 node and its N * k repeat, and the witness one count-1 node."""
     top = tree.max_layer()
     return sum(sum(top - layer for layer in range(node.first_layer, node.last_layer))
