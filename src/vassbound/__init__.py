@@ -16,7 +16,6 @@ from .analyzer import (
     analyze,
     build_extended_system,
     check_quasi_ranking,
-    exponential_check,
     next_relevant_layer,
 )
 from .model import (
@@ -61,8 +60,7 @@ from .witness import (
 __all__ = [
     # analysis
     "AnalysisResult", "BoundsReport", "InternalInvariantError", "LayerTree",
-    "analyze", "build_extended_system", "check_quasi_ranking",
-    "exponential_check", "next_relevant_layer",
+    "analyze", "build_extended_system", "check_quasi_ranking", "next_relevant_layer",
     # model
     "NotConnectedError", "Path", "PrePath", "Transition", "Valuation", "Vass",
     "VassError", "VassSyntaxError", "execute_path", "min_initial_valuation",

@@ -366,32 +366,14 @@ def check_quasi_ranking(sys: ExtendedSystem, ranking: RankingSolution) -> bool:
     return True
 
 
-def exponential_check(vexp: dict[str, Optional[int]],
-                      texp: dict[int, Optional[int]], layer: int) -> bool:
-    """True when no finite exponent sum vexp[x] + texp[t] exceeds the current
-    layer, i.e. the bound discovery has stalled for good."""
-    for ev in vexp.values():
-        if ev is None:
-            continue
-        for et in texp.values():
-            if et is None:
-                continue
-            if layer < ev + et:
-                return False
-    return True
-
-
 def next_relevant_layer(vexp: dict[str, Optional[int]],
-                        texp: dict[int, Optional[int]], layer: int) -> int:
-    """Smallest finite exponent sum above `layer`; the layers in between are
-    provably no-ops and their nodes replicate the current layer."""
-    sums = {ev + et
-            for ev in vexp.values() if ev is not None
-            for et in texp.values() if et is not None}
-    candidates = {s for s in sums if s > layer}
-    if not candidates:
-        raise InternalInvariantError("no relevant layer above current layer")
-    return min(candidates)
+                        texp: dict[int, Optional[int]], layer: int) -> Optional[int]:
+    """Smallest finite exponent sum vexp[x] + texp[t] above `layer`, the
+    layers in between being provably no-ops whose nodes replicate the
+    current layer; None when there is none, i.e. the bound discovery has
+    stalled for good."""
+    return min((ev + et for ev in vexp.values() if ev is not None
+                for et in texp.values() if et is not None and ev + et > layer), default=None)
 
 
 def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
@@ -467,18 +449,18 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
         if all(e is not None for e in vexp.values()) and \
                 all(e is not None for e in texp.values()):
             break
-        if exponential_check(vexp, texp, layer):
+        nxt = next_relevant_layer(vexp, texp, layer)
+        if nxt is None:
             status = EXPONENTIAL
             exp_layer = layer
             break
-
-        if skip_optimization:
-            nxt = next_relevant_layer(vexp, texp, layer)
-            for nid in new_nodes:
-                tree.node(nid).last_layer = nxt - 1
-            layer = nxt
-        else:
-            layer += 1
+        # Skipping jumps to the next relevant layer, the new nodes spanning
+        # the no-op layers below it; stepping walks those layers too.
+        if not skip_optimization:
+            nxt = layer + 1
+        for nid in new_nodes:
+            tree.node(nid).last_layer = nxt - 1
+        layer = nxt
 
     _assert_tree_invariants(tree)
     complexity: Optional[int] = None

@@ -25,8 +25,8 @@ homogeneous problem, whose solution set is a cone, so "strict" may mean
 maximizes the sum of s_i subject to row_i(x) - s_i >= 0 and 0 <= s_i <= 1,
 the bounds kept by Dantzig's upper bounding (see `_strict_candidates`); on
 a cone s_i = 1 at the optimum exactly on that set, and its x, read out and
-checked once like phase 1's, attains it.  `strict_solution` tightens a set
-known to be maximal, as by weak duality from its Farkas dual's, at once.
+checked once like phase 1's, attains it.  `strict_solution` has `lp_feasible`
+tighten a set known to be maximal, as by weak duality from its Farkas dual's.
 """
 
 from __future__ import annotations
@@ -99,15 +99,6 @@ class LpProblem:
         for i in self.strict_candidates:
             if not (0 <= i < len(self.rows)) or self.rows[i].relation != GE:
                 raise LpError(f"strict candidate {i} is not a '>=' row")
-
-    def tightened(self, *row_indices: int) -> "LpProblem":
-        """Copy with the given rows' right-hand sides raised by 1 (slack >= 1)."""
-        rows = list(self.rows)
-        for i in row_indices:
-            rows[i] = LpRow(rows[i].coeffs, rows[i].relation, rows[i].rhs + 1)
-        copy = object.__new__(LpProblem)  # only int right-hand sides changed: not validated again
-        copy.__dict__.update(vars(self), rows=tuple(rows), strict_candidates=frozenset())
-        return copy
 
 
 @dataclass(frozen=True)
@@ -278,19 +269,23 @@ def _solution(problem: LpProblem, strict: Sequence[int], values: Sequence[int],
     return LpSolution(problem.variables, tuple(values), den, strict)
 
 
-def lp_feasible(problem: LpProblem) -> Optional[LpSolution]:
-    """Some exact rational solution of the problem over the least common
+def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSolution]:
+    """Some exact rational solution, with strict set `strict`, of the problem
+    whose row i has right-hand side rhs + (i in strict), over the least common
     denominator of its values, checked once, or None if infeasible."""
-    n = len(problem.variables)
-    pairs = [(dict(row.coeffs), row) for row in problem.rows]
-    if any(not x_part and (row.rhs > 0 or (row.rhs and row.relation == EQ)) for x_part, row in pairs):
+    n, strict = len(problem.variables), frozenset(strict)
+    if any(not 0 <= i < len(problem.rows) for i in strict):
+        raise LpError(f"a strict index of {sorted(strict)} names no row")
+    rows = [(dict(row.coeffs), row.relation, row.rhs + (i in strict))
+            for i, row in enumerate(problem.rows)]
+    if any(not x_part and (rhs > 0 or (rhs and relation == EQ)) for x_part, relation, rhs in rows):
         return None  # a row with no variable fails 0 >= rhs or 0 == rhs
     # One surplus column (-1 in its own row) per '>=' row with a variable.
-    surplus = [x_part for x_part, row in pairs if x_part and row.relation == GE]
+    surplus = [x_part for x_part, relation, _ in rows if x_part and relation == GE]
     for column, x_part in enumerate(surplus, n):
         x_part[column] = -1
-    raw = _phase_one([(x_part, row.rhs) for x_part, row in pairs if x_part], n + len(surplus))
-    return None if raw is None else _solution(problem, (), raw[0][:n], raw[1])  # surplus dropped
+    raw = _phase_one([(x_part, rhs) for x_part, _, rhs in rows if x_part], n + len(surplus))
+    return None if raw is None else _solution(problem, strict, raw[0][:n], raw[1])  # surplus dropped
 
 
 def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int]:
@@ -348,15 +343,13 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int]:
 
 
 def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:
-    """A basic solution of the problem with every row of `strict` tightened
-    to slack >= 1 at once, with `strict` as its strict set; `lp_feasible`'s
-    check covers every row and every member.  Raises LpInternalError if no
-    solution is that strict.  Maximality of `strict` is the caller's to know.
-    """
-    joint = lp_feasible(problem.tightened(*strict))
+    """`lp_feasible(problem, strict)`, raising LpInternalError if no solution
+    has every row of `strict` at slack >= 1.  Maximality of `strict` is the
+    caller's to know."""
+    joint = lp_feasible(problem, strict)
     if joint is None:
-        raise LpInternalError("jointly tightened strict rows are infeasible")
-    return LpSolution(joint.variables, joint.numerators, joint.denominator, frozenset(strict))
+        raise LpInternalError("no solution has every strict row at slack >= 1")
+    return joint
 
 
 def max_strict_set(problem: LpProblem) -> LpSolution:

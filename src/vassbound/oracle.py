@@ -4,13 +4,13 @@ Enumerates every configuration reachable from any state with any initial
 valuation inside the {0..N} box and computes exact suprema: longest trace
 length, maximal reachable value of a variable, or maximal instance count of
 a transition.  One depth-first walk, on an explicit stack of iterators,
-visits the configurations and memoizes each one's longest-path value when
-it finishes.  A newly reached configuration that covers, componentwise, one
-with the same state still on the stack closes a cycle with non-negative
-effect, which pumps forever (Dickson's lemma, the Karp-Miller test): an
-infinite trace exists, and all three metrics report the NONTERMINATING
-sentinel.  A configuration cycle is the equal case, the only one that a
-finite reachable set can show.
+visits the configurations, each on the stack until it finishes and its
+longest-path value is memoized.  A reached configuration without that value
+that covers, componentwise, one with the same state on the stack, itself
+included, closes a cycle with non-negative effect, which pumps forever
+(Dickson's lemma, the Karp-Miller test): an infinite trace exists, and all
+three metrics report the NONTERMINATING sentinel.  A configuration cycle is
+the equal case, the only one that a finite reachable set can show.
 
 Enumeration is exact, never sampled.  The walk admits at most `budget`
 configurations and raises BudgetExceededError on the next one, instead of
@@ -54,9 +54,8 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
     it is given, else the maximal step-weighted path value over all roots.
     Each stack frame is [configuration, weight of the move that reached it,
     iterator over its (weight, successor) moves, best value so far], and
-    `on_stack` holds each state's valuations on the stack.  A configuration
-    reached but without a `best` value yet is on the stack, so reaching it
-    again closes a cycle."""
+    `on_stack` holds each state's valuations on the stack.  A reached
+    configuration is on the stack or, finished, has its value in `best`."""
     if n < 0:
         raise VassError("scale parameter must be >= 0")
     if budget < 0:
@@ -70,26 +69,23 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
                 yield step_weight(t), (t.dst, nxt)
 
     roots = ((0, (s, vec)) for s in v.states for vec in product(range(n + 1), repeat=v.dimension))
-    reached: set[tuple] = set()
     best: dict[tuple, int] = {}
     on_stack: dict[str, list[tuple[int, ...]]] = {s: [] for s in v.states}
     stack: list[list] = [[None, 0, roots, 0]]  # a pseudo-configuration whose moves reach the roots
     while stack:
         frame = stack[-1]
         for weight, nxt in frame[2]:
-            if nxt not in reached:
-                state, vec = nxt
-                if any(all(map(le, low, vec)) for low in on_stack[state]):
-                    return NONTERMINATING
-                if len(reached) >= budget:
-                    raise BudgetExceededError(f"more than {budget} configurations reachable")
-                reached.add(nxt)
-                on_stack[state].append(vec)
-                stack.append([nxt, weight, moves(*nxt), 0])
-                break
-            if nxt not in best:
+            if nxt in best:
+                frame[3] = max(frame[3], weight + best[nxt])
+                continue
+            state, vec = nxt
+            if any(all(map(le, low, vec)) for low in on_stack[state]):
                 return NONTERMINATING
-            frame[3] = max(frame[3], weight + best[nxt])
+            if len(best) + len(stack) > budget:  # reached so far, plus the pseudo-frame
+                raise BudgetExceededError(f"more than {budget} configurations reachable")
+            on_stack[state].append(vec)
+            stack.append([nxt, weight, moves(*nxt), 0])
+            break
         else:
             cfg, weight, _, value = stack.pop()
             if stack:
@@ -98,7 +94,7 @@ def _walk(v: Vass, n: int, step_weight: Callable[[Transition], int],
                 stack[-1][3] = max(stack[-1][3], weight + value)
     if node_value is None:
         return value
-    return max((node_value(vec) for _, vec in reached), default=0)
+    return max((node_value(vec) for _, vec in best), default=0)
 
 
 def longest_trace(v: Vass, n: int, budget: int = DEFAULT_BUDGET) -> MetricResult:

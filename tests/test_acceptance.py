@@ -25,6 +25,7 @@ from vassbound import (
     verify_witness,
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL
+from vassbound.cli import _render_text_report
 from vassbound.exactlp import lp_feasible, max_strict_set, satisfies
 from conftest import random_connected_vass, v_family
 from test_exactlp import random_homogeneous
@@ -232,6 +233,18 @@ def test_criterion_8_skip_optimization_equivalence(random_suite):
     assert report(8, True, f"{RANDOM_SUITE_SIZE} byte-identical report pairs")
 
 
+def test_skip_optimization_keeps_stall_layer_and_text_report(random_suite, doubling):
+    # The JSON report has no exponential layer and no certificate: compare
+    # those through the layer itself and the text report.
+    pairs = [(on, off) for _, on, off in random_suite]
+    pairs.append((analyze(doubling, skip_optimization=True),
+                  analyze(doubling, skip_optimization=False)))
+    for on, off in pairs:
+        assert on.report.exponential_layer == off.report.exponential_layer
+        assert _render_text_report(on) == _render_text_report(off)
+    assert sum(on.report.status == EXPONENTIAL for on, _ in pairs) == 138
+
+
 def test_criterion_9_exact_lp_soundness():
     rng = random.Random(424242)
     for _ in range(LP_SUITE_SIZE):
@@ -246,5 +259,5 @@ def test_criterion_9_exact_lp_soundness():
             if i in solution.strict_set:
                 assert slack >= row.rhs + 1
             else:
-                assert lp_feasible(problem.tightened(i)) is None
+                assert lp_feasible(problem, (i,)) is None
     assert report(9, True, f"{LP_SUITE_SIZE} problems, exact rational checks")

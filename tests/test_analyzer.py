@@ -12,7 +12,6 @@ from vassbound import (
     analyze,
     build_extended_system,
     check_quasi_ranking,
-    exponential_check,
     next_relevant_layer,
     parse_vass,
 )
@@ -283,12 +282,28 @@ class TestHelpers:
     def test_next_relevant_layer_skips_gap(self):
         assert next_relevant_layer({"x": 1, "y": 4}, {0: 4}, 4) == 5
 
-    def test_exponential_check_all_unbounded(self):
-        assert exponential_check({"x": None}, {0: None}, 1)
+    def test_next_relevant_layer_all_unbounded_stalls(self):
+        assert next_relevant_layer({"x": None}, {0: None}, 1) is None
 
-    def test_exponential_check_running_example_continues(self, v_run):
-        assert not exponential_check({"x": 1, "y": 1, "z": None},
-                                     {8: 1, 9: 1, 0: None}, 1)
+    def test_next_relevant_layer_running_example_continues(self, v_run):
+        assert next_relevant_layer({"x": 1, "y": 1, "z": None},
+                                   {8: 1, 9: 1, 0: None}, 1) == 2
+
+    def test_next_relevant_layer_matches_brute_force(self):
+        # None exactly when no finite sum vexp[x] + texp[t] exceeds the
+        # layer, otherwise the least such sum.
+        rng = random.Random(25)
+        stalled = 0
+        for _ in range(2000):
+            vexp = {f"x{i}": rng.choice([None, *range(1, 9)]) for i in range(rng.randint(0, 4))}
+            texp = {t: rng.choice([None, *range(1, 9)]) for t in range(rng.randint(0, 5))}
+            layer = rng.randint(0, 17)
+            above = [ev + et for ev in vexp.values() for et in texp.values()
+                     if ev is not None and et is not None and ev + et > layer]
+            expected = min(above) if above else None
+            assert next_relevant_layer(vexp, texp, layer) == expected, (vexp, texp, layer)
+            stalled += expected is None
+        assert 0 < stalled < 2000
 
     def test_quasi_ranking_verification(self, v_run):
         # Externally supplied coefficients (2x + 2y plus offsets on s3, s4)
@@ -435,9 +450,9 @@ class TestLpSolveCount:
         calls = []
         solve = exactlp_mod.lp_feasible
 
-        def counting(problem):
+        def counting(problem, strict=()):
             calls.append(problem)
-            return solve(problem)
+            return solve(problem, strict)
 
         monkeypatch.setattr(exactlp_mod, "lp_feasible", counting)
         return calls

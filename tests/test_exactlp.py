@@ -101,16 +101,26 @@ class TestLpProblem:
         assert p.rows[0].coeffs == {}
         assert not satisfies(p, [5])
 
-    def test_tightened_copy_is_not_validated_again(self, monkeypatch):
+    def test_strict_rows_are_tightened_in_place(self, monkeypatch):
+        # lp_feasible reads the strict rows at rhs + 1 and builds no problem:
+        # its point is the one of the tightened problem built and validated.
         rows = (LpRow({0: 1}, GE, 0), LpRow({1: 2}, EQ, 3), LpRow({0: -1, 1: 1}, GE, -2))
         p = LpProblem(("x", "y"), rows, frozenset({0, 2}))
+        q = LpProblem(p.variables, (LpRow({0: 1}, GE, 1), rows[1], LpRow({0: -1, 1: 1}, GE, -1)))
         validated = []
         monkeypatch.setattr(LpProblem, "__post_init__", lambda self: validated.append(self))
-        q = p.tightened(0, 2)
+        sol = lp_feasible(p, (0, 2))
         assert validated == []
-        assert q == LpProblem(p.variables, (LpRow({0: 1}, GE, 1), rows[1],
-                                            LpRow({0: -1, 1: 1}, GE, -1)))
+        expected = lp_feasible(q)
+        assert sol.strict_set == {0, 2}
+        assert (sol.numerators, sol.denominator) == (expected.numerators, expected.denominator)
         assert p.rows == rows and p.strict_candidates == {0, 2}
+
+    @pytest.mark.parametrize("strict", [(3,), (-1,), (0, 5)])
+    def test_strict_index_naming_no_row_raises(self, strict):
+        p = problem(["x", "y"], [((1, 0), GE, 0), ((0, 2), EQ, 3), ((-1, 1), GE, -2)])
+        with pytest.raises(LpError, match="names no row"):
+            lp_feasible(p, strict)
 
 
 class TestFeasibility:
@@ -189,7 +199,7 @@ class TestMaxStrictSet:
     def test_degenerate_cases_match_per_candidate_solves(self, names, rows, candidates):
         p = problem(names, rows, candidates)
         expected = {i for i in p.strict_candidates
-                    if lp_feasible(p.tightened(i)) is not None}
+                    if lp_feasible(p, (i,)) is not None}
         sol = max_strict_set(p)
         assert sol.strict_set == expected
         assert satisfies(p, sol.vector(p.variables))
@@ -213,11 +223,11 @@ class TestMaxStrictSet:
                 if i in sol.strict_set:
                     assert slack >= row.rhs + 1
                 else:
-                    assert lp_feasible(p.tightened(i)) is None
+                    assert lp_feasible(p, (i,)) is None
 
     def test_makes_no_joint_solve(self, monkeypatch):
         # The point comes from phase 2's own optimum, not from lp_feasible.
-        def joint_solve(problem):
+        def joint_solve(problem, strict=()):
             raise AssertionError("max_strict_set called lp_feasible")
 
         monkeypatch.setattr(exactlp, "lp_feasible", joint_solve)
@@ -245,11 +255,11 @@ class TestPhaseTwo:
         for _ in range(2000):
             p = random_with_sign_rows(rng)
             strict = sorted(i for i in p.strict_candidates
-                            if lp_feasible(p.tightened(i)) is not None)
+                            if lp_feasible(p, (i,)) is not None)
             assert exactlp._strict_candidates(p)[0] == strict
             sol = max_strict_set(p)
             assert sol.strict_set == set(strict)
-            assert satisfies(p.tightened(*strict), sol.numerators, sol.denominator)
+            assert satisfies(p, sol.numerators, sol.denominator, strict=frozenset(strict))
             for i in p.strict_candidates - sol.strict_set:  # zero slack
                 assert sum(a * sol.numerators[j] for j, a in p.rows[i].coeffs.items()) == 0
 
