@@ -21,9 +21,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
+from operator import mul
 from typing import Optional
 
-from .exactlp import (GE, EQ, LpError, LpInternalError, LpProblem, LpRow, LpSolution,
+from .exactlp import (GE, EQ, LpError, LpProblem, LpRow, LpSolution,
                       max_strict_set, scale_to_integer, strict_solution)
 from .model import NotConnectedError, Transition, Vass, VassError, scc_decompose, unconnected_pair
 
@@ -144,22 +146,43 @@ class RankingSolution:
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
 
+class JointSolve:
+    """`_solve_multicycle` of one layer system, deferred: the first call runs
+    it and drops its arguments.  Calls return, and `==` compares, its counts."""
+
+    def __init__(self, *args):
+        self._args, self._counts = args, ()
+
+    def __call__(self) -> tuple[int, ...]:
+        if self._args:
+            self._counts, self._args = _solve_multicycle(*self._args), ()
+        return self._counts
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, JointSolve) and self() == other()
+
+
 @dataclass(frozen=True)
 class LayerRecord:
-    """The analyzer's one record of an iteration: the alive transitions `u`,
-    the variable copies, both optimal solutions, the tree nodes the layer
-    split into and the variables bounded at it.  The report's `layers`
-    audit and the witness cycles read it, and so will any certificate or
-    trace of the analysis."""
+    """The analyzer's one record of an iteration, which the report's `layers`
+    audit and the witness cycles read: the alive transitions `u`, the copies,
+    both optimal solutions, the new tree nodes and variable bounds.  Phase 2's
+    duals certify it; `mu` runs the joint solve at its system's first read."""
 
     layer: int
     u: tuple[int, ...]
     var_ext: tuple[tuple[str, int], ...]
-    mu: MultiCycleSolution
+    joint: JointSolve
     ranking: RankingSolution
     new_nodes: tuple[int, ...]
     new_variable_bounds: tuple[str, ...]
     __hash__ = None  # compared by value; holds dicts, so never hashed
+
+    @cached_property
+    def mu(self) -> MultiCycleSolution:
+        return MultiCycleSolution(dict(zip(self.u, self.joint())),
+                                  frozenset(self.var_ext) - self.ranking.bounded_vars,
+                                  frozenset(self.u) - self.ranking.ranked)
 
 
 @dataclass
@@ -238,31 +261,29 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     return ExtendedSystem(layer, u, tuple(var_ext), tuple(d_ext), flow, v.states)
 
 
-def _solve_multicycle(sys: ExtendedSystem, ranked_rows: frozenset[int]) -> LpSolution:
-    """Multi-cycle system: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0; candidate
-    strictness on every d_ext row and every mu(t) >= 0 row.
+def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ...]:
+    """Integer counts, by column, of the multi-cycle system of a layer's
+    numbers: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0; candidate strictness
+    on every d_ext row and every mu(t) >= 0 row.
 
     Column j is mu(transitions[j]); the rows are the d_ext rows, then the
     flow rows, then the mu(t) >= 0 rows in transition order.
 
     No phase 2 runs: the strict set is the complement of the ranking's
-    strict rows `ranked_rows`.  For feasible mu and (r, z), 0 <= r.(d_ext mu)
-    = sum_j mu_j (d_ext^T r + flow^T z)_j <= 0, so their strict supports are
-    disjoint (weak duality).  The ranking's phase-2 optimum and this exact
-    joint solve attain both sets, so they prove both maximal."""
-    names = tuple(f"mu{t.tid}" for t in sys.transitions)
+    strict rows `ranked_rows`, which its row duals prove maximal; this exact
+    joint solve attains it, and runs only when counts are read."""
+    m = len(flow[0])
     rows = [LpRow({j: a for j, a in enumerate(row) if a}, relation, 0)
-            for matrix, relation in ((sys.d_ext, GE), (sys.flow, EQ)) for row in matrix]
+            for matrix, relation in ((d_ext, GE), (flow, EQ)) for row in matrix]
     first_trans = len(rows)
-    rows.extend(LpRow({j: 1}, GE, 0) for j in range(len(names)))
-    candidates = frozenset(range(len(sys.d_ext))) | frozenset(range(first_trans, len(rows)))
-    problem = LpProblem(names, tuple(rows), candidates)
-    m = len(names)
-    strict = [i for i in range(len(sys.d_ext)) if m + i not in ranked_rows]
+    rows.extend(LpRow({j: 1}, GE, 0) for j in range(m))
+    candidates = frozenset(range(len(d_ext))) | frozenset(range(first_trans, len(rows)))
+    problem = LpProblem(tuple(f"mu{j}" for j in range(m)), tuple(rows), candidates)
+    strict = [i for i in range(len(d_ext)) if m + i not in ranked_rows]
     strict += [first_trans + j for j in range(m) if j not in ranked_rows]
     try:
-        return scale_to_integer(problem, strict_solution(problem, strict))
-    except LpInternalError as err:
+        return scale_to_integer(problem, strict_solution(problem, strict)).numerators
+    except LpError as err:
         raise InternalInvariantError("dichotomy violated: the complement of the "
                                      f"ranking's strict set is not attained ({err})") from err
 
@@ -284,47 +305,47 @@ def _solve_ranking(sys: ExtendedSystem) -> LpSolution:
     return scale_to_integer(problem, max_strict_set(problem))
 
 
-def _layer_solutions(sys: ExtendedSystem, ranking: LpSolution,
-                     mu: LpSolution) -> tuple[MultiCycleSolution, RankingSolution]:
-    """Both records of the layer, from the two LP solutions read by position
-    (numerators and strict rows, in the row orders of `_solve_ranking` and
-    `_solve_multicycle`)."""
-    tids, k = [t.tid for t in sys.transitions], len(sys.var_ext)
+def _layer_solutions(sys: ExtendedSystem,
+                     ranking: LpSolution) -> tuple[MultiCycleSolution, RankingSolution]:
+    """The multi-cycle of the ranking's row duals on the transition rows,
+    and the ranking's record, read by position in `_solve_ranking`'s order."""
+    tids, k, y = [t.tid for t in sys.transitions], len(sys.var_ext), ranking.duals
 
-    def strict(items, first_row, sol):
-        return frozenset(x for i, x in enumerate(items, first_row) if i in sol.strict_set)
+    def strict(items, first_row):
+        return frozenset(x for i, x in enumerate(items, first_row) if i in ranking.strict_set)
 
-    return (MultiCycleSolution(dict(zip(tids, mu.numerators)), strict(sys.var_ext, 0, mu),
-                               strict(tids, k + len(sys.flow), mu)),
+    return (MultiCycleSolution(dict(zip(tids, y)), frozenset(
+                ve for ve, row in zip(sys.var_ext, sys.d_ext) if sum(map(mul, row, y)) > 0),
+                frozenset(t for t, c in zip(tids, y) if c > 0)),
             RankingSolution(dict(zip(sys.var_ext, ranking.numerators)),
                             dict(zip(sys.states, ranking.numerators[k:])),
-                            strict(tids, 0, ranking), strict(sys.var_ext, len(tids), ranking)))
+                            strict(tids, 0), strict(sys.var_ext, len(tids))))
 
 
-def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, LpSolution]]
-                ) -> tuple[MultiCycleSolution, RankingSolution]:
-    """Optimal integer solutions of both per-layer systems: phase 2 finds the
-    ranking's maximal strict set, the multi-cycle's is its complement (see
-    `_solve_multicycle`).  The two must partition the variable copies and
-    the alive transitions (the Farkas dichotomy); a violation means a solver
-    bug and raises InternalInvariantError, as does any LP solver failure.
-
-    `solved` maps the numbers `(d_ext, flow)` of each system solved so far
-    to its two LP solutions.  A repeated system reuses them: equal numbers
-    pose the same LPs up to variable names, which no pivot reads.  The
-    dichotomy and the quasi-ranking are checked on every layer."""
+def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, JointSolve]]
+                ) -> tuple[JointSolve, RankingSolution]:
+    """The multi-cycle's deferred joint solve, run only when its counts are
+    read, and the optimal integer quasi-ranking.  Phase 2 finds the
+    ranking's maximal strict set and row duals y proving it maximal (see
+    `max_strict_set`); y on the transition rows is a multi-cycle, balanced
+    with d_ext y >= 0 by y^T A <= 0.  On every layer their strict sets must
+    partition the variable copies and the alive transitions (the Farkas
+    dichotomy) and the quasi-ranking must hold; a violation (a solver bug)
+    or any LP failure raises InternalInvariantError.  `solved` maps the
+    numbers `(d_ext, flow)` of each system solved so far to the ranking's LP
+    solution and the joint solve, which a repeated system reuses."""
     key = (sys.d_ext, sys.flow)
     if key not in solved:
         try:
             ranking = _solve_ranking(sys)
-            solved[key] = ranking, _solve_multicycle(sys, ranking.strict_set)
+            solved[key] = ranking, JointSolve(*key, ranking.strict_set)
         except LpError as err:
             raise InternalInvariantError(f"LP solver failed: {err}") from err
-    mu, ranking = _layer_solutions(sys, *solved[key])
+    mu, ranking = _layer_solutions(sys, solved[key][0])
     _assert_dichotomy(sys, mu, ranking)
     if not check_quasi_ranking(sys, ranking):
         raise InternalInvariantError("optimal solution is not a quasi-ranking")
-    return mu, ranking
+    return solved[key][1], ranking
 
 
 def _assert_dichotomy(sys: ExtendedSystem, mu: MultiCycleSolution,
@@ -416,7 +437,7 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
         if len(archive) >= budget:
             raise InternalInvariantError("iteration budget exceeded")
         sys = build_extended_system(v, tree, layer, vexp)
-        mu, ranking = solve_layer(sys, solved)
+        joint, ranking = solve_layer(sys, solved)
 
         for t in sys.transitions:
             if t.tid in ranking.ranked:
@@ -443,7 +464,7 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
                 new_bounds.append(x)
 
         archive.append(LayerRecord(layer, tuple(t.tid for t in sys.transitions),
-                                   sys.var_ext, mu, ranking,
+                                   sys.var_ext, joint, ranking,
                                    tuple(new_nodes), tuple(new_bounds)))
 
         if all(e is not None for e in vexp.values()) and \
@@ -480,7 +501,7 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
         "var_ext_size": len(rec.var_ext),
         "removed": sorted(rec.ranking.ranked),
         "bounded_variables": list(rec.new_variable_bounds),
-        "positive_counts": sorted(rec.mu.strict_transitions),
+        "positive_counts": sorted(set(rec.u) - rec.ranking.ranked),
         "nodes": [{"states": list(tree.node(nid).vass.states)} for nid in rec.new_nodes],
     } for rec in archive if rec.ranking.ranked or rec.new_variable_bounds]
     report = BoundsReport(status, vexp, texp, complexity, audits, exp_layer)

@@ -24,9 +24,10 @@ homogeneous problem, whose solution set is a cone, so "strict" may mean
 "slack >= 1".  One phase-2 simplex from the all-slack basis at the origin
 maximizes the sum of s_i subject to row_i(x) - s_i >= 0 and 0 <= s_i <= 1,
 the bounds kept by Dantzig's upper bounding (see `_strict_candidates`); on
-a cone s_i = 1 at the optimum exactly on that set, and its x, read out and
-checked once like phase 1's, attains it.  `strict_solution` has `lp_feasible`
-tighten a set known to be maximal, as by weak duality from its Farkas dual's.
+a cone s_i = 1 at the optimum exactly on that set.  Its x, read out and
+checked once like phase 1's, attains the set; its row duals, checked once,
+prove it maximal (weak duality).  `strict_solution` has `lp_feasible`
+tighten a set so proved: the joint solve, run only where counts are read.
 """
 
 from __future__ import annotations
@@ -106,13 +107,14 @@ class LpSolution:
     """A solution of its problem: the point `numerators / denominator` over
     `variables`, with one positive denominator; `assignment` and `vector`
     are its rational view.  `strict_set` lists candidate rows satisfied
-    with slack >= 1.
+    with slack >= 1, and `max_strict_set`'s `duals` prove that set maximal.
     """
 
     variables: tuple[str, ...]
     numerators: tuple[int, ...]
     denominator: int
     strict_set: frozenset[int] = frozenset()
+    duals: tuple[int, ...] = ()
 
     @property
     def assignment(self) -> dict[str, Fraction]:
@@ -258,7 +260,7 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
 
 
 def _solution(problem: LpProblem, strict: Sequence[int], values: Sequence[int],
-              den: int) -> LpSolution:
+              den: int, duals: Sequence[int] = ()) -> LpSolution:
     """The point `values / den`, one value per variable, in lowest terms, with
     strict set `strict`, checked once, exactly: every value >= 0 and every
     row satisfied, those of `strict` at slack >= 1."""
@@ -266,7 +268,7 @@ def _solution(problem: LpProblem, strict: Sequence[int], values: Sequence[int],
     values, den = [v // g for v in values], den // g
     if min(values, default=0) < 0 or not satisfies(problem, values, den, strict):
         raise LpInternalError("simplex produced a non-solution")
-    return LpSolution(problem.variables, tuple(values), den, strict)
+    return LpSolution(problem.variables, tuple(values), den, strict, tuple(duals))
 
 
 def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSolution]:
@@ -288,11 +290,13 @@ def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSo
     return None if raw is None else _solution(problem, strict, raw[0][:n], raw[1])  # surplus dropped
 
 
-def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int]:
+def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int, list[int]]:
     """The candidate rows i with s_i = 1 at an optimum of
     max sum s_i  s.t.  row_i(x) - s_i >= 0,  0 <= s_i <= 1
     over the homogeneous problem, found by one phase-2 simplex, with the
-    optimum's x: its numerators over one lcm.
+    optimum's x, its numerators over one lcm, and its row duals: a tableau
+    row's is its slack's final objective entry, an '==' row's the difference
+    of its two rows', a sign row's (below) x_j's over a, all times lcm(a).
 
     The s columns are bounded in `_pivot_to_optimum`, so s_i <= 1 takes no
     row.  Nor does the first candidate sign row a x_j >= 0 (a > 0) of a
@@ -314,9 +318,11 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int]:
         if len(split[i]) == 1 and min(split[i].values()) > 0 and min(split[i]) not in shift:
             shift[min(split[i])], split[i] = s_column[i], None  # row i is now x_j = s_i + w_j
     tableau: list[Row] = []
+    at: dict[int, int] = {}  # row i -> the slack column of its (first) tableau row
     for i, (row, x_part) in enumerate(zip(problem.rows, split)):
         if x_part is None:
             continue
+        at[i] = nx + k + len(tableau)
         x_part.update([(shift[j], a) for j, a in x_part.items() if j in shift])
         le_row = {j: -a for j, a in x_part.items()}
         if i in s_column:
@@ -330,7 +336,7 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int]:
         row[b] = 1
     inert = set(s_column.values()).difference(*tableau)
     obj = {column: -1 for column in s_column.values() if column not in inert}
-    _, flipped = _pivot_to_optimum(tableau, basis, obj, rhs, range(nx, nx + k))
+    obj, flipped = _pivot_to_optimum(tableau, basis, obj, rhs, range(nx, nx + k))
     values, den = _basic_point(tableau, basis, nx + k, rhs)  # the x and s columns
     for j in flipped | inert:
         values[j] = den - values[j]
@@ -339,7 +345,12 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int]:
     # By closure under addition and scaling every optimum is 0/1.
     if any(values[column] not in (0, den) for column in s_column.values()):
         raise LpInternalError("fractional strictness variable at the optimum")
-    return [i for i, column in s_column.items() if values[column]], values[:nx], den
+    signs = {i: next(iter(problem.rows[i].coeffs.items())) for i in candidates if i not in at}
+    scale = lcm(*(a for _, a in signs.values()))
+    duals = [scale // signs[i][1] * obj.get(signs[i][0], 0) if i in signs else
+             scale * (obj.get(at[i], 0) - (row.relation == EQ) * obj.get(at[i] + 1, 0))
+             for i, row in enumerate(problem.rows)]
+    return [i for i, column in s_column.items() if values[column]], values[:nx], den, duals
 
 
 def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:
@@ -353,16 +364,28 @@ def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:
 
 
 def max_strict_set(problem: LpProblem) -> LpSolution:
-    """A solution attaining the unique maximal set of strict candidate rows.
+    """A solution attaining the unique maximal set of strict candidate rows,
+    with row duals y, one integer per row, that prove it maximal.
 
     Requires homogeneous rows (right-hand side 0), so that the solution set
     is a cone, closed under addition and positive scaling; raises LpError
-    otherwise.  One phase-2 simplex gives both the set and the solution, its
-    optimum (see `_strict_candidates`); no joint solve runs.
-    """
+    otherwise.  One phase-2 simplex gives the set, its optimum and y (see
+    `_strict_candidates`); no joint solve runs.  Both are checked once,
+    exactly (else LpInternalError): the point like `lp_feasible`'s, y by
+    y >= 0 on '>=' rows, y^T A <= 0, and y_i > 0 on each candidate outside
+    the set, which no solution x makes strict: 0 <= y^T (A x) = (y^T A) x <= 0."""
     if any(row.rhs != 0 for row in problem.rows):
         raise LpError("maximal strict sets need homogeneous rows")
-    return _solution(problem, *_strict_candidates(problem))
+    solution = _solution(problem, *_strict_candidates(problem))
+    duals, columns = solution.duals, [0] * len(problem.variables)
+    for y, coeffs in [(y, row.coeffs) for y, row in zip(duals, problem.rows) if y]:
+        for j, a in coeffs.items():
+            columns[j] += y * a
+    if max(columns, default=0) > 0 or any(y < 0 for y, row in zip(duals, problem.rows)
+                                          if row.relation == GE) \
+            or any(duals[i] <= 0 for i in problem.strict_candidates - solution.strict_set):
+        raise LpInternalError("dichotomy violated: the row duals do not prove the strict set maximal")
+    return solution
 
 
 def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
@@ -376,4 +399,5 @@ def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
     for row in problem.rows:
         if row.rhs != 0 and not (row.relation == GE and row.rhs == 1):
             raise LpError("scaling needs homogeneous rows")
-    return LpSolution(solution.variables, solution.numerators, 1, solution.strict_set)
+    return LpSolution(solution.variables, solution.numerators, 1, solution.strict_set,
+                      solution.duals)

@@ -1,7 +1,8 @@
 """Shared fixtures: the two worked examples, a family generator with
 exponents growing exponentially in the dimension, a seeded random VASS
 generator for property sweeps, a recorder of the layer systems an
-analysis builds, and a runner under a shallow recursion limit."""
+analysis builds, a reader of every record's multi-cycle, and a runner
+under a shallow recursion limit."""
 
 import inspect
 import random
@@ -115,6 +116,13 @@ def record_systems(monkeypatch) -> list:
 
     monkeypatch.setattr(analyzer_mod, "build_extended_system", recorded)
     return keys
+
+
+def read_every_mu(result) -> list:
+    """Every archived record's multi-cycle, in archive order.  A system's
+    joint solve runs at the first read of any of its records, so after this
+    call an analysis has made each of them once, as an eager one would."""
+    return [rec.mu for rec in result.archive]
 
 
 def prepath_steps(builder, target: int) -> list:

@@ -16,7 +16,7 @@ from vassbound import (
     parse_vass,
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
-from conftest import DOUBLING_TEXT, random_connected_vass, record_systems, v_family
+from conftest import DOUBLING_TEXT, random_connected_vass, read_every_mu, record_systems, v_family
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -367,8 +367,9 @@ class TestStrictSetCertificate:
     """Phase 2 runs on the ranking system only; its optimum is the ranking's
     point, and the multi-cycle's strict set is the complement of its strict
     set.  A phase 2 that returns a wrong set with its point must be caught,
-    whichever way it errs: a dropped member by the multi-cycle's exact joint
-    solve, an added one by the exact check of phase 2's point."""
+    whichever way it errs: a dropped member by the check of its row duals,
+    which must be positive outside the set, an added one by the exact check
+    of phase 2's point."""
 
     @staticmethod
     def _mutate_phase_two(monkeypatch, mutate):
@@ -432,16 +433,17 @@ class TestStrictSetCertificate:
                     for name in ("running.vass", "doubling.vass"))]
         for v in models:
             keys.clear()
-            analyze(v)
+            read_every_mu(analyze(v))
             systems += len(set(keys))
         assert len(calls) == systems > 200
 
 
 class TestLpSolveCount:
-    """Each distinct layer system costs one joint solve, the multi-cycle's:
-    the ranking's maximal strict set and its point come from the phase-2
-    simplex, not from lp_feasible, and an iteration that repeats the
-    numbers of an earlier one reuses its solve."""
+    """Each distinct layer system costs one joint solve, the multi-cycle's,
+    once its counts are read (`read_every_mu`): the ranking's maximal strict
+    set, its point and its duals come from the phase-2 simplex, not from
+    lp_feasible, and an iteration that repeats the numbers of an earlier
+    one reuses its solve."""
 
     @staticmethod
     def _count_solves(monkeypatch):
@@ -460,6 +462,7 @@ class TestLpSolveCount:
     def test_family_four(self, monkeypatch):
         calls = self._count_solves(monkeypatch)
         result = analyze(v_family(4))
+        read_every_mu(result)
         assert result.iterations == 11
         assert len(calls) == 10
 
@@ -471,7 +474,7 @@ class TestLpSolveCount:
             v = random_connected_vass(rng)
             calls.clear()
             keys.clear()
-            analyze(v)
+            read_every_mu(analyze(v))
             assert len(calls) == len(set(keys))
 
     def test_reuse_needs_equal_flow_too(self, v_run):
@@ -499,8 +502,77 @@ class TestLpSolveCount:
         for _ in range(2):
             calls.clear()
             result = analyze(v_family(nu), skip_optimization=skip)
+            read_every_mu(result)
             assert result.iterations == (nu * (nu + 1) // 2 + 1 if skip else 2 ** nu)
             assert len(calls) == 3 * nu - 2
+
+
+class TestJointSolveOnRead:
+    """The joint solve fixes only the multi-cycle's counts, so it runs when
+    they are read: never for `analyze --json` or a polynomial text report,
+    and exactly once per distinct system among the records that a witness
+    or an exponential report reads."""
+
+    @staticmethod
+    def _watch(monkeypatch):
+        """The joint solves, the system `(d_ext, flow)` built at each layer,
+        and the layers of the records whose `mu` is read."""
+        import vassbound.analyzer as analyzer_mod
+
+        calls = TestLpSolveCount._count_solves(monkeypatch)
+        systems, reads = {}, []
+        build, mu = analyzer_mod.build_extended_system, analyzer_mod.LayerRecord.mu
+
+        def recorded(v, tree, layer, vexp):
+            sys = build(v, tree, layer, vexp)
+            systems[layer] = (sys.d_ext, sys.flow)
+            return sys
+
+        monkeypatch.setattr(analyzer_mod, "build_extended_system", recorded)
+        monkeypatch.setattr(analyzer_mod.LayerRecord, "mu",
+                            property(lambda rec: reads.append(rec.layer) or mu.func(rec)))
+        return calls, systems, reads
+
+    @staticmethod
+    def _model(tmp_path, v) -> str:
+        path = tmp_path / f"model{len(list(tmp_path.iterdir()))}.vass"
+        path.write_text("\n".join(["vars " + " ".join(v.variables)]
+                                  + [str(t) for t in v.transitions]) + "\n")
+        return str(path)
+
+    def _suite_runs(self, tmp_path, status) -> list:
+        """A text `analyze` of each model of the random suite with `status`."""
+        return [["analyze", self._model(tmp_path, v)] for v in list(acceptance_models())[:200]
+                if analyze(v).report.status == status]
+
+    def test_json_and_polynomial_text_reports_make_no_joint_solve(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        from vassbound.cli import main
+
+        calls, _, reads = self._watch(monkeypatch)
+        runs = [["analyze", self._model(tmp_path, v_family(nu)), "--json"] for nu in range(1, 6)]
+        runs += [["analyze", str(SAMPLES / "running.vass")],
+                 *self._suite_runs(tmp_path, POLYNOMIAL)]
+        for run in runs:
+            assert main(run) == 0
+            assert calls == [] and reads == [], run
+        assert len(runs) > 60
+
+    def test_witness_and_exponential_report_solve_each_read_system_once(
+            self, tmp_path, capsys, monkeypatch):
+        from vassbound.cli import main
+
+        calls, systems, reads = self._watch(monkeypatch)
+        runs = [["witness", str(SAMPLES / "running.vass"), "--n", "2"],
+                ["witness", self._model(tmp_path, v_family(3)), "--n", "1"],
+                ["analyze", str(SAMPLES / "doubling.vass")],
+                *self._suite_runs(tmp_path, EXPONENTIAL)]
+        for run in runs:
+            for log in (calls, systems, reads):
+                log.clear()
+            assert main(run) == 0
+            assert 0 < len(calls) == len({systems[layer] for layer in reads}), run
+        assert len(runs) > 100
 
 
 def acceptance_models():

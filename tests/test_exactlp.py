@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from vassbound import exactlp
+from conftest import random_connected_vass, v_family
+from vassbound import analyze, exactlp, parse_vass
 from vassbound.cli import main
 from vassbound.exactlp import (
     EQ,
@@ -284,7 +285,7 @@ class TestPhaseTwo:
         # the slack's row and wins under its smaller index.  The basis stays,
         # so w = y = 0 and s0 = s1 = 1 are read out, and x = s0 + w = 1.
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
-        assert exactlp._strict_candidates(p) == ([0, 1], [1, 0], 1)
+        assert exactlp._strict_candidates(p)[:3] == ([0, 1], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert len(tableau) == 1 and basis == [4] and flipped == {2, 3}
 
@@ -292,7 +293,7 @@ class TestPhaseTwo:
         # s0 (column 2) enters at 0 in the one row x - y - s0 >= 0; then x
         # enters and raises s0 until it leaves at 1, flipped: x = 1, y = 0.
         p = problem(["x", "y"], [((1, -1), GE, 0)], candidates=[0])
-        assert exactlp._strict_candidates(p) == ([0], [1, 0], 1)
+        assert exactlp._strict_candidates(p)[:3] == ([0], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert basis == [0] and flipped == {2}
 
@@ -418,8 +419,8 @@ def break_phase_two(monkeypatch, fault):
     phase_two = exactlp._strict_candidates
 
     def faulty(problem):
-        strict, values, den = phase_two(problem)
-        return strict, fault(values), den
+        strict, values, den, duals = phase_two(problem)
+        return strict, fault(values), den, duals
 
     monkeypatch.setattr(exactlp, "_strict_candidates", faulty)
 
@@ -461,9 +462,148 @@ class TestTheOneCheck:
             max_strict_set(problem(["x", "y"], [((1, 0), GE, 0)], candidates=[0]))
 
     def test_analyze_exits_with_internal_error(self, faulty_phase_one, capsys):
-        assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
+        # Phase 1 runs only in the joint solves, which a witness reads.
+        assert main(["witness", str(SAMPLES / "running.vass"), "--n", "2"]) == 3
         assert "internal invariant violation" in capsys.readouterr().err
 
     def test_analyze_exits_with_internal_error_in_phase_two(self, faulty_phase_two, capsys):
         assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
         assert "internal invariant violation" in capsys.readouterr().err
+
+
+def analysis_lps(monkeypatch, models):
+    """(problem, solution) of every `max_strict_set` call that analyzing
+    `models` makes, through the name `analyze` calls."""
+    import vassbound.analyzer as analyzer_mod
+
+    solves, solve = [], analyzer_mod.max_strict_set
+
+    def recorded(problem):
+        solution = solve(problem)
+        solves.append((problem, solution))
+        return solution
+
+    monkeypatch.setattr(analyzer_mod, "max_strict_set", recorded)
+    for v in models:
+        analyze(v)
+    return solves
+
+
+def certificate_models():
+    """v_family(1..5), both samples, and the 200-model random suite."""
+    yield from (v_family(nu) for nu in range(1, 6))
+    yield from (parse_vass((SAMPLES / name).read_text()) for name in ("running.vass", "doubling.vass"))
+    rng = random.Random(20240601)
+    for _ in range(200):
+        yield random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+
+
+def mutate_duals(monkeypatch, mutate) -> list[bool]:
+    """Phase 2 returns its duals as `mutate` changes them; the list records,
+    per solve, whether they changed."""
+    phase_two, changed = exactlp._strict_candidates, []
+
+    def mutated(problem):
+        strict, values, den, duals = phase_two(problem)
+        broken = mutate(problem, strict, list(duals))
+        changed.append(broken != duals)
+        return strict, values, den, broken
+
+    monkeypatch.setattr(exactlp, "_strict_candidates", mutated)
+    return changed
+
+
+def _zero_outside(problem, strict, duals):
+    """The first candidate outside the strict set loses its dual."""
+    outside = sorted(problem.strict_candidates - set(strict))
+    if outside:
+        duals[outside[0]] = 0
+    return duals
+
+
+def _negative(problem, strict, duals):
+    """The first '>=' row's dual made negative."""
+    i = next((i for i, row in enumerate(problem.rows) if row.relation == GE), None)
+    if i is not None:
+        duals[i] = -duals[i] or -1
+    return duals
+
+
+def _column_above_zero(problem, strict, duals):
+    """The first '>=' row with a positive entry a in some column j gets its
+    dual raised by 1 - (y^T A)_j >= 1, so (y^T A)_j rises to at least 1."""
+    for i, row in enumerate(problem.rows):
+        j = next((j for j, a in row.coeffs.items() if a > 0), None)
+        if row.relation == GE and j is not None:
+            duals[i] += 1 - sum(y * r.coeffs.get(j, 0) for y, r in zip(duals, problem.rows))
+            return duals
+    return duals
+
+
+class TestDualCertificate:
+    """`max_strict_set` proves its strict set maximal by the row duals y of
+    phase 2's optimum: y >= 0 on '>=' rows, y^T A <= 0 on every column and
+    y_i > 0 on every candidate outside the set.  They are checked once,
+    exactly, and a phase 2 that returns duals breaking any condition must
+    be caught, by `max_strict_set` and by the command line alike."""
+
+    @staticmethod
+    def assert_certified(p, sol):
+        y = sol.duals
+        assert len(y) == len(p.rows) and all(type(v) is int for v in y)
+        assert all(v >= 0 for v, row in zip(y, p.rows) if row.relation == GE)
+        for j in range(len(p.variables)):
+            assert sum(v * row.coeffs.get(j, 0) for v, row in zip(y, p.rows)) <= 0
+        assert all(y[i] > 0 for i in p.strict_candidates - sol.strict_set)
+        # Complementary slackness: a strict row's dual is 0.
+        assert all(y[i] == 0 for i in sol.strict_set)
+
+    def test_random_problems_are_certified(self):
+        rng = random.Random(23)
+        for trial in range(1500):
+            p = (random_homogeneous if trial % 2 else random_with_sign_rows)(rng)
+            self.assert_certified(p, max_strict_set(p))
+
+    def test_analysis_lps_are_certified(self, monkeypatch):
+        solves = analysis_lps(monkeypatch, certificate_models())
+        assert len(solves) > 250
+        for p, sol in solves:
+            self.assert_certified(p, sol)
+
+    def test_integer_scaling_keeps_the_duals(self):
+        p = problem(["x", "y"], [((2, 0), GE, 0), ((1, -3), GE, 0), ((0, 0), GE, 0)],
+                    candidates=[0, 1, 2])
+        sol = max_strict_set(p)
+        assert sol.strict_set == {0, 1} and sol.duals[2] > 0
+        assert scale_to_integer(p, sol).duals == sol.duals
+
+    @pytest.mark.parametrize("mutant", [_zero_outside, _negative, _column_above_zero])
+    def test_broken_duals_raise(self, monkeypatch, capsys, mutant):
+        # Row 0 has no entry, so only its dual's sign and positivity are
+        # read: zeroing it breaks nothing but "y_i > 0 outside the set".
+        p = problem(["x", "y"], [((0, 0), GE, 0), ((1, -1), GE, 0), ((-1, 1), GE, 0)],
+                    candidates=[0, 1])
+        assert max_strict_set(p).strict_set == frozenset()
+        changed = mutate_duals(monkeypatch, mutant)
+        with pytest.raises(LpInternalError, match="dichotomy violated"):
+            max_strict_set(p)
+        # Every change of a certificate, and nothing else, is caught.
+        rng = random.Random(24)
+        for _ in range(300):
+            p = random_with_sign_rows(rng)
+            try:
+                max_strict_set(p)
+                raised = False
+            except LpInternalError:
+                raised = True
+            assert raised == changed[-1]
+        assert sum(changed) > 100
+        assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant violation") and "dichotomy violated" in err
+
+    def test_mu_read_in_reverse_gives_forward_counts(self):
+        for v in certificate_models():
+            forward = [rec.mu for rec in analyze(v).archive]
+            archive = analyze(v).archive
+            assert [rec.mu for rec in reversed(archive)][::-1] == forward, v

@@ -43,7 +43,7 @@ import pytest
 from vassbound import analyze, parse_vass
 from vassbound import exactlp
 from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible, max_strict_set
-from conftest import random_connected_vass, record_systems, v_family
+from conftest import random_connected_vass, read_every_mu, record_systems, v_family
 from test_exactlp import problem, random_homogeneous
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -287,10 +287,11 @@ def mirror(monkeypatch):
 def assert_analysis_mirrored(mirror, v):
     before = mirror.strict_sets
     mirror.systems.clear()
-    analyze(v)
+    read_every_mu(analyze(v))
     # Each distinct layer system is solved once, as two LPs: the ranking LP
     # by phase 2 alone, whose optimum is its point, the multi-cycle LP by
-    # one joint phase-1 solve, its strict set being the complement.  Every
+    # one joint phase-1 solve once its counts are read, its strict set
+    # being the complement.  Every
     # phase-1 pivot run is replayed exactly; one with b = 0 makes none.
     assert mirror.strict_sets - before == len(set(mirror.systems))
     assert mirror.phase_ones == mirror.solutions == mirror.strict_sets
@@ -440,7 +441,7 @@ def test_phase_one_work_on_the_family(monkeypatch):
     monkeypatch.setattr(exactlp, "_eliminate", counted_eliminate)
     monkeypatch.setattr(exactlp, "_phase_one", counted_phase_one)
     for nu in range(1, 6):
-        analyze(v_family(nu))
+        read_every_mu(analyze(v_family(nu)))
     assert work == {"eliminations": 4257, "nonzeros": 60734}
 
 
