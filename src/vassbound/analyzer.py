@@ -8,7 +8,9 @@ update) and a quasi-ranking system (non-negative variable coefficients and
 state offsets whose induced affine map never increases along alive
 transitions).  Transitions on which the optimal quasi-ranking strictly
 decreases get their exponent assigned at the current layer and are removed;
-the surviving graph is SCC-decomposed into the next layer.  Variables whose
+the surviving graph is SCC-decomposed into the next layer.  A node that
+loses no transition is strongly connected still, so it carries its sub-VASS
+over whole as its own only child, without a new decomposition.  Variables whose
 root copy gets a strictly positive ranking coefficient get their exponent
 assigned likewise.  An iteration whose systems have the same numbers as
 an earlier one of the same analysis reuses that solve, renamed to its own
@@ -120,6 +122,12 @@ class ExtendedSystem:
     flow: tuple[tuple[int, ...], ...]
     states: tuple[str, ...]
 
+    @cached_property
+    def columns(self) -> tuple[tuple[int, ...], ...]:
+        """Column j of d_ext stacked on flow: transitions[j]'s coefficients
+        in the ranking's order, r in var_ext order, then z in state order."""
+        return tuple(zip(*self.d_ext, *self.flow))
+
 
 @dataclass(frozen=True)
 class MultiCycleSolution:
@@ -219,7 +227,8 @@ class BoundsReport:
         }
 
     def to_json(self, v: Vass) -> str:
-        return json.dumps(self.to_json_dict(v), indent=2) + "\n"
+        # Built fresh from ints, strings and lists, so it holds no cycle.
+        return json.dumps(self.to_json_dict(v), indent=2, check_circular=False) + "\n"
 
 
 @dataclass
@@ -250,15 +259,16 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     targets = {x: 0 if e is None else layer - e for x, e in vexp.items()}
     copies = {target: [(node.nid, {t.tid for t in node.vass.transitions})
                        for node in tree.nodes_at(target)] for target in set(targets.values())}
-    var_ext: list[tuple[str, int]] = []
-    d_ext: list[tuple[int, ...]] = []
-    for i, x in enumerate(v.variables):
-        for nid, node_tids in copies[targets[x]]:
-            var_ext.append((x, nid))
-            d_ext.append(tuple(t.update[i] if t.tid in node_tids else 0 for t in u))
+    var_ext = tuple((x, nid) for x in v.variables for nid, _ in copies[targets[x]])
+    d_ext = tuple(tuple([t.update[i] if t.tid in node_tids else 0 for t in u])
+                  for i, x in enumerate(v.variables) for _, node_tids in copies[targets[x]])
 
-    flow = tuple(tuple((t.dst == s) - (t.src == s) for t in u) for s in v.states)
-    return ExtendedSystem(layer, u, tuple(var_ext), tuple(d_ext), flow, v.states)
+    index = {s: i for i, s in enumerate(v.states)}
+    flow = [[0] * len(u) for _ in v.states]
+    for j, t in enumerate(u):
+        if t.src != t.dst:
+            flow[index[t.dst]][j], flow[index[t.src]][j] = 1, -1
+    return ExtendedSystem(layer, u, var_ext, d_ext, tuple(map(tuple, flow)), v.states)
 
 
 def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ...]:
@@ -299,7 +309,7 @@ def _solve_ranking(sys: ExtendedSystem) -> LpSolution:
     z_names = tuple(f"z[{s}]" for s in sys.states)
     names = r_names + z_names
     rows = [LpRow({i: -a for i, a in enumerate(column) if a}, GE, 0)
-            for column in zip(*sys.d_ext, *sys.flow)]
+            for column in sys.columns]
     rows.extend(LpRow({i: 1}, GE, 0) for i in range(len(r_names)))
     problem = LpProblem(names, tuple(rows), frozenset(range(len(rows))))
     return scale_to_integer(problem, max_strict_set(problem))
@@ -378,8 +388,8 @@ def check_quasi_ranking(sys: ExtendedSystem, ranking: RankingSolution) -> bool:
     if any(c < 0 for c in ranking.r.values()) or any(c < 0 for c in ranking.z.values()):
         return False
     coeffs = [ranking.r[ve] for ve in sys.var_ext] + [ranking.z[s] for s in sys.states]
-    for t, column in zip(sys.transitions, zip(*sys.d_ext, *sys.flow)):
-        value = sum([a * c for a, c in zip(column, coeffs)])
+    for t, column in zip(sys.transitions, sys.columns):
+        value = sum(map(mul, column, coeffs))
         if value > 0:
             return False
         if (value < 0) != (t.tid in ranking.ranked):
@@ -393,8 +403,9 @@ def next_relevant_layer(vexp: dict[str, Optional[int]],
     layers in between being provably no-ops whose nodes replicate the
     current layer; None when there is none, i.e. the bound discovery has
     stalled for good."""
-    return min((ev + et for ev in vexp.values() if ev is not None
-                for et in texp.values() if et is not None and ev + et > layer), default=None)
+    finite_v = {e for e in vexp.values() if e is not None}
+    finite_t = {e for e in texp.values() if e is not None}
+    return min((ev + et for ev in finite_v for et in finite_t if ev + et > layer), default=None)
 
 
 def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
@@ -432,6 +443,7 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
     # walks the no-op layers in between (bounded by the largest finite sum).
     budget = n * m + 1 if skip_optimization else 2 ** (n + 1) + n * m + 2
     solved: dict = {}  # each distinct system's LP solutions, for this call only
+    split = [tree.root]  # the nodes of layer - 1: the last step's children, in id order
 
     while True:
         if len(archive) >= budget:
@@ -445,15 +457,20 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
                     raise InternalInvariantError(f"transition {t.tid} bounded twice")
                 texp[t.tid] = layer
 
-        new_nodes: list[int] = []
-        for node in tree.nodes_at(layer - 1):
+        children: list[LayerNode] = []
+        for node in split:
             keep = [t for t in node.vass.transitions if t.tid not in ranking.ranked]
-            for states, transitions in scc_decompose(node.vass.states, keep):
-                child = tree.add(v.restrict(states, transitions), node.nid, layer)
-                new_nodes.append(child.nid)
+            if len(keep) == len(node.vass.transitions):
+                # Every node is strongly connected with a transition, so an
+                # untouched one is its own only component: carry it over.
+                children.append(tree.add(node.vass, node.nid, layer))
+                continue
+            children += [tree.add(v.restrict(states, transitions), node.nid, layer)
+                         for states, transitions in scc_decompose(node.vass.states, keep)]
+        split = children
 
         survivors = {t.tid for t in sys.transitions} - ranking.ranked
-        covered = {t.tid for nid in new_nodes for t in tree.node(nid).vass.transitions}
+        covered = {t.tid for node in split for t in node.vass.transitions}
         if survivors != covered:
             raise InternalInvariantError("surviving transitions do not match new layer")
 
@@ -465,7 +482,7 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
 
         archive.append(LayerRecord(layer, tuple(t.tid for t in sys.transitions),
                                    sys.var_ext, joint, ranking,
-                                   tuple(new_nodes), tuple(new_bounds)))
+                                   tuple(node.nid for node in split), tuple(new_bounds)))
 
         if all(e is not None for e in vexp.values()) and \
                 all(e is not None for e in texp.values()):
@@ -479,8 +496,8 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
         # the no-op layers below it; stepping walks those layers too.
         if not skip_optimization:
             nxt = layer + 1
-        for nid in new_nodes:
-            tree.node(nid).last_layer = nxt - 1
+        for node in split:
+            node.last_layer = nxt - 1
         layer = nxt
 
     _assert_tree_invariants(tree)

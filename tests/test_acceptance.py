@@ -27,6 +27,7 @@ from vassbound import (
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL
 from vassbound.cli import _render_text_report
 from vassbound.exactlp import lp_feasible, max_strict_set, satisfies
+from vassbound.model import scc_decompose
 from conftest import random_connected_vass, v_family
 from test_exactlp import random_homogeneous
 from test_oracle import doubling_pump_path
@@ -243,6 +244,33 @@ def test_skip_optimization_keeps_stall_layer_and_text_report(random_suite, doubl
         assert on.report.exponential_layer == off.report.exponential_layer
         assert _render_text_report(on) == _render_text_report(off)
     assert sum(on.report.status == EXPONENTIAL for on, _ in pairs) == 138
+
+
+def _assert_reference_split(result):
+    """Each layer step's children are the split it replaces: for every node
+    of layer - 1, in order, `restrict` over the components that
+    `scc_decompose` finds in the node's states and kept transitions."""
+    tree, v = result.tree, result.vass
+    for rec in result.archive:
+        children: list[int] = []
+        for node in tree.nodes_at(rec.layer - 1):
+            kept = [t for t in node.vass.transitions if t.tid not in rec.ranking.ranked]
+            assert [tree.node(c).vass for c in node.children] == \
+                [v.restrict(s, ts) for s, ts in scc_decompose(node.vass.states, kept)]
+            children += node.children
+        assert tuple(children) == rec.new_nodes
+
+
+def test_carried_nodes_match_the_reference_split(random_suite, v_run, doubling):
+    layers = 0
+    for skip in (True, False):
+        results = [on if skip else off for _, on, off in random_suite]
+        results += [analyze(v, skip_optimization=skip)
+                    for v in [v_run, doubling] + [v_family(nu) for nu in range(1, 7)]]
+        for result in results:
+            _assert_reference_split(result)
+            layers += len(result.archive)
+    assert report("split", True, f"{layers} layers split as scc_decompose + restrict")
 
 
 def test_criterion_9_exact_lp_soundness():

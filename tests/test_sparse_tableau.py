@@ -40,8 +40,8 @@ from typing import Optional
 
 import pytest
 
-from vassbound import analyze, parse_vass
-from vassbound import exactlp
+from vassbound import Vass, analyze, parse_vass
+from vassbound import analyzer, exactlp
 from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible, max_strict_set
 from conftest import random_connected_vass, read_every_mu, record_systems, v_family
 from test_exactlp import problem, random_homogeneous
@@ -471,3 +471,27 @@ def test_phase_two_work_on_the_family(monkeypatch):
     for nu in range(1, 6):
         analyze(v_family(nu))
     assert work == {"eliminations": 1821, "nonzeros": 45919}
+
+
+def test_layer_split_work_on_the_family(monkeypatch):
+    """The analyzer's `scc_decompose` calls and the `Vass` objects built
+    over `analyze(v_family(1..5))`, pinned: a node that the ranking leaves
+    whole is carried over as its own only child, so only the nodes that lose
+    a transition are split and restricted."""
+    models = [v_family(nu) for nu in range(1, 6)]
+    work = {"scc_decompose": 0, "vass": 0}
+    split, post_init = analyzer.scc_decompose, Vass.__post_init__
+
+    def counted_split(states, transitions):
+        work["scc_decompose"] += 1
+        return split(states, transitions)
+
+    def counted_post_init(self):
+        work["vass"] += 1
+        post_init(self)
+
+    monkeypatch.setattr(analyzer, "scc_decompose", counted_split)
+    monkeypatch.setattr(Vass, "__post_init__", counted_post_init)
+    for v in models:
+        analyze(v)
+    assert work == {"scc_decompose": 45, "vass": 40}
