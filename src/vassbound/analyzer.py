@@ -115,7 +115,6 @@ class ExtendedSystem:
     `flow` has one row per state `states[i]`: +1 where a transition enters
     the state, -1 where it leaves it, 0 elsewhere and for self-loops."""
 
-    layer: int
     transitions: tuple[Transition, ...]
     var_ext: tuple[tuple[str, int], ...]
     d_ext: tuple[tuple[int, ...], ...]
@@ -268,7 +267,7 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     for j, t in enumerate(u):
         if t.src != t.dst:
             flow[index[t.dst]][j], flow[index[t.src]][j] = 1, -1
-    return ExtendedSystem(layer, u, var_ext, d_ext, tuple(map(tuple, flow)), v.states)
+    return ExtendedSystem(u, var_ext, d_ext, tuple(map(tuple, flow)), v.states)
 
 
 def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ...]:

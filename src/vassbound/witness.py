@@ -9,9 +9,10 @@ initial valuation of size O(N).
 The construction follows the layer tree.  Every node carries one fixed
 cycle (an Eulerian traversal of the per-layer multi-cycle solution; a
 covering cycle for the root).  `_Builder.path` nests N-fold repetitions:
-for target layer l a node at layer l gives its cycle, and a node above it
-gives its cycle cut at the start states of its next-layer parts, each
-part's contribution repeated N times in its slot: the layer's path, which
+for target layer l a node at layer l gives its cycle.  Above l, inside its
+span a node's path is its next layer's path N times, then its cycle; only
+at its last layer is its cycle cut at its children, each child's path
+repeated N times in its slot.  The root's path is the layer's path, which
 executes.  The slots alone form the pre-path; it only picks the repetition
 constant k so that each layer's phase executes from an O(N) valuation, so
 it is kept as a summary, never built.  The witness is each layer's path
@@ -371,9 +372,6 @@ def node_cycles(tree: LayerTree, layer: int,
     for node in tree.nodes_at(layer):
         rec = records[node.first_layer]
         counts = {t.tid: rec.mu.counts.get(t.tid, 0) for t in node.vass.transitions}
-        if all(c == 0 for c in counts.values()):
-            result[node.nid] = Path((), anchor=node.vass.states[0])
-            continue
         cycles = multicycle_from_solution(v, node.vass.transitions, counts)
         if len(cycles) != 1:
             raise WitnessError(f"node {node.nid} support is not a single component")
@@ -382,62 +380,62 @@ def node_cycles(tree: LayerTree, layer: int,
 
 
 class _Builder:
-    """The fixed node cycles of one analysis result at scale parameter N,
-    as leaves (each built once, at the node's first layer), and each node's
-    cycle cut at its next-layer parts."""
+    """The fixed node cycles of one analysis result at scale parameter N, as
+    leaves, each built once, and the layers' paths made of them.  Above the
+    target, inside its span a node's path is its next layer's path N times,
+    then its cycle; only at its last layer is the cycle cut at its children,
+    each child's path N times in its slot."""
 
     def __init__(self, result: AnalysisResult, n: int):
         self.tree, self.n, self.dimension = result.tree, n, result.vass.dimension
         self.max_layer = result.tree.max_layer()
-        self.layers = [self.tree.nodes_at(layer) for layer in range(self.max_layer + 1)]
         self.leaves: dict[int, Leaf] = {}
-        for layer, nodes in enumerate(self.layers):
-            if any(node.first_layer == layer for node in nodes):
-                cycles = node_cycles(self.tree, layer, result.archive, result.vass)
-                self.leaves.update((nid, Leaf(c, self.dimension))
-                                   for nid, c in cycles.items() if nid not in self.leaves)
-        self.cuts: dict[tuple[int, bool], tuple[list[Leaf], list[int]]] = {}
+        for layer in sorted({node.first_layer for node in self.tree.nodes}):
+            cycles = node_cycles(self.tree, layer, result.archive, result.vass)
+            self.leaves.update((nid, Leaf(c, self.dimension))
+                               for nid, c in cycles.items() if nid not in self.leaves)
+        self.cuts: dict[int, tuple[list[Leaf], list[int]]] = {}
 
-    def cut(self, nid: int, layer: int) -> tuple[list[Leaf], list[int]]:
-        """The node's cycle split at the first occurrence of the start state
-        of each next-layer part (itself while `layer < last_layer`, else its
-        children): the segments, and the parts in that order.  Cached per
-        node side, as the cut at itself is the same at every layer."""
-        key = (nid, layer == self.tree.node(nid).last_layer)
-        if key not in self.cuts:
-            node, cycle = self.tree.node(nid), self.leaves[nid].path
+    def cut(self, nid: int) -> tuple[list[Leaf], list[int]]:
+        """The node's cycle split at the first occurrence of each child's
+        start state: the segments, and the children in that order.  Cached."""
+        if nid not in self.cuts:
+            cycle = self.leaves[nid].path
             states, positioned = [cycle.start] + [t.dst for t in cycle.steps], []
-            for part in node.children if key[1] else [nid]:
-                start = self.leaves[part].start
+            for child in self.tree.node(nid).children:
+                start = self.leaves[child].start
                 if start not in states:
                     raise WitnessError(f"child start state {start} not on parent cycle")
-                positioned.append((states.index(start), part))
+                positioned.append((states.index(start), child))
             positioned.sort()
             bounds = [0] + [pos for pos, _ in positioned] + [len(cycle)]
-            self.cuts[key] = ([Leaf(Path(cycle.steps[a:b]), self.dimension)
+            self.cuts[nid] = ([Leaf(Path(cycle.steps[a:b]), self.dimension)
                                for a, b in zip(bounds, bounds[1:])],
-                              [part for _, part in positioned])
-        return self.cuts[key]
+                              [child for _, child in positioned])
+        return self.cuts[nid]
 
     def path(self, target: int) -> tuple[_Program, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The root's program for the target layer, built bottom-up, and the
-        summary of its pre-path.  Each node's path is a list of parts: at the
-        target its cycle, and its pre-path is that cycle; above it the node's
-        cut cycle with each next-layer part's parts, repeated N times, in its
-        slot, and the pre-path is those slots alone, in cut order."""
-        leaves = {node.nid: self.leaves[node.nid] for node in self.layers[target]}
-        paths = {nid: ([leaf], (leaf.effect, leaf.low)) for nid, leaf in leaves.items()}
-        for layer in range(target - 1, -1, -1):
-            above = {}
-            for node in self.layers[layer]:
-                segments, order = self.cut(node.nid, layer)
+        """The root's program for the target layer and the summary of its
+        pre-path, the slots alone, from one children-first pass over the
+        nodes (a child's nid exceeds its parent's).  At the target a node's
+        path is its cycle; each path is a list of parts."""
+        paths = {}
+        for node in reversed(self.tree.nodes):
+            if node.first_layer > target:
+                continue
+            leaf = self.leaves[node.nid]
+            if node.last_layer >= target:
+                parts, pre = [leaf], (leaf.effect, leaf.low)
+            else:
+                segments, order = self.cut(node.nid)
                 parts, pre = [segments[0]], ((0,) * self.dimension,) * 2
-                for part, segment in zip(order, segments[1:]):
-                    inner, inner_pre = paths[part]
+                for child, segment in zip(order, segments[1:]):
+                    inner, inner_pre = paths.pop(child)
                     parts += [Repeat(self.n, inner, self.dimension), segment]
                     pre = _then(pre, _times(self.n, inner_pre))
-                above[node.nid] = (parts, pre)
-            paths = above
+            for _ in range(node.first_layer, min(target, node.last_layer)):
+                parts, pre = [Repeat(self.n, parts, self.dimension), leaf], _times(self.n, pre)
+            paths[node.nid] = (parts, pre)
         parts, pre = paths[self.tree.root.nid]
         return Repeat(1, parts, self.dimension), pre
 

@@ -127,12 +127,15 @@ def read_every_mu(result) -> list:
 
 def prepath_steps(builder, target: int) -> list:
     """The target layer's pre-path, flat, by this function's own recursion
-    over `builder.cut` and `builder.leaves`: at the target a node's cycle,
-    above it each slot's part's pre-path N times, in cut order."""
+    over the tree's spans, `builder.cut` and `builder.leaves`: at the target a
+    node's cycle, above it each slot's part's pre-path N times, where the
+    node is its own part inside its span and its children, in cut order, at
+    its last layer."""
     def steps(nid, layer):
         if layer == target:
             return list(builder.leaves[nid].path.steps)
-        return [t for part in builder.cut(nid, layer)[1]
+        last = builder.tree.node(nid).last_layer
+        return [t for part in (builder.cut(nid)[1] if layer == last else [nid])
                 for t in steps(part, layer + 1) * builder.n]
     return steps(builder.tree.root.nid, 0)
 

@@ -208,6 +208,28 @@ class TestNodeCycles:
             assert set(t.tid for t in cycles[node.nid].steps) == \
                 {t.tid for t in node.vass.transitions}
 
+    def test_node_transitions_have_positive_counts(self):
+        """Below the root, each transition of a node counts at least 1 in the
+        record of the node's first layer: it survived that layer's ranking,
+        and the joint solve tightens every survivor's mu(t) >= 1.  So no
+        node's cycle is empty."""
+        rng = random.Random(20240601)
+        models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+                  for _ in range(200)]
+        models += [parse_vass((SAMPLES / f"{name}.vass").read_text(encoding="utf-8"))
+                   for name in ("running", "doubling")]
+        models += [v_family(k) for k in range(1, 7)]
+        checked = 0
+        for v in models:
+            result = analyze(v)
+            records = {rec.layer: rec for rec in result.archive}
+            for node in result.tree.nodes:
+                if node.first_layer >= 1:
+                    counts = records[node.first_layer].mu.counts
+                    assert all(counts.get(t.tid, 0) >= 1 for t in node.vass.transitions)
+                    checked += 1
+        assert checked > 0
+
 
 class TestChooseK:
     def test_trivially_executable_gives_one(self, v_run):

@@ -122,12 +122,21 @@ def _predicted_repeats(tree):
                for node in tree.nodes) + 2 * (top + 1) + 1
 
 
+def _predicted_leaves(tree):
+    """`Leaf` builds of one witness, from the layer tree alone: one cycle
+    leaf per node, and the segments of its cut at its children, one more
+    than it has children, for each node that ends above the deepest layer."""
+    top = tree.max_layer()
+    return len(tree.nodes) + sum(len(node.children) + 1
+                                 for node in tree.nodes if node.last_layer < top)
+
+
 def test_witness_build_work_on_the_family(monkeypatch):
     """Program nodes built by `build_witness(analyze(v_family(nu)), 1)` for
-    nu = 1..7, pinned and checked against `_predicted_repeats`: one cycle
-    leaf per node, one build per target layer, the pre-path kept as a
-    summary and one cut per node side.  A second construction path shows
-    here, without timing."""
+    nu = 1..7, pinned and checked against `_predicted_leaves` and
+    `_predicted_repeats`: one cycle leaf per node, one build per target
+    layer, the pre-path kept as a summary and one cut per node, at its
+    children.  A second construction path shows here, without timing."""
     built = Counter()
     for cls in (Leaf, Repeat):
         def counted(self, *args, init=cls.__init__, name=cls.__name__):
@@ -139,10 +148,11 @@ def test_witness_build_work_on_the_family(monkeypatch):
         built.clear()
         result = analyze(v_family(nu))
         build_witness(result, 1)
+        assert built["Leaf"] == _predicted_leaves(result.tree)
         assert built["Repeat"] == _predicted_repeats(result.tree)
         leaves.append(built["Leaf"])
         repeats.append(built["Repeat"])
-    assert sum(leaves[:6]) == 541
+    assert sum(leaves[:6]) == 441
     assert repeats == [7, 24, 91, 357, 1417, 5649, 22561]
 
 
