@@ -24,6 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 from operator import mul
 from typing import Optional
 
@@ -314,70 +315,54 @@ def _solve_ranking(sys: ExtendedSystem) -> LpSolution:
     return scale_to_integer(problem, max_strict_set(problem))
 
 
-def _layer_solutions(sys: ExtendedSystem,
-                     ranking: LpSolution) -> tuple[MultiCycleSolution, RankingSolution]:
-    """The multi-cycle of the ranking's row duals on the transition rows,
-    and the ranking's record, read by position in `_solve_ranking`'s order."""
-    tids, k, y = [t.tid for t in sys.transitions], len(sys.var_ext), ranking.duals
-
-    def strict(items, first_row):
-        return frozenset(x for i, x in enumerate(items, first_row) if i in ranking.strict_set)
-
-    return (MultiCycleSolution(dict(zip(tids, y)), frozenset(
-                ve for ve, row in zip(sys.var_ext, sys.d_ext) if sum(map(mul, row, y)) > 0),
-                frozenset(t for t, c in zip(tids, y) if c > 0)),
-            RankingSolution(dict(zip(sys.var_ext, ranking.numerators)),
-                            dict(zip(sys.states, ranking.numerators[k:])),
-                            strict(tids, 0), strict(sys.var_ext, len(tids))))
-
-
 def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, JointSolve]]
                 ) -> tuple[JointSolve, RankingSolution]:
-    """The multi-cycle's deferred joint solve, run only when its counts are
-    read, and the optimal integer quasi-ranking.  Phase 2 finds the
-    ranking's maximal strict set and row duals y proving it maximal (see
-    `max_strict_set`); y on the transition rows is a multi-cycle, balanced
-    with d_ext y >= 0 by y^T A <= 0.  On every layer their strict sets must
-    partition the variable copies and the alive transitions (the Farkas
-    dichotomy) and the quasi-ranking must hold; a violation (a solver bug)
-    or any LP failure raises InternalInvariantError.  `solved` maps the
-    numbers `(d_ext, flow)` of each system solved so far to the ranking's LP
-    solution and the joint solve, which a repeated system reuses."""
+    """The multi-cycle's deferred joint solve and the optimal integer
+    quasi-ranking, read by position in `_solve_ranking`'s order.  On every
+    layer, reused systems included, phase 2's row duals must certify the
+    dichotomy (`_assert_dichotomy`) and the quasi-ranking must hold; a
+    violation (a solver bug) or any LP failure raises InternalInvariantError.
+    `solved` maps the numbers `(d_ext, flow)` of each system solved so far to
+    the ranking's LP solution and the joint solve, which a repeated system
+    reuses."""
     key = (sys.d_ext, sys.flow)
     if key not in solved:
         try:
-            ranking = _solve_ranking(sys)
-            solved[key] = ranking, JointSolve(*key, ranking.strict_set)
+            solution = _solve_ranking(sys)
+            solved[key] = solution, JointSolve(*key, solution.strict_set)
         except LpError as err:
             raise InternalInvariantError(f"LP solver failed: {err}") from err
-    mu, ranking = _layer_solutions(sys, solved[key][0])
-    _assert_dichotomy(sys, mu, ranking)
+    solution, joint = solved[key]
+    m, strict = len(sys.transitions), solution.strict_set
+    ranking = RankingSolution(
+        dict(zip(sys.var_ext, solution.numerators)),
+        dict(zip(sys.states, solution.numerators[len(sys.var_ext):])),
+        frozenset(t.tid for i, t in enumerate(sys.transitions) if i in strict),
+        frozenset(ve for i, ve in enumerate(sys.var_ext, m) if i in strict))
+    _assert_dichotomy(sys, ranking, solution.duals[:m])
     if not check_quasi_ranking(sys, ranking):
         raise InternalInvariantError("optimal solution is not a quasi-ranking")
-    return solved[key][1], ranking
+    return joint, ranking
 
 
-def _assert_dichotomy(sys: ExtendedSystem, mu: MultiCycleSolution,
-                      ranking: RankingSolution) -> None:
-    """Every variable copy and every alive transition must land in exactly one
-    of the two maximal strict sets."""
-    for ve in sys.var_ext:
-        in_mu = ve in mu.strict_vars
-        in_rz = ve in ranking.bounded_vars
+def _assert_dichotomy(sys: ExtendedSystem, ranking: RankingSolution,
+                      y: tuple[int, ...]) -> None:
+    """The Farkas dichotomy on one layer.  y, one dual per transition row, is
+    a balanced multi-cycle with d_ext y >= 0 (by y^T A <= 0), strict on the
+    copies whose d_ext row times y is positive and on the transitions whose
+    y is positive.  Every copy, then every alive transition, must be strict
+    in exactly one of y and the ranking."""
+    if len(y) != len(sys.transitions):
+        raise InternalInvariantError(
+            f"dichotomy violated: {len(y)} duals for {len(sys.transitions)} transition rows")
+    copies = (("variable copy", ve, sum(map(mul, row, y)) > 0, ve in ranking.bounded_vars)
+              for ve, row in zip(sys.var_ext, sys.d_ext))
+    transitions = (("transition", t.tid, count > 0, t.tid in ranking.ranked)
+                   for t, count in zip(sys.transitions, y))
+    for kind, member, in_mu, in_rz in chain(copies, transitions):
         if in_mu == in_rz:
-            raise InternalInvariantError(
-                f"dichotomy violated for variable copy {ve}: "
-                f"multi-cycle strict={in_mu}, ranking strict={in_rz}")
-    for t in sys.transitions:
-        in_mu = t.tid in mu.strict_transitions
-        in_rz = t.tid in ranking.ranked
-        if in_mu == in_rz:
-            raise InternalInvariantError(
-                f"dichotomy violated for transition {t.tid}: "
-                f"multi-cycle strict={in_mu}, ranking strict={in_rz}")
-        if in_mu and mu.counts[t.tid] < 1:
-            raise InternalInvariantError(
-                f"transition {t.tid} marked strict with count {mu.counts[t.tid]}")
+            raise InternalInvariantError(f"dichotomy violated for {kind} {member}: "
+                                         f"multi-cycle strict={in_mu}, ranking strict={in_rz}")
 
 
 def check_quasi_ranking(sys: ExtendedSystem, ranking: RankingSolution) -> bool:

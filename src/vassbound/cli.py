@@ -5,10 +5,11 @@ tree DOT export), `witness` (lower-bound path dump with optional
 self-check), `oracle` (brute-force metrics as CSV), and `validate` (parse
 and connectivity check).
 
-Exit codes: 0 success, 1 parse or input/output error, 2 input not connected,
-3 internal invariant violation, failed witness check, or oracle budget
-exhaustion, 4 witness requested for an input with at-least-exponential
-complexity.
+Exit codes: 0 success, 1 parse or input/output error, 2 input not connected
+or a usage error from argparse (an unknown flag, a malformed value such as
+`--n x`, no input path), 3 internal invariant violation, failed witness
+check, or oracle budget exhaustion, 4 witness requested for an input with
+at-least-exponential complexity.
 """
 
 from __future__ import annotations

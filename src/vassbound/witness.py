@@ -392,8 +392,7 @@ class _Builder:
         self.leaves: dict[int, Leaf] = {}
         for layer in sorted({node.first_layer for node in self.tree.nodes}):
             cycles = node_cycles(self.tree, layer, result.archive, result.vass)
-            self.leaves.update((nid, Leaf(c, self.dimension))
-                               for nid, c in cycles.items() if nid not in self.leaves)
+            self.leaves.update((nid, Leaf(c, self.dimension)) for nid, c in cycles.items())
         self.cuts: dict[int, tuple[list[Leaf], list[int]]] = {}
 
     def cut(self, nid: int) -> tuple[list[Leaf], list[int]]:

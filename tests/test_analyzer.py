@@ -1,8 +1,10 @@
 """Analyzer layer: extended systems, per-layer solutions, full analysis."""
 
+import dataclasses
 import json
 import pathlib
 import random
+import re
 
 import pytest
 
@@ -361,6 +363,76 @@ class TestInternalTripwires:
         monkeypatch.setattr(analyzer_mod, "max_strict_set", lazy_solver)
         with pytest.raises(InternalInvariantError):
             analyze(v_run)
+
+
+class TestDichotomyOnDuals:
+    """`solve_layer` checks the dichotomy straight on phase 2's row duals on
+    the transition rows.  Duals that passed `max_strict_set`'s own check but
+    were changed after it must still be refused, by `analyze` and by the
+    command line: cut short, all zero, or positive on a ranked transition."""
+
+    @staticmethod
+    def _assert_rejected(monkeypatch, capsys, path, perturb, message):
+        import vassbound.analyzer as analyzer_mod
+        from vassbound.analyzer import InternalInvariantError
+        from vassbound.cli import main
+
+        solve = analyzer_mod.max_strict_set
+
+        def perturbed(problem):
+            solution = solve(problem)
+            return dataclasses.replace(solution, duals=perturb(solution.duals))
+
+        monkeypatch.setattr(analyzer_mod, "max_strict_set", perturbed)
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            analyze(parse_vass(path.read_text()))
+        assert main(["analyze", str(path)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("internal invariant violation") and message in err
+
+    def test_short_duals_fail_on_the_length(self, monkeypatch, capsys):
+        self._assert_rejected(monkeypatch, capsys, SAMPLES / "running.vass",
+                              lambda y: y[:1], "dichotomy violated: 1 duals for 10 transition rows")
+
+    def test_zero_duals_name_a_variable_copy(self, monkeypatch, capsys):
+        # The running example bounds x and y at layer 1 but not z, so with
+        # y = 0 z's copy is strict on neither side; copies are checked first.
+        self._assert_rejected(monkeypatch, capsys, SAMPLES / "running.vass",
+                              lambda y: (0,) * len(y),
+                              "dichotomy violated for variable copy ('z', 0): "
+                              "multi-cycle strict=False, ranking strict=False")
+
+    def test_ranked_transition_with_positive_dual(self, monkeypatch, capsys, tmp_path):
+        path = tmp_path / "countdown.vass"
+        path.write_text("vars x\ns -> s : -1\n")
+        self._assert_rejected(monkeypatch, capsys, path, lambda y: (1, *y[1:]),
+                              "dichotomy violated for transition 0: "
+                              "multi-cycle strict=True, ranking strict=True")
+
+
+def test_multicycle_records_are_built_only_when_read(monkeypatch, v_run, doubling):
+    """`analyze` builds no `MultiCycleSolution`: the dichotomy is checked
+    on the duals themselves, and a record builds its multi-cycle once, at
+    the first read of `mu`."""
+    import vassbound.analyzer as analyzer_mod
+
+    built, record = [], analyzer_mod.MultiCycleSolution
+
+    def counted(*args):
+        built.append(args)
+        return record(*args)
+
+    monkeypatch.setattr(analyzer_mod, "MultiCycleSolution", counted)
+    iterations = []
+    for v in (v_run, doubling, *map(v_family, range(1, 6))):
+        built.clear()
+        result = analyze(v)
+        assert built == []
+        read_every_mu(result)
+        read_every_mu(result)
+        assert len(built) == result.iterations
+        iterations.append(result.iterations)
+    assert iterations == [3, 1, 2, 4, 7, 11, 16]
 
 
 class TestStrictSetCertificate:

@@ -17,7 +17,7 @@ from vassbound import PrePath, analyze, build_witness, parse_vass, verify_witnes
 from vassbound.analyzer import POLYNOMIAL
 from vassbound.model import Path
 from vassbound.witness import Leaf, Repeat, WitnessError, _Builder
-from conftest import V_RUN_TEXT, prepath_steps, random_connected_vass, v_family
+from conftest import DOUBLING_TEXT, V_RUN_TEXT, prepath_steps, random_connected_vass, v_family
 
 
 def _nodes(program):
@@ -154,6 +154,24 @@ def test_witness_build_work_on_the_family(monkeypatch):
         repeats.append(built["Repeat"])
     assert sum(leaves[:6]) == 441
     assert repeats == [7, 24, 91, 357, 1417, 5649, 22561]
+
+
+def test_first_layers_partition_the_tree_nodes():
+    """`_Builder` takes each node's cycle from the layer the node starts at,
+    so the nodes of its distinct first layers must partition the tree, each
+    node once: every node of a layer shares its span.  Checked on the
+    acceptance suite's 200 models, v_family(1..7) and both samples, with
+    skipping on and off."""
+    rng = random.Random(20240601)
+    models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+              for _ in range(200)]
+    models += [*map(v_family, range(1, 8)), parse_vass(V_RUN_TEXT), parse_vass(DOUBLING_TEXT)]
+    trees = [analyze(v, skip_optimization=skip).tree for v in models for skip in (True, False)]
+    for tree in trees:
+        firsts = sorted({node.first_layer for node in tree.nodes})
+        listed = [node.nid for layer in firsts for node in tree.nodes_at(layer)]
+        assert sorted(listed) == list(range(len(tree.nodes)))
+    assert len(trees) == 418
 
 
 def _running_leaves():
