@@ -23,10 +23,10 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property, partial
 from itertools import chain
 from operator import mul
-from typing import Optional
+from typing import Callable, Optional
 
 from .exactlp import (GE, EQ, LpError, LpProblem, LpRow, LpSolution,
                       max_strict_set, scale_to_integer, strict_solution)
@@ -154,22 +154,6 @@ class RankingSolution:
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
 
-class JointSolve:
-    """`_solve_multicycle` of one layer system, deferred: the first call runs
-    it and drops its arguments.  Calls return, and `==` compares, its counts."""
-
-    def __init__(self, *args):
-        self._args, self._counts = args, ()
-
-    def __call__(self) -> tuple[int, ...]:
-        if self._args:
-            self._counts, self._args = _solve_multicycle(*self._args), ()
-        return self._counts
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, JointSolve) and self() == other()
-
-
 @dataclass(frozen=True)
 class LayerRecord:
     """The analyzer's one record of an iteration, which the report's `layers`
@@ -180,11 +164,11 @@ class LayerRecord:
     layer: int
     u: tuple[int, ...]
     var_ext: tuple[tuple[str, int], ...]
-    joint: JointSolve
+    joint: Callable[[], tuple[int, ...]]
     ranking: RankingSolution
     new_nodes: tuple[int, ...]
     new_variable_bounds: tuple[str, ...]
-    __hash__ = None  # compared by value; holds dicts, so never hashed
+    __hash__ = None  # compared by value, `joint` by identity; holds dicts, so never hashed
 
     @cached_property
     def mu(self) -> MultiCycleSolution:
@@ -315,21 +299,21 @@ def _solve_ranking(sys: ExtendedSystem) -> LpSolution:
     return scale_to_integer(problem, max_strict_set(problem))
 
 
-def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, JointSolve]]
-                ) -> tuple[JointSolve, RankingSolution]:
+def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, Callable]]
+                ) -> tuple[Callable[[], tuple[int, ...]], RankingSolution]:
     """The multi-cycle's deferred joint solve and the optimal integer
     quasi-ranking, read by position in `_solve_ranking`'s order.  On every
     layer, reused systems included, phase 2's row duals must certify the
     dichotomy (`_assert_dichotomy`) and the quasi-ranking must hold; a
     violation (a solver bug) or any LP failure raises InternalInvariantError.
     `solved` maps the numbers `(d_ext, flow)` of each system solved so far to
-    the ranking's LP solution and the joint solve, which a repeated system
-    reuses."""
+    the ranking's LP solution and the joint solve, cached at its first call;
+    a repeated system reuses both, so its records share one joint solve."""
     key = (sys.d_ext, sys.flow)
     if key not in solved:
         try:
             solution = _solve_ranking(sys)
-            solved[key] = solution, JointSolve(*key, solution.strict_set)
+            solved[key] = solution, cache(partial(_solve_multicycle, *key, solution.strict_set))
         except LpError as err:
             raise InternalInvariantError(f"LP solver failed: {err}") from err
     solution, joint = solved[key]

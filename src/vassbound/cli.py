@@ -48,12 +48,17 @@ BUDGET_ENV = "VASSBOUND_ORACLE_BUDGET"
 
 def _load(path: str) -> Vass:
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as err:
-        raise VassSyntaxError(f"cannot read '{path}': {err.strerror}", 0)
+        raise VassError(f"cannot read '{path}': {err.strerror}")
+    try:
+        text = data.decode("utf-8")
     except UnicodeDecodeError as err:
-        raise VassSyntaxError(f"cannot read '{path}': not UTF-8 at byte {err.start}", 0)
+        # The lines before the byte, as `parse_vass` splits them; "x" stands for it.
+        lines = (data[:err.start].decode("utf-8") + "x").splitlines()
+        raise VassSyntaxError(f"bad UTF-8 byte 0x{data[err.start]:02x}",
+                              len(lines), len(lines[-1]))
     return parse_vass(text)
 
 
@@ -128,9 +133,9 @@ def _parse_sweep(spec: str) -> range:
     try:
         ns = range(int(lo), int(hi) + 1)
     except ValueError:
-        raise VassSyntaxError(f"bad sweep range '{spec}'", 0)
+        raise VassError(f"bad sweep range '{spec}'")
     if not ns:
-        raise VassSyntaxError(f"empty sweep range '{spec}'", 0)
+        raise VassError(f"empty sweep range '{spec}'")
     return ns
 
 

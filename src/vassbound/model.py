@@ -45,6 +45,7 @@ class NotConnectedError(VassError):
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _INT = re.compile(r"-?\d+\Z")
+_TOKEN = re.compile(r"\S+")
 
 
 @dataclass(frozen=True)
@@ -246,27 +247,21 @@ def parse_vass(text: str) -> Vass:
     seen: set[tuple[str, tuple[int, ...], str]] = set()
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        found = [(m.group(), m.start() + 1) for m in _TOKEN.finditer(line)]
+        if not found:
             continue
-        tokens = line.split()
-
-        def col_of(token_index: int) -> int:
-            pos = 0
-            for tok in tokens[:token_index]:
-                pos = line.index(tok, pos) + len(tok)
-            return line.index(tokens[token_index], pos) + 1
-
+        tokens, cols = zip(*found)  # each token and its 1-based column
         if variables is None:
             if tokens[0] != "vars":
-                raise VassSyntaxError("expected 'vars' declaration", lineno, col_of(0))
+                raise VassSyntaxError("expected 'vars' declaration", lineno, cols[0])
             if len(tokens) < 2:
                 raise VassSyntaxError("at least one variable required", lineno, len(line) + 1)
             names = tokens[1:]
             for i, name in enumerate(names):
                 if not _IDENT.match(name):
-                    raise VassSyntaxError(f"bad variable name '{name}'", lineno, col_of(1 + i))
+                    raise VassSyntaxError(f"bad variable name '{name}'", lineno, cols[1 + i])
                 if name in names[:i]:
-                    raise VassSyntaxError(f"duplicate variable '{name}'", lineno, col_of(1 + i))
+                    raise VassSyntaxError(f"duplicate variable '{name}'", lineno, cols[1 + i])
             variables = tuple(names)
             continue
 
@@ -274,13 +269,13 @@ def parse_vass(text: str) -> Vass:
             raise VassSyntaxError("expected '<src> -> <dst> : <updates>'", lineno)
         src, arrow, dst, colon = tokens[0], tokens[1], tokens[2], tokens[3]
         if not _IDENT.match(src):
-            raise VassSyntaxError(f"bad state name '{src}'", lineno, col_of(0))
+            raise VassSyntaxError(f"bad state name '{src}'", lineno, cols[0])
         if arrow != "->":
-            raise VassSyntaxError(f"unknown relation token '{arrow}'", lineno, col_of(1))
+            raise VassSyntaxError(f"unknown relation token '{arrow}'", lineno, cols[1])
         if not _IDENT.match(dst):
-            raise VassSyntaxError(f"bad state name '{dst}'", lineno, col_of(2))
+            raise VassSyntaxError(f"bad state name '{dst}'", lineno, cols[2])
         if colon != ":":
-            raise VassSyntaxError(f"expected ':' before updates, got '{colon}'", lineno, col_of(3))
+            raise VassSyntaxError(f"expected ':' before updates, got '{colon}'", lineno, cols[3])
         numbers = tokens[4:]
         if len(numbers) != len(variables):
             raise VassSyntaxError(
@@ -288,12 +283,12 @@ def parse_vass(text: str) -> Vass:
         update = []
         for i, num in enumerate(numbers):
             if not _INT.match(num):
-                raise VassSyntaxError(f"bad integer '{num}'", lineno, col_of(4 + i))
+                raise VassSyntaxError(f"bad integer '{num}'", lineno, cols[4 + i])
             try:
                 update.append(int(num))
             except ValueError:  # beyond the interpreter's integer digit limit
                 raise VassSyntaxError(f"integer with {len(num.lstrip('-'))} digits is too long",
-                                      lineno, col_of(4 + i)) from None
+                                      lineno, cols[4 + i]) from None
         triple = (src, tuple(update), dst)
         if triple in seen:
             raise VassSyntaxError(f"duplicate transition '{src} -> {dst}'", lineno)
@@ -342,25 +337,23 @@ def _bfs_tree(out_edges: Mapping[str, list[Transition]],
 
 def unconnected_pair(v: Vass) -> Optional[tuple[str, str]]:
     """The first state s that does not reach every state, and the first
-    state that s does not reach; or None.  A state reaches every state just
-    when its component is the condensation's only source.  The state that a
-    depth-first walk finishes last lies in a source.  If it reaches every
-    state, the states that reach it form the only source; if not, there are
-    several sources, and no state reaches every state."""
+    state that s does not reach; or None.  Unless the first state misses
+    some state, and so is s, it reaches every state; then a state reaches
+    every state just when it reaches the first, and s misses the first."""
     if len(v.states) < 2:
         return None
+    first = v.states[0]
     succ = {s: [t.dst for t in ts] for s, ts in _out_edges(v).items()}
+    reached = set(_finish_order(succ, [first], set()))
+    missed = next((u for u in v.states if u not in reached), None)
+    if missed is not None:
+        return first, missed
     pred: dict[str, list[str]] = {s: [] for s in v.states}
     for t in v.transitions:
         pred[t.dst].append(t.src)
-    last = _finish_order(succ, v.states, set())[-1:]
-    only = len(_finish_order(succ, last, set())) == len(v.states)
-    source = set(_finish_order(pred, last, set()) if only else ())
-    s = next((u for u in v.states if u not in source), None)
-    if s is None:
-        return None
-    reached = set(_finish_order(succ, [s], set()))
-    return s, next(u for u in v.states if u not in reached)
+    reaching = set(_finish_order(pred, [first], set()))
+    s = next((u for u in v.states if u not in reaching), None)
+    return None if s is None else (s, first)
 
 
 def validate_connected(v: Vass) -> bool:

@@ -562,7 +562,22 @@ class TestLpSolveCount:
         solved, fresh = {}, solve_layer(loops, {})
         assert solve_layer(sys, solved)[1].ranked == {8, 9}
         assert fresh[1].ranked == {8}
-        assert solve_layer(loops, solved) == fresh and len(solved) == 2
+        again = solve_layer(loops, solved)
+        assert again[1] == fresh[1] and again[0]() == fresh[0]() and len(solved) == 2
+
+    def test_comparing_solves_makes_no_joint_solve(self, monkeypatch, v_run):
+        # The deferred joint solves compare by identity: `==` must not run
+        # them.  Records of one system share one, so they still compare equal.
+        from vassbound.analyzer import solve_layer
+
+        calls = self._count_solves(monkeypatch)
+        sys = build_extended_system(v_run, analyze(v_run).tree, 1,
+                                    {x: None for x in v_run.variables})
+        solved = {}
+        first = solve_layer(sys, solved)
+        reused, fresh = solve_layer(sys, solved) == first, solve_layer(sys, {}) == first
+        assert calls == []
+        assert reused and not fresh
 
     @pytest.mark.parametrize("skip", [True, False])
     @pytest.mark.parametrize("nu", [2, 3, 4, 5, 6])

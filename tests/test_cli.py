@@ -77,6 +77,27 @@ class TestAnalyze:
     def test_missing_file_exit_code(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.vass")]) == 1
 
+    def test_unreadable_file_is_error_without_position(self, tmp_path, capsys):
+        path = tmp_path / "nope.vass"
+        assert main(["validate", str(path)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: cannot read '{path}': No such file or directory\n"
+
+    @pytest.mark.parametrize("content, line, column, byte", [
+        (b"vars x\ns1 -> s1 : \xff1\n", 2, 12, 0xff),
+        (b"vars x\r\n\xc3\xa9 -> s1 : 1\xfe\n", 2, 12, 0xfe),
+        (b"vars x\r\xff\n", 2, 1, 0xff),
+        (b"\xc0vars x\n", 1, 1, 0xc0),
+    ], ids=["ascii-prefix", "multibyte-prefix", "after-carriage-return", "first-byte"])
+    def test_non_utf8_byte_is_parse_error_at_its_position(self, tmp_path, capsys,
+                                                          content, line, column, byte):
+        # The column counts characters, and lines break where the parser breaks them.
+        bad = tmp_path / "bad.vass"
+        bad.write_bytes(content)
+        assert main(["analyze", str(bad)]) == 1
+        assert capsys.readouterr().err == \
+            f"parse error: line {line}, column {column}: bad UTF-8 byte 0x{byte:02x}\n"
+
     def test_disconnected_exit_code_names_pair(self, disconnected_file, capsys):
         assert main(["analyze", disconnected_file]) == 2
         err = capsys.readouterr().err
@@ -335,7 +356,7 @@ class TestOracle:
                      "--metric", "longest"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "parse error: line 0, column 1: empty sweep range '3..1'\n"
+        assert captured.err == "error: empty sweep range '3..1'\n"
 
     def test_negative_budget_with_empty_sweep_is_error(self, v_run_file, capsys):
         assert main(["oracle", v_run_file, "--sweep", "3..1", "--metric", "longest",

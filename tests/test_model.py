@@ -109,6 +109,20 @@ class TestParsing:
         assert err is not None and "unknown relation token" in str(err)
         assert err.line == 2 and err.column == 4
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("vars x y x\n", "duplicate variable 'x'", 1, 10),
+        ("vars\tx\x1fy \tx\n", "duplicate variable 'x'", 1, 11),
+        ("vars x y z\ns -> s : 1 1 1x\n", "bad integer '1x'", 2, 14),
+        ("vars x y\ns -> s : 11 1x\n", "bad integer '1x'", 2, 13),
+        ("vars x\ns -> s -> 1\n", "expected ':' before updates, got '->'", 2, 8),
+    ])
+    def test_error_columns_with_repeated_tokens(self, text, message, line, column):
+        # A repeated token is placed at its own occurrence, not at an earlier one.
+        with pytest.raises(VassSyntaxError) as caught:
+            parse_vass(text)
+        assert (str(caught.value), caught.value.line, caught.value.column) == \
+            (f"line {line}, column {column}: {message}", line, column)
+
     def test_bad_integer(self):
         with pytest.raises(VassSyntaxError, match="bad integer"):
             parse_vass("vars x\ns1 -> s2 : one\n")
