@@ -1,12 +1,15 @@
 """Layer-by-layer bound analysis for connected VASSs.
 
-The analyzer grows a rooted tree of sub-VASSs.  Each iteration instantiates
-a Farkas-dual pair of rational constraint systems over the transitions
-still alive in the deepest layer: a multi-cycle system (non-negative
-combination of transitions with balanced flow and non-negative total
-update) and a quasi-ranking system (non-negative variable coefficients and
-state offsets whose induced affine map never increases along alive
-transitions).  Transitions on which the optimal quasi-ranking strictly
+The analyzer grows a rooted tree of sub-VASSs.  Each iteration builds a
+Farkas-dual pair of rational constraint systems over the transitions still
+alive in the deepest layer, a multi-cycle system (non-negative combination
+of transitions with balanced flow and non-negative total update) and a
+quasi-ranking system (non-negative variable coefficients and state offsets
+whose induced affine map never increases along alive transitions), and
+solves only the second: its row duals are the multi-cycle side, which
+certifies the dichotomy.  The multi-cycle system's joint solve, for the
+counts that the witness cycles read, runs at the first read of a record's
+counts.  Transitions on which the optimal quasi-ranking strictly
 decreases get their exponent assigned at the current layer and are removed;
 the surviving graph is SCC-decomposed into the next layer.  A node that
 loses no transition is strongly connected still, so it carries its sub-VASS
@@ -28,8 +31,8 @@ from itertools import chain
 from operator import mul
 from typing import Callable, Optional
 
-from .exactlp import (GE, EQ, LpError, LpProblem, LpRow, LpSolution,
-                      max_strict_set, scale_to_integer, strict_solution)
+from . import exactlp
+from .exactlp import GE, EQ, LpError, LpProblem, LpRow, LpSolution, max_strict_set, scale_to_integer
 from .model import NotConnectedError, Transition, Vass, VassError, scc_decompose, unconnected_pair
 
 POLYNOMIAL = "polynomial"
@@ -234,11 +237,9 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
     The copy set pairs every variable with each node in layer
     `layer - vexp[x]`; an unbounded variable keeps its single root copy
     (layer 0)."""
-    alive: dict[int, Transition] = {}
-    for node in tree.nodes_at(layer - 1):
-        for t in node.vass.transitions:
-            alive[t.tid] = t
-    u = tuple(alive[tid] for tid in sorted(alive))
+    # Nodes of one layer share no state, so no transition either.
+    u = tuple(sorted((t for node in tree.nodes_at(layer - 1) for t in node.vass.transitions),
+                     key=lambda t: t.tid))
 
     targets = {x: 0 if e is None else layer - e for x, e in vexp.items()}
     copies = {target: [(node.nid, {t.tid for t in node.vass.transitions})
@@ -276,10 +277,13 @@ def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ..
     strict = [i for i in range(len(d_ext)) if m + i not in ranked_rows]
     strict += [first_trans + j for j in range(m) if j not in ranked_rows]
     try:
-        return scale_to_integer(problem, strict_solution(problem, strict)).numerators
+        joint = exactlp.lp_feasible(problem, strict)  # by module, so a tracer's wrapper sees it
     except LpError as err:
+        raise InternalInvariantError(f"LP solver failed: {err}") from err
+    if joint is None:
         raise InternalInvariantError("dichotomy violated: the complement of the "
-                                     f"ranking's strict set is not attained ({err})") from err
+                                     "ranking's strict set is not attained")
+    return scale_to_integer(problem, joint).numerators
 
 
 def _solve_ranking(sys: ExtendedSystem) -> LpSolution:

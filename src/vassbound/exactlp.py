@@ -26,8 +26,8 @@ maximizes the sum of s_i subject to row_i(x) - s_i >= 0 and 0 <= s_i <= 1,
 the bounds kept by Dantzig's upper bounding (see `_strict_candidates`); on
 a cone s_i = 1 at the optimum exactly on that set.  Its x, read out and
 checked once like phase 1's, attains the set; its row duals, checked once,
-prove it maximal (weak duality).  `strict_solution` has `lp_feasible`
-tighten a set so proved: the joint solve, run only where counts are read.
+prove it maximal (weak duality).  The joint solve, run only where counts
+are read, is `lp_feasible` with a set so proved as its strict set.
 """
 
 from __future__ import annotations
@@ -353,16 +353,6 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int, l
     return [i for i, column in s_column.items() if values[column]], values[:nx], den, duals
 
 
-def strict_solution(problem: LpProblem, strict: Sequence[int]) -> LpSolution:
-    """`lp_feasible(problem, strict)`, raising LpInternalError if no solution
-    has every row of `strict` at slack >= 1.  Maximality of `strict` is the
-    caller's to know."""
-    joint = lp_feasible(problem, strict)
-    if joint is None:
-        raise LpInternalError("no solution has every strict row at slack >= 1")
-    return joint
-
-
 def max_strict_set(problem: LpProblem) -> LpSolution:
     """A solution attaining the unique maximal set of strict candidate rows,
     with row duals y, one integer per row, that prove it maximal.
@@ -396,8 +386,7 @@ def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
     a second check: scaling by a positive integer fixes homogeneous rows
     and can only widen slacks that were already >= 1.
     """
-    for row in problem.rows:
-        if row.rhs != 0 and not (row.relation == GE and row.rhs == 1):
-            raise LpError("scaling needs homogeneous rows")
+    if any(row.rhs != 0 for row in problem.rows):
+        raise LpError("scaling needs homogeneous rows")
     return LpSolution(solution.variables, solution.numerators, 1, solution.strict_set,
                       solution.duals)

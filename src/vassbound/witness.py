@@ -176,7 +176,6 @@ class WitnessPath:
     path: _Program
     initial: Valuation
     final: Valuation
-    instance_counts: dict[int, int]
     envelope: int  # ceil(norm(initial) / n), the measured O(N) constant
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
@@ -195,7 +194,7 @@ class WitnessPath:
             else:
                 yield node.text
         yield ("instances " + " ".join(
-            f"{t.tid}={self.instance_counts.get(t.tid, 0)}" for t in v.transitions)
+            f"{t.tid}={self.path.counts.get(t.tid, 0)}" for t in v.transitions)
             + "\nfinal " + " ".join(str(self.final[x]) for x in v.variables) + "\n")
 
     def dump(self, v: Vass) -> str:
@@ -413,11 +412,11 @@ class _Builder:
                               [child for _, child in positioned])
         return self.cuts[nid]
 
-    def path(self, target: int) -> tuple[_Program, tuple[tuple[int, ...], tuple[int, ...]]]:
-        """The root's program for the target layer and the summary of its
-        pre-path, the slots alone, from one children-first pass over the
-        nodes (a child's nid exceeds its parent's).  At the target a node's
-        path is its cycle; each path is a list of parts."""
+    def path(self, target: int) -> tuple[list[_Program], tuple[tuple[int, ...], tuple[int, ...]]]:
+        """The parts of the root's path for the target layer, in order, and
+        the summary of its pre-path, the slots alone, from one children-first
+        pass over the nodes (a child's nid exceeds its parent's).  At the
+        target a node's path is its cycle; each path is a list of parts."""
         paths = {}
         for node in reversed(self.tree.nodes):
             if node.first_layer > target:
@@ -435,8 +434,7 @@ class _Builder:
             for _ in range(node.first_layer, min(target, node.last_layer)):
                 parts, pre = [Repeat(self.n, parts, self.dimension), leaf], _times(self.n, pre)
             paths[node.nid] = (parts, pre)
-        parts, pre = paths[self.tree.root.nid]
-        return Repeat(1, parts, self.dimension), pre
+        return paths[self.tree.root.nid]
 
 
 def choose_k(lows: Mapping[int, Sequence[int]], vexp: Mapping[str, Optional[int]],
@@ -463,13 +461,13 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
     if not v.transitions:
         empty = Leaf(Path((), anchor=v.states[0] if v.states else None), v.dimension)
         zero = Valuation.zero(v.variables)
-        return WitnessPath(n, 1, empty, zero, zero, {}, 0)
+        return WitnessPath(n, 1, empty, zero, zero, 0)
 
     builder = _Builder(result, n)
     paths = [builder.path(layer) for layer in range(builder.max_layer + 1)]
     k = choose_k({layer: _times(n, pre)[1] for layer, (_, pre) in enumerate(paths)},
                  result.report.variable_exponents, v, n)
-    path = Repeat(1, [Repeat(n * k, [program], v.dimension) for program, _ in paths], v.dimension)
+    path = Repeat(1, [Repeat(n * k, parts, v.dimension) for parts, _ in paths], v.dimension)
 
     base = min_initial_valuation(v, path)
     initial_val = Valuation({x: max(base[x], n ** result.report.variable_exponents[x] - e)
@@ -478,8 +476,7 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
     if final is None:
         raise WitnessError("constructed path does not execute from its initial valuation")
     envelope = _ceil_div(initial_val.norm(), n)
-    return WitnessPath(n, k, path, initial_val, final,
-                       dict(path.instances()), envelope)
+    return WitnessPath(n, k, path, initial_val, final, envelope)
 
 
 def verify_witness(v: Vass, witness: WitnessPath,

@@ -1,8 +1,8 @@
 """Shared fixtures: the two worked examples, a family generator with
-exponents growing exponentially in the dimension, a seeded random VASS
-generator for property sweeps, a recorder of the layer systems an
-analysis builds, a reader of every record's multi-cycle, and a runner
-under a shallow recursion limit."""
+exponents growing exponentially in the dimension and a random perturbation
+of it, a seeded random VASS generator for property sweeps, a recorder of
+the layer systems an analysis builds, a reader of every record's
+multi-cycle, and a runner under a shallow recursion limit."""
 
 import inspect
 import random
@@ -64,6 +64,23 @@ def v_family(nu: int) -> Vass:
             triples.append((f"s{i}1", upd(**{f"x{i}1": -1}), f"s{i+1}1"))
             triples.append((f"s{i+1}2", upd(), f"s{i}2"))
     return Vass.from_triples(variables, triples)
+
+
+def perturbed_family(rng: random.Random) -> Vass:
+    """v_family(nu), nu in 1..3, plus 1-4 random transitions between random
+    states, duplicate triples dropped.  Each update entry is -1 with
+    probability 1/3, else 0; then, with probability 1/2, one entry is +1.
+    Many draws stay polynomial with layer trees several layers deep."""
+    base = v_family(rng.randint(1, 3))
+    triples = [(t.src, t.update, t.dst) for t in base.transitions]
+    for _ in range(rng.randint(1, 4)):
+        src, dst = rng.choice(base.states), rng.choice(base.states)
+        update = [-1 if rng.random() < 1 / 3 else 0 for _ in base.variables]
+        if rng.random() < 1 / 2:
+            update[rng.randrange(len(update))] = 1
+        if (src, tuple(update), dst) not in triples:
+            triples.append((src, tuple(update), dst))
+    return Vass.from_triples(base.variables, triples)
 
 
 def without_deep_recursion(fn, *args):

@@ -7,6 +7,7 @@ property; those bounds are stated inline.
 
 import random
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,7 @@ from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL
 from vassbound.cli import _render_text_report
 from vassbound.exactlp import lp_feasible, max_strict_set, satisfies
 from vassbound.model import scc_decompose
-from conftest import random_connected_vass, v_family
+from conftest import perturbed_family, random_connected_vass, v_family
 from test_exactlp import random_homogeneous
 from test_oracle import doubling_pump_path
 
@@ -244,6 +245,36 @@ def test_skip_optimization_keeps_stall_layer_and_text_report(random_suite, doubl
         assert on.report.exponential_layer == off.report.exponential_layer
         assert _render_text_report(on) == _render_text_report(off)
     assert sum(on.report.status == EXPONENTIAL for on, _ in pairs) == 138
+
+
+def test_perturbed_family_models_agree_and_verify():
+    """Polynomial models with trees several layers deep: 300 seeded draws of
+    `perturbed_family`, whose polynomial ones have exponents 2, 4 and 8.  On
+    each, skipping on and off give the same text and JSON report, the
+    witnesses at N = 1 and 2 verify, and each dump's `instances` line is a
+    recount of its step lines."""
+    rng = random.Random(1)
+    exponents, shapes = Counter(), set()
+    for v in (perturbed_family(rng) for _ in range(300)):
+        on = analyze(v)
+        if on.report.status != POLYNOMIAL:
+            continue
+        off = analyze(v, skip_optimization=False)
+        assert _render_text_report(on) == _render_text_report(off)
+        assert on.report.to_json(v) == off.report.to_json(v)
+        for n in (1, 2):
+            witness = build_witness(on, n)
+            verification = verify_witness(v, witness, on.report)
+            assert verification.passed, verification.dump()
+            lines = witness.dump(v).splitlines()
+            recount = Counter(int(line) for line in lines[2:-2])
+            assert lines[-2] == "instances " + " ".join(
+                f"{t.tid}={recount[t.tid]}" for t in v.transitions)
+        exponents[on.report.complexity_exponent] += 1
+        shapes.add(tuple((node.parent, node.first_layer, node.last_layer, len(node.vass.states))
+                         for node in on.tree.nodes))
+    assert exponents == {2: 18, 4: 41, 8: 50}
+    assert len(shapes) == 7
 
 
 def _assert_reference_split(result):

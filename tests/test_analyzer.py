@@ -486,19 +486,18 @@ class TestStrictSetCertificate:
         self._assert_rejected(capsys, "non-solution")
 
     def test_derived_solve_equals_phase_two_solve(self, monkeypatch):
-        import vassbound.analyzer as analyzer_mod
-        from vassbound.exactlp import max_strict_set
+        from vassbound import exactlp
 
-        derive = analyzer_mod.strict_solution
+        derive = exactlp.lp_feasible
         calls = []
 
         def checked(problem, strict):
             solution = derive(problem, strict)
-            assert max_strict_set(problem).strict_set == solution.strict_set
+            assert exactlp.max_strict_set(problem).strict_set == solution.strict_set
             calls.append(problem)
             return solution
 
-        monkeypatch.setattr(analyzer_mod, "strict_solution", checked)
+        monkeypatch.setattr(exactlp, "lp_feasible", checked)
         keys, systems = record_systems(monkeypatch), 0
         models = [*acceptance_models(),
                   *(parse_vass((SAMPLES / name).read_text())
@@ -508,6 +507,35 @@ class TestStrictSetCertificate:
             read_every_mu(analyze(v))
             systems += len(set(keys))
         assert len(calls) == systems > 200
+
+    def test_unattained_joint_solve_fails_at_the_first_read(self, monkeypatch, capsys):
+        """A joint solve that finds no point attaining the complement of the
+        ranking's strict set breaks the dichotomy.  `analyze` still succeeds,
+        as no count is read; the first read of `mu` raises, and the witness
+        command exits 3.  The patched `lp_feasible` must be the one called:
+        the joint solve looks it up on its module, where a tracer wraps it."""
+        from vassbound import exactlp
+        from vassbound.analyzer import InternalInvariantError
+        from vassbound.cli import main
+
+        calls = []
+
+        def unattained(problem, strict=()):
+            calls.append(strict)
+            return None
+
+        monkeypatch.setattr(exactlp, "lp_feasible", unattained)
+        sample = SAMPLES / "running.vass"
+        result = analyze(parse_vass(sample.read_text()))
+        assert calls == []
+        with pytest.raises(InternalInvariantError, match="not attained"):
+            result.archive[0].mu
+        assert len(calls) == 1
+        assert main(["witness", str(sample), "--n", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation: ")
+        assert "not attained" in err
 
 
 class TestLpSolveCount:

@@ -21,7 +21,6 @@ from vassbound.exactlp import (
     max_strict_set,
     satisfies,
     scale_to_integer,
-    strict_solution,
 )
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -300,7 +299,7 @@ class TestPhaseTwo:
     def test_joint_solves_flip_nothing(self, runs):
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
         assert max_strict_set(p).strict_set == {0, 1}
-        assert strict_solution(p, [0, 1]).strict_set == {0, 1}
+        assert lp_feasible(p, [0, 1]).strict_set == {0, 1}
         assert [flipped for _, _, flipped in runs] == [{2, 3}, set()]
 
 
@@ -381,7 +380,7 @@ class TestScaling:
 
     def test_drops_the_denominator(self):
         p = problem(["x", "y"], [((2, 0), GE, 0), ((0, 3), GE, 0)], candidates=[0, 1])
-        sol = strict_solution(p, [0, 1])
+        sol = lp_feasible(p, [0, 1])
         assert sol.denominator == 6 and sol.strict_set == {0, 1}
         scaled = scale_to_integer(p, sol)
         assert scaled == LpSolution(("x", "y"), (3, 2), 1, frozenset({0, 1}))

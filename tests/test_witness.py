@@ -26,7 +26,8 @@ from vassbound import (
     parse_vass,
     verify_witness,
 )
-from vassbound.witness import CertificateError, WitnessError, WitnessPath, _Builder, _euler_cycle
+from vassbound.witness import (CertificateError, Repeat, WitnessError, WitnessPath, _Builder,
+                               _euler_cycle)
 from vassbound.model import VassError
 from conftest import prepath_steps, random_connected_vass, v_family, without_deep_recursion
 
@@ -259,24 +260,24 @@ class TestBuildWitness:
         verification = verify_witness(v_run, w, result.report)
         assert verification.passed, verification.dump()
         for tid in (0, 1, 2, 3):
-            assert w.instance_counts[tid] >= 27
+            assert w.path.counts[tid] >= 27
         for tid in (4, 5, 6, 7):
-            assert w.instance_counts[tid] >= 9
-        assert w.instance_counts[8] >= 3 and w.instance_counts[9] >= 3
+            assert w.path.counts[tid] >= 9
+        assert w.path.counts[8] >= 3 and w.path.counts[9] >= 3
         assert w.final["z"] >= 9
 
     def test_scale_one_is_trivially_covering(self, v_run):
         result = analyze(v_run)
         w = build_witness(result, 1)
         assert verify_witness(v_run, w, result.report).passed
-        assert all(w.instance_counts[t.tid] >= 1 for t in v_run.transitions)
+        assert all(w.path.counts[t.tid] >= 1 for t in v_run.transitions)
 
     def test_second_block_loop_quartic(self, v2):
         result = analyze(v2)
         w = build_witness(result, 2)
         loop_ids = [t.tid for t in v2.transitions
                     if t.src == t.dst == "s21"]
-        assert w.instance_counts[loop_ids[0]] >= 2 ** 4
+        assert w.path.counts[loop_ids[0]] >= 2 ** 4
 
     def test_rejects_exponential_input(self, doubling):
         with pytest.raises(WitnessError):
@@ -304,8 +305,7 @@ class TestVerifyWitness:
         w = build_witness(result, 2)
         starved = dict(w.initial)
         starved["z"] = 0
-        broken = WitnessPath(w.n, w.k, w.path, Valuation(starved), w.final,
-                             w.instance_counts, w.envelope)
+        broken = WitnessPath(w.n, w.k, w.path, Valuation(starved), w.final, w.envelope)
         verification = verify_witness(v_run, broken, result.report)
         assert not verification.passed
         assert any(c.name == "executes" and not c.passed
@@ -316,8 +316,7 @@ class TestVerifyWitness:
         w = build_witness(result, 2)
         stub = Path(w.path.steps[:4], anchor=w.path.anchor)
         final = execute_path(v_run, w.initial, stub)
-        broken = WitnessPath(w.n, w.k, stub, w.initial, final,
-                             dict(stub.instances()), w.envelope)
+        broken = WitnessPath(w.n, w.k, stub, w.initial, final, w.envelope)
         verification = verify_witness(v_run, broken, result.report)
         failed = [c.name for c in verification.checks if not c.passed]
         assert any(name.startswith("instances[") for name in failed)
@@ -352,10 +351,14 @@ class TestLayerPrePaths:
     def test_interleaving_preserves_instance_counts(self, v_run):
         result = analyze(v_run)
         builder = _Builder(result, 3)
+
+        def path(layer):
+            return PrePath(tuple(Repeat(1, builder.path(layer)[0], v_run.dimension).steps))
+
         for layer in range(1, builder.max_layer + 1):
-            merged = PrePath(tuple(builder.path(layer)[0].steps))
+            merged = path(layer)
             parts = PrePath(tuple(prepath_steps(builder, layer)))
-            previous = PrePath(tuple(builder.path(layer - 1)[0].steps))
+            previous = path(layer - 1)
             assert merged.instances() == parts.instances() + previous.instances()
 
     def test_repeated_prepath_executes_from_scaled_valuation(self, v_run):
@@ -404,7 +407,7 @@ class TestRandomWitnesses:
             w = build_witness(result, n)
             assert verify_witness(v, w, result.report).passed
         loop_ids = [t.tid for t in v.transitions if t.src == t.dst == "s31"]
-        assert w.instance_counts[loop_ids[0]] >= 3 ** 8
+        assert w.path.counts[loop_ids[0]] >= 3 ** 8
 
     def test_random_exponential_systems_have_valid_certificates(self):
         import random

@@ -114,12 +114,12 @@ def _predicted_repeats(tree):
     """`Repeat` builds of one witness, from the layer tree alone.  Take
     L = max layer.  A node spanning layers f..l is its own next-layer part at
     layers f..l-1 and has its children as parts at layer l; each part is one
-    `Repeat` for every target deeper than that layer.  Each target adds its root's
-    count-1 node and its N * k repeat, and the witness one count-1 node."""
+    `Repeat` for every target deeper than that layer.  Each target adds its
+    N * k repeat, and the witness one count-1 node."""
     top = tree.max_layer()
     return sum(sum(top - layer for layer in range(node.first_layer, node.last_layer))
                + (top - node.last_layer) * len(node.children)
-               for node in tree.nodes) + 2 * (top + 1) + 1
+               for node in tree.nodes) + (top + 1) + 1
 
 
 def _predicted_leaves(tree):
@@ -153,7 +153,7 @@ def test_witness_build_work_on_the_family(monkeypatch):
         leaves.append(built["Leaf"])
         repeats.append(built["Repeat"])
     assert sum(leaves[:6]) == 441
-    assert repeats == [7, 24, 91, 357, 1417, 5649, 22561]
+    assert repeats == [5, 20, 83, 341, 1385, 5585, 22433]
 
 
 def test_first_layers_partition_the_tree_nodes():
@@ -235,7 +235,7 @@ def test_deep_family_needs_no_recursion_per_layer():
     for witness, verification, sizes in runs:
         assert verification.passed, verification.dump()
         assert sum(sizes[1:-1]) == sum(  # the step lines, from the instance counts
-            c * len(f"{tid}\n") for tid, c in witness.instance_counts.items())
+            c * len(f"{tid}\n") for tid, c in witness.path.counts.items())
     assert sum(runs[0][2]) == len(runs[0][0].dump(cases[0][0]))
     assert sum(runs[1][2]) == 11_777_878
 
@@ -254,7 +254,7 @@ def test_million_fold_scale_builds_and_verifies():
     assert {f"final[{x}]" for x in v.variables} <= names
     assert witness.path.length > 10 ** 19
     for tid, e in result.report.transition_exponents.items():
-        assert witness.instance_counts[tid] >= n ** e
+        assert witness.path.counts[tid] >= n ** e
     for x, e in result.report.variable_exponents.items():
         assert witness.final[x] >= n ** e
 
