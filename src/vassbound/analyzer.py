@@ -32,7 +32,7 @@ from operator import mul
 from typing import Callable, Optional
 
 from . import exactlp
-from .exactlp import GE, EQ, LpError, LpProblem, LpRow, LpSolution, max_strict_set, scale_to_integer
+from .exactlp import GE, EQ, LpError, LpProblem, LpRow, max_strict_set, scale_to_integer
 from .model import NotConnectedError, Transition, Vass, VassError, scc_decompose, unconnected_pair
 
 POLYNOMIAL = "polynomial"
@@ -286,24 +286,16 @@ def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ..
     return scale_to_integer(problem, joint).numerators
 
 
-def _solve_ranking(sys: ExtendedSystem) -> LpSolution:
-    """Quasi-ranking system: r >= 0, z >= 0, and per alive transition
-    d_ext^T r + flow^T z <= 0 (encoded negated as >= 0); candidate strictness
-    on every transition row and every r >= 0 row.
-
-    The columns are r in var_ext order, then z in state order; the rows are
-    the transition rows in transition order, then the r >= 0 rows."""
-    r_names = tuple(f"r[{x},{nid}]" for x, nid in sys.var_ext)
-    z_names = tuple(f"z[{s}]" for s in sys.states)
-    names = r_names + z_names
-    rows = [LpRow({i: -a for i, a in enumerate(column) if a}, GE, 0)
-            for column in sys.columns]
-    rows.extend(LpRow({i: 1}, GE, 0) for i in range(len(r_names)))
-    problem = LpProblem(names, tuple(rows), frozenset(range(len(rows))))
-    return scale_to_integer(problem, max_strict_set(problem))
+def _solve_ranking(sys: ExtendedSystem) -> tuple[tuple[int, ...], int, frozenset[int], tuple[int, ...]]:
+    """`max_strict_set` on the quasi-ranking system r >= 0, z >= 0, and per
+    alive transition d_ext^T r + flow^T z <= 0, every row a candidate: its
+    columns are `sys.columns`, its sign rows those of r.  The variables are
+    r in var_ext order, then z in state order; the rows are the transition
+    rows in transition order, then the r >= 0 rows."""
+    return max_strict_set(sys.columns, len(sys.var_ext))
 
 
-def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, Callable]]
+def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple]
                 ) -> tuple[Callable[[], tuple[int, ...]], RankingSolution]:
     """The multi-cycle's deferred joint solve and the optimal integer
     quasi-ranking, read by position in `_solve_ranking`'s order.  On every
@@ -311,23 +303,23 @@ def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple[LpSolution, Calla
     dichotomy (`_assert_dichotomy`) and the quasi-ranking must hold; a
     violation (a solver bug) or any LP failure raises InternalInvariantError.
     `solved` maps the numbers `(d_ext, flow)` of each system solved so far to
-    the ranking's LP solution and the joint solve, cached at its first call;
+    `_solve_ranking`'s result and the joint solve, cached at its first call;
     a repeated system reuses both, so its records share one joint solve."""
     key = (sys.d_ext, sys.flow)
     if key not in solved:
         try:
             solution = _solve_ranking(sys)
-            solved[key] = solution, cache(partial(_solve_multicycle, *key, solution.strict_set))
+            solved[key] = solution, cache(partial(_solve_multicycle, *key, solution[2]))
         except LpError as err:
             raise InternalInvariantError(f"LP solver failed: {err}") from err
-    solution, joint = solved[key]
-    m, strict = len(sys.transitions), solution.strict_set
+    (point, _, strict, duals), joint = solved[key]  # the numerators are an integer point
+    m = len(sys.transitions)
     ranking = RankingSolution(
-        dict(zip(sys.var_ext, solution.numerators)),
-        dict(zip(sys.states, solution.numerators[len(sys.var_ext):])),
+        dict(zip(sys.var_ext, point)),
+        dict(zip(sys.states, point[len(sys.var_ext):])),
         frozenset(t.tid for i, t in enumerate(sys.transitions) if i in strict),
         frozenset(ve for i, ve in enumerate(sys.var_ext, m) if i in strict))
-    _assert_dichotomy(sys, ranking, solution.duals[:m])
+    _assert_dichotomy(sys, ranking, duals[:m])
     if not check_quasi_ranking(sys, ranking):
         raise InternalInvariantError("optimal solution is not a quasi-ranking")
     return joint, ranking

@@ -3,8 +3,8 @@
 Problems are solved by the primal simplex method with Bland's anti-cycling
 rule over a fraction-free integer tableau, so results are exact and
 deterministic.  One sparse row format, `Row` (non-zero ints by column),
-runs from `LpRow` to the tableau; elimination divides its two multipliers
-by their gcd first.  `lp_feasible` finds a basic solution with a phase-1
+runs from `LpRow`, or from `max_strict_set`'s integer columns, to the
+tableau; elimination divides its two multipliers by their gcd first.  `lp_feasible` finds a basic solution with a phase-1
 simplex, reads it out as integer numerators over one denominator and checks
 it once, exactly, against every row; only `LpSolution` builds `Fraction`s.
 
@@ -19,15 +19,16 @@ on reduced cost d < 0 changes w >= 0 by t d) and so ends at the same point.
 entry outside its row; `_strict_candidates` flips at once each strictness
 column that no row holds.  Either keeps every order Bland's rule reads.
 
-`max_strict_set` finds the unique maximal set of strict candidate rows of a
-homogeneous problem, whose solution set is a cone, so "strict" may mean
+`max_strict_set` finds the unique maximal set of strict rows of the cone
+c_j . x <= 0, x >= 0, given straight by its integer columns c_j, whose rows
+x_i >= 0 for i < nr are candidates too; on a cone "strict" may mean
 "slack >= 1".  One phase-2 simplex from the all-slack basis at the origin
 maximizes the sum of s_i subject to row_i(x) - s_i >= 0 and 0 <= s_i <= 1,
 the bounds kept by Dantzig's upper bounding (see `_strict_candidates`); on
 a cone s_i = 1 at the optimum exactly on that set.  Its x, read out and
-checked once like phase 1's, attains the set; its row duals, checked once,
-prove it maximal (weak duality).  The joint solve, run only where counts
-are read, is `lp_feasible` with a set so proved as its strict set.
+checked once, attains the set; its row duals, checked once, prove it
+maximal (weak duality).  The joint solve, run only where counts are read,
+is `lp_feasible` with a set so proved as its strict set.
 """
 
 from __future__ import annotations
@@ -107,7 +108,7 @@ class LpSolution:
     """A solution of its problem: the point `numerators / denominator` over
     `variables`, with one positive denominator; `assignment` and `vector`
     are its rational view.  `strict_set` lists candidate rows satisfied
-    with slack >= 1, and `max_strict_set`'s `duals` prove that set maximal.
+    with slack >= 1; `duals`, if any, are row duals that prove it maximal.
     """
 
     variables: tuple[str, ...]
@@ -259,22 +260,11 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
     return None if n + m in obj else _basic_point(tableau, basis, n, n + m)
 
 
-def _solution(problem: LpProblem, strict: Sequence[int], values: Sequence[int],
-              den: int, duals: Sequence[int] = ()) -> LpSolution:
-    """The point `values / den`, one value per variable, in lowest terms, with
-    strict set `strict`, checked once, exactly: every value >= 0 and every
-    row satisfied, those of `strict` at slack >= 1."""
-    g, strict = gcd(den, *values), frozenset(strict)
-    values, den = [v // g for v in values], den // g
-    if min(values, default=0) < 0 or not satisfies(problem, values, den, strict):
-        raise LpInternalError("simplex produced a non-solution")
-    return LpSolution(problem.variables, tuple(values), den, strict, tuple(duals))
-
-
 def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSolution]:
     """Some exact rational solution, with strict set `strict`, of the problem
     whose row i has right-hand side rhs + (i in strict), over the least common
-    denominator of its values, checked once, or None if infeasible."""
+    denominator of its values, or None if infeasible.  It is checked once,
+    exactly: every value >= 0 and every row satisfied, `strict` at slack >= 1."""
     n, strict = len(problem.variables), frozenset(strict)
     if any(not 0 <= i < len(problem.rows) for i in strict):
         raise LpError(f"a strict index of {sorted(strict)} names no row")
@@ -287,55 +277,55 @@ def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSo
     for column, x_part in enumerate(surplus, n):
         x_part[column] = -1
     raw = _phase_one([(x_part, rhs) for x_part, _, rhs in rows if x_part], n + len(surplus))
-    return None if raw is None else _solution(problem, strict, raw[0][:n], raw[1])  # surplus dropped
+    if raw is None:
+        return None
+    g = gcd(raw[1], *raw[0][:n])  # the surplus columns dropped
+    values, den = [v // g for v in raw[0][:n]], raw[1] // g
+    if min(values, default=0) < 0 or not satisfies(problem, values, den, strict):
+        raise LpInternalError("simplex produced a non-solution")
+    return LpSolution(problem.variables, tuple(values), den, strict)
 
 
-def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int, list[int]]:
-    """The candidate rows i with s_i = 1 at an optimum of
+def _strict_candidates(columns: Sequence[Sequence[int]], nr: int
+                       ) -> tuple[list[int], list[int], int, list[int]]:
+    """The rows i with s_i = 1 at an optimum of
     max sum s_i  s.t.  row_i(x) - s_i >= 0,  0 <= s_i <= 1
-    over the homogeneous problem, found by one phase-2 simplex, with the
-    optimum's x, its numerators over one lcm, and its row duals: a tableau
-    row's is its slack's final objective entry, an '==' row's the difference
-    of its two rows', a sign row's (below) x_j's over a, all times lcm(a).
+    over the system of `max_strict_set`, found by one phase-2 simplex, with
+    the optimum's x, its numerators over one lcm, and its row duals: a
+    tableau row's is its slack's final objective entry, a sign row's (below)
+    x_j's over a, all times lcm(a).
 
     The s columns are bounded in `_pivot_to_optimum`, so s_i <= 1 takes no
-    row.  Nor does the first candidate sign row a x_j >= 0 (a > 0) of a
-    column: x_j = s_i + w_j, with w_j >= 0 in x_j's column, so s_i gets
-    x_j's entries; on a cone that keeps the strict set.  Every
-    other constraint is a '<=' row (an '==' row two) with right-hand side
-    0 and its own slack, so the all-slack basis at the origin is feasible.
-    A flipped column takes 1 minus its read-out, a shifted one s_i + w_j.
-    An s column that no row holds (x_j's sign row was its only row) flips
-    at once, off the objective: Bland's rule would enter it, find no row
-    and flip it, moving nothing else.
+    row.  Nor does the first sign row a x_j >= 0 (a > 0) of a variable, in
+    row order: x_j = s_i + w_j, with w_j >= 0 in x_j's column, so s_i gets
+    x_j's entries; on a cone that keeps the strict set.  Every other row is
+    a '<=' row with right-hand side 0 and its own slack, so the all-slack
+    basis at the origin is feasible.  A flipped column takes 1 minus its
+    read-out, a shifted one s_i + w_j.  An s column that no row holds (x_j's
+    sign row was its only row) flips at once, off the objective: Bland's
+    rule would enter it, find no row and flip it, moving nothing else.
     """
-    split = [dict(row.coeffs) for row in problem.rows]
-    candidates = sorted(problem.strict_candidates)
-    nx, k = len(problem.variables), len(candidates)
-    s_column = {i: nx + c for c, i in enumerate(candidates)}
+    nx, k = len(columns[0]), len(columns) + nr
+    le_rows = [{j: a for j, a in enumerate(column) if a} for column in columns]
+    le_rows += [{j: -1} for j in range(nr)]
+    signs: dict[int, tuple[int, int]] = {}  # a shifted row i -> its x_j and a
     shift: dict[int, int] = {}  # x column j -> the s column of its sign row
-    for i in candidates:
-        if len(split[i]) == 1 and min(split[i].values()) > 0 and min(split[i]) not in shift:
-            shift[min(split[i])], split[i] = s_column[i], None  # row i is now x_j = s_i + w_j
+    for i, le_row in enumerate(le_rows):
+        if len(le_row) == 1:
+            (j, a), = le_row.items()
+            if a < 0 and j not in shift:
+                shift[j], signs[i], le_rows[i] = nx + i, (j, -a), None  # x_j = s_i + w_j
     tableau: list[Row] = []
-    at: dict[int, int] = {}  # row i -> the slack column of its (first) tableau row
-    for i, (row, x_part) in enumerate(zip(problem.rows, split)):
-        if x_part is None:
-            continue
-        at[i] = nx + k + len(tableau)
-        x_part.update([(shift[j], a) for j, a in x_part.items() if j in shift])
-        le_row = {j: -a for j, a in x_part.items()}
-        if i in s_column:
-            le_row[s_column[i]] = 1
-        tableau.append(le_row)
-        if row.relation == EQ:
-            tableau.append(x_part)
-    rhs = nx + k + len(tableau)
-    basis = list(range(nx + k, rhs))  # each row's own slack, with entry 1
-    for row, b in zip(tableau, basis):
-        row[b] = 1
-    inert = set(s_column.values()).difference(*tableau)
-    obj = {column: -1 for column in s_column.values() if column not in inert}
+    at: dict[int, int] = {}  # row i -> the slack column of its tableau row
+    for i, le_row in enumerate(le_rows):
+        if le_row is not None:
+            le_row.update([(shift[j], a) for j, a in le_row.items() if j in shift])
+            at[i] = nx + k + len(tableau)  # each row's own slack, with entry 1, is basic
+            le_row[nx + i] = le_row[at[i]] = 1
+            tableau.append(le_row)
+    rhs, basis = nx + k + len(tableau), list(at.values())
+    inert = {nx + i for i in signs}.difference(*tableau)
+    obj = {column: -1 for column in range(nx, nx + k) if column not in inert}
     obj, flipped = _pivot_to_optimum(tableau, basis, obj, rhs, range(nx, nx + k))
     values, den = _basic_point(tableau, basis, nx + k, rhs)  # the x and s columns
     for j in flipped | inert:
@@ -343,39 +333,51 @@ def _strict_candidates(problem: LpProblem) -> tuple[list[int], list[int], int, l
     for j, column in shift.items():
         values[j] += values[column]
     # By closure under addition and scaling every optimum is 0/1.
-    if any(values[column] not in (0, den) for column in s_column.values()):
+    if any(values[column] not in (0, den) for column in range(nx, nx + k)):
         raise LpInternalError("fractional strictness variable at the optimum")
-    signs = {i: next(iter(problem.rows[i].coeffs.items())) for i in candidates if i not in at}
     scale = lcm(*(a for _, a in signs.values()))
     duals = [scale // signs[i][1] * obj.get(signs[i][0], 0) if i in signs else
-             scale * (obj.get(at[i], 0) - (row.relation == EQ) * obj.get(at[i] + 1, 0))
-             for i, row in enumerate(problem.rows)]
-    return [i for i, column in s_column.items() if values[column]], values[:nx], den, duals
+             scale * obj.get(at[i], 0) for i in range(k)]
+    return [i for i in range(k) if values[nx + i]], values[:nx], den, duals
 
 
-def max_strict_set(problem: LpProblem) -> LpSolution:
-    """A solution attaining the unique maximal set of strict candidate rows,
-    with row duals y, one integer per row, that prove it maximal.
+def max_strict_set(columns: Sequence[Sequence[int]], nr: int
+                   ) -> tuple[tuple[int, ...], int, frozenset[int], tuple[int, ...]]:
+    """A point x = numerators / denominator, in lowest terms, of the cone
+    c_j . x <= 0 for each column c_j, x >= 0, attaining the unique maximal
+    set of strict rows, with that set and row duals y, one integer per row,
+    that prove it maximal.
 
-    Requires homogeneous rows (right-hand side 0), so that the solution set
-    is a cone, closed under addition and positive scaling; raises LpError
-    otherwise.  One phase-2 simplex gives the set, its optimum and y (see
+    The rows are -c_j . x >= 0 in column order, then x_i >= 0 for i < nr,
+    all of them candidates; the analyzer's quasi-ranking system has its
+    transitions' coefficients over r, then z, as columns, and an r row per
+    copy.  Raises LpError unless the columns are ints, all of one length,
+    at least nr.  One phase-2 simplex gives the set, its optimum and y (see
     `_strict_candidates`); no joint solve runs.  Both are checked once,
-    exactly (else LpInternalError): the point like `lp_feasible`'s, y by
-    y >= 0 on '>=' rows, y^T A <= 0, and y_i > 0 on each candidate outside
-    the set, which no solution x makes strict: 0 <= y^T (A x) = (y^T A) x <= 0."""
-    if any(row.rhs != 0 for row in problem.rows):
-        raise LpError("maximal strict sets need homogeneous rows")
-    solution = _solution(problem, *_strict_candidates(problem))
-    duals, columns = solution.duals, [0] * len(problem.variables)
-    for y, coeffs in [(y, row.coeffs) for y, row in zip(duals, problem.rows) if y]:
-        for j, a in coeffs.items():
-            columns[j] += y * a
-    if max(columns, default=0) > 0 or any(y < 0 for y, row in zip(duals, problem.rows)
-                                          if row.relation == GE) \
-            or any(duals[i] <= 0 for i in problem.strict_candidates - solution.strict_set):
+    exactly (else LpInternalError): the point by x >= 0 and every row, the
+    strict ones at slack >= 1, y by y >= 0, y^T A <= 0, and y_i > 0 on each
+    row outside the set, which no solution x makes strict:
+    0 <= y^T (A x) = (y^T A) x <= 0.  The rows are homogeneous, so the
+    numerators alone are an integer point that keeps every row, and every
+    strict slack >= 1."""
+    lengths = {len(column) for column in columns}
+    if len(lengths) != 1 or not 0 <= nr <= min(lengths) or \
+            {type(a) for column in columns for a in column} - {int}:
+        raise LpError("a ranking system needs int columns of one length, at least nr")
+    strict, values, den, duals = _strict_candidates(columns, nr)
+    g, strict = gcd(den, *values), frozenset(strict)
+    values, den = [v // g for v in values], den // g
+    slacks = [-sum([a * v for a, v in zip(column, values)]) for column in columns] + values[:nr]
+    if min(values, default=0) < 0 or any(s < den * (i in strict) for i, s in enumerate(slacks)):
+        raise LpInternalError("simplex produced a non-solution")
+    by_column = duals[len(columns):] + [0] * (len(values) - nr)  # y^T A
+    for y, column in zip(duals, columns):
+        if y:
+            by_column = [b - y * a for b, a in zip(by_column, column)]
+    # y_i >= 0 on every row, and y_i >= 1 on each row outside the set.
+    if max(by_column, default=0) > 0 or any(y < (i not in strict) for i, y in enumerate(duals)):
         raise LpInternalError("dichotomy violated: the row duals do not prove the strict set maximal")
-    return solution
+    return tuple(values), den, strict, tuple(duals)
 
 
 def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:

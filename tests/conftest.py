@@ -2,7 +2,8 @@
 exponents growing exponentially in the dimension and a random perturbation
 of it, a seeded random VASS generator for property sweeps, a recorder of
 the layer systems an analysis builds, a reader of every record's
-multi-cycle, and a runner under a shallow recursion limit."""
+multi-cycle, a runner under a shallow recursion limit, and an adapter that
+solves a general homogeneous `LpProblem` by `exactlp.max_strict_set`."""
 
 import inspect
 import random
@@ -10,7 +11,8 @@ import sys
 
 import pytest
 
-from vassbound import Vass, parse_vass, validate_connected
+from vassbound import Vass, exactlp, parse_vass, validate_connected
+from vassbound.exactlp import EQ, GE, LpProblem, LpRow, LpSolution
 
 V_RUN_TEXT = """\
 # four states, three counters
@@ -155,6 +157,53 @@ def prepath_steps(builder, target: int) -> list:
         return [t for part in (builder.cut(nid)[1] if layer == last else [nid])
                 for t in steps(part, layer + 1) * builder.n]
     return steps(builder.tree.root.nid, 0)
+
+
+def ranking_columns(problem: LpProblem) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """A homogeneous problem as `exactlp.max_strict_set`'s input: no sign
+    rows (nr = 0) and one column -row per row, an '==' row a . x = 0 as the
+    pair a . x >= 0, -a . x >= 0.  A problem with no row gets one all-zero
+    column, a row that no point makes strict."""
+    assert not any(row.rhs for row in problem.rows)
+    n, columns = len(problem.variables), []
+    for row in problem.rows:
+        columns.append(tuple(-row.coeffs.get(j, 0) for j in range(n)))
+        if row.relation == EQ:
+            columns.append(tuple(-a for a in columns[-1]))
+    return tuple(columns) or ((0,) * n,), 0
+
+
+def ranking_problem(columns, nr: int) -> LpProblem:
+    """`exactlp.max_strict_set`'s system as an `LpProblem` over v0, v1, ...:
+    the rows -c . x >= 0 per column c, then v_j >= 0 for j < nr, all
+    candidates."""
+    rows = [LpRow.of([-a for a in column], GE) for column in columns]
+    rows += [LpRow({j: 1}, GE, 0) for j in range(nr)]
+    return LpProblem(tuple(f"v{j}" for j in range(len(columns[0]))), tuple(rows),
+                     frozenset(range(len(rows))))
+
+
+def candidate_rows(problem: LpProblem, rows) -> frozenset[int]:
+    """The candidates of `problem` whose first column in
+    `ranking_columns(problem)` is one of `rows`."""
+    first, k = [], 0
+    for row in problem.rows:
+        first.append(k)
+        k += 1 + (row.relation == EQ)
+    return frozenset(i for i in problem.strict_candidates if first[i] in rows)
+
+
+def max_strict_set(problem: LpProblem) -> LpSolution:
+    """`exactlp.max_strict_set` on `ranking_columns(problem)`, mapped back:
+    its point, its strict set less the rows that are no candidates, and one
+    dual per row, an '==' row's the difference of its pair's.  Exact, as a
+    cone's maximal strict set is the union of its points' strict sets:
+    extra candidates change no candidate's lot."""
+    point, den, strict, duals = exactlp.max_strict_set(*ranking_columns(problem))
+    duals, y = iter(duals), []
+    for row in problem.rows:
+        y.append(next(duals) - next(duals) if row.relation == EQ else next(duals))
+    return LpSolution(problem.variables, point, den, candidate_rows(problem, strict), tuple(y))
 
 
 @pytest.fixture(scope="session")

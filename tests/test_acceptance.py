@@ -27,9 +27,10 @@ from vassbound import (
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL
 from vassbound.cli import _render_text_report
-from vassbound.exactlp import lp_feasible, max_strict_set, satisfies
+from vassbound.exactlp import LpSolution, lp_feasible, satisfies
 from vassbound.model import scc_decompose
-from conftest import perturbed_family, random_connected_vass, v_family
+from conftest import max_strict_set, perturbed_family, random_connected_vass, ranking_problem, v_family
+import test_exactlp
 from test_exactlp import random_homogeneous
 from test_oracle import doubling_pump_path
 
@@ -247,12 +248,26 @@ def test_skip_optimization_keeps_stall_layer_and_text_report(random_suite, doubl
     assert sum(on.report.status == EXPONENTIAL for on, _ in pairs) == 138
 
 
-def test_perturbed_family_models_agree_and_verify():
+def test_perturbed_family_models_agree_and_verify(monkeypatch):
     """Polynomial models with trees several layers deep: 300 seeded draws of
     `perturbed_family`, whose polynomial ones have exponents 2, 4 and 8.  On
-    each, skipping on and off give the same text and JSON report, the
-    witnesses at N = 1 and 2 verify, and each dump's `instances` line is a
-    recount of its step lines."""
+    each, skipping on and off give the same text and JSON report and split
+    every layer as the reference does, the witnesses at N = 1 and 2 verify,
+    and each dump's `instances` line is a recount of its step lines.  Every
+    ranking solve of every draw passes the exact dual-certificate check:
+    these are the seeded systems of layer >= 2 with shifted sign rows."""
+    import vassbound.analyzer as analyzer_mod
+
+    solves, solve = [], analyzer_mod.max_strict_set
+
+    def certified(columns, nr):
+        solution = solve(columns, nr)
+        p = ranking_problem(columns, nr)
+        test_exactlp.TestDualCertificate.assert_certified(p, LpSolution(p.variables, *solution))
+        solves.append(nr)
+        return solution
+
+    monkeypatch.setattr(analyzer_mod, "max_strict_set", certified)
     rng = random.Random(1)
     exponents, shapes = Counter(), set()
     for v in (perturbed_family(rng) for _ in range(300)):
@@ -262,6 +277,8 @@ def test_perturbed_family_models_agree_and_verify():
         off = analyze(v, skip_optimization=False)
         assert _render_text_report(on) == _render_text_report(off)
         assert on.report.to_json(v) == off.report.to_json(v)
+        _assert_reference_split(on)
+        _assert_reference_split(off)
         for n in (1, 2):
             witness = build_witness(on, n)
             verification = verify_witness(v, witness, on.report)
@@ -275,6 +292,7 @@ def test_perturbed_family_models_agree_and_verify():
                          for node in on.tree.nodes))
     assert exponents == {2: 18, 4: 41, 8: 50}
     assert len(shapes) == 7
+    assert len(solves) == 1497
 
 
 def _assert_reference_split(result):

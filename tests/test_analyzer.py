@@ -1,6 +1,5 @@
 """Analyzer layer: extended systems, per-layer solutions, full analysis."""
 
-import dataclasses
 import json
 import pathlib
 import random
@@ -18,7 +17,15 @@ from vassbound import (
     parse_vass,
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
-from conftest import DOUBLING_TEXT, random_connected_vass, read_every_mu, record_systems, v_family
+from conftest import (
+    DOUBLING_TEXT,
+    max_strict_set,
+    random_connected_vass,
+    ranking_problem,
+    read_every_mu,
+    record_systems,
+    v_family,
+)
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
@@ -354,11 +361,10 @@ class TestInternalTripwires:
         # A solver that never tightens anything returns the zero solution
         # with an empty strict set; the layer solver must refuse it.
         import vassbound.analyzer as analyzer_mod
-        from vassbound.exactlp import LpSolution
         from vassbound.analyzer import InternalInvariantError
 
-        def lazy_solver(problem):
-            return LpSolution(problem.variables, (0,) * len(problem.variables), 1)
+        def lazy_solver(columns, nr):
+            return (0,) * len(columns[0]), 1, frozenset(), ()
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", lazy_solver)
         with pytest.raises(InternalInvariantError):
@@ -379,9 +385,9 @@ class TestDichotomyOnDuals:
 
         solve = analyzer_mod.max_strict_set
 
-        def perturbed(problem):
-            solution = solve(problem)
-            return dataclasses.replace(solution, duals=perturb(solution.duals))
+        def perturbed(columns, nr):
+            *solution, duals = solve(columns, nr)
+            return (*solution, perturb(duals))
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", perturbed)
         with pytest.raises(InternalInvariantError, match=re.escape(message)):
@@ -435,6 +441,47 @@ def test_multicycle_records_are_built_only_when_read(monkeypatch, v_run, doublin
     assert iterations == [3, 1, 2, 4, 7, 11, 16]
 
 
+def test_ranking_solves_build_no_lp_rows_or_problems(monkeypatch, v_run, doubling):
+    """`analyze` hands each layer's ranking system to `max_strict_set` as
+    its integer columns: on both samples and `v_family(1..5)` it builds no
+    `LpProblem` and no `LpRow`, and solves each distinct system once, 3 nu - 2
+    of them on `v_family(nu)` for nu >= 2.  Only reading a record's `mu`,
+    the joint solve, builds them: one problem per distinct system."""
+    import vassbound.analyzer as analyzer_mod
+    from vassbound.exactlp import LpProblem, LpRow
+
+    built = {"LpProblem": 0, "LpRow": 0}
+    post_init, row_init = LpProblem.__post_init__, LpRow.__init__
+
+    def counted_post_init(self):
+        built["LpProblem"] += 1
+        post_init(self)
+
+    def counted_row_init(self, *args):
+        built["LpRow"] += 1
+        row_init(self, *args)
+
+    solves, solve = [], analyzer_mod.max_strict_set
+
+    def counted_solve(columns, nr):
+        solves.append(columns)
+        return solve(columns, nr)
+
+    monkeypatch.setattr(LpProblem, "__post_init__", counted_post_init)
+    monkeypatch.setattr(LpRow, "__init__", counted_row_init)
+    monkeypatch.setattr(analyzer_mod, "max_strict_set", counted_solve)
+    counts = []
+    for v in (v_run, doubling, *map(v_family, range(1, 6))):
+        solves.clear()
+        result = analyze(v)
+        assert built == {"LpProblem": 0, "LpRow": 0}
+        read_every_mu(result)
+        assert built["LpProblem"] == len(solves) and built["LpRow"] > 0
+        counts.append(len(solves))
+        built.update(LpProblem=0, LpRow=0)
+    assert counts == [3, 1, 2, *(3 * nu - 2 for nu in range(2, 6))]
+
+
 class TestStrictSetCertificate:
     """Phase 2 runs on the ranking system only; its optimum is the ranking's
     point, and the multi-cycle's strict set is the complement of its strict
@@ -449,9 +496,9 @@ class TestStrictSetCertificate:
 
         phase_two = exactlp_mod._strict_candidates
 
-        def mutated(problem):
-            strict, *point = phase_two(problem)
-            return (mutate(problem, strict), *point)
+        def mutated(columns, nr):
+            strict, *point = phase_two(columns, nr)
+            return (mutate(ranking_problem(columns, nr), strict), *point)
 
         monkeypatch.setattr(exactlp_mod, "_strict_candidates", mutated)
 
@@ -493,7 +540,7 @@ class TestStrictSetCertificate:
 
         def checked(problem, strict):
             solution = derive(problem, strict)
-            assert exactlp.max_strict_set(problem).strict_set == solution.strict_set
+            assert max_strict_set(problem).strict_set == solution.strict_set
             calls.append(problem)
             return solution
 

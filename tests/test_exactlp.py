@@ -6,7 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_connected_vass, v_family
+from conftest import (
+    candidate_rows,
+    max_strict_set,
+    random_connected_vass,
+    ranking_columns,
+    ranking_problem,
+    v_family,
+)
 from vassbound import analyze, exactlp, parse_vass
 from vassbound.cli import main
 from vassbound.exactlp import (
@@ -18,7 +25,6 @@ from vassbound.exactlp import (
     LpRow,
     LpSolution,
     lp_feasible,
-    max_strict_set,
     satisfies,
     scale_to_integer,
 )
@@ -172,10 +178,15 @@ class TestMaxStrictSet:
         sol = max_strict_set(p)
         assert sol.strict_set == {0}
 
-    def test_rejects_inhomogeneous_rows(self):
-        p = problem(["x"], [((1,), GE, 0), ((1,), GE, 2)], candidates=[0])
-        with pytest.raises(LpError, match="homogeneous"):
-            max_strict_set(p)
+    @pytest.mark.parametrize("columns, nr", [
+        (((Fraction(1), 0), (0, -1)), 0),  # a Fraction entry
+        (((1, 0), (0, True)), 1),  # a bool entry
+        (((1, 0), (0, -1, 2)), 0),  # ragged columns
+        (((1, 0), (0, -1)), 3),  # sign rows beyond the column length
+    ])
+    def test_rejects_malformed_columns(self, columns, nr):
+        with pytest.raises(LpError, match="int columns of one length"):
+            exactlp.max_strict_set(columns, nr)
 
     @pytest.mark.parametrize("names, rows, candidates", [
         # An all-zero candidate row can never be strict.
@@ -256,7 +267,7 @@ class TestPhaseTwo:
             p = random_with_sign_rows(rng)
             strict = sorted(i for i in p.strict_candidates
                             if lp_feasible(p, (i,)) is not None)
-            assert exactlp._strict_candidates(p)[0] == strict
+            assert candidate_rows(p, exactlp._strict_candidates(*ranking_columns(p))[0]) == set(strict)
             sol = max_strict_set(p)
             assert sol.strict_set == set(strict)
             assert satisfies(p, sol.numerators, sol.denominator, strict=frozenset(strict))
@@ -284,7 +295,7 @@ class TestPhaseTwo:
         # the slack's row and wins under its smaller index.  The basis stays,
         # so w = y = 0 and s0 = s1 = 1 are read out, and x = s0 + w = 1.
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
-        assert exactlp._strict_candidates(p)[:3] == ([0, 1], [1, 0], 1)
+        assert exactlp._strict_candidates(*ranking_columns(p))[:3] == ([0, 1], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert len(tableau) == 1 and basis == [4] and flipped == {2, 3}
 
@@ -292,7 +303,7 @@ class TestPhaseTwo:
         # s0 (column 2) enters at 0 in the one row x - y - s0 >= 0; then x
         # enters and raises s0 until it leaves at 1, flipped: x = 1, y = 0.
         p = problem(["x", "y"], [((1, -1), GE, 0)], candidates=[0])
-        assert exactlp._strict_candidates(p)[:3] == ([0], [1, 0], 1)
+        assert exactlp._strict_candidates(*ranking_columns(p))[:3] == ([0], [1, 0], 1)
         [(tableau, basis, flipped)] = runs
         assert basis == [0] and flipped == {2}
 
@@ -417,8 +428,8 @@ def break_phase_one(monkeypatch, fault):
 def break_phase_two(monkeypatch, fault):
     phase_two = exactlp._strict_candidates
 
-    def faulty(problem):
-        strict, values, den, duals = phase_two(problem)
+    def faulty(columns, nr):
+        strict, values, den, duals = phase_two(columns, nr)
         return strict, fault(values), den, duals
 
     monkeypatch.setattr(exactlp, "_strict_candidates", faulty)
@@ -477,9 +488,10 @@ def analysis_lps(monkeypatch, models):
 
     solves, solve = [], analyzer_mod.max_strict_set
 
-    def recorded(problem):
-        solution = solve(problem)
-        solves.append((problem, solution))
+    def recorded(columns, nr):
+        solution = solve(columns, nr)
+        p = ranking_problem(columns, nr)
+        solves.append((p, LpSolution(p.variables, *solution)))
         return solution
 
     monkeypatch.setattr(analyzer_mod, "max_strict_set", recorded)
@@ -502,9 +514,9 @@ def mutate_duals(monkeypatch, mutate) -> list[bool]:
     per solve, whether they changed."""
     phase_two, changed = exactlp._strict_candidates, []
 
-    def mutated(problem):
-        strict, values, den, duals = phase_two(problem)
-        broken = mutate(problem, strict, list(duals))
+    def mutated(columns, nr):
+        strict, values, den, duals = phase_two(columns, nr)
+        broken = mutate(ranking_problem(columns, nr), strict, list(duals))
         changed.append(broken != duals)
         return strict, values, den, broken
 

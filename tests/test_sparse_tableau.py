@@ -42,8 +42,15 @@ import pytest
 
 from vassbound import Vass, analyze, parse_vass
 from vassbound import analyzer, exactlp
-from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible, max_strict_set
-from conftest import random_connected_vass, read_every_mu, record_systems, v_family
+from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible
+from conftest import (
+    max_strict_set,
+    random_connected_vass,
+    ranking_problem,
+    read_every_mu,
+    record_systems,
+    v_family,
+)
 from test_exactlp import problem, random_homogeneous
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
@@ -262,9 +269,10 @@ class DenseMirror:
                 self.solutions += 1
             return solution
 
-        def strict_candidates(lp):
+        def strict_candidates(columns, nr):
             self.last_bounded = None
-            strict, *point = sparse_strict(lp)
+            strict, *point = sparse_strict(columns, nr)
+            lp = ranking_problem(columns, nr)
             assert strict == _old_strict_candidates(lp)
             if self.last_bounded is not None:  # of its own phase-2 solve
                 rows, bounded = self.last_bounded
@@ -459,10 +467,10 @@ def test_phase_two_work_on_the_family(monkeypatch):
             work["nonzeros"] += len(row) + len(pivot)
         return eliminate(row, pivot, entering)
 
-    def counted_strict_candidates(problem):
+    def counted_strict_candidates(columns, nr):
         solving.append(1)
         try:
-            return strict_candidates(problem)
+            return strict_candidates(columns, nr)
         finally:
             solving.pop()
 
