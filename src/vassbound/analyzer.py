@@ -9,9 +9,10 @@ whose induced affine map never increases along alive transitions), and
 solves only the second: its row duals are the multi-cycle side, which
 certifies the dichotomy.  The multi-cycle system's joint solve, for the
 counts that the witness cycles read, runs at the first read of a record's
-counts.  Transitions on which the optimal quasi-ranking strictly
-decreases get their exponent assigned at the current layer and are removed;
-the surviving graph is SCC-decomposed into the next layer.  A node that
+`mu`, its count of each alive transition.  Transitions on which the optimal
+quasi-ranking strictly decreases get their exponent assigned at the current
+layer and are removed; the surviving graph is SCC-decomposed into the
+next layer.  A node that
 loses no transition is strongly connected still, so it carries its sub-VASS
 over whole as its own only child, without a new decomposition.  Variables whose
 root copy gets a strictly positive ranking coefficient get their exponent
@@ -133,16 +134,6 @@ class ExtendedSystem:
 
 
 @dataclass(frozen=True)
-class MultiCycleSolution:
-    """Integer solution of the multi-cycle system with maximal strict set."""
-
-    counts: dict[int, int]
-    strict_vars: frozenset[tuple[str, int]]
-    strict_transitions: frozenset[int]
-    __hash__ = None  # compared by value; holds dicts, so never hashed
-
-
-@dataclass(frozen=True)
 class RankingSolution:
     """Integer quasi-ranking coefficients with maximal strict set.
 
@@ -161,8 +152,9 @@ class RankingSolution:
 class LayerRecord:
     """The analyzer's one record of an iteration, which the report's `layers`
     audit and the witness cycles read: the alive transitions `u`, the copies,
-    both optimal solutions, the new tree nodes and variable bounds.  Phase 2's
-    duals certify it; `mu` runs the joint solve at its system's first read."""
+    the optimal quasi-ranking, the new tree nodes and variable bounds.  Phase
+    2's duals certify it.  `mu`, the multi-cycle's count of each alive
+    transition, runs the joint solve at its system's first read."""
 
     layer: int
     u: tuple[int, ...]
@@ -174,10 +166,8 @@ class LayerRecord:
     __hash__ = None  # compared by value, `joint` by identity; holds dicts, so never hashed
 
     @cached_property
-    def mu(self) -> MultiCycleSolution:
-        return MultiCycleSolution(dict(zip(self.u, self.joint())),
-                                  frozenset(self.var_ext) - self.ranking.bounded_vars,
-                                  frozenset(self.u) - self.ranking.ranked)
+    def mu(self) -> dict[int, int]:
+        return dict(zip(self.u, self.joint()))
 
 
 @dataclass
@@ -258,8 +248,7 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
 
 def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ...]:
     """Integer counts, by column, of the multi-cycle system of a layer's
-    numbers: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0; candidate strictness
-    on every d_ext row and every mu(t) >= 0 row.
+    numbers: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0.
 
     Column j is mu(transitions[j]); the rows are the d_ext rows, then the
     flow rows, then the mu(t) >= 0 rows in transition order.
@@ -272,8 +261,7 @@ def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ..
             for matrix, relation in ((d_ext, GE), (flow, EQ)) for row in matrix]
     first_trans = len(rows)
     rows.extend(LpRow({j: 1}, GE, 0) for j in range(m))
-    candidates = frozenset(range(len(d_ext))) | frozenset(range(first_trans, len(rows)))
-    problem = LpProblem(tuple(f"mu{j}" for j in range(m)), tuple(rows), candidates)
+    problem = LpProblem(tuple(f"mu{j}" for j in range(m)), tuple(rows))
     strict = [i for i in range(len(d_ext)) if m + i not in ranked_rows]
     strict += [first_trans + j for j in range(m) if j not in ranked_rows]
     try:
@@ -286,29 +274,25 @@ def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ..
     return scale_to_integer(problem, joint).numerators
 
 
-def _solve_ranking(sys: ExtendedSystem) -> tuple[tuple[int, ...], int, frozenset[int], tuple[int, ...]]:
-    """`max_strict_set` on the quasi-ranking system r >= 0, z >= 0, and per
-    alive transition d_ext^T r + flow^T z <= 0, every row a candidate: its
-    columns are `sys.columns`, its sign rows those of r.  The variables are
-    r in var_ext order, then z in state order; the rows are the transition
-    rows in transition order, then the r >= 0 rows."""
-    return max_strict_set(sys.columns, len(sys.var_ext))
-
-
 def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple]
                 ) -> tuple[Callable[[], tuple[int, ...]], RankingSolution]:
     """The multi-cycle's deferred joint solve and the optimal integer
-    quasi-ranking, read by position in `_solve_ranking`'s order.  On every
-    layer, reused systems included, phase 2's row duals must certify the
-    dichotomy (`_assert_dichotomy`) and the quasi-ranking must hold; a
-    violation (a solver bug) or any LP failure raises InternalInvariantError.
-    `solved` maps the numbers `(d_ext, flow)` of each system solved so far to
-    `_solve_ranking`'s result and the joint solve, cached at its first call;
-    a repeated system reuses both, so its records share one joint solve."""
+    quasi-ranking.  The latter is `max_strict_set` on the quasi-ranking
+    system r >= 0, z >= 0, and per alive transition d_ext^T r + flow^T z <= 0,
+    every row a candidate: its columns are `sys.columns`, its sign rows those
+    of r.  It is read by position: the variables are r in var_ext order, then
+    z in state order; the rows are the transition rows in transition order,
+    then the r >= 0 rows.  On every layer, reused systems included, phase 2's
+    row duals must certify the dichotomy (`_assert_dichotomy`) and the
+    quasi-ranking must hold; a violation (a solver bug) or any LP failure
+    raises InternalInvariantError.  `solved` maps the numbers `(d_ext, flow)`
+    of each system solved so far to `max_strict_set`'s result and the joint
+    solve, cached at its first call; a repeated system reuses both, so its
+    records share one joint solve."""
     key = (sys.d_ext, sys.flow)
     if key not in solved:
         try:
-            solution = _solve_ranking(sys)
+            solution = max_strict_set(sys.columns, len(sys.var_ext))
             solved[key] = solution, cache(partial(_solve_multicycle, *key, solution[2]))
         except LpError as err:
             raise InternalInvariantError(f"LP solver failed: {err}") from err

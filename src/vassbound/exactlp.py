@@ -77,15 +77,11 @@ class LpRow:
 @dataclass(frozen=True)
 class LpProblem:
     """Constraint rows over named variables, every one of them >= 0 (each is
-    one simplex column).
-
-    `strict_candidates` are indices of `>=` rows that the maximization
-    objective may tighten to slack >= 1.
-    """
+    one simplex column).  `lp_feasible` takes the rows to tighten to
+    slack >= 1 as its own argument."""
 
     variables: tuple[str, ...]
     rows: tuple[LpRow, ...]
-    strict_candidates: frozenset[int] = frozenset()
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
     def __post_init__(self):
@@ -98,24 +94,20 @@ class LpProblem:
         for row in self.rows:
             if row.relation not in (GE, EQ):
                 raise LpError(f"bad relation {row.relation!r}")
-        for i in self.strict_candidates:
-            if not (0 <= i < len(self.rows)) or self.rows[i].relation != GE:
-                raise LpError(f"strict candidate {i} is not a '>=' row")
 
 
 @dataclass(frozen=True)
 class LpSolution:
     """A solution of its problem: the point `numerators / denominator` over
     `variables`, with one positive denominator; `assignment` and `vector`
-    are its rational view.  `strict_set` lists candidate rows satisfied
-    with slack >= 1; `duals`, if any, are row duals that prove it maximal.
+    are its rational view.  `strict_set` lists the rows it satisfies with
+    slack >= 1.
     """
 
     variables: tuple[str, ...]
     numerators: tuple[int, ...]
     denominator: int
     strict_set: frozenset[int] = frozenset()
-    duals: tuple[int, ...] = ()
 
     @property
     def assignment(self) -> dict[str, Fraction]:
@@ -390,5 +382,4 @@ def scale_to_integer(problem: LpProblem, solution: LpSolution) -> LpSolution:
     """
     if any(row.rhs != 0 for row in problem.rows):
         raise LpError("scaling needs homogeneous rows")
-    return LpSolution(solution.variables, solution.numerators, 1, solution.strict_set,
-                      solution.duals)
+    return LpSolution(solution.variables, solution.numerators, 1, solution.strict_set)

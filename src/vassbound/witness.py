@@ -370,7 +370,7 @@ def node_cycles(tree: LayerTree, layer: int,
     result: dict[int, Path] = {}
     for node in tree.nodes_at(layer):
         rec = records[node.first_layer]
-        counts = {t.tid: rec.mu.counts.get(t.tid, 0) for t in node.vass.transitions}
+        counts = {t.tid: rec.mu.get(t.tid, 0) for t in node.vass.transitions}
         cycles = multicycle_from_solution(v, node.vass.transitions, counts)
         if len(cycles) != 1:
             raise WitnessError(f"node {node.nid} support is not a single component")

@@ -3,16 +3,18 @@ exponents growing exponentially in the dimension and a random perturbation
 of it, a seeded random VASS generator for property sweeps, a recorder of
 the layer systems an analysis builds, a reader of every record's
 multi-cycle, a runner under a shallow recursion limit, and an adapter that
-solves a general homogeneous `LpProblem` by `exactlp.max_strict_set`."""
+solves a general homogeneous `LpProblem` with strict candidates by
+`exactlp.max_strict_set`."""
 
 import inspect
 import random
 import sys
+from dataclasses import dataclass
 
 import pytest
 
 from vassbound import Vass, exactlp, parse_vass, validate_connected
-from vassbound.exactlp import EQ, GE, LpProblem, LpRow, LpSolution
+from vassbound.exactlp import EQ, GE, LpError, LpProblem, LpRow, LpSolution
 
 V_RUN_TEXT = """\
 # four states, three counters
@@ -159,6 +161,29 @@ def prepath_steps(builder, target: int) -> list:
     return steps(builder.tree.root.nid, 0)
 
 
+@dataclass(frozen=True)
+class CandidateProblem(LpProblem):
+    """An `LpProblem` whose `strict_candidates`, indices of `>=` rows, are
+    the rows that the adapter `max_strict_set` may make strict."""
+
+    strict_candidates: frozenset[int] = frozenset()
+    __hash__ = None  # compared by value; holds dicts, so never hashed
+
+    def __post_init__(self):
+        super().__post_init__()
+        for i in self.strict_candidates:
+            if not (0 <= i < len(self.rows)) or self.rows[i].relation != GE:
+                raise LpError(f"strict candidate {i} is not a '>=' row")
+
+
+@dataclass(frozen=True)
+class CertifiedSolution(LpSolution):
+    """An `LpSolution` with row duals `duals`, one per row, that prove its
+    strict set maximal among the candidates."""
+
+    duals: tuple[int, ...] = ()
+
+
 def ranking_columns(problem: LpProblem) -> tuple[tuple[tuple[int, ...], ...], int]:
     """A homogeneous problem as `exactlp.max_strict_set`'s input: no sign
     rows (nr = 0) and one column -row per row, an '==' row a . x = 0 as the
@@ -173,17 +198,17 @@ def ranking_columns(problem: LpProblem) -> tuple[tuple[tuple[int, ...], ...], in
     return tuple(columns) or ((0,) * n,), 0
 
 
-def ranking_problem(columns, nr: int) -> LpProblem:
-    """`exactlp.max_strict_set`'s system as an `LpProblem` over v0, v1, ...:
+def ranking_problem(columns, nr: int) -> CandidateProblem:
+    """`exactlp.max_strict_set`'s system as a `CandidateProblem` over v0, v1, ...:
     the rows -c . x >= 0 per column c, then v_j >= 0 for j < nr, all
     candidates."""
     rows = [LpRow.of([-a for a in column], GE) for column in columns]
     rows += [LpRow({j: 1}, GE, 0) for j in range(nr)]
-    return LpProblem(tuple(f"v{j}" for j in range(len(columns[0]))), tuple(rows),
-                     frozenset(range(len(rows))))
+    return CandidateProblem(tuple(f"v{j}" for j in range(len(columns[0]))), tuple(rows),
+                            frozenset(range(len(rows))))
 
 
-def candidate_rows(problem: LpProblem, rows) -> frozenset[int]:
+def candidate_rows(problem: CandidateProblem, rows) -> frozenset[int]:
     """The candidates of `problem` whose first column in
     `ranking_columns(problem)` is one of `rows`."""
     first, k = [], 0
@@ -193,7 +218,7 @@ def candidate_rows(problem: LpProblem, rows) -> frozenset[int]:
     return frozenset(i for i in problem.strict_candidates if first[i] in rows)
 
 
-def max_strict_set(problem: LpProblem) -> LpSolution:
+def max_strict_set(problem: CandidateProblem) -> CertifiedSolution:
     """`exactlp.max_strict_set` on `ranking_columns(problem)`, mapped back:
     its point, its strict set less the rows that are no candidates, and one
     dual per row, an '==' row's the difference of its pair's.  Exact, as a
@@ -203,7 +228,8 @@ def max_strict_set(problem: LpProblem) -> LpSolution:
     duals, y = iter(duals), []
     for row in problem.rows:
         y.append(next(duals) - next(duals) if row.relation == EQ else next(duals))
-    return LpSolution(problem.variables, point, den, candidate_rows(problem, strict), tuple(y))
+    return CertifiedSolution(problem.variables, point, den, candidate_rows(problem, strict),
+                             tuple(y))
 
 
 @pytest.fixture(scope="session")

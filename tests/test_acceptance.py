@@ -27,9 +27,16 @@ from vassbound import (
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL
 from vassbound.cli import _render_text_report
-from vassbound.exactlp import LpSolution, lp_feasible, satisfies
+from vassbound.exactlp import lp_feasible, satisfies
 from vassbound.model import scc_decompose
-from conftest import max_strict_set, perturbed_family, random_connected_vass, ranking_problem, v_family
+from conftest import (
+    CertifiedSolution,
+    max_strict_set,
+    perturbed_family,
+    random_connected_vass,
+    ranking_problem,
+    v_family,
+)
 import test_exactlp
 from test_exactlp import random_homogeneous
 from test_oracle import doubling_pump_path
@@ -133,7 +140,7 @@ def _replay_dichotomy(v, result):
     for record in result.archive:
         sys = build_extended_system(v, result.tree, record.layer, vexp)
         assert sys.var_ext == record.var_ext
-        mu = record.mu.counts
+        mu = record.mu
         r, z = record.ranking.r, record.ranking.z
         for row, ve in zip(sys.d_ext, sys.var_ext):
             mu_gain = sum(c * mu[t.tid] for c, t in zip(row, sys.transitions))
@@ -263,7 +270,8 @@ def test_perturbed_family_models_agree_and_verify(monkeypatch):
     def certified(columns, nr):
         solution = solve(columns, nr)
         p = ranking_problem(columns, nr)
-        test_exactlp.TestDualCertificate.assert_certified(p, LpSolution(p.variables, *solution))
+        solution_view = CertifiedSolution(p.variables, *solution)
+        test_exactlp.TestDualCertificate.assert_certified(p, solution_view)
         solves.append(nr)
         return solution
 

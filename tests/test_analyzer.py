@@ -19,6 +19,7 @@ from vassbound import (
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
 from conftest import (
     DOUBLING_TEXT,
+    CandidateProblem,
     max_strict_set,
     random_connected_vass,
     ranking_problem,
@@ -102,24 +103,24 @@ class TestLayerSolutions:
         record = result.archive[0]
         assert record.ranking.ranked == {8, 9}
         assert record.new_variable_bounds == ("x", "y")
-        assert record.mu.strict_vars == {("z", 0)}
-        assert record.mu.strict_transitions == frozenset(range(8))
-        assert all(record.mu.counts[tid] >= 1 for tid in range(8))
-        assert record.mu.counts[8] == record.mu.counts[9] == 0
+        assert set(record.var_ext) - record.ranking.bounded_vars == {("z", 0)}
+        assert {tid for tid, c in record.mu.items() if c} == set(range(8))
+        assert all(record.mu[tid] >= 1 for tid in range(8))
+        assert record.mu[8] == record.mu[9] == 0
 
     def test_second_iteration_strict_sets(self, v_run):
         record = analyze(v_run).archive[1]
         assert record.ranking.ranked == {4, 5, 6, 7}
         assert record.new_variable_bounds == ("z",)
-        assert record.mu.strict_transitions == {0, 1, 2, 3}
-        assert record.mu.strict_vars == frozenset()
+        assert {tid for tid, c in record.mu.items() if c} == {0, 1, 2, 3}
+        assert set(record.var_ext) <= record.ranking.bounded_vars
 
     def test_third_iteration_all_zero_multicycle(self, v_run):
         record = analyze(v_run).archive[2]
         assert record.ranking.ranked == {0, 1, 2, 3}
         assert record.new_variable_bounds == ()
-        assert all(c == 0 for c in record.mu.counts.values())
-        assert record.mu.strict_transitions == frozenset()
+        assert all(c == 0 for c in record.mu.values())
+        assert set(record.u) == record.ranking.ranked
 
 
 class TestAnalyze:
@@ -417,18 +418,18 @@ class TestDichotomyOnDuals:
 
 
 def test_multicycle_records_are_built_only_when_read(monkeypatch, v_run, doubling):
-    """`analyze` builds no `MultiCycleSolution`: the dichotomy is checked
-    on the duals themselves, and a record builds its multi-cycle once, at
-    the first read of `mu`."""
+    """`analyze` builds no record's counts: the dichotomy is checked on the
+    duals themselves, and a record builds its counts once, at the first
+    read of `mu`."""
     import vassbound.analyzer as analyzer_mod
 
-    built, record = [], analyzer_mod.MultiCycleSolution
+    built, mu = [], analyzer_mod.LayerRecord.mu.func
 
-    def counted(*args):
-        built.append(args)
-        return record(*args)
+    def counted(rec):
+        built.append(rec.layer)
+        return mu(rec)
 
-    monkeypatch.setattr(analyzer_mod, "MultiCycleSolution", counted)
+    monkeypatch.setattr(analyzer_mod.LayerRecord.mu, "func", counted)
     iterations = []
     for v in (v_run, doubling, *map(v_family, range(1, 6))):
         built.clear()
@@ -533,6 +534,8 @@ class TestStrictSetCertificate:
         self._assert_rejected(capsys, "non-solution")
 
     def test_derived_solve_equals_phase_two_solve(self, monkeypatch):
+        # The joint problem's '>=' rows, the d_ext and mu(t) >= 0 rows, are
+        # its candidates: phase 2 must find the joint solve's strict set.
         from vassbound import exactlp
 
         derive = exactlp.lp_feasible
@@ -540,7 +543,10 @@ class TestStrictSetCertificate:
 
         def checked(problem, strict):
             solution = derive(problem, strict)
-            assert max_strict_set(problem).strict_set == solution.strict_set
+            candidates = frozenset(i for i, row in enumerate(problem.rows)
+                                   if row.relation == exactlp.GE)
+            joint = CandidateProblem(problem.variables, problem.rows, candidates)
+            assert max_strict_set(joint).strict_set == solution.strict_set
             calls.append(problem)
             return solution
 

@@ -122,20 +122,21 @@ def archive_text(result) -> str:
     lines = []
     for rec in result.archive:
         lines.append(f"layer {rec.layer}")
-        lines.append("counts " + repr(sorted(rec.mu.counts.items())))
+        lines.append("counts " + repr(sorted(rec.mu.items())))
         lines.append("r " + repr(sorted(rec.ranking.r.items())))
         lines.append("z " + repr(sorted(rec.ranking.z.items())))
     return "\n".join(lines) + "\n"
 
 
 def strict_set_text(result) -> str:
-    """Canonical text of every layer's multi-cycle counts and both strict sets."""
+    """Canonical text of every layer's multi-cycle counts and both strict
+    sets, the multi-cycle's being the complements of the ranking's."""
     lines = []
     for rec in result.archive:
         lines.append(f"layer {rec.layer}")
-        lines.append("counts " + repr(sorted(rec.mu.counts.items())))
-        lines.append("strict_vars " + repr(sorted(rec.mu.strict_vars)))
-        lines.append("strict_transitions " + repr(sorted(rec.mu.strict_transitions)))
+        lines.append("counts " + repr(sorted(rec.mu.items())))
+        lines.append("strict_vars " + repr(sorted(set(rec.var_ext) - rec.ranking.bounded_vars)))
+        lines.append("strict_transitions " + repr(sorted(set(rec.u) - rec.ranking.ranked)))
         lines.append("ranked " + repr(sorted(rec.ranking.ranked)))
         lines.append("bounded_vars " + repr(sorted(rec.ranking.bounded_vars)))
     return "\n".join(lines) + "\n"

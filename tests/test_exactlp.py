@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    CandidateProblem,
+    CertifiedSolution,
     candidate_rows,
     max_strict_set,
     random_connected_vass,
@@ -33,8 +35,8 @@ SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def problem(names, rows, candidates=()):
-    return LpProblem(tuple(names), tuple(LpRow.of(c, rel, rhs) for c, rel, rhs in rows),
-                     frozenset(candidates))
+    return CandidateProblem(tuple(names), tuple(LpRow.of(c, rel, rhs) for c, rel, rhs in rows),
+                            frozenset(candidates))
 
 
 def random_homogeneous(rng, max_vars=5, max_rows=7, span=3):
@@ -47,7 +49,7 @@ def random_homogeneous(rng, max_vars=5, max_rows=7, span=3):
         rows.append(LpRow.of(coeffs, GE if rng.random() < 0.8 else EQ, Fraction(0)))
     candidates = frozenset(i for i, row in enumerate(rows)
                            if row.relation == GE and rng.random() < 0.6)
-    return LpProblem(names, tuple(rows), candidates)
+    return CandidateProblem(names, tuple(rows), candidates)
 
 
 def random_with_sign_rows(rng, max_vars=4, max_rows=6):
@@ -69,7 +71,7 @@ def random_with_sign_rows(rng, max_vars=4, max_rows=6):
         rows.append(LpRow.of(coeffs, EQ if rng.random() < 0.12 else GE))
     candidates = frozenset(i for i, row in enumerate(rows)
                            if row.relation == GE and rng.random() < 0.8)
-    return LpProblem(tuple(f"v{j}" for j in range(nv)), tuple(rows), candidates)
+    return CandidateProblem(tuple(f"v{j}" for j in range(nv)), tuple(rows), candidates)
 
 
 class TestLpRow:
@@ -111,7 +113,7 @@ class TestLpProblem:
         # lp_feasible reads the strict rows at rhs + 1 and builds no problem:
         # its point is the one of the tightened problem built and validated.
         rows = (LpRow({0: 1}, GE, 0), LpRow({1: 2}, EQ, 3), LpRow({0: -1, 1: 1}, GE, -2))
-        p = LpProblem(("x", "y"), rows, frozenset({0, 2}))
+        p = CandidateProblem(("x", "y"), rows, frozenset({0, 2}))
         q = LpProblem(p.variables, (LpRow({0: 1}, GE, 1), rows[1], LpRow({0: -1, 1: 1}, GE, -1)))
         validated = []
         monkeypatch.setattr(LpProblem, "__post_init__", lambda self: validated.append(self))
@@ -358,9 +360,9 @@ class TestInertRowsAndColumns:
             for name in fresh:
                 rows.insert(rng.randint(0, len(rows)),
                             (None, LpRow({column[name]: rng.choice((1, 2))}, GE, 0)))
-            q = LpProblem(tuple(order), tuple(row for _, row in rows),
-                          frozenset(k for k, (i, _) in enumerate(rows)
-                                    if i is None or i in p.strict_candidates))
+            q = CandidateProblem(tuple(order), tuple(row for _, row in rows),
+                                 frozenset(k for k, (i, _) in enumerate(rows)
+                                           if i is None or i in p.strict_candidates))
             sol, padded = max_strict_set(p), max_strict_set(q)
             assert padded.strict_set == {k for k, (i, _) in enumerate(rows)
                                          if i is None or i in sol.strict_set}
@@ -491,7 +493,7 @@ def analysis_lps(monkeypatch, models):
     def recorded(columns, nr):
         solution = solve(columns, nr)
         p = ranking_problem(columns, nr)
-        solves.append((p, LpSolution(p.variables, *solution)))
+        solves.append((p, CertifiedSolution(p.variables, *solution)))
         return solution
 
     monkeypatch.setattr(analyzer_mod, "max_strict_set", recorded)
@@ -580,13 +582,6 @@ class TestDualCertificate:
         assert len(solves) > 250
         for p, sol in solves:
             self.assert_certified(p, sol)
-
-    def test_integer_scaling_keeps_the_duals(self):
-        p = problem(["x", "y"], [((2, 0), GE, 0), ((1, -3), GE, 0), ((0, 0), GE, 0)],
-                    candidates=[0, 1, 2])
-        sol = max_strict_set(p)
-        assert sol.strict_set == {0, 1} and sol.duals[2] > 0
-        assert scale_to_integer(p, sol).duals == sol.duals
 
     @pytest.mark.parametrize("mutant", [_zero_outside, _negative, _column_above_zero])
     def test_broken_duals_raise(self, monkeypatch, capsys, mutant):

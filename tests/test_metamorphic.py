@@ -41,19 +41,23 @@ For each polynomial variant, its witness at N = 2 must pass
 `verify_witness`; its dump is not compared.
 
 The models are the acceptance suite's 200 random models, 100 wider random
-models, `v_family(1..4)` and the two samples.
+models, `v_family(1..4)`, the two samples and 100 seeded draws of
+`perturbed_family`, whose polynomial ones have layer trees several layers
+deep and exponents 2, 4 and 8.
 """
 
 import pathlib
 import random
+from collections import Counter
 
 import pytest
 
 from vassbound import Vass, analyze, build_witness, parse_vass, verify_witness
 from vassbound.analyzer import POLYNOMIAL
-from conftest import random_connected_vass, v_family
+from conftest import perturbed_family, random_connected_vass, v_family
 
 SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
+PERTURBED_DRAWS = 100
 
 
 def _models() -> list[Vass]:
@@ -65,6 +69,8 @@ def _models() -> list[Vass]:
                for _ in range(100)]
     models += [v_family(nu) for nu in range(1, 5)]
     models += [parse_vass((SAMPLES / name).read_text()) for name in ("running.vass", "doubling.vass")]
+    rng = random.Random(1)
+    models += [perturbed_family(rng) for _ in range(PERTURBED_DRAWS)]
     return models
 
 
@@ -74,6 +80,12 @@ MODELS = _models()
 @pytest.fixture(scope="module")
 def verdicts():
     return [analyze(v).report for v in MODELS]
+
+
+def test_perturbed_draws_reach_deep_exponents(verdicts):
+    exponents = Counter(report.complexity_exponent for report in verdicts[-PERTURBED_DRAWS:]
+                        if report.status == POLYNOMIAL)
+    assert exponents == {2: 7, 4: 13, 8: 12}
 
 
 def _renamed(v: Vass, rng: random.Random, relation: str) -> tuple[Vass, list[int]]:

@@ -21,7 +21,7 @@ from vassbound import (
 )
 from vassbound.analyzer import POLYNOMIAL
 from vassbound.oracle import DEFAULT_BUDGET, sweep, sweep_csv
-from conftest import random_connected_vass, without_deep_recursion
+from conftest import perturbed_family, random_connected_vass, without_deep_recursion
 
 # Exact values for the running example, cross-checked against the
 # independent recursive search below for the small parameters.
@@ -276,6 +276,17 @@ class TestGrowthConsistency:
                 continue
             checked += 1
         assert checked == 20
+
+    def test_perturbed_family_growth(self):
+        # The exponent-2 draws of `perturbed_family` have layer trees
+        # several layers deep, unlike the random models above.
+        rng = random.Random(1)
+        models = [v for v in (perturbed_family(rng) for _ in range(300))
+                  if analyze(v).report.complexity_exponent == 2]
+        assert len(models) == 18
+        for v in models:
+            _, small, big = self.check_growth(v, 3, 6)
+            assert big >= small * 2  # clearly superlinear
 
 
 class TestPolynomialMeansTerminating:

@@ -1,8 +1,8 @@
 """The package's public surface: `__all__` names exactly what it exports,
 every name the benchmark's tracer rebinds exists, the frozen records that
-hold dicts refuse hashing under their own name, and the exact LP module
-stays free of floating point and builds `Fraction`s only in its rational
-view of a solution."""
+hold dicts refuse hashing under their own name, every module stays free of
+floating point, random numbers and clocks, and the exact LP module builds
+`Fraction`s only in its rational view of a solution."""
 
 import ast
 import dataclasses
@@ -35,7 +35,6 @@ def test_documented_library_names_are_exported():
 UNHASHABLE = {
     "LpRow": lambda result: LpRow.of([1], GE),
     "LpProblem": lambda result: LpProblem(("x",), (LpRow.of([1], GE),)),
-    "MultiCycleSolution": lambda result: result.archive[0].mu,
     "RankingSolution": lambda result: result.archive[0].ranking,
     "LayerRecord": lambda result: result.archive[0],
     "WitnessPath": lambda result: build_witness(result, 1),
@@ -71,13 +70,15 @@ def test_benchmark_trace_points_resolve():
         assert callable(getattr(owner, attr, None)), (owner_path, attr, name)
 
 
-def test_exact_lp_module_is_float_free():
-    """`exactlp` computes in exact integer and rational arithmetic only: no
-    float literal, no `float(` call, and only the imports that needs."""
-    path = pathlib.Path(vassbound.__file__).resolve().parent / "exactlp.py"
-    tree = ast.parse(path.read_text())
+PACKAGE = pathlib.Path(vassbound.__file__).resolve().parent
+
+
+def float_free_imports(path: pathlib.Path) -> set[str]:
+    """The modules that the source at `path` imports, relative ones with
+    their leading dots, once no float or complex literal and no `float(`
+    call is found in it."""
     imported = set()
-    for node in ast.walk(tree):
+    for node in ast.walk(ast.parse(path.read_text())):
         assert not (isinstance(node, ast.Constant) and isinstance(node.value, (float, complex))), \
             ast.dump(node)
         assert not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
@@ -86,14 +87,28 @@ def test_exact_lp_module_is_float_free():
             imported |= {alias.name for alias in node.names}
         elif isinstance(node, ast.ImportFrom):
             imported.add("." * node.level + (node.module or ""))
+    return imported
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_module_is_float_free_and_deterministic(path):
+    """Every module computes exactly and gives the same output on every
+    run: no float, and neither `random` nor `time`."""
+    imported = {name.split(".")[0] for name in float_free_imports(path)}
+    assert not imported & {"random", "time"}, imported
+
+
+def test_exact_lp_module_is_float_free():
+    """`exactlp` computes in exact integer and rational arithmetic only: no
+    float literal, no `float(` call, and only the imports that needs."""
+    imported = float_free_imports(PACKAGE / "exactlp.py")
     assert imported <= {"__future__", "dataclasses", "fractions", "math", "typing"}, imported
 
 
 def test_exact_lp_builds_fractions_only_in_the_solution_view():
     """`exactlp` computes on integers; every `Fraction` name in it lies in
     `class LpSolution`, whose `assignment` and `vector` are the rational view."""
-    path = pathlib.Path(vassbound.__file__).resolve().parent / "exactlp.py"
-    tree = ast.parse(path.read_text())
+    tree = ast.parse((PACKAGE / "exactlp.py").read_text())
 
     def fraction_names(node):
         return [n for n in ast.walk(node)

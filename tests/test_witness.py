@@ -195,7 +195,7 @@ class TestNodeCycles:
     def test_layer_one_matches_archived_solution(self, v_run):
         result = analyze(v_run)
         cycles = node_cycles(result.tree, 1, result.archive, v_run)
-        mu = result.archive[0].mu.counts
+        mu = result.archive[0].mu
         for node in result.tree.nodes_at(1):
             expected = {t.tid: mu[t.tid] for t in node.vass.transitions}
             assert dict(cycles[node.nid].instances()) == expected
@@ -226,7 +226,7 @@ class TestNodeCycles:
             records = {rec.layer: rec for rec in result.archive}
             for node in result.tree.nodes:
                 if node.first_layer >= 1:
-                    counts = records[node.first_layer].mu.counts
+                    counts = records[node.first_layer].mu
                     assert all(counts.get(t.tid, 0) >= 1 for t in node.vass.transitions)
                     checked += 1
         assert checked > 0
