@@ -52,7 +52,6 @@ from .witness import (
     choose_k,
     covering_cycle,
     exponential_certificate,
-    multicycle_from_solution,
     node_cycles,
     verify_witness,
 )
@@ -72,7 +71,6 @@ __all__ = [
     # witnesses and certificates
     "CertificateError", "ExponentialCertificate", "WitnessError",
     "WitnessPath", "build_witness", "check_certificate", "choose_k",
-    "covering_cycle", "exponential_certificate", "multicycle_from_solution",
-    "node_cycles", "verify_witness",
+    "covering_cycle", "exponential_certificate", "node_cycles", "verify_witness",
 ]
 __version__ = "0.1.0"

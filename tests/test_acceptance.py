@@ -303,6 +303,27 @@ def test_perturbed_family_models_agree_and_verify(monkeypatch):
     assert len(solves) == 1497
 
 
+def test_perturbed_family_certificates_on_deep_stall_layers():
+    """The exponential draws of the same 300 `perturbed_family` models stall
+    at layers up to 12.  Each gets a certificate from the node cycles of its
+    stall layer, which `check_certificate` accepts, and skipping on and off
+    give the same text report, certificate included."""
+    rng = random.Random(1)
+    stall_layers, cycles = Counter(), Counter()
+    for v in (perturbed_family(rng) for _ in range(300)):
+        on = analyze(v)
+        if on.report.status != EXPONENTIAL:
+            continue
+        cert = exponential_certificate(on)
+        assert check_certificate(v, cert) is None
+        assert _render_text_report(on) == _render_text_report(analyze(v, skip_optimization=False))
+        stall_layers[on.report.exponential_layer] += 1
+        cycles[len(cert.cycles)] += 1
+    assert sum(stall_layers.values()) == 191
+    assert stall_layers == {1: 112, 2: 43, 3: 14, 4: 4, 6: 8, 8: 2, 12: 8}
+    assert cycles == {1: 184, 2: 7}
+
+
 def _assert_reference_split(result):
     """Each layer step's children are the split it replaces: for every node
     of layer - 1, in order, `restrict` over the components that

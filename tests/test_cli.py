@@ -229,6 +229,27 @@ class TestWitness:
     def test_exponential_input_exit_code(self, doubling_file, capsys):
         assert main(["witness", doubling_file, "--n", "3"]) == 4
 
+    def test_non_positive_scale_is_an_input_error(self, v_run_file, capsys):
+        assert main(["witness", v_run_file, "--n", "0"]) == 1
+        assert capsys.readouterr().err == "error: scale parameter must be >= 1\n"
+
+    @pytest.mark.parametrize("argv", [["witness", RUNNING, "--n", "2"],
+                                      ["analyze", str(ROOT / "samples" / "doubling.vass")]],
+                             ids=["witness", "analyze-exponential"])
+    def test_failed_construction_self_check_exits_3(self, argv, monkeypatch, capsys):
+        import vassbound.witness as witness_mod
+        from vassbound.witness import WitnessError
+
+        def broken(*args):
+            raise WitnessError("node 1 counts are not positive and balanced")
+
+        monkeypatch.setattr(witness_mod, "node_cycles", broken)
+        assert main(argv) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("internal invariant violation: "
+                                "node 1 counts are not positive and balanced\n")
+
     def test_scale_one(self, v_run_file, capsys):
         assert main(["witness", v_run_file, "--n", "1", "--check"]) == 0
 

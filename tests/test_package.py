@@ -50,9 +50,9 @@ def test_frozen_records_refuse_hashing_by_name(name, v_run):
     assert dataclasses.replace(record) == record
 
 
-def test_benchmark_trace_points_resolve():
-    """Every name the benchmark's tracer rebinds (`perfbench/spans.py`
-    `TRACE_POINTS`) must exist in the package, or a traced run fails."""
+def benchmark_trace_points():
+    """`perfbench/spans.py`'s `TRACE_POINTS`: (owner, attribute, span name,
+    note) for every name the benchmark's tracer rebinds."""
     path = pathlib.Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
     spec = importlib.util.spec_from_file_location("perfbench_spans", path)
     spans = importlib.util.module_from_spec(spec)
@@ -61,8 +61,15 @@ def test_benchmark_trace_points_resolve():
         spec.loader.exec_module(spans)
     finally:
         del sys.modules[spec.name]
-    assert spans.TRACE_POINTS
-    for owner_path, attr, name, _ in spans.TRACE_POINTS:
+    return spans.TRACE_POINTS
+
+
+def test_benchmark_trace_points_resolve():
+    """Every name the benchmark's tracer rebinds (`perfbench/spans.py`
+    `TRACE_POINTS`) must exist in the package, or a traced run fails."""
+    trace_points = benchmark_trace_points()
+    assert trace_points
+    for owner_path, attr, name, _ in trace_points:
         module, _, cls = owner_path.partition(":")
         owner = importlib.import_module(module)
         if cls:
@@ -122,3 +129,22 @@ def test_exact_lp_builds_fractions_only_in_the_solution_view():
     assert inside
     outside = [n for n in fraction_names(tree) if n not in inside]
     assert not outside, [f"line {n.lineno}" for n in outside]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.stem)
+def test_every_import_is_used(path):
+    """Each name a module imports is used in it, exported in its `__all__`,
+    or rebound there by the benchmark's tracer."""
+    tree = ast.parse(path.read_text())
+    imported = {alias.asname or alias.name.split(".")[0]
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Import)
+                or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                for alias in node.names}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = {name for node in tree.body if isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+                for name in ast.literal_eval(node.value)}
+    module = f"vassbound.{path.stem}" if path.stem != "__init__" else "vassbound"
+    traced = {attr for owner, attr, _, _ in benchmark_trace_points() if owner == module}
+    assert imported - used - exported - traced == set()

@@ -1,6 +1,7 @@
 """Witness layer: cycle extraction, path construction, verification,
 and exponential certificates."""
 
+import dataclasses
 import random
 from collections import Counter
 from fractions import Fraction
@@ -21,7 +22,6 @@ from vassbound import (
     execute_path,
     exponential_certificate,
     min_initial_valuation,
-    multicycle_from_solution,
     node_cycles,
     parse_vass,
     verify_witness,
@@ -40,31 +40,27 @@ HAND_MU = {0: 1, 1: 4, 2: 4, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 0, 9: 0}
 
 
 class TestMultiCycleExtraction:
+    # HAND_MU's two components: its support splits into these two SCCs.
+    COMPONENTS = (("s1", (0, 1, 4, 5)), ("s3", (2, 3, 6, 7)))
+
+    def hand_cycles(self, v):
+        return [Path(tuple(_euler_cycle(start, [v.transition(tid) for tid in tids], HAND_MU)))
+                for start, tids in self.COMPONENTS]
+
     def test_hand_solution_gives_two_cycles(self, v_run):
-        cycles = multicycle_from_solution(v_run, v_run.transitions, HAND_MU)
-        assert len(cycles) == 2
+        cycles = self.hand_cycles(v_run)
+        assert all(c.is_cycle for c in cycles)
         by_start = {c.start: c for c in cycles}
         assert dict(by_start["s1"].instances()) == {0: 1, 1: 4, 4: 1, 5: 1}
         assert dict(by_start["s3"].instances()) == {2: 4, 3: 1, 6: 1, 7: 1}
         assert tuple(map(sum, zip(*(c.value(3) for c in cycles)))) == (0, 0, 2)
 
-    def test_zero_solution_is_empty(self, v_run):
-        cycles = multicycle_from_solution(v_run, v_run.transitions, {})
-        assert cycles == ()
-
     def test_single_self_loop(self):
         v = Vass.from_triples(["x"], [("s1", (1,), "s1")])
-        cycles = multicycle_from_solution(v, v.transitions, {0: 1})
-        assert len(cycles) == 1
-        assert len(cycles[0]) == 1
-
-    def test_unbalanced_flow_rejected(self, v_run):
-        with pytest.raises(VassError, match="flow"):
-            multicycle_from_solution(v_run, v_run.transitions, {8: 1})
+        assert _euler_cycle("s1", v.transitions, {0: 1}) == list(v.transitions)
 
     def test_counts_match_exactly(self, v_run):
-        cycles = multicycle_from_solution(v_run, v_run.transitions, HAND_MU)
-        instances = sum((c.instances() for c in cycles), Counter())
+        instances = sum((c.instances() for c in self.hand_cycles(v_run)), Counter())
         assert dict(instances) == {t: c for t, c in HAND_MU.items() if c}
 
     def test_euler_order_takes_lower_ids_first_and_consecutively(self):
@@ -87,13 +83,13 @@ class TestMultiCycleExtraction:
         n = 5000
         states = [f"q{i:04d}" for i in range(n)]
         ring = Vass.from_triples(["x"], [(states[i], (1,), states[(i + 1) % n]) for i in range(n)])
-        (cycle,) = without_deep_recursion(multicycle_from_solution, ring, ring.transitions,
-                                          {t.tid: 1 for t in ring.transitions})
-        assert cycle.start == "q0000" and cycle.steps == ring.transitions
+        circuit = without_deep_recursion(_euler_cycle, "q0000", ring.transitions,
+                                         {t.tid: 1 for t in ring.transitions})
+        assert tuple(circuit) == ring.transitions
         pair = Vass.from_triples(["x"], [("a", (1,), "b"), ("b", (-1,), "a")])
-        (cycle,) = without_deep_recursion(multicycle_from_solution, pair, pair.transitions,
-                                          {0: 100_000, 1: 100_000})
-        assert cycle.steps == pair.transitions * 100_000
+        circuit = without_deep_recursion(_euler_cycle, "a", pair.transitions,
+                                         {0: 100_000, 1: 100_000})
+        assert tuple(circuit) == pair.transitions * 100_000
 
 
 class TestCoveringCycle:
@@ -208,6 +204,34 @@ class TestNodeCycles:
         for node in result.tree.nodes_at(2):
             assert set(t.tid for t in cycles[node.nid].steps) == \
                 {t.tid for t in node.vass.transitions}
+
+    @staticmethod
+    def with_layer_one_counts(v, change):
+        """node_cycles at layer 1 of v, with the layer's counts (tid -> count)
+        replaced by `change(counts)` in a copy of its record, and those counts."""
+        result = analyze(v)
+        rec = result.archive[0]
+        assert rec.layer == 1
+        counts = change(dict(rec.mu))
+        joint = tuple(counts[tid] for tid in rec.u)
+        archive = [dataclasses.replace(rec, joint=lambda: joint)] + result.archive[1:]
+        return node_cycles(result.tree, 1, archive, v), counts
+
+    @pytest.mark.parametrize("change", [
+        lambda mu: {**mu, 1: 0},
+        lambda mu: {**mu, 4: mu[4] + 1},
+        lambda mu: {**mu, 5: mu[5] - 2},
+    ], ids=["self-loop-to-zero", "unbalanced", "move-to-zero"])
+    def test_counts_not_positive_and_balanced_are_rejected(self, v_run, change):
+        with pytest.raises(WitnessError, match="not positive and balanced"):
+            self.with_layer_one_counts(v_run, change)
+
+    def test_balanced_change_on_a_self_loop_builds(self, v_run):
+        cycles, counts = self.with_layer_one_counts(v_run, lambda mu: {**mu, 0: mu[0] + 3})
+        for node in analyze(v_run).tree.nodes_at(1):
+            cycle = cycles[node.nid]
+            assert cycle.is_cycle and cycle.start == node.vass.states[0]
+            assert dict(cycle.instances()) == {t.tid: counts[t.tid] for t in node.vass.transitions}
 
     def test_node_transitions_have_positive_counts(self):
         """Below the root, each transition of a node counts at least 1 in the
