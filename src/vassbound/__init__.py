@@ -43,9 +43,7 @@ from .oracle import (
     max_reachable,
 )
 from .witness import (
-    CertificateError,
     ExponentialCertificate,
-    WitnessError,
     WitnessPath,
     build_witness,
     check_certificate,
@@ -69,8 +67,7 @@ __all__ = [
     "NONTERMINATING", "BudgetExceededError", "longest_trace", "max_instances",
     "max_reachable",
     # witnesses and certificates
-    "CertificateError", "ExponentialCertificate", "WitnessError",
-    "WitnessPath", "build_witness", "check_certificate", "choose_k",
-    "covering_cycle", "exponential_certificate", "node_cycles", "verify_witness",
+    "ExponentialCertificate", "WitnessPath", "build_witness", "check_certificate",
+    "choose_k", "covering_cycle", "exponential_certificate", "node_cycles", "verify_witness",
 ]
 __version__ = "0.1.0"

@@ -8,8 +8,8 @@ and connectivity check).
 Exit codes: 0 success, 1 parse or input/output error (a witness `--n`
 below 1 included), 2 input not connected or a usage error from argparse (an
 unknown flag, a malformed value such as `--n x`, no input path), 3 internal
-invariant violation (a failed self-check of witness or certificate
-construction included), failed witness check, or oracle budget exhaustion,
+invariant violation (a witness or certificate that fails its own self-check
+included), failed witness check, or oracle budget exhaustion,
 4 witness requested for an input with at-least-exponential complexity.
 """
 
@@ -31,13 +31,7 @@ from .model import (
     parse_vass,
     unconnected_pair,
 )
-from .witness import (
-    CertificateError,
-    WitnessError,
-    build_witness,
-    exponential_certificate,
-    verify_witness,
-)
+from .witness import build_witness, exponential_certificate, verify_witness
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -87,11 +81,7 @@ def _render_text_report(result: AnalysisResult) -> str:
     for tid, e in report.transition_exponents.items():
         lines.append(f"  [{tid}] {v.transition(tid)}: N^{_exp_value(e)}")
     if report.status != POLYNOMIAL:
-        try:
-            cert = exponential_certificate(result)
-            lines.append(cert.dump().rstrip("\n"))
-        except CertificateError as err:
-            lines.append(f"certificate unavailable: {err}")
+        lines.append(exponential_certificate(result).dump().rstrip("\n"))
     return "\n".join(lines) + "\n"
 
 
@@ -232,7 +222,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except NotConnectedError as err:
         print(f"not connected: {err}", file=sys.stderr)
         return EXIT_NOT_CONNECTED
-    except (InternalInvariantError, WitnessError) as err:
+    except InternalInvariantError as err:
         print(f"internal invariant violation: {err}", file=sys.stderr)
         return EXIT_INTERNAL
     except oracle_mod.BudgetExceededError as err:

@@ -209,8 +209,7 @@ def _pivot_to_optimum(tableau: list[Row], basis: list[int], obj: Row, ncols: int
         for i in column:
             if i != pivot_row:
                 tableau[i] = _eliminate(tableau[i], pivot, entering)
-        if entering in obj:
-            obj = _eliminate(obj, pivot, entering)
+        obj = _eliminate(obj, pivot, entering)
         basis[pivot_row] = entering
 
 

@@ -39,7 +39,7 @@ from itertools import chain, islice, repeat
 from operator import add
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
-from .analyzer import AnalysisResult, EXPONENTIAL, LayerRecord, LayerTree, POLYNOMIAL
+from .analyzer import AnalysisResult, EXPONENTIAL, InternalInvariantError, LayerRecord, LayerTree, POLYNOMIAL
 from .model import (
     Path,
     PrePath,
@@ -57,14 +57,6 @@ from .model import (
 
 def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
-
-
-class WitnessError(VassError):
-    """Witness or certificate construction failed an internal self-check."""
-
-
-class CertificateError(VassError):
-    """The extracted cycles violate the exponential-growth conditions."""
 
 
 def _then(a, b):
@@ -90,7 +82,7 @@ class _Program:
 
     def __len__(self) -> int:
         if self.length > sys.maxsize:
-            raise WitnessError(f"path of {self.length} steps is too long for len(); read .length")
+            raise VassError(f"path of {self.length} steps is too long for len(); read .length")
         return self.length
 
     def __iter__(self) -> Iterator[Transition]:
@@ -130,10 +122,10 @@ class Repeat(_Program):
     def __init__(self, count: int, parts: Sequence[_Program], dimension: int):
         self.count, self.parts = count, tuple(p for p in parts if p.length)
         if any(a.end != b.start for a, b in zip(self.parts, self.parts[1:])):
-            raise WitnessError("non-adjacent parts in a path")
+            raise InternalInvariantError("non-adjacent parts in a path")
         self.start, self.end = (self.parts[0].start, self.parts[-1].end) if self.parts else (None, None)
         if count > 1 and self.start != self.end:
-            raise WitnessError("repeated part of a path is not a cycle")
+            raise InternalInvariantError("repeated part of a path is not a cycle")
         summary, counts = ((0,) * dimension,) * 2, {}
         for p in self.parts:
             summary = _then(summary, (p.effect, p.low))
@@ -275,7 +267,7 @@ def _euler_cycle(start: str, edges: Sequence[Transition],
         else:
             stack.append((chosen.dst, chosen))
     if len(reversed_circuit) != sum(max(counts.get(t.tid, 0), 0) for t in edges):
-        raise WitnessError("multigraph is not connected on its support")
+        raise InternalInvariantError("multigraph is not connected on its support")
     return reversed_circuit[::-1]
 
 
@@ -346,7 +338,7 @@ def node_cycles(tree: LayerTree, layer: int,
             flow[t.src] -= counts[t.tid]
             flow[t.dst] += counts[t.tid]
         if any(c < 1 for c in counts.values()) or any(flow.values()):
-            raise WitnessError(f"node {node.nid} counts are not positive and balanced")
+            raise InternalInvariantError(f"node {node.nid} counts are not positive and balanced")
         result[node.nid] = Path(tuple(_euler_cycle(node.vass.states[0], node.vass.transitions, counts)))
     return result
 
@@ -376,7 +368,7 @@ class _Builder:
             for child in self.tree.node(nid).children:
                 start = self.leaves[child].start
                 if start not in states:
-                    raise WitnessError(f"child start state {start} not on parent cycle")
+                    raise InternalInvariantError(f"child start state {start} not on parent cycle")
                 positioned.append((states.index(start), child))
             positioned.sort()
             bounds = [0] + [pos for pos, _ in positioned] + [len(cycle)]
@@ -427,9 +419,9 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
     meets every N^vexp threshold (the raise never exceeds the O(N) initial
     envelope the construction guarantees)."""
     if result.report.status != POLYNOMIAL:
-        raise WitnessError("witness paths exist only for polynomial status")
+        raise VassError("witness paths exist only for polynomial status")
     if n < 1:
-        raise WitnessError("scale parameter must be >= 1")
+        raise VassError("scale parameter must be >= 1")
     v = result.vass
     if not v.transitions:
         empty = Leaf(Path((), anchor=v.states[0] if v.states else None), v.dimension)
@@ -447,7 +439,7 @@ def build_witness(result: AnalysisResult, n: int) -> WitnessPath:
                              for x, e in zip(v.variables, path.effect)})
     final = execute_path(v, initial_val, path)
     if final is None:
-        raise WitnessError("constructed path does not execute from its initial valuation")
+        raise InternalInvariantError("constructed path does not execute from its initial valuation")
     envelope = _ceil_div(initial_val.norm(), n)
     return WitnessPath(n, k, path, initial_val, final, envelope)
 
@@ -488,7 +480,7 @@ def verify_witness(v: Vass, witness: WitnessPath,
 def exponential_certificate(result: AnalysisResult) -> ExponentialCertificate:
     """Extract and check the cycle certificate after an exponential verdict."""
     if result.report.status != EXPONENTIAL:
-        raise CertificateError("certificate exists only for exponential status")
+        raise VassError("certificate exists only for exponential status")
     layer = result.report.exponential_layer
     cycles = tuple(cycle for _, cycle in sorted(
         node_cycles(result.tree, layer, result.archive, result.vass).items()))
@@ -498,7 +490,7 @@ def exponential_certificate(result: AnalysisResult) -> ExponentialCertificate:
     cert = ExponentialCertificate(cycles, bounded, growing)
     problem = check_certificate(result.vass, cert)
     if problem is not None:
-        raise CertificateError(problem)
+        raise InternalInvariantError(problem)
     return cert
 
 
@@ -506,8 +498,6 @@ def check_certificate(v: Vass, cert: ExponentialCertificate) -> Optional[str]:
     """None if the certificate is valid, else a description of the violation."""
     if sorted(cert.bounded + cert.growing) != sorted(v.variables):
         return "bounded/growing sets do not partition the variables"
-    if set(cert.bounded) & set(cert.growing):
-        return "bounded and growing sets overlap"
     dim = v.dimension
     index = {x: i for i, x in enumerate(v.variables)}
     totals = [0] * dim

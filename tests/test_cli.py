@@ -9,11 +9,16 @@ import sys
 
 import pytest
 
+import vassbound
+from vassbound import (BudgetExceededError, InternalInvariantError, NotConnectedError, VassError,
+                       VassSyntaxError)
 from vassbound.cli import _build_parser, main
 from conftest import DOUBLING_TEXT, V_RUN_TEXT
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 RUNNING = str(ROOT / "samples" / "running.vass")
+DOUBLING = str(ROOT / "samples" / "doubling.vass")
+TERMINATING_EXPONENTIAL = str(ROOT / "samples" / "terminating_exponential.vass")
 
 
 @pytest.fixture()
@@ -57,6 +62,36 @@ class TestAnalyze:
         assert "status: exponential" in out
         assert "exponential-certificate" in out
         assert "W: x y" in out
+
+    def test_failed_certificate_check_exits_3(self, monkeypatch, capsys):
+        """The certificate's cycles come from the analysis itself, so one that
+        fails its own check is an internal fault, not a missing certificate."""
+        import vassbound.witness as witness_mod
+
+        monkeypatch.setattr(witness_mod, "check_certificate",
+                            lambda v, cert: "cycle decreases bounded variable x")
+        assert main(["analyze", DOUBLING]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "internal invariant violation: cycle decreases bounded variable x\n"
+
+    def test_terminating_exponential_sample(self, capsys):
+        assert main(["analyze", TERMINATING_EXPONENTIAL]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:11] == [
+            "status: exponential",
+            "stalled at layer: 2",
+            "variable bounds:",
+            "  x: N^inf",
+            "  y: N^inf",
+            "  z: N^1",
+            "transition bounds:",
+            "  [0] s1 -> s1 : -1 2 0: N^inf",
+            "  [1] s2 -> s2 : 1 -1 0: N^inf",
+            "  [2] s1 -> s2 : 0 0 -1: N^1",
+            "  [3] s2 -> s1 : 0 0 0: N^1",
+        ]
+        assert lines[11:14] == ["exponential-certificate", "U: z", "W: x y"]
 
     def test_parse_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.vass"
@@ -229,19 +264,24 @@ class TestWitness:
     def test_exponential_input_exit_code(self, doubling_file, capsys):
         assert main(["witness", doubling_file, "--n", "3"]) == 4
 
+    def test_terminating_exponential_input_exit_code(self, capsys):
+        assert main(["witness", TERMINATING_EXPONENTIAL, "--n", "1"]) == 4
+
     def test_non_positive_scale_is_an_input_error(self, v_run_file, capsys):
         assert main(["witness", v_run_file, "--n", "0"]) == 1
         assert capsys.readouterr().err == "error: scale parameter must be >= 1\n"
 
-    @pytest.mark.parametrize("argv", [["witness", RUNNING, "--n", "2"],
-                                      ["analyze", str(ROOT / "samples" / "doubling.vass")]],
+    def test_non_positive_scale_is_checked_before_the_verdict(self, capsys):
+        assert main(["witness", DOUBLING, "--n", "0"]) == 1
+        assert capsys.readouterr().err == "error: scale parameter must be >= 1\n"
+
+    @pytest.mark.parametrize("argv", [["witness", RUNNING, "--n", "2"], ["analyze", DOUBLING]],
                              ids=["witness", "analyze-exponential"])
     def test_failed_construction_self_check_exits_3(self, argv, monkeypatch, capsys):
         import vassbound.witness as witness_mod
-        from vassbound.witness import WitnessError
 
         def broken(*args):
-            raise WitnessError("node 1 counts are not positive and balanced")
+            raise InternalInvariantError("node 1 counts are not positive and balanced")
 
         monkeypatch.setattr(witness_mod, "node_cycles", broken)
         assert main(argv) == 3
@@ -398,3 +438,21 @@ class TestValidate:
 
     def test_not_connected(self, disconnected_file, capsys):
         assert main(["validate", disconnected_file]) == 2
+
+
+def test_every_exported_error_class_exits_with_its_code(v_run_file, monkeypatch, capsys):
+    """README's exit codes, one per exported exception class; a new exported
+    class fails here until it is given one."""
+    codes = {VassError: 1, VassSyntaxError: 1, NotConnectedError: 2,
+             InternalInvariantError: 3, BudgetExceededError: 3}
+    exported = {obj for obj in map(vassbound.__dict__.get, vassbound.__all__)
+                if isinstance(obj, type) and issubclass(obj, BaseException)}
+    assert exported == set(codes)
+    args = {VassSyntaxError: ("boom", 1), NotConnectedError: ("a", "b")}
+    for cls, code in codes.items():
+        def raising(v, cls=cls):
+            raise cls(*args.get(cls, ("boom",)))
+
+        monkeypatch.setattr(vassbound.cli, "unconnected_pair", raising)
+        assert main(["validate", v_run_file]) == code, cls.__name__
+        assert capsys.readouterr().out == ""

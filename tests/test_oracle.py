@@ -1,5 +1,6 @@
 """Oracle layer: exact brute-force metrics and their sentinel behavior."""
 
+import pathlib
 import random
 import sys
 from itertools import product
@@ -18,8 +19,9 @@ from vassbound import (
     longest_trace,
     max_instances,
     max_reachable,
+    parse_vass,
 )
-from vassbound.analyzer import POLYNOMIAL
+from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL
 from vassbound.oracle import DEFAULT_BUDGET, sweep, sweep_csv
 from conftest import perturbed_family, random_connected_vass, without_deep_recursion
 
@@ -232,6 +234,14 @@ class TestPumping:
             assert execute_path(
                 doubling, Valuation({"x": n, "y": n}), path) is not None
             assert len(path) >= 2 ** n
+
+    def test_terminating_exponential_sample_has_finite_traces(self):
+        """An exponential verdict on a model whose every run terminates: no
+        cycle of it has a non-negative effect on all counters."""
+        sample = pathlib.Path(__file__).resolve().parent.parent / "samples"
+        v = parse_vass((sample / "terminating_exponential.vass").read_text())
+        assert analyze(v).report.status == EXPONENTIAL
+        assert [longest_trace(v, n) for n in range(4)] == [1, 14, 59, 184]
 
 
 class TestGrowthConsistency:

@@ -10,6 +10,7 @@ from pathlib import Path as FilePath
 import pytest
 
 from vassbound import (
+    InternalInvariantError,
     Path,
     PrePath,
     Valuation,
@@ -26,8 +27,7 @@ from vassbound import (
     parse_vass,
     verify_witness,
 )
-from vassbound.witness import (CertificateError, Repeat, WitnessError, WitnessPath, _Builder,
-                               _euler_cycle)
+from vassbound.witness import Repeat, WitnessPath, _Builder, _euler_cycle
 from vassbound.model import VassError
 from conftest import prepath_steps, random_connected_vass, v_family, without_deep_recursion
 
@@ -76,7 +76,7 @@ class TestMultiCycleExtraction:
     def test_euler_rejects_a_support_in_two_pieces(self):
         v = Vass.from_triples(["x"], [("a", (0,), "b"), ("b", (0,), "a"),
                                       ("c", (0,), "d"), ("d", (0,), "c")])
-        with pytest.raises(WitnessError, match="not connected"):
+        with pytest.raises(InternalInvariantError, match="not connected on its support"):
             _euler_cycle("a", v.transitions, {0: 1, 1: 1, 2: 1, 3: 1})
 
     def test_long_ring_and_large_counts_need_no_recursion(self):
@@ -223,7 +223,7 @@ class TestNodeCycles:
         lambda mu: {**mu, 5: mu[5] - 2},
     ], ids=["self-loop-to-zero", "unbalanced", "move-to-zero"])
     def test_counts_not_positive_and_balanced_are_rejected(self, v_run, change):
-        with pytest.raises(WitnessError, match="not positive and balanced"):
+        with pytest.raises(InternalInvariantError, match="not positive and balanced"):
             self.with_layer_one_counts(v_run, change)
 
     def test_balanced_change_on_a_self_loop_builds(self, v_run):
@@ -304,11 +304,11 @@ class TestBuildWitness:
         assert w.path.counts[loop_ids[0]] >= 2 ** 4
 
     def test_rejects_exponential_input(self, doubling):
-        with pytest.raises(WitnessError):
+        with pytest.raises(VassError, match="only for polynomial status"):
             build_witness(analyze(doubling), 3)
 
     def test_rejects_non_positive_scale(self, v_run):
-        with pytest.raises(WitnessError):
+        with pytest.raises(VassError, match="scale parameter must be >= 1"):
             build_witness(analyze(v_run), 0)
 
     def test_dump_format(self, v_run):
@@ -466,6 +466,12 @@ class TestExponentialCertificate:
         assert totals[0] >= 1 and totals[1] >= 1
         assert check_certificate(doubling, cert) is None
 
+    def test_terminating_exponential_sample_certificate(self):
+        v = parse_vass((SAMPLES / "terminating_exponential.vass").read_text())
+        cert = exponential_certificate(analyze(v))
+        assert (cert.bounded, cert.growing) == (("z",), ("x", "y"))
+        assert check_certificate(v, cert) is None
+
     def test_tampered_certificate_detected(self, doubling):
         result = analyze(doubling)
         cert = exponential_certificate(result)
@@ -477,8 +483,14 @@ class TestExponentialCertificate:
         zero = Path((doubling.transition(2), doubling.transition(3)))
         no_gain = type(cert)((zero,), ("x",), ("y",))
         assert "grow" in check_certificate(doubling, no_gain)
+        partition = "bounded/growing sets do not partition the variables"
         bad_partition = type(cert)(cert.cycles, ("x",), ("x", "y"))
-        assert check_certificate(doubling, bad_partition) is not None
+        assert check_certificate(doubling, bad_partition) == partition
+        missing = type(cert)(cert.cycles, ("x",), ())
+        assert check_certificate(doubling, missing) == partition
+        move = Path((doubling.transition(2),))  # s1 -> s2
+        not_a_cycle = type(cert)((move,), (), ("x", "y"))
+        assert check_certificate(doubling, not_a_cycle) == "certificate member is not a cycle"
 
     def test_zero_loop_certificate_has_empty_growing_set(self):
         v = Vass.from_triples(["x"], [("s1", (0,), "s1"), ("s1", (-1,), "s1")])
@@ -489,7 +501,7 @@ class TestExponentialCertificate:
         assert check_certificate(v, cert) is None
 
     def test_rejects_polynomial_input(self, v_run):
-        with pytest.raises(CertificateError):
+        with pytest.raises(VassError, match="only for exponential status"):
             exponential_certificate(analyze(v_run))
 
     def test_dump_format(self, doubling):

@@ -13,10 +13,11 @@ from itertools import chain
 
 import pytest
 
-from vassbound import PrePath, analyze, build_witness, parse_vass, verify_witness
+from vassbound import (InternalInvariantError, PrePath, VassError, analyze, build_witness, parse_vass,
+                       verify_witness)
 from vassbound.analyzer import POLYNOMIAL
 from vassbound.model import Path
-from vassbound.witness import Leaf, Repeat, WitnessError, _Builder
+from vassbound.witness import Leaf, Repeat, _Builder
 from conftest import DOUBLING_TEXT, V_RUN_TEXT, prepath_steps, random_connected_vass, v_family
 
 
@@ -184,7 +185,7 @@ def test_parts_must_be_adjacent():
     v, leaf = _running_leaves()  # 4 is s2 -> s1, 0 is s1 -> s1, 1 is s2 -> s2
     Repeat(1, [leaf[4], leaf[0]], v.dimension)
     for count in (1, 2):
-        with pytest.raises(WitnessError, match="non-adjacent parts in a path"):
+        with pytest.raises(InternalInvariantError, match="non-adjacent parts in a path"):
             Repeat(count, [leaf[4], leaf[1]], v.dimension)
 
 
@@ -192,7 +193,7 @@ def test_repeated_parts_must_form_a_cycle():
     v, leaf = _running_leaves()  # 4 is s2 -> s1, 5 is s1 -> s2
     for parts in ([leaf[4]], [leaf[4], leaf[0]]):
         Repeat(1, parts, v.dimension)
-        with pytest.raises(WitnessError, match="repeated part of a path is not a cycle"):
+        with pytest.raises(InternalInvariantError, match="repeated part of a path is not a cycle"):
             Repeat(2, parts, v.dimension)
     assert Repeat(3, [leaf[4], leaf[5]], v.dimension).length == 6
 
@@ -261,11 +262,11 @@ def test_million_fold_scale_builds_and_verifies():
 
 def test_len_past_sys_maxsize_names_the_length():
     """`len()` returns at most sys.maxsize.  Past it, a program raises
-    WitnessError naming `.length`, which stays exact."""
+    VassError naming `.length`, which stays exact."""
     witness = build_witness(analyze(parse_vass(V_RUN_TEXT)), 10 ** 6)
     assert witness.path.length == 20_000_260_000_180_000_000 > sys.maxsize
     for program in (witness.path, witness.path.steps):
-        with pytest.raises(WitnessError, match=r"20000260000180000000 steps .*\.length"):
+        with pytest.raises(VassError, match=r"20000260000180000000 steps .*\.length"):
             len(program)
 
 
