@@ -29,7 +29,6 @@ import json
 from dataclasses import dataclass, field
 from functools import cache, cached_property, partial
 from itertools import chain
-from operator import mul
 from typing import Callable, Optional
 
 from . import exactlp
@@ -112,25 +111,18 @@ class LayerTree:
 class ExtendedSystem:
     """The per-iteration constraint data: alive transitions, variable copies
     (one per node in layer `layer - exponent`, the root copy for variables
-    without a bound yet), and two integer matrices whose column j belongs to
-    `transitions[j]`.
+    without a bound yet), and one sparse integer column per transition.
 
-    `d_ext` has one row per copy `var_ext[i] = (x, nid)`: the update of x by
-    each alive transition of node nid, 0 for the other alive transitions.
-    `flow` has one row per state `states[i]`: +1 where a transition enters
-    the state, -1 where it leaves it, 0 elsewhere and for self-loops."""
+    `columns[j]` holds the non-zero `(row, coeff)` entries of
+    `transitions[j]`, in row order.  The d_ext rows i < len(var_ext) are the
+    copies `var_ext[i] = (x, nid)`: the update of x if node nid holds the
+    transition.  The flow rows len(var_ext) + i are the states `states[i]`:
+    +1 where it enters the state, -1 where it leaves it, none for a loop."""
 
     transitions: tuple[Transition, ...]
     var_ext: tuple[tuple[str, int], ...]
-    d_ext: tuple[tuple[int, ...], ...]
-    flow: tuple[tuple[int, ...], ...]
+    columns: tuple[tuple[tuple[int, int], ...], ...]
     states: tuple[str, ...]
-
-    @cached_property
-    def columns(self) -> tuple[tuple[int, ...], ...]:
-        """Column j of d_ext stacked on flow: transitions[j]'s coefficients
-        in the ranking's order, r in var_ext order, then z in state order."""
-        return tuple(zip(*self.d_ext, *self.flow))
 
 
 @dataclass(frozen=True)
@@ -232,23 +224,21 @@ def build_extended_system(v: Vass, tree: LayerTree, layer: int,
                      key=lambda t: t.tid))
 
     targets = {x: 0 if e is None else layer - e for x, e in vexp.items()}
-    copies = {target: [(node.nid, {t.tid for t in node.vass.transitions})
-                       for node in tree.nodes_at(target)] for target in set(targets.values())}
-    var_ext = tuple((x, nid) for x in v.variables for nid, _ in copies[targets[x]])
-    d_ext = tuple(tuple([t.update[i] if t.tid in node_tids else 0 for t in u])
-                  for i, x in enumerate(v.variables) for _, node_tids in copies[targets[x]])
-
-    index = {s: i for i, s in enumerate(v.states)}
-    flow = [[0] * len(u) for _ in v.states]
-    for j, t in enumerate(u):
-        if t.src != t.dst:
-            flow[index[t.dst]][j], flow[index[t.src]][j] = 1, -1
-    return ExtendedSystem(u, var_ext, d_ext, tuple(map(tuple, flow)), v.states)
+    nodes = {target: tree.nodes_at(target) for target in set(targets.values())}
+    copies = tuple((x, node) for x in v.variables for node in nodes[targets[x]])
+    row = {(x, t.tid): i for i, (x, node) in enumerate(copies) for t in node.vass.transitions}
+    nr, index = len(copies), {s: i for i, s in enumerate(v.states)}
+    columns = tuple(tuple([(row[x, t.tid], a) for x, a in zip(v.variables, t.update) if a]
+                          + sorted([(nr + index[t.src], -1), (nr + index[t.dst], 1)]
+                                   if t.src != t.dst else []))
+                    for t in u)
+    return ExtendedSystem(u, tuple((x, node.nid) for x, node in copies), columns, v.states)
 
 
-def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ...]:
+def _solve_multicycle(columns, nr: int, ns: int, ranked_rows: frozenset[int]) -> tuple[int, ...]:
     """Integer counts, by column, of the multi-cycle system of a layer's
-    numbers: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0.
+    columns: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0, where d_ext is their
+    first nr rows (the copies) and flow the ns after them (the states).
 
     Column j is mu(transitions[j]); the rows are the d_ext rows, then the
     flow rows, then the mu(t) >= 0 rows in transition order.
@@ -256,13 +246,15 @@ def _solve_multicycle(d_ext, flow, ranked_rows: frozenset[int]) -> tuple[int, ..
     No phase 2 runs: the strict set is the complement of the ranking's
     strict rows `ranked_rows`, which its row duals prove maximal; this exact
     joint solve attains it, and runs only when counts are read."""
-    m = len(flow[0])
-    rows = [LpRow({j: a for j, a in enumerate(row) if a}, relation, 0)
-            for matrix, relation in ((d_ext, GE), (flow, EQ)) for row in matrix]
+    m, coeffs = len(columns), [{} for _ in range(nr + ns)]
+    for j, column in enumerate(columns):
+        for i, a in column:
+            coeffs[i][j] = a
+    rows = [LpRow(row, GE if i < nr else EQ, 0) for i, row in enumerate(coeffs)]
     first_trans = len(rows)
     rows.extend(LpRow({j: 1}, GE, 0) for j in range(m))
     problem = LpProblem(tuple(f"mu{j}" for j in range(m)), tuple(rows))
-    strict = [i for i in range(len(d_ext)) if m + i not in ranked_rows]
+    strict = [i for i in range(nr) if m + i not in ranked_rows]
     strict += [first_trans + j for j in range(m) if j not in ranked_rows]
     try:
         joint = exactlp.lp_feasible(problem, strict)  # by module, so a tracer's wrapper sees it
@@ -285,22 +277,23 @@ def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple]
     then the r >= 0 rows.  On every layer, reused systems included, phase 2's
     row duals must certify the dichotomy (`_assert_dichotomy`) and the
     quasi-ranking must hold; a violation (a solver bug) or any LP failure
-    raises InternalInvariantError.  `solved` maps the numbers `(d_ext, flow)`
-    of each system solved so far to `max_strict_set`'s result and the joint
-    solve, cached at its first call; a repeated system reuses both, so its
-    records share one joint solve."""
-    key = (sys.d_ext, sys.flow)
+    raises InternalInvariantError.  `solved` maps the numbers of each system
+    solved so far, `(len(var_ext), columns)` as each copy has a sign row, to
+    `max_strict_set`'s result and the joint solve, cached at its first call;
+    a repeated system reuses both, so its records share one joint solve."""
+    nr, ns = len(sys.var_ext), len(sys.states)
+    key = (nr, sys.columns)
     if key not in solved:
         try:
-            solution = max_strict_set(sys.columns, len(sys.var_ext))
-            solved[key] = solution, cache(partial(_solve_multicycle, *key, solution[2]))
+            solution = max_strict_set(sys.columns, nr + ns, nr)
+            solved[key] = solution, cache(partial(_solve_multicycle, sys.columns, nr, ns, solution[2]))
         except LpError as err:
             raise InternalInvariantError(f"LP solver failed: {err}") from err
     (point, _, strict, duals), joint = solved[key]  # the numerators are an integer point
     m = len(sys.transitions)
     ranking = RankingSolution(
         dict(zip(sys.var_ext, point)),
-        dict(zip(sys.states, point[len(sys.var_ext):])),
+        dict(zip(sys.states, point[nr:])),
         frozenset(t.tid for i, t in enumerate(sys.transitions) if i in strict),
         frozenset(ve for i, ve in enumerate(sys.var_ext, m) if i in strict))
     _assert_dichotomy(sys, ranking, duals[:m])
@@ -319,8 +312,12 @@ def _assert_dichotomy(sys: ExtendedSystem, ranking: RankingSolution,
     if len(y) != len(sys.transitions):
         raise InternalInvariantError(
             f"dichotomy violated: {len(y)} duals for {len(sys.transitions)} transition rows")
-    copies = (("variable copy", ve, sum(map(mul, row, y)) > 0, ve in ranking.bounded_vars)
-              for ve, row in zip(sys.var_ext, sys.d_ext))
+    gains = [0] * (len(sys.var_ext) + len(sys.states))  # d_ext y, then flow y
+    for count, column in zip(y, sys.columns):
+        for i, a in column:
+            gains[i] += a * count
+    copies = (("variable copy", ve, gain > 0, ve in ranking.bounded_vars)
+              for ve, gain in zip(sys.var_ext, gains))
     transitions = (("transition", t.tid, count > 0, t.tid in ranking.ranked)
                    for t, count in zip(sys.transitions, y))
     for kind, member, in_mu, in_rz in chain(copies, transitions):
@@ -337,7 +334,7 @@ def check_quasi_ranking(sys: ExtendedSystem, ranking: RankingSolution) -> bool:
         return False
     coeffs = [ranking.r[ve] for ve in sys.var_ext] + [ranking.z[s] for s in sys.states]
     for t, column in zip(sys.transitions, sys.columns):
-        value = sum(map(mul, column, coeffs))
+        value = sum([coeffs[i] * a for i, a in column])
         if value > 0:
             return False
         if (value < 0) != (t.tid in ranking.ranked):
@@ -364,9 +361,9 @@ def analyze(v: Vass, skip_optimization: bool = True) -> AnalysisResult:
     discovery stalled.  Raises NotConnectedError on disconnected input.
 
     Each distinct layer system is solved once per call: an iteration that
-    repeats the numbers `(d_ext, flow)` of an earlier one reuses its LP
-    solutions (see `solve_layer`), so skipping no-op layers or stepping
-    through them makes the same solves.  Nothing is kept between calls."""
+    repeats the numbers `(len(var_ext), columns)` of an earlier one reuses
+    its LP solutions (see `solve_layer`), so skipping no-op layers or
+    stepping through them makes the same solves.  Nothing is kept between calls."""
     pair = unconnected_pair(v)
     if pair is not None:
         raise NotConnectedError(*pair)

@@ -3,10 +3,11 @@
 Problems are solved by the primal simplex method with Bland's anti-cycling
 rule over a fraction-free integer tableau, so results are exact and
 deterministic.  One sparse row format, `Row` (non-zero ints by column),
-runs from `LpRow`, or from `max_strict_set`'s integer columns, to the
-tableau; elimination divides its two multipliers by their gcd first.  `lp_feasible` finds a basic solution with a phase-1
-simplex, reads it out as integer numerators over one denominator and checks
-it once, exactly, against every row; only `LpSolution` builds `Fraction`s.
+runs from `LpRow`, or from each sparse column of `max_strict_set`, to the
+tableau; elimination divides its two multipliers by their gcd first.
+`lp_feasible` finds a basic solution with a phase-1 simplex, reads it out
+as integer numerators over one denominator and checks it once, exactly,
+against every row; only `LpSolution` builds `Fraction`s.
 
 Phase 1 stores no artificial column.  It stops at the first basis where
 the sum w of the artificials is 0, or where no structural reduced cost is
@@ -20,7 +21,7 @@ entry outside its row; `_strict_candidates` flips at once each strictness
 column that no row holds.  Either keeps every order Bland's rule reads.
 
 `max_strict_set` finds the unique maximal set of strict rows of the cone
-c_j . x <= 0, x >= 0, given straight by its integer columns c_j, whose rows
+c_j . x <= 0, x >= 0, given straight by its sparse columns c_j, whose rows
 x_i >= 0 for i < nr are candidates too; on a cone "strict" may mean
 "slack >= 1".  One phase-2 simplex from the all-slack basis at the origin
 maximizes the sum of s_i subject to row_i(x) - s_i >= 0 and 0 <= s_i <= 1,
@@ -277,7 +278,7 @@ def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSo
     return LpSolution(problem.variables, tuple(values), den, strict)
 
 
-def _strict_candidates(columns: Sequence[Sequence[int]], nr: int
+def _strict_candidates(columns: Sequence[Sequence[tuple[int, int]]], nx: int, nr: int
                        ) -> tuple[list[int], list[int], int, list[int]]:
     """The rows i with s_i = 1 at an optimum of
     max sum s_i  s.t.  row_i(x) - s_i >= 0,  0 <= s_i <= 1
@@ -296,8 +297,8 @@ def _strict_candidates(columns: Sequence[Sequence[int]], nr: int
     sign row was its only row) flips at once, off the objective: Bland's
     rule would enter it, find no row and flip it, moving nothing else.
     """
-    nx, k = len(columns[0]), len(columns) + nr
-    le_rows = [{j: a for j, a in enumerate(column) if a} for column in columns]
+    k = len(columns) + nr
+    le_rows = [dict(column) for column in columns]
     le_rows += [{j: -1} for j in range(nr)]
     signs: dict[int, tuple[int, int]] = {}  # a shifted row i -> its x_j and a
     shift: dict[int, int] = {}  # x column j -> the s column of its sign row
@@ -332,39 +333,40 @@ def _strict_candidates(columns: Sequence[Sequence[int]], nr: int
     return [i for i in range(k) if values[nx + i]], values[:nx], den, duals
 
 
-def max_strict_set(columns: Sequence[Sequence[int]], nr: int
+def max_strict_set(columns: Sequence[Sequence[tuple[int, int]]], nx: int, nr: int
                    ) -> tuple[tuple[int, ...], int, frozenset[int], tuple[int, ...]]:
     """A point x = numerators / denominator, in lowest terms, of the cone
-    c_j . x <= 0 for each column c_j, x >= 0, attaining the unique maximal
-    set of strict rows, with that set and row duals y, one integer per row,
-    that prove it maximal.
+    c_j . x <= 0 for each column c_j, x >= 0 over nx variables, attaining
+    the unique maximal set of strict rows, with that set and row duals y,
+    one integer per row, that prove it maximal.
 
     The rows are -c_j . x >= 0 in column order, then x_i >= 0 for i < nr,
     all of them candidates; the analyzer's quasi-ranking system has its
     transitions' coefficients over r, then z, as columns, and an r row per
-    copy.  Raises LpError unless the columns are ints, all of one length,
-    at least nr.  One phase-2 simplex gives the set, its optimum and y (see
-    `_strict_candidates`); no joint solve runs.  Both are checked once,
-    exactly (else LpInternalError): the point by x >= 0 and every row, the
-    strict ones at slack >= 1, y by y >= 0, y^T A <= 0, and y_i > 0 on each
-    row outside the set, which no solution x makes strict:
+    copy.  Each column lists its non-zero (i, c_ji) int pairs in distinct
+    rows i < nx; LpError if not, if nr > nx or if there is no column.  One
+    phase-2 simplex gives the set, its optimum and y (`_strict_candidates`);
+    no joint solve runs.  Both are checked once, exactly, over the non-zeros
+    (else LpInternalError): the point by x >= 0 and every row, the strict
+    ones at slack >= 1, y by y >= 0, y^T A <= 0, and y_i > 0 on each row
+    outside the set, which no solution x makes strict:
     0 <= y^T (A x) = (y^T A) x <= 0.  The rows are homogeneous, so the
     numerators alone are an integer point that keeps every row, and every
     strict slack >= 1."""
-    lengths = {len(column) for column in columns}
-    if len(lengths) != 1 or not 0 <= nr <= min(lengths) or \
-            {type(a) for column in columns for a in column} - {int}:
-        raise LpError("a ranking system needs int columns of one length, at least nr")
-    strict, values, den, duals = _strict_candidates(columns, nr)
+    entries = [(i, a) for column in columns for i, a in dict(column).items()]
+    if not columns or not 0 <= nr <= nx or len(entries) < sum(map(len, columns)) or any(
+            {type(i), type(a)} != {int} or not a or not 0 <= i < nx for i, a in entries):
+        raise LpError("a ranking system needs sparse int columns: non-zero, in distinct rows < nx >= nr")
+    strict, values, den, duals = _strict_candidates(columns, nx, nr)
     g, strict = gcd(den, *values), frozenset(strict)
     values, den = [v // g for v in values], den // g
-    slacks = [-sum([a * v for a, v in zip(column, values)]) for column in columns] + values[:nr]
+    slacks = [-sum([a * values[i] for i, a in column]) for column in columns] + values[:nr]
     if min(values, default=0) < 0 or any(s < den * (i in strict) for i, s in enumerate(slacks)):
         raise LpInternalError("simplex produced a non-solution")
-    by_column = duals[len(columns):] + [0] * (len(values) - nr)  # y^T A
+    by_column = duals[len(columns):] + [0] * (nx - nr)  # y^T A
     for y, column in zip(duals, columns):
-        if y:
-            by_column = [b - y * a for b, a in zip(by_column, column)]
+        for i, a in column:
+            by_column[i] -= y * a
     # y_i >= 0 on every row, and y_i >= 1 on each row outside the set.
     if max(by_column, default=0) > 0 or any(y < (i not in strict) for i, y in enumerate(duals)):
         raise LpInternalError("dichotomy violated: the row duals do not prove the strict set maximal")

@@ -2,8 +2,9 @@
 exponents growing exponentially in the dimension and a random perturbation
 of it, a seeded random VASS generator for property sweeps, a recorder of
 the layer systems an analysis builds, a reader of every record's
-multi-cycle, a runner under a shallow recursion limit, and an adapter that
-solves a general homogeneous `LpProblem` with strict candidates by
+multi-cycle, a runner under a shallow recursion limit, a dense view of a
+layer system's sparse columns, and an adapter that solves a general
+homogeneous `LpProblem` with strict candidates by
 `exactlp.max_strict_set`."""
 
 import inspect
@@ -122,17 +123,31 @@ def random_connected_vass(rng: random.Random, max_vars=3, max_states=4,
             return v
 
 
+def dense(sys) -> tuple[tuple, tuple]:
+    """The layer system `sys` as its two dense matrices `(d_ext, flow)`,
+    one column per transition: `d_ext` with a row per copy in `var_ext`
+    order, `flow` with a row per state, both 0 wherever its column has no
+    entry."""
+    nr = len(sys.var_ext)
+    rows = [[0] * len(sys.columns) for _ in range(nr + len(sys.states))]
+    for j, column in enumerate(sys.columns):
+        for i, a in column:
+            rows[i][j] = a
+    rows = tuple(map(tuple, rows))
+    return rows[:nr], rows[nr:]
+
+
 def record_systems(monkeypatch) -> list:
-    """A list that collects the numbers `(d_ext, flow)` of every layer
-    system `analyze` builds, by wrapping `analyzer.build_extended_system`.
-    Its distinct members are the systems an analysis solves."""
+    """A list that collects the numbers `dense(sys)` of every layer system
+    `analyze` builds, by wrapping `analyzer.build_extended_system`.  Its
+    distinct members are the systems an analysis solves."""
     import vassbound.analyzer as analyzer_mod
 
     keys, build = [], analyzer_mod.build_extended_system
 
     def recorded(*args):
         sys = build(*args)
-        keys.append((sys.d_ext, sys.flow))
+        keys.append(dense(sys))
         return sys
 
     monkeypatch.setattr(analyzer_mod, "build_extended_system", recorded)
@@ -184,27 +199,27 @@ class CertifiedSolution(LpSolution):
     duals: tuple[int, ...] = ()
 
 
-def ranking_columns(problem: LpProblem) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """A homogeneous problem as `exactlp.max_strict_set`'s input: no sign
-    rows (nr = 0) and one column -row per row, an '==' row a . x = 0 as the
-    pair a . x >= 0, -a . x >= 0.  A problem with no row gets one all-zero
-    column, a row that no point makes strict."""
+def ranking_columns(problem: LpProblem) -> tuple[tuple, int, int]:
+    """A homogeneous problem as `exactlp.max_strict_set`'s input `(columns,
+    nx, nr)`: no sign rows (nr = 0) and one sparse column -row per row, an
+    '==' row a . x = 0 as the pair a . x >= 0, -a . x >= 0.  A problem with
+    no row gets one empty column, a row that no point makes strict."""
     assert not any(row.rhs for row in problem.rows)
-    n, columns = len(problem.variables), []
+    columns = []
     for row in problem.rows:
-        columns.append(tuple(-row.coeffs.get(j, 0) for j in range(n)))
+        columns.append(tuple(sorted((j, -a) for j, a in row.coeffs.items())))
         if row.relation == EQ:
-            columns.append(tuple(-a for a in columns[-1]))
-    return tuple(columns) or ((0,) * n,), 0
+            columns.append(tuple((j, -a) for j, a in columns[-1]))
+    return tuple(columns) or ((),), len(problem.variables), 0
 
 
-def ranking_problem(columns, nr: int) -> CandidateProblem:
-    """`exactlp.max_strict_set`'s system as a `CandidateProblem` over v0, v1, ...:
-    the rows -c . x >= 0 per column c, then v_j >= 0 for j < nr, all
-    candidates."""
-    rows = [LpRow.of([-a for a in column], GE) for column in columns]
+def ranking_problem(columns, nx: int, nr: int) -> CandidateProblem:
+    """`exactlp.max_strict_set`'s system as a `CandidateProblem` over
+    v0 .. v(nx-1): the rows -c . x >= 0 per sparse column c, then v_j >= 0
+    for j < nr, all candidates."""
+    rows = [LpRow({j: -a for j, a in column}, GE, 0) for column in columns]
     rows += [LpRow({j: 1}, GE, 0) for j in range(nr)]
-    return CandidateProblem(tuple(f"v{j}" for j in range(len(columns[0]))), tuple(rows),
+    return CandidateProblem(tuple(f"v{j}" for j in range(nx)), tuple(rows),
                             frozenset(range(len(rows))))
 
 

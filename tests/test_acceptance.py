@@ -31,6 +31,7 @@ from vassbound.exactlp import lp_feasible, satisfies
 from vassbound.model import scc_decompose
 from conftest import (
     CertifiedSolution,
+    dense,
     max_strict_set,
     perturbed_family,
     random_connected_vass,
@@ -142,14 +143,15 @@ def _replay_dichotomy(v, result):
         assert sys.var_ext == record.var_ext
         mu = record.mu
         r, z = record.ranking.r, record.ranking.z
-        for row, ve in zip(sys.d_ext, sys.var_ext):
+        d_ext, flow = dense(sys)
+        for row, ve in zip(d_ext, sys.var_ext):
             mu_gain = sum(c * mu[t.tid] for c, t in zip(row, sys.transitions))
             assert (r[ve] > 0) != (mu_gain >= 1), (ve, r[ve], mu_gain)
         for j, t in enumerate(sys.transitions):
             drop = sum(row[j] * r[ve] for row, ve in
-                       zip(sys.d_ext, sys.var_ext))
+                       zip(d_ext, sys.var_ext))
             drop += sum(row[j] * z[s] for row, s in
-                        zip(sys.flow, sys.states))
+                        zip(flow, sys.states))
             assert drop <= 0
             assert (drop < 0) != (mu[t.tid] >= 1), (t.tid, drop, mu[t.tid])
         for x in record.new_variable_bounds:
@@ -267,9 +269,9 @@ def test_perturbed_family_models_agree_and_verify(monkeypatch):
 
     solves, solve = [], analyzer_mod.max_strict_set
 
-    def certified(columns, nr):
-        solution = solve(columns, nr)
-        p = ranking_problem(columns, nr)
+    def certified(columns, nx, nr):
+        solution = solve(columns, nx, nr)
+        p = ranking_problem(columns, nx, nr)
         solution_view = CertifiedSolution(p.variables, *solution)
         test_exactlp.TestDualCertificate.assert_certified(p, solution_view)
         solves.append(nr)

@@ -20,6 +20,7 @@ from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
 from conftest import (
     DOUBLING_TEXT,
     CandidateProblem,
+    dense,
     max_strict_set,
     random_connected_vass,
     ranking_problem,
@@ -70,7 +71,7 @@ def replay_systems(result):
 
 def keyed_rows(result, sys):
     rows = {}
-    for (x, nid), row in zip(sys.var_ext, sys.d_ext):
+    for (x, nid), row in zip(sys.var_ext, dense(sys)[0]):
         rows[(x, result.tree.node(nid).vass.states)] = row
     return rows
 
@@ -82,7 +83,7 @@ class TestExtendedSystems:
         assert sys.var_ext == (("x", 0), ("y", 0), ("z", 0))
         updates = tuple(tuple(t.update[i] for t in v_run.transitions)
                         for i in range(v_run.dimension))
-        assert sys.d_ext == updates
+        assert dense(sys)[0] == updates
 
     def test_second_iteration_matrix(self, v_run):
         result = analyze(v_run)
@@ -364,8 +365,8 @@ class TestInternalTripwires:
         import vassbound.analyzer as analyzer_mod
         from vassbound.analyzer import InternalInvariantError
 
-        def lazy_solver(columns, nr):
-            return (0,) * len(columns[0]), 1, frozenset(), ()
+        def lazy_solver(columns, nx, nr):
+            return (0,) * nx, 1, frozenset(), ()
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", lazy_solver)
         with pytest.raises(InternalInvariantError):
@@ -386,8 +387,8 @@ class TestDichotomyOnDuals:
 
         solve = analyzer_mod.max_strict_set
 
-        def perturbed(columns, nr):
-            *solution, duals = solve(columns, nr)
+        def perturbed(columns, nx, nr):
+            *solution, duals = solve(columns, nx, nr)
             return (*solution, perturb(duals))
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", perturbed)
@@ -464,9 +465,9 @@ def test_ranking_solves_build_no_lp_rows_or_problems(monkeypatch, v_run, doublin
 
     solves, solve = [], analyzer_mod.max_strict_set
 
-    def counted_solve(columns, nr):
+    def counted_solve(columns, nx, nr):
         solves.append(columns)
-        return solve(columns, nr)
+        return solve(columns, nx, nr)
 
     monkeypatch.setattr(LpProblem, "__post_init__", counted_post_init)
     monkeypatch.setattr(LpRow, "__init__", counted_row_init)
@@ -497,9 +498,9 @@ class TestStrictSetCertificate:
 
         phase_two = exactlp_mod._strict_candidates
 
-        def mutated(columns, nr):
-            strict, *point = phase_two(columns, nr)
-            return (mutate(ranking_problem(columns, nr), strict), *point)
+        def mutated(columns, nx, nr):
+            strict, *point = phase_two(columns, nx, nr)
+            return (mutate(ranking_problem(columns, nx, nr), strict), *point)
 
         monkeypatch.setattr(exactlp_mod, "_strict_candidates", mutated)
 
@@ -632,19 +633,44 @@ class TestLpSolveCount:
 
     def test_reuse_needs_equal_flow_too(self, v_run):
         # Equal update rows over another flow pose another system: without
-        # the flow matrix the running example's first layer would also rank
+        # its flow rows the running example's first layer would also rank
         # transition 9, and its solve must not be reused.
         from dataclasses import replace
         from vassbound.analyzer import solve_layer
 
         sys = build_extended_system(v_run, analyze(v_run).tree, 1,
                                     {x: None for x in v_run.variables})
-        loops = replace(sys, flow=tuple((0,) * len(row) for row in sys.flow))
+        nr = len(sys.var_ext)
+        loops = replace(sys, columns=tuple(tuple((i, a) for i, a in column if i < nr)
+                                           for column in sys.columns))
         solved, fresh = {}, solve_layer(loops, {})
         assert solve_layer(sys, solved)[1].ranked == {8, 9}
         assert fresh[1].ranked == {8}
         again = solve_layer(loops, solved)
         assert again[1] == fresh[1] and again[0]() == fresh[0]() and len(solved) == 2
+
+    def test_reuse_needs_equal_copies_too(self, monkeypatch):
+        # Equal columns over one more copy pose another system: the copy
+        # ("y", 0), which no transition updates, still has its sign row, so
+        # it comes out bounded, and the first solve must not be reused.
+        import vassbound.analyzer as analyzer_mod
+        from vassbound.analyzer import ExtendedSystem, solve_layer
+
+        calls, solve = [], analyzer_mod.max_strict_set
+
+        def counted(columns, nx, nr):
+            calls.append(nr)
+            return solve(columns, nx, nr)
+
+        monkeypatch.setattr(analyzer_mod, "max_strict_set", counted)
+        countdown = Vass.from_triples(["x", "y"], [("s", (-1, 0), "s")]).transitions
+        one, two = (ExtendedSystem(countdown, copies, (((0, -1),),), ("s",))
+                    for copies in ((("x", 0),), (("x", 0), ("y", 0))))
+        assert one.columns == two.columns
+        solved = {}
+        assert solve_layer(one, solved)[1].bounded_vars == {("x", 0)}
+        assert solve_layer(two, solved)[1].bounded_vars == {("x", 0), ("y", 0)}
+        assert calls == [1, 2] and len(solved) == 2
 
     def test_comparing_solves_makes_no_joint_solve(self, monkeypatch, v_run):
         # The deferred joint solves compare by identity: `==` must not run
@@ -683,7 +709,7 @@ class TestJointSolveOnRead:
 
     @staticmethod
     def _watch(monkeypatch):
-        """The joint solves, the system `(d_ext, flow)` built at each layer,
+        """The joint solves, the system `dense(sys)` built at each layer,
         and the layers of the records whose `mu` is read."""
         import vassbound.analyzer as analyzer_mod
 
@@ -693,7 +719,7 @@ class TestJointSolveOnRead:
 
         def recorded(v, tree, layer, vexp):
             sys = build(v, tree, layer, vexp)
-            systems[layer] = (sys.d_ext, sys.flow)
+            systems[layer] = dense(sys)
             return sys
 
         monkeypatch.setattr(analyzer_mod, "build_extended_system", recorded)

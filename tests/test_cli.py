@@ -155,7 +155,7 @@ class TestAnalyze:
         import vassbound.analyzer as analyzer_mod
         from vassbound.exactlp import LpInternalError
 
-        def broken_solver(columns, nr):
+        def broken_solver(columns, nx, nr):
             raise LpInternalError("simplex produced a non-solution")
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", broken_solver)

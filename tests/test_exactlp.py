@@ -181,14 +181,20 @@ class TestMaxStrictSet:
         assert sol.strict_set == {0}
 
     @pytest.mark.parametrize("columns, nr", [
-        (((Fraction(1), 0), (0, -1)), 0),  # a Fraction entry
-        (((1, 0), (0, True)), 1),  # a bool entry
-        (((1, 0), (0, -1, 2)), 0),  # ragged columns
-        (((1, 0), (0, -1)), 3),  # sign rows beyond the column length
+        ((((0, Fraction(1)),), ((1, -1),)), 0),  # a Fraction entry
+        ((((0, 1),), ((1, True),)), 1),  # a bool entry
+        ((((0, 1),), ((0, 0), (1, -1))), 0),  # a stored zero
+        ((((0, 1),), ((1, -1),)), 3),  # sign rows beyond nx
+        ((((0, 1),), ((-1, -1),)), 0),  # a row index below 0
+        ((((0, 1),), ((2, -1),)), 0),  # a row index at nx
+        ((((0, 1),), ((3, -1),)), 0),  # a row index above nx
+        ((((0, 1), (0, 1)), ((1, -1),)), 0),  # a row stored twice
+        ((), 0),  # no columns
     ])
     def test_rejects_malformed_columns(self, columns, nr):
-        with pytest.raises(LpError, match="int columns of one length"):
-            exactlp.max_strict_set(columns, nr)
+        # Each column lists (row, coefficient) pairs over nx = 2 rows.
+        with pytest.raises(LpError, match="sparse int columns"):
+            exactlp.max_strict_set(columns, 2, nr)
 
     @pytest.mark.parametrize("names, rows, candidates", [
         # An all-zero candidate row can never be strict.
@@ -430,8 +436,8 @@ def break_phase_one(monkeypatch, fault):
 def break_phase_two(monkeypatch, fault):
     phase_two = exactlp._strict_candidates
 
-    def faulty(columns, nr):
-        strict, values, den, duals = phase_two(columns, nr)
+    def faulty(columns, nx, nr):
+        strict, values, den, duals = phase_two(columns, nx, nr)
         return strict, fault(values), den, duals
 
     monkeypatch.setattr(exactlp, "_strict_candidates", faulty)
@@ -490,9 +496,9 @@ def analysis_lps(monkeypatch, models):
 
     solves, solve = [], analyzer_mod.max_strict_set
 
-    def recorded(columns, nr):
-        solution = solve(columns, nr)
-        p = ranking_problem(columns, nr)
+    def recorded(columns, nx, nr):
+        solution = solve(columns, nx, nr)
+        p = ranking_problem(columns, nx, nr)
         solves.append((p, CertifiedSolution(p.variables, *solution)))
         return solution
 
@@ -516,9 +522,9 @@ def mutate_duals(monkeypatch, mutate) -> list[bool]:
     per solve, whether they changed."""
     phase_two, changed = exactlp._strict_candidates, []
 
-    def mutated(columns, nr):
-        strict, values, den, duals = phase_two(columns, nr)
-        broken = mutate(ranking_problem(columns, nr), strict, list(duals))
+    def mutated(columns, nx, nr):
+        strict, values, den, duals = phase_two(columns, nx, nr)
+        broken = mutate(ranking_problem(columns, nx, nr), strict, list(duals))
         changed.append(broken != duals)
         return strict, values, den, broken
 

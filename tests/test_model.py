@@ -24,7 +24,7 @@ from vassbound import (
     unconnected_pair,
     validate_connected,
 )
-from conftest import V_RUN_TEXT, random_connected_vass, without_deep_recursion
+from conftest import V_RUN_TEXT, dense, random_connected_vass, without_deep_recursion
 
 # Update and flow matrices of the running example's first iteration, rows
 # x/y/z resp. s1..s4, columns in file order.
@@ -226,22 +226,22 @@ class TestMatrices:
         sys = first_system(v_run)
         assert sys.var_ext == (("x", 0), ("y", 0), ("z", 0))
         assert tuple(t.tid for t in sys.transitions) == tuple(range(10))
-        assert sys.d_ext == EXPECTED_D
+        assert dense(sys)[0] == EXPECTED_D
 
     def test_flow_matrix_running_example(self, v_run):
         sys = first_system(v_run)
         assert sys.states == ("s1", "s2", "s3", "s4")
-        assert sys.flow == EXPECTED_F
+        assert dense(sys)[1] == EXPECTED_F
 
     def test_self_loop_column_is_zero(self, v_run):
         sys = first_system(v_run)
-        assert column(sys.flow, 0) == (0, 0, 0, 0)
+        assert column(dense(sys)[1], 0) == (0, 0, 0, 0)
 
     def test_chain_columns(self):
         v = Vass.from_triples(["x"], [("s1", (1,), "s2"), ("s2", (1,), "s3")])
         sys = first_system(v)
         for tid in (0, 1):
-            col = column(sys.flow, tid)
+            col = column(dense(sys)[1], tid)
             assert sorted(col) == [-1, 0, 1]
 
     def test_update_columns_match_declared_updates(self):
@@ -250,16 +250,18 @@ class TestMatrices:
             v = random_connected_vass(rng, max_vars=2)
             sys = first_system(v)
             assert sys.transitions == v.transitions
+            d_ext, _ = dense(sys)
             for j, t in enumerate(sys.transitions):
-                assert column(sys.d_ext, j) == t.update
+                assert column(d_ext, j) == t.update
 
     def test_flow_column_property_on_randoms(self):
         rng = random.Random(7)
         for _ in range(25):
             v = random_connected_vass(rng)
             for sys in replayed_systems(v):
+                _, flow = dense(sys)
                 for j, t in enumerate(sys.transitions):
-                    col = column(sys.flow, j)
+                    col = column(flow, j)
                     if t.src == t.dst:
                         assert all(c == 0 for c in col)
                     else:

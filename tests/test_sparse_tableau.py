@@ -269,10 +269,10 @@ class DenseMirror:
                 self.solutions += 1
             return solution
 
-        def strict_candidates(columns, nr):
+        def strict_candidates(columns, nx, nr):
             self.last_bounded = None
-            strict, *point = sparse_strict(columns, nr)
-            lp = ranking_problem(columns, nr)
+            strict, *point = sparse_strict(columns, nx, nr)
+            lp = ranking_problem(columns, nx, nr)
             assert strict == _old_strict_candidates(lp)
             if self.last_bounded is not None:  # of its own phase-2 solve
                 rows, bounded = self.last_bounded
@@ -467,10 +467,10 @@ def test_phase_two_work_on_the_family(monkeypatch):
             work["nonzeros"] += len(row) + len(pivot)
         return eliminate(row, pivot, entering)
 
-    def counted_strict_candidates(columns, nr):
+    def counted_strict_candidates(columns, nx, nr):
         solving.append(1)
         try:
-            return strict_candidates(columns, nr)
+            return strict_candidates(columns, nx, nr)
         finally:
             solving.pop()
 
