@@ -353,7 +353,10 @@ def max_strict_set(columns: Sequence[Sequence[tuple[int, int]]], nx: int, nr: in
     0 <= y^T (A x) = (y^T A) x <= 0.  The rows are homogeneous, so the
     numerators alone are an integer point that keeps every row, and every
     strict slack >= 1."""
-    entries = [(i, a) for column in columns for i, a in dict(column).items()]
+    try:
+        entries = [(i, a) for column in columns for i, a in dict(column).items()]
+    except (TypeError, ValueError):  # an entry that is no pair fails the count check
+        entries = []
     if not columns or not 0 <= nr <= nx or len(entries) < sum(map(len, columns)) or any(
             {type(i), type(a)} != {int} or not a or not 0 <= i < nx for i, a in entries):
         raise LpError("a ranking system needs sparse int columns: non-zero, in distinct rows < nx >= nr")

@@ -7,10 +7,9 @@ allowed if every counter stays non-negative.
 
 This module provides the immutable model types, the line-based text format,
 strongly-connected-component decomposition, and path execution semantics.
-It also holds the package's shared state-graph helpers: `_out_edges`
-indexes each state's outgoing transitions, which the oracle's search also
-walks, and `_bfs_tree` searches breadth-first from one state for the
-witness's covering cycle.  All types are immutable after construction and
+It also holds the package's shared state-graph index `_out_edges`, each
+state's outgoing transitions, which the oracle's search and the witness's
+covering cycle walk.  All types are immutable after construction and
 every operation here is a pure function.
 """
 
@@ -314,25 +313,6 @@ def _out_edges(v: Vass) -> dict[str, list[Transition]]:
     for t in v.transitions:
         out[t.src].append(t)
     return out
-
-
-def _bfs_tree(out_edges: Mapping[str, list[Transition]],
-              src: str) -> tuple[dict[str, int], dict[str, Transition]]:
-    """BFS distances from src, and the transition that first reached each
-    other state; each state's out-edges are explored in list order."""
-    dist = {src: 0}
-    parent: dict[str, Transition] = {}
-    frontier = [src]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for t in out_edges[s]:
-                if t.dst not in dist:
-                    dist[t.dst] = dist[s] + 1
-                    parent[t.dst] = t
-                    nxt.append(t.dst)
-        frontier = nxt
-    return dist, parent
 
 
 def unconnected_pair(v: Vass) -> Optional[tuple[str, str]]:

@@ -47,7 +47,6 @@ from .model import (
     Valuation,
     Vass,
     VassError,
-    _bfs_tree,
     _out_edges,
     execute_path,
     min_initial_valuation,
@@ -280,37 +279,54 @@ def _tree_path(parent: Mapping[str, Transition], src: str, dst: str) -> list[Tra
     return steps[::-1]
 
 
+def _levels(out_edges: Mapping[str, list[Transition]], src: str,
+            parent: dict[str, Transition]) -> Iterator[list[str]]:
+    """BFS levels from src, nearest first, out-edges in list order; each
+    state's first-reaching transition goes into `parent`, empty at the call,
+    before its level is yielded, and each level is expanded lazily."""
+    level = [src]
+    while level:
+        yield level
+        nxt = []
+        for s in level:
+            for t in out_edges[s]:
+                if t.dst != src and t.dst not in parent:
+                    parent[t.dst] = t
+                    nxt.append(t.dst)
+        level = nxt
+
+
 def covering_cycle(v: Vass) -> Path:
     """A cycle through every transition of a connected VASS at least once.
 
     Greedy: from the lexicographically least state, repeatedly walk a
     shortest connecting path to the source of the not-yet-used transition
     nearest by BFS distance (ties by id), take it, and finally close back
-    to the start.  One BFS from the current state serves each step."""
+    to the start.  Each step's BFS stops at the first level with an unused
+    out-edge, the closing one at the level holding the start."""
     if not v.transitions:
         anchor = v.states[0] if v.states else None
         return Path((), anchor)
     start = v.states[0]
     out_edges = _out_edges(v)
-    unused = {t.tid: t for t in v.transitions}
+    unused = {t.tid for t in v.transitions}
     steps: list[Transition] = []
     current = start
-    while True:
-        dist, parent = _bfs_tree(out_edges, current)
-        if not unused:
-            break
-        reachable = [t for t in unused.values() if t.src in dist]
-        if not reachable:
+    while unused:
+        parent: dict[str, Transition] = {}
+        for level in _levels(out_edges, current, parent):
+            t = min((t for s in level for t in out_edges[s] if t.tid in unused),
+                    key=lambda t: t.tid, default=None)
+            if t is not None:
+                break
+        else:
             raise VassError("VASS is not connected; no covering cycle exists")
-        t = min(reachable, key=lambda t: (dist[t.src], t.tid))
-        hop = _tree_path(parent, current, t.src)
+        hop = _tree_path(parent, current, t.src) + [t]
         steps.extend(hop)
-        steps.append(t)
-        for h in hop:
-            unused.pop(h.tid, None)
-        unused.pop(t.tid, None)
+        unused.difference_update(h.tid for h in hop)
         current = t.dst
-    if start not in dist:
+    parent = {}
+    if not any(start in level for level in _levels(out_edges, current, parent)):
         raise VassError("VASS is not connected; no covering cycle exists")
     steps.extend(_tree_path(parent, current, start))
     return Path(tuple(steps), anchor=start)

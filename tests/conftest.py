@@ -71,6 +71,15 @@ def v_family(nu: int) -> Vass:
     return Vass.from_triples(variables, triples)
 
 
+def long_ring(states: int) -> Vass:
+    """States q0 .. q(S-1) in one cycle whose steps drain x and y in turn,
+    and a `1 -1` self-loop on every 7th state."""
+    steps = [(f"q{i}", (-1, 0) if i % 2 == 0 else (0, -1), f"q{(i + 1) % states}")
+             for i in range(states)]
+    loops = [(f"q{i}", (1, -1), f"q{i}") for i in range(0, states, 7)]
+    return Vass.from_triples(["x", "y"], steps + loops)
+
+
 def perturbed_family(rng: random.Random) -> Vass:
     """v_family(nu), nu in 1..3, plus 1-4 random transitions between random
     states, duplicate triples dropped.  Each update entry is -1 with

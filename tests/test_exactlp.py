@@ -190,6 +190,9 @@ class TestMaxStrictSet:
         ((((0, 1),), ((3, -1),)), 0),  # a row index above nx
         ((((0, 1), (0, 1)), ((1, -1),)), 0),  # a row stored twice
         ((), 0),  # no columns
+        ([((0, 1, 2),)], 1),  # an entry of three
+        ([((0,),)], 1),  # an entry of one
+        ([(5,)], 1),  # a bare int entry
     ])
     def test_rejects_malformed_columns(self, columns, nr):
         # Each column lists (row, coefficient) pairs over nx = 2 rows.

@@ -29,7 +29,9 @@ from vassbound import (
 )
 from vassbound.witness import Repeat, WitnessPath, _Builder, _euler_cycle
 from vassbound.model import VassError
-from conftest import prepath_steps, random_connected_vass, v_family, without_deep_recursion
+from conftest import (
+    long_ring, perturbed_family, prepath_steps, random_connected_vass, v_family, without_deep_recursion,
+)
 
 SAMPLES = FilePath(__file__).resolve().parent.parent / "samples"
 
@@ -166,6 +168,11 @@ def _covering_models():
     models += [parse_vass((SAMPLES / f"{name}.vass").read_text(encoding="utf-8"))
                for name in ("running", "doubling")]
     models += [v_family(k) for k in range(1, 5)]
+    # Rings make long hops; perturbed families put several unused sources
+    # in one BFS level.
+    models += [long_ring(states) for states in (20, 40, 60)]
+    rng = random.Random(7)
+    models += [perturbed_family(rng) for _ in range(100)]
     # Not strongly connected: s2 cannot get back to s1.
     models.append(Vass.from_triples(["x"], [("s1", (1,), "s2"), ("s2", (0,), "s2")]))
     return models
