@@ -32,7 +32,7 @@ from itertools import chain
 from typing import Callable, Optional
 
 from . import exactlp
-from .exactlp import GE, EQ, LpError, LpProblem, LpRow, max_strict_set, scale_to_integer
+from .exactlp import GE, EQ, LpError, max_strict_set, scale_to_integer  # scale_to_integer: a trace point
 from .model import NotConnectedError, Transition, Vass, VassError, scc_decompose, unconnected_pair
 
 POLYNOMIAL = "polynomial"
@@ -239,31 +239,25 @@ def _solve_multicycle(columns, nr: int, ns: int, ranked_rows: frozenset[int]) ->
     """Integer counts, by column, of the multi-cycle system of a layer's
     columns: d_ext @ mu >= 0, mu >= 0, flow @ mu = 0, where d_ext is their
     first nr rows (the copies) and flow the ns after them (the states).
-
-    Column j is mu(transitions[j]); the rows are the d_ext rows, then the
-    flow rows, then the mu(t) >= 0 rows in transition order.
-
-    No phase 2 runs: the strict set is the complement of the ranking's
-    strict rows `ranked_rows`, which its row duals prove maximal; this exact
-    joint solve attains it, and runs only when counts are read."""
-    m, coeffs = len(columns), [{} for _ in range(nr + ns)]
+    Column j is mu(transitions[j]); the plain rows of `exactlp._feasible`
+    are the d_ext rows, the flow rows, then mu(t) >= 0 per transition.  No
+    phase 2 runs: the strict set, rhs 1, is the complement of the ranking's
+    strict rows `ranked_rows`, proved maximal by its row duals; this joint
+    solve attains it, and runs only when counts are read."""
+    m = len(columns)
+    rows = [({}, GE, int(m + i not in ranked_rows)) if i < nr else ({}, EQ, 0) for i in range(nr + ns)]
     for j, column in enumerate(columns):
         for i, a in column:
-            coeffs[i][j] = a
-    rows = [LpRow(row, GE if i < nr else EQ, 0) for i, row in enumerate(coeffs)]
-    first_trans = len(rows)
-    rows.extend(LpRow({j: 1}, GE, 0) for j in range(m))
-    problem = LpProblem(tuple(f"mu{j}" for j in range(m)), tuple(rows))
-    strict = [i for i in range(nr) if m + i not in ranked_rows]
-    strict += [first_trans + j for j in range(m) if j not in ranked_rows]
+            rows[i][0][j] = a
+    rows += [({j: 1}, GE, int(j not in ranked_rows)) for j in range(m)]
     try:
-        joint = exactlp.lp_feasible(problem, strict)  # by module, so a tracer's wrapper sees it
+        joint = exactlp._feasible(rows, m)  # by module, so a test's wrapper sees it
     except LpError as err:
         raise InternalInvariantError(f"LP solver failed: {err}") from err
     if joint is None:
         raise InternalInvariantError("dichotomy violated: the complement of the "
                                      "ranking's strict set is not attained")
-    return scale_to_integer(problem, joint).numerators
+    return tuple(joint[0])  # rows with right-hand side 0 or 1 hold at the numerators too
 
 
 def solve_layer(sys: ExtendedSystem, solved: dict[tuple, tuple]

@@ -3,11 +3,11 @@
 Problems are solved by the primal simplex method with Bland's anti-cycling
 rule over a fraction-free integer tableau, so results are exact and
 deterministic.  One sparse row format, `Row` (non-zero ints by column),
-runs from `LpRow`, or from each sparse column of `max_strict_set`, to the
-tableau; elimination divides its two multipliers by their gcd first.
-`lp_feasible` finds a basic solution with a phase-1 simplex, reads it out
-as integer numerators over one denominator and checks it once, exactly,
-against every row; only `LpSolution` builds `Fraction`s.
+runs from the plain `(coeffs, relation, rhs)` rows of `_feasible`, the one
+phase-1 front end, or the columns of `max_strict_set` to the tableau, where
+elimination divides its two multipliers by their gcd first.  `_feasible`
+reads a basic point out as integer numerators over one denominator and
+checks it once, exactly; `lp_feasible` adapts it to `LpProblem`.
 
 Phase 1 stores no artificial column.  It stops at the first basis where
 the sum w of the artificials is 0, or where no structural reduced cost is
@@ -16,7 +16,7 @@ x* >= 0 would give w = y^T b = y^T A x* <= 0 (weak duality).  Bland's rule
 enters structural columns before artificial ones, so each pivot up to there
 is the textbook loop's, which pivots on from w = 0 at step 0 only (a step t
 on reduced cost d < 0 changes w >= 0 by t d) and so ends at the same point.
-`lp_feasible` decides a row with no variable alone, as its surplus has no
+`_feasible` decides a row with no variable alone, as its surplus has no
 entry outside its row; `_strict_candidates` flips at once each strictness
 column that no row holds.  Either keeps every order Bland's rule reads.
 
@@ -29,7 +29,7 @@ the bounds kept by Dantzig's upper bounding (see `_strict_candidates`); on
 a cone s_i = 1 at the optimum exactly on that set.  Its x, read out and
 checked once, attains the set; its row duals, checked once, prove it
 maximal (weak duality).  The joint solve, run only where counts are read,
-is `lp_feasible` with a set so proved as its strict set.
+is `_feasible` with a set so proved as its strict set, at rhs 1.
 """
 
 from __future__ import annotations
@@ -86,15 +86,7 @@ class LpProblem:
     __hash__ = None  # compared by value; holds dicts, so never hashed
 
     def __post_init__(self):
-        keyed = [row.coeffs for row in self.rows if row.coeffs]
-        if keyed and (min(map(min, keyed)) < 0 or max(map(max, keyed)) >= len(self.variables)):
-            raise LpError("row arity does not match variables")
-        values = [a for coeffs in keyed for a in coeffs.values()]
-        if {*map(type, values), *[type(row.rhs) for row in self.rows]} - {int} or 0 in values:
-            raise LpError("LP rows need integer right-hand sides and non-zero integer coefficients")
-        for row in self.rows:
-            if row.relation not in (GE, EQ):
-                raise LpError(f"bad relation {row.relation!r}")
+        _check_rows([(row.coeffs, row.relation, row.rhs) for row in self.rows], len(self.variables))
 
 
 @dataclass(frozen=True)
@@ -119,17 +111,35 @@ class LpSolution:
         return tuple(assignment[x] for x in variables)
 
 
-def satisfies(problem: LpProblem, values: Sequence, denominator: int = 1,
-              strict: frozenset[int] = frozenset()) -> bool:
-    """Exact check of every row at `values / denominator` (no tolerances),
-    the rows in `strict` at slack >= 1; `values` may be rationals, or
-    integer numerators over `denominator`."""
-    for i, row in enumerate(problem.rows):
-        lhs = sum([a * values[j] for j, a in row.coeffs.items()])
-        rhs = (row.rhs + (i in strict)) * denominator
-        if not (lhs >= rhs if row.relation == GE else lhs == rhs):
+def _check_rows(rows: Sequence[tuple[Row, str, int]], n: int) -> None:
+    """LpError unless each row has non-zero int coeffs in columns < n, an int rhs, and GE or EQ."""
+    columns = set().union(*[coeffs for coeffs, _, _ in rows])
+    if columns and (min(columns) < 0 or max(columns) >= n):
+        raise LpError("row arity does not match variables")
+    values = [a for coeffs, _, _ in rows for a in coeffs.values()]
+    if {*map(type, values), *[type(rhs) for _, _, rhs in rows]} - {int} or 0 in values:
+        raise LpError("LP rows need integer right-hand sides and non-zero integer coefficients")
+    for _, relation, _ in rows:
+        if relation not in (GE, EQ):
+            raise LpError(f"bad relation {relation!r}")
+
+
+def _holds(rows: Sequence[tuple[Row, str, int]], values: Sequence, denominator: int) -> bool:
+    """Exact check, no tolerances, of every row (coeffs, relation, rhs) at `values / denominator`."""
+    for coeffs, relation, rhs in rows:
+        lhs, rhs = 0, rhs * denominator
+        for j, a in coeffs.items():  # plain loops: no comprehension frame per row
+            lhs += a * values[j]
+        if lhs < rhs or relation == EQ and lhs != rhs:
             return False
     return True
+
+
+def satisfies(problem: LpProblem, values: Sequence, denominator: int = 1,
+              strict: frozenset[int] = frozenset()) -> bool:
+    """`_holds` on `problem`'s rows, those in `strict` at slack >= 1; `values` may be rationals."""
+    return _holds([(row.coeffs, row.relation, row.rhs + (i in strict))
+                   for i, row in enumerate(problem.rows)], values, denominator)
 
 
 def _reduce_row(row: Row) -> Row:
@@ -252,30 +262,36 @@ def _phase_one(rows: list[tuple[Row, int]], n: int) -> Optional[tuple[list[int],
     return None if n + m in obj else _basic_point(tableau, basis, n, n + m)
 
 
-def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSolution]:
-    """Some exact rational solution, with strict set `strict`, of the problem
-    whose row i has right-hand side rhs + (i in strict), over the least common
-    denominator of its values, or None if infeasible.  It is checked once,
-    exactly: every value >= 0 and every row satisfied, `strict` at slack >= 1."""
-    n, strict = len(problem.variables), frozenset(strict)
-    if any(not 0 <= i < len(problem.rows) for i in strict):
-        raise LpError(f"a strict index of {sorted(strict)} names no row")
-    rows = [(dict(row.coeffs), row.relation, row.rhs + (i in strict))
-            for i, row in enumerate(problem.rows)]
-    if any(not x_part and (rhs > 0 or (rhs and relation == EQ)) for x_part, relation, rhs in rows):
-        return None  # a row with no variable fails 0 >= rhs or 0 == rhs
-    # One surplus column (-1 in its own row) per '>=' row with a variable.
-    surplus = [x_part for x_part, relation, _ in rows if x_part and relation == GE]
-    for column, x_part in enumerate(surplus, n):
-        x_part[column] = -1
-    raw = _phase_one([(x_part, rhs) for x_part, _, rhs in rows if x_part], n + len(surplus))
+def _feasible(rows: Sequence[tuple[Row, str, int]], n: int) -> Optional[tuple[list[int], int]]:
+    """Some x >= 0 over `n` columns with coeffs . x  relation  rhs on each row
+    (LpError if one is malformed), as numerators over their lcm denominator,
+    or None; checked once, exactly, on the rows as given (else LpInternalError)."""
+    _check_rows(rows, n)
+    tableau, k = [], n  # one surplus column k (-1 in its own row) per '>=' row with a variable
+    for coeffs, relation, rhs in rows:
+        if coeffs:
+            tableau.append(({**coeffs, k: -1} if relation == GE else dict(coeffs), rhs))
+            k += relation == GE
+        elif rhs > 0 or rhs and relation == EQ:
+            return None  # a row with no variable fails 0 >= rhs or 0 == rhs
+    raw = _phase_one(tableau, k)
     if raw is None:
         return None
     g = gcd(raw[1], *raw[0][:n])  # the surplus columns dropped
     values, den = [v // g for v in raw[0][:n]], raw[1] // g
-    if min(values, default=0) < 0 or not satisfies(problem, values, den, strict):
+    if min(values, default=0) < 0 or not _holds(rows, values, den):
         raise LpInternalError("simplex produced a non-solution")
-    return LpSolution(problem.variables, tuple(values), den, strict)
+    return values, den
+
+
+def lp_feasible(problem: LpProblem, strict: Sequence[int] = ()) -> Optional[LpSolution]:
+    """`_feasible` on `problem`, row i at rhs + (i in strict), with strict set `strict`; or None."""
+    strict = frozenset(strict)
+    if any(not 0 <= i < len(problem.rows) for i in strict):
+        raise LpError(f"a strict index of {sorted(strict)} names no row")
+    point = _feasible([(row.coeffs, row.relation, row.rhs + (i in strict))
+                       for i, row in enumerate(problem.rows)], len(problem.variables))
+    return None if point is None else LpSolution(problem.variables, tuple(point[0]), point[1], strict)
 
 
 def _strict_candidates(columns: Sequence[Sequence[tuple[int, int]]], nx: int, nr: int

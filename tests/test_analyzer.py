@@ -22,6 +22,7 @@ from conftest import (
     CandidateProblem,
     dense,
     max_strict_set,
+    perturbed_family,
     random_connected_vass,
     ranking_problem,
     read_every_mu,
@@ -443,25 +444,25 @@ def test_multicycle_records_are_built_only_when_read(monkeypatch, v_run, doublin
     assert iterations == [3, 1, 2, 4, 7, 11, 16]
 
 
-def test_ranking_solves_build_no_lp_rows_or_problems(monkeypatch, v_run, doubling):
+def test_ranking_solves_build_no_lp_rows_or_problems(monkeypatch, capsys, v_run, doubling):
     """`analyze` hands each layer's ranking system to `max_strict_set` as
-    its integer columns: on both samples and `v_family(1..5)` it builds no
-    `LpProblem` and no `LpRow`, and solves each distinct system once, 3 nu - 2
-    of them on `v_family(nu)` for nu >= 2.  Only reading a record's `mu`,
-    the joint solve, builds them: one problem per distinct system."""
+    its integer columns, and the joint solve hands the multi-cycle's rows to
+    `exactlp._feasible` as plain triples: on both samples and
+    `v_family(1..5)` no `LpRow`, `LpProblem` or `LpSolution` is built at
+    all, by the analysis, by reading every record's `mu` or by the
+    exponential text report, and each distinct system is solved once,
+    3 nu - 2 of them on `v_family(nu)` for nu >= 2."""
     import vassbound.analyzer as analyzer_mod
-    from vassbound.exactlp import LpProblem, LpRow
+    from vassbound.cli import main
+    from vassbound.exactlp import LpProblem, LpRow, LpSolution
 
-    built = {"LpProblem": 0, "LpRow": 0}
-    post_init, row_init = LpProblem.__post_init__, LpRow.__init__
+    built = {"LpProblem": 0, "LpRow": 0, "LpSolution": 0}
+    for cls in (LpProblem, LpRow, LpSolution):
+        def counted_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+            built[_cls.__name__] += 1
+            _init(self, *args, **kwargs)
 
-    def counted_post_init(self):
-        built["LpProblem"] += 1
-        post_init(self)
-
-    def counted_row_init(self, *args):
-        built["LpRow"] += 1
-        row_init(self, *args)
+        monkeypatch.setattr(cls, "__init__", counted_init)
 
     solves, solve = [], analyzer_mod.max_strict_set
 
@@ -469,19 +470,23 @@ def test_ranking_solves_build_no_lp_rows_or_problems(monkeypatch, v_run, doublin
         solves.append(columns)
         return solve(columns, nx, nr)
 
-    monkeypatch.setattr(LpProblem, "__post_init__", counted_post_init)
-    monkeypatch.setattr(LpRow, "__init__", counted_row_init)
     monkeypatch.setattr(analyzer_mod, "max_strict_set", counted_solve)
+    nothing = {"LpProblem": 0, "LpRow": 0, "LpSolution": 0}
     counts = []
     for v in (v_run, doubling, *map(v_family, range(1, 6))):
         solves.clear()
         result = analyze(v)
-        assert built == {"LpProblem": 0, "LpRow": 0}
-        read_every_mu(result)
-        assert built["LpProblem"] == len(solves) and built["LpRow"] > 0
+        assert built == nothing
+        assert len(read_every_mu(result)) == result.iterations
+        assert built == nothing
         counts.append(len(solves))
-        built.update(LpProblem=0, LpRow=0)
     assert counts == [3, 1, 2, *(3 * nu - 2 for nu in range(2, 6))]
+    assert main(["analyze", str(SAMPLES / "doubling.vass")]) == 0
+    assert "exponential" in capsys.readouterr().out
+    assert built == nothing
+    # The counters work: building one row and one problem counts both.
+    LpProblem(("x",), (LpRow({0: 1}, ">=", 0),))
+    assert built == {"LpProblem": 1, "LpRow": 1, "LpSolution": 0}
 
 
 class TestStrictSetCertificate:
@@ -539,19 +544,24 @@ class TestStrictSetCertificate:
         # its candidates: phase 2 must find the joint solve's strict set.
         from vassbound import exactlp
 
-        derive = exactlp.lp_feasible
+        derive = exactlp._feasible
         calls = []
 
-        def checked(problem, strict):
-            solution = derive(problem, strict)
-            candidates = frozenset(i for i, row in enumerate(problem.rows)
-                                   if row.relation == exactlp.GE)
-            joint = CandidateProblem(problem.variables, problem.rows, candidates)
-            assert max_strict_set(joint).strict_set == solution.strict_set
-            calls.append(problem)
+        def checked(rows, n):
+            solution = derive(rows, n)
+            # The strict rows carry right-hand side 1, every other row 0.
+            strict = frozenset(i for i, (_, _, rhs) in enumerate(rows) if rhs)
+            assert {rhs for _, _, rhs in rows} <= {0, 1}
+            candidates = frozenset(i for i, (_, relation, _) in enumerate(rows)
+                                   if relation == exactlp.GE)
+            joint = CandidateProblem(tuple(f"mu{j}" for j in range(n)),
+                                     tuple(exactlp.LpRow(coeffs, relation, 0)
+                                           for coeffs, relation, _ in rows), candidates)
+            assert max_strict_set(joint).strict_set == strict
+            calls.append(rows)
             return solution
 
-        monkeypatch.setattr(exactlp, "lp_feasible", checked)
+        monkeypatch.setattr(exactlp, "_feasible", checked)
         keys, systems = record_systems(monkeypatch), 0
         models = [*acceptance_models(),
                   *(parse_vass((SAMPLES / name).read_text())
@@ -566,19 +576,19 @@ class TestStrictSetCertificate:
         """A joint solve that finds no point attaining the complement of the
         ranking's strict set breaks the dichotomy.  `analyze` still succeeds,
         as no count is read; the first read of `mu` raises, and the witness
-        command exits 3.  The patched `lp_feasible` must be the one called:
-        the joint solve looks it up on its module, where a tracer wraps it."""
+        command exits 3.  The patched `_feasible` must be the one called:
+        the joint solve looks it up on its module, where a test wraps it."""
         from vassbound import exactlp
         from vassbound.analyzer import InternalInvariantError
         from vassbound.cli import main
 
         calls = []
 
-        def unattained(problem, strict=()):
-            calls.append(strict)
+        def unattained(rows, n):
+            calls.append(rows)
             return None
 
-        monkeypatch.setattr(exactlp, "lp_feasible", unattained)
+        monkeypatch.setattr(exactlp, "_feasible", unattained)
         sample = SAMPLES / "running.vass"
         result = analyze(parse_vass(sample.read_text()))
         assert calls == []
@@ -596,21 +606,22 @@ class TestLpSolveCount:
     """Each distinct layer system costs one joint solve, the multi-cycle's,
     once its counts are read (`read_every_mu`): the ranking's maximal strict
     set, its point and its duals come from the phase-2 simplex, not from
-    lp_feasible, and an iteration that repeats the numbers of an earlier
-    one reuses its solve."""
+    a phase-1 solve, and an iteration that repeats the numbers of an earlier
+    one reuses its solve.  The joint solves are counted at
+    `exactlp._feasible`, the phase-1 front end that the analyzer calls."""
 
     @staticmethod
     def _count_solves(monkeypatch):
         import vassbound.exactlp as exactlp_mod
 
         calls = []
-        solve = exactlp_mod.lp_feasible
+        solve = exactlp_mod._feasible
 
-        def counting(problem, strict=()):
-            calls.append(problem)
-            return solve(problem, strict)
+        def counting(rows, n):
+            calls.append(rows)
+            return solve(rows, n)
 
-        monkeypatch.setattr(exactlp_mod, "lp_feasible", counting)
+        monkeypatch.setattr(exactlp_mod, "_feasible", counting)
         return calls
 
     def test_family_four(self, monkeypatch):
@@ -699,6 +710,54 @@ class TestLpSolveCount:
             read_every_mu(result)
             assert result.iterations == (nu * (nu + 1) // 2 + 1 if skip else 2 ** nu)
             assert len(calls) == 3 * nu - 2
+
+
+class TestJointCountsEquivalence:
+    """The joint solve poses the multi-cycle's rows to `exactlp._feasible`
+    as plain triples.  Its counts must equal those of the general path it
+    replaced, rebuilt here: an `LpProblem` over `mu<j>` with the d_ext rows
+    (>=), the flow rows (==) and the mu(t) >= 0 rows, all homogeneous, and
+    `lp_feasible` with the complement of the ranking's strict set as its
+    strict set, scaled to its numerators."""
+
+    @staticmethod
+    def _general_counts(columns, nr, ns, ranked_rows):
+        from vassbound.exactlp import EQ, GE, LpProblem, LpRow, lp_feasible, scale_to_integer
+
+        m, coeffs = len(columns), [{} for _ in range(nr + ns)]
+        for j, column in enumerate(columns):
+            for i, a in column:
+                coeffs[i][j] = a
+        rows = [LpRow(row, GE if i < nr else EQ, 0) for i, row in enumerate(coeffs)]
+        first_trans = len(rows)
+        rows.extend(LpRow({j: 1}, GE, 0) for j in range(m))
+        problem = LpProblem(tuple(f"mu{j}" for j in range(m)), tuple(rows))
+        strict = [i for i in range(nr) if m + i not in ranked_rows]
+        strict += [first_trans + j for j in range(m) if j not in ranked_rows]
+        return scale_to_integer(problem, lp_feasible(problem, strict)).numerators
+
+    def test_counts_equal_the_general_path(self, monkeypatch):
+        import vassbound.analyzer as analyzer_mod
+
+        solved, solve = {}, analyzer_mod._solve_multicycle
+
+        def recorded(columns, nr, ns, ranked_rows):
+            counts = solve(columns, nr, ns, ranked_rows)
+            solved.setdefault((columns, nr, ns, ranked_rows), counts)
+            return counts
+
+        monkeypatch.setattr(analyzer_mod, "_solve_multicycle", recorded)
+        rng = random.Random(7)
+        models = [*acceptance_models(), v_family(6),
+                  *(parse_vass((SAMPLES / name).read_text())
+                    for name in ("running.vass", "doubling.vass")),
+                  *(perturbed_family(rng) for _ in range(100))]
+        for v in models:
+            read_every_mu(analyze(v))
+        for args, counts in solved.items():
+            assert type(counts) is tuple and all(type(c) is int for c in counts)
+            assert counts == self._general_counts(*args), args
+        assert len(solved) > 400
 
 
 class TestJointSolveOnRead:

@@ -131,6 +131,47 @@ class TestLpProblem:
             lp_feasible(p, strict)
 
 
+class TestPlainRows:
+    """`exactlp._feasible`, the one phase-1 front end, takes plain
+    `(coeffs, relation, rhs)` triples: it rejects a malformed row exactly as
+    `LpProblem` does, decides a row with no variable without a tableau, and
+    leaves the caller's rows as they were."""
+
+    @pytest.mark.parametrize("coeffs, relation, rhs", [
+        ({0: 1, 1: 0}, GE, 0),  # a zero coefficient
+        ({0: 1, 2: 1}, GE, 0),  # a column out of range
+        ({-1: 1}, EQ, 0),
+        ({0: True}, GE, 0),  # a bool entry
+        ({0: Fraction(1)}, GE, 0),  # a Fraction entry
+        ({0: 1}, GE, Fraction(1)),
+        ({0: 1}, EQ, True),
+        ({0: 1}, "<=", 0),  # a bad relation
+        ({}, ">", 0),
+    ])
+    def test_rejects_malformed_rows_as_lp_problem_does(self, coeffs, relation, rhs):
+        rows = [({1: 1}, GE, 0), (coeffs, relation, rhs)]
+        with pytest.raises(LpError) as plain:
+            exactlp._feasible(rows, 2)
+        with pytest.raises(LpError) as general:
+            LpProblem(("x", "y"), tuple(LpRow(*row) for row in rows))
+        assert type(plain.value) is type(general.value) is LpError
+        assert str(plain.value) == str(general.value)
+
+    def test_leaves_the_rows_unmodified(self):
+        rows = [({0: 1, 1: -1}, EQ, 0), ({0: 1}, GE, 1), ({1: 2}, GE, 0), ({}, GE, -1)]
+        copy = [(dict(coeffs), relation, rhs) for coeffs, relation, rhs in rows]
+        assert exactlp._feasible(rows, 3) == ([1, 1, 0], 1)
+        assert rows == copy
+
+    def test_decides_rows_with_no_variable(self, monkeypatch):
+        calls, phase_one = [], exactlp._phase_one
+        monkeypatch.setattr(exactlp, "_phase_one", lambda rows, n: calls.append(rows) or phase_one(rows, n))
+        assert exactlp._feasible([({0: 1}, GE, 0), ({}, GE, 1)], 1) is None
+        assert exactlp._feasible([({}, EQ, -1)], 1) is None
+        assert calls == []
+        assert exactlp._feasible([({}, GE, -1), ({}, EQ, 0)], 1) == ([0], 1)
+
+
 class TestFeasibility:
     def test_homogeneous_single_row(self):
         sol = lp_feasible(problem(["x"], [((1,), GE, 0)]))
@@ -447,11 +488,11 @@ def break_phase_two(monkeypatch, fault):
 
 
 class TestTheOneCheck:
-    """`lp_feasible` and `max_strict_set` each check their solution once and
-    nothing checks it again, so a phase-1 or phase-2 read-out that loses a
-    strict slack (all numerators zeroed), breaks a row (one numerator
-    perturbed) or gives a variable a negative value (the second set to -1)
-    must fail that check."""
+    """`_feasible`, which `lp_feasible` and the joint solve call, and
+    `max_strict_set` each check their solution once and nothing checks it
+    again, so a phase-1 or phase-2 read-out that loses a strict slack (all
+    numerators zeroed), breaks a row (one numerator perturbed) or gives a
+    variable a negative value (the second set to -1) must fail that check."""
 
     @pytest.fixture(params=[_zeroed, _perturbed, _second_negative])
     def faulty_phase_one(self, request, monkeypatch):
@@ -466,6 +507,8 @@ class TestTheOneCheck:
         p = problem(["x", "y"], [((1, -1), EQ, 0), ((1, 0), GE, 1)])
         with pytest.raises(LpInternalError, match="non-solution"):
             lp_feasible(p)
+        with pytest.raises(LpInternalError, match="non-solution"):
+            exactlp._feasible([({0: 1, 1: -1}, EQ, 0), ({0: 1}, GE, 1)], 2)
 
     def test_max_strict_set_raises(self, faulty_phase_two):
         # x = y with x strict: phase 2's optimum is x = y = 1.
@@ -483,7 +526,8 @@ class TestTheOneCheck:
             max_strict_set(problem(["x", "y"], [((1, 0), GE, 0)], candidates=[0]))
 
     def test_analyze_exits_with_internal_error(self, faulty_phase_one, capsys):
-        # Phase 1 runs only in the joint solves, which a witness reads.
+        # Phase 1 runs only in the joint solves, which a witness reads,
+        # through `_feasible`: its one check must catch the fault.
         assert main(["witness", str(SAMPLES / "running.vass"), "--n", "2"]) == 3
         assert "internal invariant violation" in capsys.readouterr().err
 

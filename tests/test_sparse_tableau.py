@@ -20,7 +20,8 @@ the sparse tableau must have no row for a bound or a substituted sign row.
 `DenseMirror` replays each sparse solve on the reference and compares, over
 every LP that `analyze` builds for the random suite, `v_family(1..5)` and
 both samples, and over edge cases the analysis never builds.  It also
-checks that every solution `lp_feasible` returns is in lowest terms.
+checks that every solution of the phase-1 front end `_feasible`, which
+the joint solve and `lp_feasible` call, is in lowest terms.
 
 The sparse phase 1 carries no artificial columns.  It stops at the first
 basis where the artificial sum w is 0, or where no structural reduced cost
@@ -220,7 +221,7 @@ class DenseMirror:
         sparse_pivot = exactlp._pivot_to_optimum
         sparse_phase_one = exactlp._phase_one
         sparse_strict = exactlp._strict_candidates
-        sparse_feasible = exactlp.lp_feasible
+        sparse_feasible = exactlp._feasible
 
         def pivot(tableau, basis, obj, ncols, bounded=range(0), stop_at_zero=False):
             self.pivot_runs += 1
@@ -262,10 +263,11 @@ class DenseMirror:
             self.phase_ones += 1
             return raw
 
-        def feasible(lp, strict=()):
-            solution = sparse_feasible(lp, strict)
+        def feasible(rows, n):
+            solution = sparse_feasible(rows, n)
             if solution is not None:
-                assert gcd(solution.denominator, *solution.numerators) == 1
+                numerators, denominator = solution
+                assert len(numerators) == n and gcd(denominator, *numerators) == 1
                 self.solutions += 1
             return solution
 
@@ -284,7 +286,7 @@ class DenseMirror:
         monkeypatch.setattr(exactlp, "_pivot_to_optimum", pivot)
         monkeypatch.setattr(exactlp, "_phase_one", phase_one)
         monkeypatch.setattr(exactlp, "_strict_candidates", strict_candidates)
-        monkeypatch.setattr(exactlp, "lp_feasible", feasible)
+        monkeypatch.setattr(exactlp, "_feasible", feasible)
 
 
 @pytest.fixture
