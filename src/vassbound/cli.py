@@ -117,8 +117,7 @@ def cmd_witness(args) -> int:
         verification = verify_witness(v, witness, result.report)
         sys.stdout.write(verification.dump())
         if not verification.passed:
-            print("witness verification failed", file=sys.stderr)
-            return EXIT_INTERNAL
+            raise InternalInvariantError("witness verification failed")
     return EXIT_OK
 
 
@@ -157,9 +156,7 @@ def cmd_validate(args) -> int:
     v = _load(args.input)
     pair = unconnected_pair(v)
     if pair is not None:
-        print(f"not connected: no path from '{pair[0]}' to '{pair[1]}'",
-              file=sys.stderr)
-        return EXIT_NOT_CONNECTED
+        raise NotConnectedError(*pair)
     print(f"ok: {len(v.states)} states, {len(v.transitions)} transitions, "
           f"{v.dimension} variables")
     return EXIT_OK

@@ -43,7 +43,7 @@ class NotConnectedError(VassError):
 
 
 _IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-_INT = re.compile(r"-?\d+\Z")
+_INT = re.compile(r"-?[0-9]+\Z")
 _TOKEN = re.compile(r"\S+")
 
 

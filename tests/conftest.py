@@ -1,44 +1,31 @@
-"""Shared fixtures: the two worked examples, a family generator with
-exponents growing exponentially in the dimension and a random perturbation
-of it, a seeded random VASS generator for property sweeps, a recorder of
-the layer systems an analysis builds, a reader of every record's
-multi-cycle, a runner under a shallow recursion limit, a dense view of a
-layer system's sparse columns, and an adapter that solves a general
-homogeneous `LpProblem` with strict candidates by
+"""Shared fixtures: the two worked examples and a loader of `samples/`, a
+family generator with exponents growing exponentially in the dimension and
+a random perturbation of it, a seeded random VASS generator for property
+sweeps, the seeded random suite and the perturbed batches, each drawn once
+per session, a recorder of the layer systems an analysis builds, a reader
+of every record's multi-cycle, a runner under a shallow recursion limit, a
+dense view of a layer system's sparse columns, and an adapter that solves a
+general homogeneous `LpProblem` with strict candidates by
 `exactlp.max_strict_set`."""
 
+import functools
 import inspect
 import random
 import sys
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
 from vassbound import Vass, exactlp, parse_vass, validate_connected
 from vassbound.exactlp import EQ, GE, LpError, LpProblem, LpRow, LpSolution
 
-V_RUN_TEXT = """\
-# four states, three counters
-vars x y z
-s1 -> s1 : -1 1 -1
-s2 -> s2 : 1 -1 1
-s3 -> s3 : -1 1 1
-s4 -> s4 : 1 -1 -1
-s2 -> s1 : 0 0 -1
-s1 -> s2 : 0 0 -1
-s4 -> s3 : 0 0 -1
-s3 -> s4 : 0 0 -1
-s1 -> s3 : -1 0 0
-s4 -> s2 : 0 0 0
-"""
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
-DOUBLING_TEXT = """\
-vars x y
-s1 -> s1 : -1 2
-s2 -> s2 : 2 -1
-s1 -> s2 : 0 0
-s2 -> s1 : 0 0
-"""
+
+def load_sample(name: str) -> Vass:
+    """`samples/<name>.vass`, parsed."""
+    return parse_vass((SAMPLES / f"{name}.vass").read_text(encoding="utf-8"))
 
 
 def v_family(nu: int) -> Vass:
@@ -130,6 +117,22 @@ def random_connected_vass(rng: random.Random, max_vars=3, max_states=4,
         v = Vass.from_triples([f"x{i}" for i in range(nvars)], triples)
         if validate_connected(v):
             return v
+
+
+@functools.cache
+def suite_models() -> tuple[Vass, ...]:
+    """The seeded random suite: 200 connected models with at most 3
+    variables and 6 transitions and updates in [-2, 2], drawn once."""
+    rng = random.Random(20240601)
+    return tuple(random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+                 for _ in range(200))
+
+
+@functools.cache
+def perturbed_batch(seed: int, count: int) -> tuple[Vass, ...]:
+    """The first `count` draws of `perturbed_family` from `random.Random(seed)`."""
+    rng = random.Random(seed)
+    return tuple(perturbed_family(rng) for _ in range(count))
 
 
 def dense(sys) -> tuple[tuple, tuple]:
@@ -258,12 +261,12 @@ def max_strict_set(problem: CandidateProblem) -> CertifiedSolution:
 
 @pytest.fixture(scope="session")
 def v_run() -> Vass:
-    return parse_vass(V_RUN_TEXT)
+    return load_sample("running")
 
 
 @pytest.fixture(scope="session")
 def doubling() -> Vass:
-    return parse_vass(DOUBLING_TEXT)
+    return load_sample("doubling")
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,6 @@ import pytest
 
 from vassbound import (
     NONTERMINATING,
-    BudgetExceededError,
     Valuation,
     analyze,
     build_extended_system,
@@ -33,9 +32,9 @@ from conftest import (
     CertifiedSolution,
     dense,
     max_strict_set,
-    perturbed_family,
-    random_connected_vass,
+    perturbed_batch,
     ranking_problem,
+    suite_models,
     v_family,
 )
 import test_exactlp
@@ -55,15 +54,9 @@ def report(criterion, ok, detail=""):
 
 @pytest.fixture(scope="module")
 def random_suite():
-    """200 random connected VASSs (<= 3 vars, <= 6 transitions, updates in
-    [-2, 2]) analyzed with the skip optimization both on and off."""
-    rng = random.Random(20240601)
-    suite = []
-    for _ in range(RANDOM_SUITE_SIZE):
-        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-        suite.append((v, analyze(v, skip_optimization=True),
-                      analyze(v, skip_optimization=False)))
-    return suite
+    """The seeded random suite, analyzed with the skip optimization on and off."""
+    return [(v, analyze(v, skip_optimization=True), analyze(v, skip_optimization=False))
+            for v in suite_models()]
 
 
 def test_criterion_1_running_example_exact(v_run):
@@ -278,9 +271,8 @@ def test_perturbed_family_models_agree_and_verify(monkeypatch):
         return solution
 
     monkeypatch.setattr(analyzer_mod, "max_strict_set", certified)
-    rng = random.Random(1)
     exponents, shapes = Counter(), set()
-    for v in (perturbed_family(rng) for _ in range(300)):
+    for v in perturbed_batch(1, 300):
         on = analyze(v)
         if on.report.status != POLYNOMIAL:
             continue
@@ -310,9 +302,8 @@ def test_perturbed_family_certificates_on_deep_stall_layers():
     at layers up to 12.  Each gets a certificate from the node cycles of its
     stall layer, which `check_certificate` accepts, and skipping on and off
     give the same text report, certificate included."""
-    rng = random.Random(1)
     stall_layers, cycles = Counter(), Counter()
-    for v in (perturbed_family(rng) for _ in range(300)):
+    for v in perturbed_batch(1, 300):
         on = analyze(v)
         if on.report.status != EXPONENTIAL:
             continue

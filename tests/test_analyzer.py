@@ -1,7 +1,6 @@
 """Analyzer layer: extended systems, per-layer solutions, full analysis."""
 
 import json
-import pathlib
 import random
 import re
 
@@ -18,19 +17,19 @@ from vassbound import (
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
 from conftest import (
-    DOUBLING_TEXT,
+    SAMPLES,
     CandidateProblem,
     dense,
+    load_sample,
     max_strict_set,
-    perturbed_family,
+    perturbed_batch,
     random_connected_vass,
     ranking_problem,
     read_every_mu,
     record_systems,
+    suite_models,
     v_family,
 )
-
-SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 V_RUN_VEXP = {"x": 1, "y": 1, "z": 2}
 V_RUN_TEXP = {0: 3, 1: 3, 2: 3, 3: 3, 4: 2, 5: 2, 6: 2, 7: 2, 8: 1, 9: 1}
@@ -264,7 +263,7 @@ class TestTree:
         (first, last) layer spans, all holding both states of one VASS."""
         from vassbound.analyzer import LayerTree
 
-        v, tree = parse_vass(DOUBLING_TEXT), LayerTree()
+        v, tree = load_sample("doubling"), LayerTree()
         node = tree.add(v, None, 0)
         for first, last in spans:
             node = tree.add(v, node.nid, first)
@@ -516,7 +515,7 @@ class TestStrictSetCertificate:
 
         sample = SAMPLES / "running.vass"
         with pytest.raises(InternalInvariantError, match=message):
-            analyze(parse_vass(sample.read_text()))
+            analyze(load_sample("running"))
         assert main(["analyze", str(sample)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("internal invariant violation") and message in err
@@ -563,9 +562,7 @@ class TestStrictSetCertificate:
 
         monkeypatch.setattr(exactlp, "_feasible", checked)
         keys, systems = record_systems(monkeypatch), 0
-        models = [*acceptance_models(),
-                  *(parse_vass((SAMPLES / name).read_text())
-                    for name in ("running.vass", "doubling.vass"))]
+        models = [*acceptance_models(), load_sample("running"), load_sample("doubling")]
         for v in models:
             keys.clear()
             read_every_mu(analyze(v))
@@ -590,7 +587,7 @@ class TestStrictSetCertificate:
 
         monkeypatch.setattr(exactlp, "_feasible", unattained)
         sample = SAMPLES / "running.vass"
-        result = analyze(parse_vass(sample.read_text()))
+        result = analyze(load_sample("running"))
         assert calls == []
         with pytest.raises(InternalInvariantError, match="not attained"):
             result.archive[0].mu
@@ -747,11 +744,8 @@ class TestJointCountsEquivalence:
             return counts
 
         monkeypatch.setattr(analyzer_mod, "_solve_multicycle", recorded)
-        rng = random.Random(7)
-        models = [*acceptance_models(), v_family(6),
-                  *(parse_vass((SAMPLES / name).read_text())
-                    for name in ("running.vass", "doubling.vass")),
-                  *(perturbed_family(rng) for _ in range(100))]
+        models = [*acceptance_models(), v_family(6), load_sample("running"),
+                  load_sample("doubling"), *perturbed_batch(7, 100)]
         for v in models:
             read_every_mu(analyze(v))
         for args, counts in solved.items():
@@ -795,7 +789,7 @@ class TestJointSolveOnRead:
 
     def _suite_runs(self, tmp_path, status) -> list:
         """A text `analyze` of each model of the random suite with `status`."""
-        return [["analyze", self._model(tmp_path, v)] for v in list(acceptance_models())[:200]
+        return [["analyze", self._model(tmp_path, v)] for v in suite_models()
                 if analyze(v).report.status == status]
 
     def test_json_and_polynomial_text_reports_make_no_joint_solve(self, tmp_path, capsys,
@@ -830,9 +824,7 @@ class TestJointSolveOnRead:
 
 def acceptance_models():
     """The acceptance suite's 200 random models, then v_family(1..5)."""
-    rng = random.Random(20240601)
-    for _ in range(200):
-        yield random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+    yield from suite_models()
     for nu in range(1, 6):
         yield v_family(nu)
 

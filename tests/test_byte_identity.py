@@ -18,17 +18,13 @@ the digest is stale: find out which byte moved before re-recording.
 """
 
 import hashlib
-import random
-from pathlib import Path
 
 import pytest
 
 from vassbound import analyze, build_witness, parse_vass
 from vassbound.analyzer import POLYNOMIAL
 from vassbound.cli import _render_text_report, main
-from conftest import random_connected_vass, v_family
-
-SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+from conftest import SAMPLES, load_sample, suite_models, v_family
 
 CLI_DIGESTS = {
     ("running", "analyze", "--json"):
@@ -158,38 +154,25 @@ def test_archived_layer_solutions_unchanged(model):
 
 
 def test_random_suite_text_reports_unchanged():
-    rng = random.Random(20240601)
-    reports = []
-    for _ in range(200):
-        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-        reports.append(_render_text_report(analyze(v)))
+    reports = [_render_text_report(analyze(v)) for v in suite_models()]
     assert _digest("".join(reports)) == RANDOM_SUITE_DIGEST
 
 
 def test_random_suite_json_reports_unchanged():
-    rng = random.Random(20240601)
-    reports = []
-    for _ in range(200):
-        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-        reports.append(analyze(v).report.to_json(v))
+    reports = [analyze(v).report.to_json(v) for v in suite_models()]
     assert _digest("".join(reports)) == RANDOM_SUITE_JSON_DIGEST
 
 
 def test_strict_sets_and_multicycle_counts_unchanged():
-    rng = random.Random(20240601)
-    models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-              for _ in range(200)]
-    models += [v_family(nu) for nu in range(1, 7)]
-    models += [parse_vass(_model_text(name)) for name in ("running", "doubling")]
+    models = [*suite_models(), *map(v_family, range(1, 7)), load_sample("running"),
+              load_sample("doubling")]
     text = "".join(strict_set_text(analyze(v)) for v in models)
     assert _digest(text) == STRICT_SET_DIGEST
 
 
 def test_random_suite_witness_dumps_unchanged():
-    rng = random.Random(20240601)
     cases = []
-    for _ in range(200):
-        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+    for v in suite_models():
         result = analyze(v)
         if result.report.status == POLYNOMIAL:
             cases.append((v, result, (1, 2, 3)))

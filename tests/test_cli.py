@@ -3,7 +3,6 @@
 import io
 import json
 import os
-import pathlib
 import subprocess
 import sys
 
@@ -13,26 +12,12 @@ import vassbound
 from vassbound import (BudgetExceededError, InternalInvariantError, NotConnectedError, VassError,
                        VassSyntaxError)
 from vassbound.cli import _build_parser, main
-from conftest import DOUBLING_TEXT, V_RUN_TEXT
+from conftest import SAMPLES, load_sample
 
-ROOT = pathlib.Path(__file__).resolve().parent.parent
-RUNNING = str(ROOT / "samples" / "running.vass")
-DOUBLING = str(ROOT / "samples" / "doubling.vass")
-TERMINATING_EXPONENTIAL = str(ROOT / "samples" / "terminating_exponential.vass")
-
-
-@pytest.fixture()
-def v_run_file(tmp_path):
-    path = tmp_path / "v_run.vass"
-    path.write_text(V_RUN_TEXT)
-    return str(path)
-
-
-@pytest.fixture()
-def doubling_file(tmp_path):
-    path = tmp_path / "doubling.vass"
-    path.write_text(DOUBLING_TEXT)
-    return str(path)
+ROOT = SAMPLES.parent
+RUNNING = str(SAMPLES / "running.vass")
+DOUBLING = str(SAMPLES / "doubling.vass")
+TERMINATING_EXPONENTIAL = str(SAMPLES / "terminating_exponential.vass")
 
 
 @pytest.fixture()
@@ -43,21 +28,21 @@ def disconnected_file(tmp_path):
 
 
 class TestAnalyze:
-    def test_json_report(self, v_run_file, capsys):
-        assert main(["analyze", v_run_file, "--json"]) == 0
+    def test_json_report(self, capsys):
+        assert main(["analyze", RUNNING, "--json"]) == 0
         data = json.loads(capsys.readouterr().out)
         assert data["status"] == "polynomial"
         assert data["complexity_exponent"] == 3
         assert data["variables"] == {"x": 1, "y": 1, "z": 2}
 
-    def test_text_report(self, v_run_file, capsys):
-        assert main(["analyze", v_run_file]) == 0
+    def test_text_report(self, capsys):
+        assert main(["analyze", RUNNING]) == 0
         out = capsys.readouterr().out
         assert "status: polynomial" in out
         assert "complexity exponent: 3" in out
 
-    def test_exponential_with_certificate_summary(self, doubling_file, capsys):
-        assert main(["analyze", doubling_file]) == 0
+    def test_exponential_with_certificate_summary(self, capsys):
+        assert main(["analyze", DOUBLING]) == 0
         out = capsys.readouterr().out
         assert "status: exponential" in out
         assert "exponential-certificate" in out
@@ -102,7 +87,8 @@ class TestAnalyze:
     @pytest.mark.parametrize("content", [
         b"vars x\ns1 -> s1 : \xff1\n",
         b"vars x\ns1 -> s1 : " + b"9" * 5000 + b"\n",
-    ], ids=["not-utf8", "huge-integer"])
+        "vars x\ns1 -> s1 : \u0663\n".encode(),
+    ], ids=["not-utf8", "huge-integer", "non-ascii-digit"])
     def test_malformed_input_is_parse_error(self, tmp_path, capsys, content):
         bad = tmp_path / "bad.vass"
         bad.write_bytes(content)
@@ -138,20 +124,19 @@ class TestAnalyze:
         err = capsys.readouterr().err
         assert "s2" in err and "s1" in err
 
-    def test_skip_opt_off_identical(self, v_run_file, capsys):
-        assert main(["analyze", v_run_file, "--json"]) == 0
+    def test_skip_opt_off_identical(self, capsys):
+        assert main(["analyze", RUNNING, "--json"]) == 0
         default = capsys.readouterr().out
-        assert main(["analyze", v_run_file, "--json", "--skip-opt", "off"]) == 0
+        assert main(["analyze", RUNNING, "--json", "--skip-opt", "off"]) == 0
         assert capsys.readouterr().out == default
 
-    def test_byte_identical_reruns(self, v_run_file, capsys):
-        main(["analyze", v_run_file, "--json"])
+    def test_byte_identical_reruns(self, capsys):
+        main(["analyze", RUNNING, "--json"])
         first = capsys.readouterr().out
-        main(["analyze", v_run_file, "--json"])
+        main(["analyze", RUNNING, "--json"])
         assert capsys.readouterr().out == first
 
-    def test_lp_failure_is_internal_error_exit_code(self, v_run_file, capsys,
-                                                     monkeypatch):
+    def test_lp_failure_is_internal_error_exit_code(self, capsys, monkeypatch):
         import vassbound.analyzer as analyzer_mod
         from vassbound.exactlp import LpInternalError
 
@@ -159,19 +144,19 @@ class TestAnalyze:
             raise LpInternalError("simplex produced a non-solution")
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", broken_solver)
-        assert main(["analyze", v_run_file]) == 3
+        assert main(["analyze", RUNNING]) == 3
         err = capsys.readouterr().err
         assert "internal invariant violation" in err and "non-solution" in err
 
-    def test_tree_dot_export(self, v_run_file, tmp_path, capsys):
+    def test_tree_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "tree.dot"
-        assert main(["analyze", v_run_file, "--tree", str(dot)]) == 0
+        assert main(["analyze", RUNNING, "--tree", str(dot)]) == 0
         capsys.readouterr()
         assert dot.read_text().startswith("digraph")
 
-    def test_unwritable_tree_path_is_error(self, v_run_file, tmp_path, capsys):
+    def test_unwritable_tree_path_is_error(self, tmp_path, capsys):
         dot = tmp_path / "missing" / "tree.dot"
-        assert main(["analyze", v_run_file, "--tree", str(dot)]) == 1
+        assert main(["analyze", RUNNING, "--tree", str(dot)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and err.count("\n") == 1
 
@@ -191,11 +176,11 @@ class TestParserReuse:
     def test_parser_is_built_once(self):
         assert _build_parser() is _build_parser()
 
-    def test_repeated_calls_repeat_their_results(self, v_run_file, capsys):
-        calls = [["analyze", v_run_file], ["analyze"],
-                 ["analyze", v_run_file, "--json"],
-                 ["witness", v_run_file, "--n", "2", "--check"],
-                 ["witness", v_run_file, "--check"]]
+    def test_repeated_calls_repeat_their_results(self, capsys):
+        calls = [["analyze", RUNNING], ["analyze"],
+                 ["analyze", RUNNING, "--json"],
+                 ["witness", RUNNING, "--n", "2", "--check"],
+                 ["witness", RUNNING, "--check"]]
         first = [outcome(argv, capsys) for argv in calls]
         assert [code for code, _, _ in first] == [0, 2, 0, 0, 2]
         assert first[1][2].startswith("usage: vassbound analyze")
@@ -242,8 +227,8 @@ class TestModuleEntryPoint:
 
 
 class TestWitness:
-    def test_check_passes(self, v_run_file, capsys):
-        assert main(["witness", v_run_file, "--n", "3", "--check"]) == 0
+    def test_check_passes(self, capsys):
+        assert main(["witness", RUNNING, "--n", "3", "--check"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("witness N=3")
         assert "FAIL" not in out
@@ -261,14 +246,14 @@ class TestWitness:
             "PASS executes: path executes and reaches the recorded final valuation",
         ]
 
-    def test_exponential_input_exit_code(self, doubling_file, capsys):
-        assert main(["witness", doubling_file, "--n", "3"]) == 4
+    def test_exponential_input_exit_code(self, capsys):
+        assert main(["witness", DOUBLING, "--n", "3"]) == 4
 
     def test_terminating_exponential_input_exit_code(self, capsys):
         assert main(["witness", TERMINATING_EXPONENTIAL, "--n", "1"]) == 4
 
-    def test_non_positive_scale_is_an_input_error(self, v_run_file, capsys):
-        assert main(["witness", v_run_file, "--n", "0"]) == 1
+    def test_non_positive_scale_is_an_input_error(self, capsys):
+        assert main(["witness", RUNNING, "--n", "0"]) == 1
         assert capsys.readouterr().err == "error: scale parameter must be >= 1\n"
 
     def test_non_positive_scale_is_checked_before_the_verdict(self, capsys):
@@ -290,21 +275,32 @@ class TestWitness:
         assert captured.err == ("internal invariant violation: "
                                 "node 1 counts are not positive and balanced\n")
 
-    def test_scale_one(self, v_run_file, capsys):
-        assert main(["witness", v_run_file, "--n", "1", "--check"]) == 0
+    def test_failed_check_is_an_internal_invariant_violation(self, monkeypatch, capsys):
+        # The dump and the check lines stay on stdout; `main` reports the failure.
+        from vassbound.witness import WitnessCheck, WitnessVerification
 
-    def test_dump_to_file(self, v_run_file, tmp_path, capsys):
+        failed = WitnessVerification((WitnessCheck("executes", False, "stuck at step 3"),))
+        monkeypatch.setattr(vassbound.cli, "verify_witness", lambda v, witness, report: failed)
+        assert main(["witness", RUNNING, "--n", "2", "--check"]) == 3
+        out, err = capsys.readouterr()
+        assert out.startswith("witness N=2") and out.endswith("\nFAIL executes: stuck at step 3\n")
+        assert err == "internal invariant violation: witness verification failed\n"
+
+    def test_scale_one(self, capsys):
+        assert main(["witness", RUNNING, "--n", "1", "--check"]) == 0
+
+    def test_dump_to_file(self, tmp_path, capsys):
         out_path = tmp_path / "w.txt"
-        assert main(["witness", v_run_file, "--n", "2",
+        assert main(["witness", RUNNING, "--n", "2",
                      "--out", str(out_path)]) == 0
         lines = out_path.read_text().splitlines()
         assert lines[0].startswith("witness N=2")
         assert lines[1].startswith("init ")
         assert lines[-1].startswith("final ")
 
-    def test_unwritable_out_path_is_error(self, v_run_file, tmp_path, capsys):
+    def test_unwritable_out_path_is_error(self, tmp_path, capsys):
         out_path = tmp_path / "missing" / "w.txt"
-        assert main(["witness", v_run_file, "--n", "2",
+        assert main(["witness", RUNNING, "--n", "2",
                      "--out", str(out_path)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: cannot write") and err.count("\n") == 1
@@ -334,16 +330,15 @@ class TestWitness:
         assert not out_path.exists()
         assert "too many to dump flat" in capsys.readouterr().err
 
-    def test_dump_round_trips_through_independent_replay(self, v_run_file,
-                                                         tmp_path, capsys):
+    def test_dump_round_trips_through_independent_replay(self, tmp_path, capsys):
         # Reconstruct the dumped path from transition ids alone, replay it,
         # and confirm the trailer matches the replayed run.
-        from vassbound import Path, Valuation, execute_path, parse_vass
+        from vassbound import Path, Valuation, execute_path
 
         out_path = tmp_path / "w.txt"
-        assert main(["witness", v_run_file, "--n", "3",
+        assert main(["witness", RUNNING, "--n", "3",
                      "--out", str(out_path)]) == 0
-        v = parse_vass(open(v_run_file).read())
+        v = load_sample("running")
         lines = out_path.read_text().splitlines()
         initial = Valuation(dict(zip(v.variables,
                                      map(int, lines[1].split()[1:]))))
@@ -358,8 +353,8 @@ class TestWitness:
 
 
 class TestOracle:
-    def test_single_row(self, v_run_file, capsys):
-        assert main(["oracle", v_run_file, "--n", "3", "--metric", "longest"]) == 0
+    def test_single_row(self, capsys):
+        assert main(["oracle", RUNNING, "--n", "3", "--metric", "longest"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert lines == ["n,metric,value", "3,longest,215"]
 
@@ -379,68 +374,77 @@ class TestOracle:
             assert capsys.readouterr().out.splitlines()[1:] == [
                 f"{n},longest,NONTERMINATING" for n in range(3)]
 
-    def test_sweep_monotone(self, v_run_file, capsys):
-        assert main(["oracle", v_run_file, "--sweep", "1..4",
+    def test_sweep_monotone(self, capsys):
+        assert main(["oracle", RUNNING, "--sweep", "1..4",
                      "--metric", "var:z"]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert len(lines) == 5
         values = [int(line.split(",")[2]) for line in lines[1:]]
         assert values == sorted(values)
 
-    def test_budget_flag(self, v_run_file, capsys):
-        assert main(["oracle", v_run_file, "--n", "3", "--metric", "longest",
+    def test_budget_flag(self, capsys):
+        assert main(["oracle", RUNNING, "--n", "3", "--metric", "longest",
                      "--budget", "10"]) == 3
         assert "budget" in capsys.readouterr().err
 
-    def test_budget_env_override(self, v_run_file, capsys, monkeypatch):
+    def test_budget_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("VASSBOUND_ORACLE_BUDGET", "10")
-        assert main(["oracle", v_run_file, "--n", "3", "--metric", "longest"]) == 3
+        assert main(["oracle", RUNNING, "--n", "3", "--metric", "longest"]) == 3
 
-    def test_non_integer_budget_env_is_error(self, v_run_file, capsys, monkeypatch):
+    def test_non_integer_budget_env_is_error(self, capsys, monkeypatch):
         monkeypatch.setenv("VASSBOUND_ORACLE_BUDGET", "lots")
-        assert main(["oracle", v_run_file, "--n", "1", "--metric", "longest"]) == 1
+        assert main(["oracle", RUNNING, "--n", "1", "--metric", "longest"]) == 1
         err = capsys.readouterr().err
         assert "VASSBOUND_ORACLE_BUDGET" in err and err.count("\n") == 1
 
-    def test_negative_budget_flag_is_error(self, v_run_file, capsys):
-        assert main(["oracle", v_run_file, "--n", "1", "--metric", "longest",
+    def test_negative_budget_flag_is_error(self, capsys):
+        assert main(["oracle", RUNNING, "--n", "1", "--metric", "longest",
                      "--budget", "-3"]) == 1
         assert capsys.readouterr().err == "error: oracle budget must be >= 0\n"
 
-    def test_negative_budget_env_is_error(self, v_run_file, capsys, monkeypatch):
+    def test_negative_budget_env_is_error(self, capsys, monkeypatch):
         monkeypatch.setenv("VASSBOUND_ORACLE_BUDGET", "-1")
-        assert main(["oracle", v_run_file, "--n", "1", "--metric", "longest"]) == 1
+        assert main(["oracle", RUNNING, "--n", "1", "--metric", "longest"]) == 1
         assert capsys.readouterr().err == "error: oracle budget must be >= 0\n"
 
-    def test_inverted_sweep_range_is_error(self, v_run_file, capsys):
-        assert main(["oracle", v_run_file, "--sweep", "3..1",
+    def test_inverted_sweep_range_is_error(self, capsys):
+        assert main(["oracle", RUNNING, "--sweep", "3..1",
                      "--metric", "longest"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: empty sweep range '3..1'\n"
 
-    def test_negative_budget_with_empty_sweep_is_error(self, v_run_file, capsys):
-        assert main(["oracle", v_run_file, "--sweep", "3..1", "--metric", "longest",
+    def test_non_integer_sweep_range_is_error(self, capsys):
+        assert main(["oracle", RUNNING, "--sweep", "a..b", "--metric", "longest"]) == 1
+        assert capsys.readouterr() == ("", "error: bad sweep range 'a..b'\n")
+
+    def test_negative_budget_with_empty_sweep_is_error(self, capsys):
+        assert main(["oracle", RUNNING, "--sweep", "3..1", "--metric", "longest",
                      "--budget", "-5"]) == 1
         assert capsys.readouterr().err == "error: oracle budget must be >= 0\n"
 
     @pytest.mark.parametrize("metric", ["var:w", "trans:abc", "trans:99"],
                              ids=["unknown-variable", "non-integer-id", "unknown-id"])
-    def test_unknown_metric_is_error(self, v_run_file, capsys, metric):
-        assert main(["oracle", v_run_file, "--n", "1", "--metric", metric]) == 1
+    def test_unknown_metric_is_error(self, capsys, metric):
+        assert main(["oracle", RUNNING, "--n", "1", "--metric", metric]) == 1
         assert capsys.readouterr().err == f"error: unknown metric '{metric}'\n"
 
 
 class TestValidate:
-    def test_ok(self, v_run_file, capsys):
-        assert main(["validate", v_run_file]) == 0
+    def test_ok(self, capsys):
+        assert main(["validate", RUNNING]) == 0
         assert "4 states, 10 transitions, 3 variables" in capsys.readouterr().out
 
     def test_not_connected(self, disconnected_file, capsys):
+        # Reported as `analyze` reports it, by `main`'s one handler.
+        assert main(["analyze", disconnected_file]) == 2
+        reported = capsys.readouterr()
         assert main(["validate", disconnected_file]) == 2
+        assert capsys.readouterr() == reported == \
+            ("", "not connected: no path from state 's2' to state 's1'\n")
 
 
-def test_every_exported_error_class_exits_with_its_code(v_run_file, monkeypatch, capsys):
+def test_every_exported_error_class_exits_with_its_code(monkeypatch, capsys):
     """README's exit codes, one per exported exception class; a new exported
     class fails here until it is given one."""
     codes = {VassError: 1, VassSyntaxError: 1, NotConnectedError: 2,
@@ -454,5 +458,5 @@ def test_every_exported_error_class_exits_with_its_code(v_run_file, monkeypatch,
             raise cls(*args.get(cls, ("boom",)))
 
         monkeypatch.setattr(vassbound.cli, "unconnected_pair", raising)
-        assert main(["validate", v_run_file]) == code, cls.__name__
+        assert main(["validate", RUNNING]) == code, cls.__name__
         assert capsys.readouterr().out == ""

@@ -1,22 +1,23 @@
 """Exact LP layer: feasibility, maximal strict sets, integer scaling."""
 
-import pathlib
 import random
 from fractions import Fraction
 
 import pytest
 
 from conftest import (
+    SAMPLES,
     CandidateProblem,
     CertifiedSolution,
     candidate_rows,
+    load_sample,
     max_strict_set,
-    random_connected_vass,
     ranking_columns,
     ranking_problem,
+    suite_models,
     v_family,
 )
-from vassbound import analyze, exactlp, parse_vass
+from vassbound import analyze, exactlp
 from vassbound.cli import main
 from vassbound.exactlp import (
     EQ,
@@ -30,8 +31,6 @@ from vassbound.exactlp import (
     satisfies,
     scale_to_integer,
 )
-
-SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 def problem(names, rows, candidates=()):
@@ -558,10 +557,9 @@ def analysis_lps(monkeypatch, models):
 def certificate_models():
     """v_family(1..5), both samples, and the 200-model random suite."""
     yield from (v_family(nu) for nu in range(1, 6))
-    yield from (parse_vass((SAMPLES / name).read_text()) for name in ("running.vass", "doubling.vass"))
-    rng = random.Random(20240601)
-    for _ in range(200):
-        yield random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+    yield load_sample("running")
+    yield load_sample("doubling")
+    yield from suite_models()
 
 
 def mutate_duals(monkeypatch, mutate) -> list[bool]:

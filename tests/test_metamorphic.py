@@ -41,36 +41,31 @@ For each polynomial variant, its witness at N = 2 must pass
 `verify_witness`; its dump is not compared.
 
 The models are the acceptance suite's 200 random models, 100 wider random
-models, `v_family(1..4)`, the two samples and 100 seeded draws of
-`perturbed_family`, whose polynomial ones have layer trees several layers
-deep and exponents 2, 4 and 8.
+models, `v_family(1..4)`, the two samples and the first 100 of the 300
+seed-1 draws of `perturbed_family`, whose polynomial ones have layer trees
+several layers deep and exponents 2, 4 and 8.
 """
 
-import pathlib
 import random
 from collections import Counter
 
 import pytest
 
-from vassbound import Vass, analyze, build_witness, parse_vass, verify_witness
+from vassbound import Vass, analyze, build_witness, verify_witness
 from vassbound.analyzer import POLYNOMIAL
-from conftest import perturbed_family, random_connected_vass, v_family
+from conftest import load_sample, perturbed_batch, random_connected_vass, suite_models, v_family
 
-SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 PERTURBED_DRAWS = 100
 
 
 def _models() -> list[Vass]:
-    rng = random.Random(20240601)
-    models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-              for _ in range(200)]
+    models = list(suite_models())
     rng = random.Random(7)
     models += [random_connected_vass(rng, max_vars=4, max_states=5, max_transitions=9, span=2)
                for _ in range(100)]
     models += [v_family(nu) for nu in range(1, 5)]
-    models += [parse_vass((SAMPLES / name).read_text()) for name in ("running.vass", "doubling.vass")]
-    rng = random.Random(1)
-    models += [perturbed_family(rng) for _ in range(PERTURBED_DRAWS)]
+    models += [load_sample("running"), load_sample("doubling")]
+    models += perturbed_batch(1, 300)[:PERTURBED_DRAWS]
     return models
 
 

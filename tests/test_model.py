@@ -10,6 +10,7 @@ from vassbound import (
     LayerTree,
     Path,
     PrePath,
+    Transition,
     Valuation,
     Vass,
     VassError,
@@ -24,7 +25,7 @@ from vassbound import (
     unconnected_pair,
     validate_connected,
 )
-from conftest import V_RUN_TEXT, dense, random_connected_vass, without_deep_recursion
+from conftest import SAMPLES, dense, random_connected_vass, without_deep_recursion
 
 # Update and flow matrices of the running example's first iteration, rows
 # x/y/z resp. s1..s4, columns in file order.
@@ -123,6 +124,26 @@ class TestParsing:
         assert (str(caught.value), caught.value.line, caught.value.column) == \
             (f"line {line}, column {column}: {message}", line, column)
 
+    @pytest.mark.parametrize("text, message, line, column", [
+        ("", "missing 'vars' declaration", 1, 1),
+        ("# only a comment\n", "missing 'vars' declaration", 1, 1),
+        ("vars  # nothing declared\n", "at least one variable required", 1, 5),
+        ("vars x 1y\n", "bad variable name '1y'", 1, 8),
+        ("vars x\n1s -> s2 : 1\n", "bad state name '1s'", 2, 1),
+        ("vars x\ns1 -> 2s : 1\n", "bad state name '2s'", 2, 7),
+        ("vars x\ns1 -> s2\n", "expected '<src> -> <dst> : <updates>'", 2, 1),
+        ("vars x\ns1 -> s1 : \u0663\n", "bad integer '\u0663'", 2, 12),
+        ("vars x\ns1 -> s2 : -\uff11\n", "bad integer '-\uff11'", 2, 12),
+    ], ids=["empty", "comment-only", "vars-alone", "variable-name", "source-name",
+            "target-name", "short-line", "arabic-indic-digit", "fullwidth-digit"])
+    def test_error_message_and_position(self, text, message, line, column):
+        # Integers are ASCII digits only: `int` alone would read other
+        # Unicode decimal digits too.
+        with pytest.raises(VassSyntaxError) as caught:
+            parse_vass(text)
+        assert (str(caught.value), caught.value.line, caught.value.column) == \
+            (f"line {line}, column {column}: {message}", line, column)
+
     def test_bad_integer(self):
         with pytest.raises(VassSyntaxError, match="bad integer"):
             parse_vass("vars x\ns1 -> s2 : one\n")
@@ -136,7 +157,7 @@ class TestParsing:
             parse_vass("s1 -> s2 : 1\n")
 
     def test_comments_and_blank_lines_ignored(self, v_run):
-        noisy = "\n# header\n\n" + V_RUN_TEXT.replace(
+        noisy = "\n# header\n\n" + (SAMPLES / "running.vass").read_text().replace(
             "s1 -> s2 : 0 0 -1", "s1 -> s2 : 0 0 -1  # mid comment")
         assert parse_vass(noisy) == v_run
 
@@ -156,6 +177,26 @@ class TestParsing:
             assert w.states == v.states
             assert sorted(t.triple() for t in w.transitions) == \
                 sorted(t.triple() for t in v.transitions)
+
+
+class TestVassChecks:
+    @pytest.mark.parametrize("variables, states, transitions, message", [
+        (("x", "x"), (), (), "duplicate variable names"),
+        (("x",), ("s", "s"), (), "duplicate state names"),
+        (("x",), ("t", "s"), (), "states must be sorted"),
+        (("x",), ("s",), ((0, "s", (1,), "t"),),
+         "transition s -> t : 1 mentions an undeclared state"),
+        (("x",), ("s",), ((0, "s", (1, 2), "s"),),
+         "transition s -> s : 1 2 has update arity 2, expected 1"),
+        (("x",), ("s",), ((0, "s", (1,), "s"), (1, "s", (1,), "s")),
+         "duplicate transition s -> s : 1"),
+        (("x",), ("s",), ((0, "s", (1,), "s"), (0, "s", (2,), "s")),
+         "duplicate transition id 0"),
+    ], ids=["variables", "states", "unsorted", "undeclared", "arity", "transition", "id"])
+    def test_invalid_model_is_rejected(self, variables, states, transitions, message):
+        with pytest.raises(VassError) as caught:
+            Vass(variables, states, tuple(Transition(*t) for t in transitions))
+        assert str(caught.value) == message
 
 
 class TestConnectivity:

@@ -1,6 +1,5 @@
 """Oracle layer: exact brute-force metrics and their sentinel behavior."""
 
-import pathlib
 import random
 import sys
 from itertools import product
@@ -19,11 +18,10 @@ from vassbound import (
     longest_trace,
     max_instances,
     max_reachable,
-    parse_vass,
 )
 from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL
 from vassbound.oracle import DEFAULT_BUDGET, sweep, sweep_csv
-from conftest import perturbed_family, random_connected_vass, without_deep_recursion
+from conftest import load_sample, perturbed_batch, random_connected_vass, without_deep_recursion
 
 # Exact values for the running example, cross-checked against the
 # independent recursive search below for the small parameters.
@@ -173,6 +171,15 @@ class TestLongestTrace:
                 for metric in ("longest", "var:x", "trans:0"):
                     assert sweep(v, metric, [n], budget) == [(n, metric, NONTERMINATING)]
 
+    @pytest.mark.parametrize("n, budget, message", [
+        (-1, DEFAULT_BUDGET, "scale parameter must be >= 0"),
+        (1, -1, "oracle budget must be >= 0"),
+    ], ids=["scale", "budget"])
+    def test_negative_argument_is_rejected(self, v_run, n, budget, message):
+        with pytest.raises(VassError) as caught:
+            longest_trace(v_run, n, budget=budget)
+        assert str(caught.value) == message
+
     def test_budget_guard(self, v_run):
         with pytest.raises(BudgetExceededError):
             longest_trace(v_run, 3, budget=10)
@@ -238,8 +245,7 @@ class TestPumping:
     def test_terminating_exponential_sample_has_finite_traces(self):
         """An exponential verdict on a model whose every run terminates: no
         cycle of it has a non-negative effect on all counters."""
-        sample = pathlib.Path(__file__).resolve().parent.parent / "samples"
-        v = parse_vass((sample / "terminating_exponential.vass").read_text())
+        v = load_sample("terminating_exponential")
         assert analyze(v).report.status == EXPONENTIAL
         assert [longest_trace(v, n) for n in range(4)] == [1, 14, 59, 184]
 
@@ -290,8 +296,7 @@ class TestGrowthConsistency:
     def test_perturbed_family_growth(self):
         # The exponent-2 draws of `perturbed_family` have layer trees
         # several layers deep, unlike the random models above.
-        rng = random.Random(1)
-        models = [v for v in (perturbed_family(rng) for _ in range(300))
+        models = [v for v in perturbed_batch(1, 300)
                   if analyze(v).report.complexity_exponent == 2]
         assert len(models) == 18
         for v in models:

@@ -33,7 +33,6 @@ compared with keeps the artificial columns and pivots on to its optimum,
 entering columns at step 0 after w = 0; the two must name the same point.
 """
 
-import pathlib
 import random
 from fractions import Fraction
 from math import gcd
@@ -41,20 +40,19 @@ from typing import Optional
 
 import pytest
 
-from vassbound import Vass, analyze, parse_vass
+from vassbound import Vass, analyze
 from vassbound import analyzer, exactlp
 from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible
 from conftest import (
+    load_sample,
     max_strict_set,
-    random_connected_vass,
     ranking_problem,
     read_every_mu,
     record_systems,
+    suite_models,
     v_family,
 )
 from test_exactlp import problem, random_homogeneous
-
-SAMPLES = pathlib.Path(__file__).resolve().parent.parent / "samples"
 
 
 # The dense reference: the list-of-lists tableau, copied verbatim, except
@@ -310,10 +308,8 @@ def assert_analysis_mirrored(mirror, v):
 
 
 def test_random_suite_lps_match_dense_reference(mirror):
-    rng = random.Random(20240601)
-    for _ in range(200):
-        assert_analysis_mirrored(
-            mirror, random_connected_vass(rng, max_vars=3, max_transitions=6, span=2))
+    for v in suite_models():
+        assert_analysis_mirrored(mirror, v)
     assert mirror.phase_ones == mirror.strict_sets > 200
 
 
@@ -324,7 +320,7 @@ def test_family_lps_match_dense_reference(mirror, nu):
 
 @pytest.mark.parametrize("name", ["running.vass", "doubling.vass"])
 def test_sample_lps_match_dense_reference(mirror, name):
-    assert_analysis_mirrored(mirror, parse_vass((SAMPLES / name).read_text()))
+    assert_analysis_mirrored(mirror, load_sample(name.removesuffix(".vass")))
 
 
 def test_random_problems_match_dense_reference(mirror):

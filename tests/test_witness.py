@@ -4,8 +4,6 @@ and exponential certificates."""
 import dataclasses
 import random
 from collections import Counter
-from fractions import Fraction
-from pathlib import Path as FilePath
 
 import pytest
 
@@ -24,16 +22,14 @@ from vassbound import (
     exponential_certificate,
     min_initial_valuation,
     node_cycles,
-    parse_vass,
     verify_witness,
 )
 from vassbound.witness import Repeat, WitnessPath, _Builder, _euler_cycle
 from vassbound.model import VassError
 from conftest import (
-    long_ring, perturbed_family, prepath_steps, random_connected_vass, v_family, without_deep_recursion,
+    load_sample, long_ring, perturbed_batch, prepath_steps, random_connected_vass, suite_models,
+    v_family, without_deep_recursion,
 )
-
-SAMPLES = FilePath(__file__).resolve().parent.parent / "samples"
 
 # The per-layer multi-cycle solution worked out by hand for the running
 # example's first iteration: one unit of each boundary move, four pump
@@ -162,17 +158,12 @@ def _reference_covering_steps(v):
 
 
 def _covering_models():
-    rng = random.Random(20240601)
-    models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-              for _ in range(200)]
-    models += [parse_vass((SAMPLES / f"{name}.vass").read_text(encoding="utf-8"))
-               for name in ("running", "doubling")]
+    models = [*suite_models(), load_sample("running"), load_sample("doubling")]
     models += [v_family(k) for k in range(1, 5)]
     # Rings make long hops; perturbed families put several unused sources
     # in one BFS level.
     models += [long_ring(states) for states in (20, 40, 60)]
-    rng = random.Random(7)
-    models += [perturbed_family(rng) for _ in range(100)]
+    models += perturbed_batch(7, 100)
     # Not strongly connected: s2 cannot get back to s1.
     models.append(Vass.from_triples(["x"], [("s1", (1,), "s2"), ("s2", (0,), "s2")]))
     return models
@@ -186,6 +177,16 @@ def test_covering_cycle_matches_per_transition_bfs():
                 covering_cycle(v)
         else:
             assert covering_cycle(v).steps == expected
+
+
+def test_covering_cycle_stops_where_no_unused_transition_is_reachable():
+    # From s1 the greedy walk cannot reach s2's loop: it raises with that
+    # loop still unused, before any closing walk.
+    v = Vass.from_triples(["x"], [("s1", (0,), "s1"), ("s2", (0,), "s2")])
+    with pytest.raises(VassError) as caught:
+        covering_cycle(v)
+    assert str(caught.value) == "VASS is not connected; no covering cycle exists"
+    assert caught.traceback[-1].locals["unused"] == {1}
 
 
 class TestNodeCycles:
@@ -245,11 +246,7 @@ class TestNodeCycles:
         record of the node's first layer: it survived that layer's ranking,
         and the joint solve tightens every survivor's mu(t) >= 1.  So no
         node's cycle is empty."""
-        rng = random.Random(20240601)
-        models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-                  for _ in range(200)]
-        models += [parse_vass((SAMPLES / f"{name}.vass").read_text(encoding="utf-8"))
-                   for name in ("running", "doubling")]
+        models = [*suite_models(), load_sample("running"), load_sample("doubling")]
         models += [v_family(k) for k in range(1, 7)]
         checked = 0
         for v in models:
@@ -407,10 +404,6 @@ class TestLayerPrePaths:
 
 class TestRandomWitnesses:
     def test_random_polynomial_systems_all_verify(self):
-        import random
-
-        from conftest import random_connected_vass
-
         rng = random.Random(31337)
         verified = 0
         sampled = 0
@@ -441,10 +434,6 @@ class TestRandomWitnesses:
         assert w.path.counts[loop_ids[0]] >= 3 ** 8
 
     def test_random_exponential_systems_have_valid_certificates(self):
-        import random
-
-        from conftest import random_connected_vass
-
         rng = random.Random(777000)
         checked = 0
         sampled = 0
@@ -474,7 +463,7 @@ class TestExponentialCertificate:
         assert check_certificate(doubling, cert) is None
 
     def test_terminating_exponential_sample_certificate(self):
-        v = parse_vass((SAMPLES / "terminating_exponential.vass").read_text())
+        v = load_sample("terminating_exponential")
         cert = exponential_certificate(analyze(v))
         assert (cert.bounded, cert.growing) == (("z",), ("x", "y"))
         assert check_certificate(v, cert) is None

@@ -5,7 +5,6 @@ dump streamed in bounded pieces, and the work one witness build and one
 dump do."""
 
 import inspect
-import random
 import sys
 import tracemalloc
 from collections import Counter
@@ -13,12 +12,12 @@ from itertools import chain
 
 import pytest
 
-from vassbound import (InternalInvariantError, PrePath, VassError, analyze, build_witness, parse_vass,
+from vassbound import (InternalInvariantError, PrePath, VassError, analyze, build_witness,
                        verify_witness)
 from vassbound.analyzer import POLYNOMIAL
 from vassbound.model import Path
 from vassbound.witness import Leaf, Repeat, _Builder
-from conftest import DOUBLING_TEXT, V_RUN_TEXT, prepath_steps, random_connected_vass, v_family
+from conftest import load_sample, prepath_steps, suite_models, v_family
 
 
 def _nodes(program):
@@ -62,10 +61,8 @@ def _check_summaries(v, program):
 
 
 def test_summaries_match_flat_expansion():
-    rng = random.Random(20240601)
     cases = []
-    for _ in range(200):
-        v = random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
+    for v in suite_models():
         result = analyze(v)
         if result.report.status == POLYNOMIAL:
             cases += [(v, result, n) for n in (1, 2, 3)]
@@ -87,21 +84,21 @@ def test_summaries_match_flat_expansion():
 
 
 def test_lazy_steps_read_like_a_tuple():
-    v = parse_vass(V_RUN_TEXT)
+    v = load_sample("running")
     path = build_witness(analyze(v), 2).path
     flat = tuple(path.steps)
     assert len(path.steps) == len(flat) == len(path)
     assert path.steps[:4] == flat[:4]
     assert path.steps[5:40:3] == flat[5:40:3]
     assert path.steps[-1:] == flat[-1:] and path.steps[17:18] == flat[17:18]
-    for v, n in ((v_family(3), 3), (v_family(2), 16), (parse_vass(V_RUN_TEXT), 16)):
+    for v, n in ((v_family(3), 3), (v_family(2), 16), (load_sample("running"), 16)):
         witness = build_witness(analyze(v), n)  # the lazy steps do not go through `_text`
         lines = witness.dump(v).splitlines(keepends=True)
         assert lines[2:-2] == [f"{t.tid}\n" for t in witness.path.steps]
 
 
 def test_lazy_steps_take_an_integer_index():
-    v = parse_vass(V_RUN_TEXT)
+    v = load_sample("running")
     path = build_witness(analyze(v), 2).path
     flat = tuple(path.steps)
     assert path.steps[0] == flat[0] and path.steps[17] == flat[17]
@@ -163,10 +160,8 @@ def test_first_layers_partition_the_tree_nodes():
     node once: every node of a layer shares its span.  Checked on the
     acceptance suite's 200 models, v_family(1..7) and both samples, with
     skipping on and off."""
-    rng = random.Random(20240601)
-    models = [random_connected_vass(rng, max_vars=3, max_transitions=6, span=2)
-              for _ in range(200)]
-    models += [*map(v_family, range(1, 8)), parse_vass(V_RUN_TEXT), parse_vass(DOUBLING_TEXT)]
+    models = [*suite_models(), *map(v_family, range(1, 8)), load_sample("running"),
+              load_sample("doubling")]
     trees = [analyze(v, skip_optimization=skip).tree for v in models for skip in (True, False)]
     for tree in trees:
         firsts = sorted({node.first_layer for node in tree.nodes})
@@ -177,7 +172,7 @@ def test_first_layers_partition_the_tree_nodes():
 
 def _running_leaves():
     """Leaves of single `running.vass` transitions, by id."""
-    v = parse_vass(V_RUN_TEXT)
+    v = load_sample("running")
     return v, {t.tid: Leaf(Path((t,)), v.dimension) for t in v.transitions}
 
 
@@ -202,7 +197,7 @@ def test_witness_dump_work_on_the_family(monkeypatch):
     """`Leaf.text` reads while dumping `v_family(1..4)` at N = 2 and
     `samples/running.vass` at N = 8, pinned: each repeated body shorter than
     a piece is rendered once and multiplied, not expanded leaf by leaf."""
-    cases = [(v_family(nu), 2) for nu in range(1, 5)] + [(parse_vass(V_RUN_TEXT), 8)]
+    cases = [(v_family(nu), 2) for nu in range(1, 5)] + [(load_sample("running"), 8)]
     witnesses = [(v, build_witness(analyze(v), n)) for v, n in cases]
     slot, reads = Leaf.text, []
 
@@ -244,7 +239,7 @@ def test_deep_family_needs_no_recursion_per_layer():
 def test_million_fold_scale_builds_and_verifies():
     """N = 10**6: about 2 * 10**19 steps, far beyond any flat path; only
     the program's summaries are read."""
-    v = parse_vass(V_RUN_TEXT)
+    v = load_sample("running")
     result = analyze(v)
     n = 10 ** 6
     witness = build_witness(result, n)
@@ -263,7 +258,7 @@ def test_million_fold_scale_builds_and_verifies():
 def test_len_past_sys_maxsize_names_the_length():
     """`len()` returns at most sys.maxsize.  Past it, a program raises
     VassError naming `.length`, which stays exact."""
-    witness = build_witness(analyze(parse_vass(V_RUN_TEXT)), 10 ** 6)
+    witness = build_witness(analyze(load_sample("running")), 10 ** 6)
     assert witness.path.length == 20_000_260_000_180_000_000 > sys.maxsize
     for program in (witness.path, witness.path.steps):
         with pytest.raises(VassError, match=r"20000260000180000000 steps .*\.length"):
@@ -282,7 +277,7 @@ def _streamed_peak(v, result, n):
 
 
 def test_streamed_dump_memory_does_not_grow_with_n():
-    v = parse_vass(V_RUN_TEXT)
+    v = load_sample("running")
     result = analyze(v)
     small, large = _streamed_peak(v, result, 8), _streamed_peak(v, result, 64)
     assert large < 2 * small, (small, large)
