@@ -24,6 +24,7 @@ from typing import Iterable, Optional, Sequence
 from . import oracle as oracle_mod
 from .analyzer import AnalysisResult, InternalInvariantError, POLYNOMIAL, _exp_value, analyze
 from .model import (
+    _INT,
     NotConnectedError,
     Vass,
     VassError,
@@ -64,6 +65,13 @@ def _write(path: str, chunks: Iterable[str]) -> None:
             handle.writelines(chunks)
     except OSError as err:
         raise VassError(f"cannot write '{path}': {err.strerror}")
+
+
+def _int(text: str) -> int:
+    """`text` as an integer, read as the model reads one: ASCII `-?[0-9]+`."""
+    if not _INT.match(text):
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
 
 
 def _render_text_report(result: AnalysisResult) -> str:
@@ -124,8 +132,8 @@ def cmd_witness(args) -> int:
 def _parse_sweep(spec: str) -> range:
     lo, _, hi = spec.partition("..")
     try:
-        ns = range(int(lo), int(hi) + 1)
-    except ValueError:
+        ns = range(_int(lo), _int(hi) + 1)
+    except argparse.ArgumentTypeError:
         raise VassError(f"bad sweep range '{spec}'")
     if not ns:
         raise VassError(f"empty sweep range '{spec}'")
@@ -138,8 +146,8 @@ def cmd_oracle(args) -> int:
     if budget is None:
         raw = os.environ.get(BUDGET_ENV, str(oracle_mod.DEFAULT_BUDGET))
         try:
-            budget = int(raw)
-        except ValueError:
+            budget = _int(raw)
+        except argparse.ArgumentTypeError:
             raise VassError(f"{BUDGET_ENV} is not an integer: '{raw}'")
     if budget < 0:  # checked before the range, so it is reported whatever the range
         raise VassError("oracle budget must be >= 0")
@@ -184,7 +192,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="emit a lower-bound witness path")
     p.add_argument("input")
-    p.add_argument("--n", type=int, required=True, help="scale parameter N >= 1")
+    p.add_argument("--n", type=_int, required=True, help="scale parameter N >= 1")
     p.add_argument("--check", action="store_true",
                    help="verify the witness and fail on any violated check")
     p.add_argument("--out", metavar="PATH", help="write the dump to a file")
@@ -193,11 +201,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("oracle", help="brute-force metrics over the {0..N} box")
     p.add_argument("input")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--n", type=int, help="single scale parameter")
+    group.add_argument("--n", type=_int, help="single scale parameter")
     group.add_argument("--sweep", metavar="A..B", help="inclusive range of N values")
     p.add_argument("--metric", required=True,
                    help="'longest', 'var:<name>' or 'trans:<id>'")
-    p.add_argument("--budget", type=int,
+    p.add_argument("--budget", type=_int,
                    help=f"configuration budget (default {oracle_mod.DEFAULT_BUDGET}; "
                         f"env {BUDGET_ENV})")
     p.set_defaults(func=cmd_oracle)

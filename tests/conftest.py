@@ -2,8 +2,9 @@
 family generator with exponents growing exponentially in the dimension and
 a random perturbation of it, a seeded random VASS generator for property
 sweeps, the seeded random suite and the perturbed batches, each drawn once
-per session, a recorder of the layer systems an analysis builds, a reader
-of every record's multi-cycle, a runner under a shallow recursion limit, a
+per session, the probes that log a stage's calls or change its result, the
+read of an exit-3 failure, a replay of an analysis's archive, a reader of
+every record's multi-cycle, a runner under a shallow recursion limit, a
 dense view of a layer system's sparse columns, and an adapter that solves a
 general homogeneous `LpProblem` with strict candidates by
 `exactlp.max_strict_set`."""
@@ -17,7 +18,8 @@ from pathlib import Path
 
 import pytest
 
-from vassbound import Vass, exactlp, parse_vass, validate_connected
+from vassbound import Vass, build_extended_system, exactlp, parse_vass, validate_connected
+from vassbound.cli import main
 from vassbound.exactlp import EQ, GE, LpError, LpProblem, LpRow, LpSolution
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
@@ -149,21 +151,57 @@ def dense(sys) -> tuple[tuple, tuple]:
     return rows[:nr], rows[nr:]
 
 
-def record_systems(monkeypatch) -> list:
-    """A list that collects the numbers `dense(sys)` of every layer system
-    `analyze` builds, by wrapping `analyzer.build_extended_system`.  Its
-    distinct members are the systems an analysis solves."""
-    import vassbound.analyzer as analyzer_mod
+def distinct_systems(log) -> int:
+    """How many distinct layer systems, by their numbers `dense(sys)`, a
+    `log_calls` log of `analyzer.build_extended_system` holds: the systems
+    an analysis solves."""
+    return len({dense(sys) for _, sys in log})
 
-    keys, build = [], analyzer_mod.build_extended_system
 
-    def recorded(*args):
-        sys = build(*args)
-        keys.append(dense(sys))
-        return sys
+def change_result(monkeypatch, owner, name, change) -> None:
+    """Rebind `owner.name` so that each call, keyword arguments included,
+    returns `change(result, *args)` for the original's result."""
+    stage = getattr(owner, name)
 
-    monkeypatch.setattr(analyzer_mod, "build_extended_system", recorded)
-    return keys
+    def changed(*args, **kwargs):
+        return change(stage(*args, **kwargs), *args)
+
+    monkeypatch.setattr(owner, name, changed)
+
+
+def log_calls(monkeypatch, owner, name) -> list:
+    """A list that collects `(args, result)` of each call of `owner.name`,
+    whose result passes on unchanged."""
+    calls = []
+    change_result(monkeypatch, owner, name,
+                  lambda result, *args: calls.append((args, result)) or result)
+    return calls
+
+
+def assert_exit_3(capsys, argv, message: str) -> str:
+    """`main(argv)` exits 3 and writes README's form of an internal fault to
+    stderr: one line, `internal invariant violation: ` and a text that
+    contains `message`.  Returns what went to stdout."""
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    assert err.startswith("internal invariant violation: ") and err.endswith("\n"), err
+    assert err.count("\n") == 1 and message in err, err
+    return out
+
+
+def replay(result) -> list:
+    """`(record, system)` per archived iteration, each system rebuilt by
+    `build_extended_system` with the variables bounded before its layer.
+    Each rebuilt system has the record's transitions `u` and copies
+    `var_ext`."""
+    vexp, out = {x: None for x in result.vass.variables}, []
+    for record in result.archive:
+        sys = build_extended_system(result.vass, result.tree, record.layer, vexp)
+        assert tuple(t.tid for t in sys.transitions) == record.u
+        assert sys.var_ext == record.var_ext
+        out.append((record, sys))
+        vexp.update(dict.fromkeys(record.new_variable_bounds, record.layer))
+    return out
 
 
 def read_every_mu(result) -> list:

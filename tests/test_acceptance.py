@@ -16,7 +16,6 @@ from vassbound import (
     NONTERMINATING,
     Valuation,
     analyze,
-    build_extended_system,
     build_witness,
     check_certificate,
     execute_path,
@@ -31,9 +30,11 @@ from vassbound.model import scc_decompose
 from conftest import (
     CertifiedSolution,
     dense,
+    log_calls,
     max_strict_set,
     perturbed_batch,
     ranking_problem,
+    replay,
     suite_models,
     v_family,
 )
@@ -124,16 +125,13 @@ def test_criterion_3_exponential_detection(doubling):
     assert all(oracle_evidence)
 
 
-def _replay_dichotomy(v, result):
+def _replay_dichotomy(result):
     """Re-derive each iteration's extended update matrix and check the
     value-level dichotomy: every variable copy has a strictly positive
     ranking coefficient or a strictly positive multi-cycle update, and every
     alive transition strictly decreases the ranking or appears in the
     multi-cycle; never both."""
-    vexp = {x: None for x in v.variables}
-    for record in result.archive:
-        sys = build_extended_system(v, result.tree, record.layer, vexp)
-        assert sys.var_ext == record.var_ext
+    for record, sys in replay(result):
         mu = record.mu
         r, z = record.ranking.r, record.ranking.z
         d_ext, flow = dense(sys)
@@ -147,14 +145,12 @@ def _replay_dichotomy(v, result):
                         zip(flow, sys.states))
             assert drop <= 0
             assert (drop < 0) != (mu[t.tid] >= 1), (t.tid, drop, mu[t.tid])
-        for x in record.new_variable_bounds:
-            vexp[x] = record.layer
 
 
 def test_criterion_4_dichotomy_on_random_suite(random_suite):
     iterations = 0
-    for v, result, _ in random_suite:
-        _replay_dichotomy(v, result)
+    for _, result, _ in random_suite:
+        _replay_dichotomy(result)
         iterations += len(result.archive)
     ok = len(random_suite) == RANDOM_SUITE_SIZE
     assert report(4, ok, f"{RANDOM_SUITE_SIZE} systems, "
@@ -260,17 +256,7 @@ def test_perturbed_family_models_agree_and_verify(monkeypatch):
     these are the seeded systems of layer >= 2 with shifted sign rows."""
     import vassbound.analyzer as analyzer_mod
 
-    solves, solve = [], analyzer_mod.max_strict_set
-
-    def certified(columns, nx, nr):
-        solution = solve(columns, nx, nr)
-        p = ranking_problem(columns, nx, nr)
-        solution_view = CertifiedSolution(p.variables, *solution)
-        test_exactlp.TestDualCertificate.assert_certified(p, solution_view)
-        solves.append(nr)
-        return solution
-
-    monkeypatch.setattr(analyzer_mod, "max_strict_set", certified)
+    solves = log_calls(monkeypatch, analyzer_mod, "max_strict_set")
     exponents, shapes = Counter(), set()
     for v in perturbed_batch(1, 300):
         on = analyze(v)
@@ -295,6 +281,9 @@ def test_perturbed_family_models_agree_and_verify(monkeypatch):
     assert exponents == {2: 18, 4: 41, 8: 50}
     assert len(shapes) == 7
     assert len(solves) == 1497
+    for args, solution in solves:
+        p = ranking_problem(*args)
+        test_exactlp.TestDualCertificate.assert_certified(p, CertifiedSolution(p.variables, *solution))
 
 
 def test_perturbed_family_certificates_on_deep_stall_layers():

@@ -6,27 +6,34 @@ import re
 
 import pytest
 
+import vassbound.analyzer as analyzer_mod
 from vassbound import (
     NotConnectedError,
     Vass,
     analyze,
     build_extended_system,
     check_quasi_ranking,
+    exactlp,
     next_relevant_layer,
     parse_vass,
 )
-from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, RankingSolution
+from vassbound.analyzer import EXPONENTIAL, POLYNOMIAL, InternalInvariantError, RankingSolution
+from vassbound.cli import main
 from conftest import (
     SAMPLES,
     CandidateProblem,
+    assert_exit_3,
+    change_result,
     dense,
+    distinct_systems,
     load_sample,
+    log_calls,
     max_strict_set,
     perturbed_batch,
     random_connected_vass,
     ranking_problem,
     read_every_mu,
-    record_systems,
+    replay,
     suite_models,
     v_family,
 )
@@ -57,18 +64,6 @@ ITERATION3_ROWS = {
 }
 
 
-def replay_systems(result):
-    """Rebuild each executed iteration's extended system from the archive."""
-    vexp = {x: None for x in result.vass.variables}
-    out = []
-    for record in result.archive:
-        sys = build_extended_system(result.vass, result.tree, record.layer, vexp)
-        out.append((record, sys))
-        for x in record.new_variable_bounds:
-            vexp[x] = record.layer
-    return out
-
-
 def keyed_rows(result, sys):
     rows = {}
     for (x, nid), row in zip(sys.var_ext, dense(sys)[0]):
@@ -79,7 +74,7 @@ def keyed_rows(result, sys):
 class TestExtendedSystems:
     def test_first_iteration_matches_plain_update_matrix(self, v_run):
         result = analyze(v_run)
-        record, sys = replay_systems(result)[0]
+        record, sys = replay(result)[0]
         assert sys.var_ext == (("x", 0), ("y", 0), ("z", 0))
         updates = tuple(tuple(t.update[i] for t in v_run.transitions)
                         for i in range(v_run.dimension))
@@ -87,13 +82,13 @@ class TestExtendedSystems:
 
     def test_second_iteration_matrix(self, v_run):
         result = analyze(v_run)
-        record, sys = replay_systems(result)[1]
+        record, sys = replay(result)[1]
         assert tuple(t.tid for t in sys.transitions) == tuple(range(8))
         assert keyed_rows(result, sys) == ITERATION2_ROWS
 
     def test_third_iteration_matrix(self, v_run):
         result = analyze(v_run)
-        record, sys = replay_systems(result)[2]
+        record, sys = replay(result)[2]
         assert tuple(t.tid for t in sys.transitions) == (0, 1, 2, 3)
         assert keyed_rows(result, sys) == ITERATION3_ROWS
 
@@ -320,7 +315,7 @@ class TestHelpers:
         # Externally supplied coefficients (2x + 2y plus offsets on s3, s4)
         # that decrease exactly on the two boundary transitions.
         result = analyze(v_run)
-        _, sys = replay_systems(result)[0]
+        _, sys = replay(result)[0]
         known_solution = RankingSolution(
             r={("x", 0): 2, ("y", 0): 2, ("z", 0): 0},
             z={"s1": 0, "s2": 0, "s3": 1, "s4": 1},
@@ -330,7 +325,7 @@ class TestHelpers:
 
     def test_quasi_ranking_zero_solution(self, v_run):
         result = analyze(v_run)
-        _, sys = replay_systems(result)[0]
+        _, sys = replay(result)[0]
         zero = RankingSolution(
             r={ve: 0 for ve in sys.var_ext},
             z={s: 0 for s in v_run.states},
@@ -339,7 +334,7 @@ class TestHelpers:
 
     def test_quasi_ranking_rejects_negative_and_wrong_strictness(self, v_run):
         result = analyze(v_run)
-        _, sys = replay_systems(result)[0]
+        _, sys = replay(result)[0]
         negative = RankingSolution(
             r={ve: (-1 if ve[0] == "x" else 0) for ve in sys.var_ext},
             z={s: 0 for s in v_run.states},
@@ -354,7 +349,7 @@ class TestHelpers:
     def test_archived_solutions_pass_quasi_ranking_check(self, v_run):
         for v in (v_run, *acceptance_models()):
             result = analyze(v)
-            for record, sys in replay_systems(result):
+            for record, sys in replay(result):
                 assert check_quasi_ranking(sys, record.ranking), (v, record.layer)
 
 
@@ -362,9 +357,6 @@ class TestInternalTripwires:
     def test_dichotomy_assertion_fires_on_suboptimal_solver(self, v_run, monkeypatch):
         # A solver that never tightens anything returns the zero solution
         # with an empty strict set; the layer solver must refuse it.
-        import vassbound.analyzer as analyzer_mod
-        from vassbound.analyzer import InternalInvariantError
-
         def lazy_solver(columns, nx, nr):
             return (0,) * nx, 1, frozenset(), ()
 
@@ -380,50 +372,41 @@ class TestDichotomyOnDuals:
     command line: cut short, all zero, or positive on a ranked transition."""
 
     @staticmethod
-    def _assert_rejected(monkeypatch, capsys, path, perturb, message):
-        import vassbound.analyzer as analyzer_mod
-        from vassbound.analyzer import InternalInvariantError
-        from vassbound.cli import main
-
-        solve = analyzer_mod.max_strict_set
-
-        def perturbed(columns, nx, nr):
-            *solution, duals = solve(columns, nx, nr)
-            return (*solution, perturb(duals))
-
-        monkeypatch.setattr(analyzer_mod, "max_strict_set", perturbed)
-        with pytest.raises(InternalInvariantError, match=re.escape(message)):
-            analyze(parse_vass(path.read_text()))
-        assert main(["analyze", str(path)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("internal invariant violation") and message in err
+    def _perturb_duals(monkeypatch, perturb):
+        change_result(monkeypatch, analyzer_mod, "max_strict_set",
+                      lambda solution, *args: (*solution[:-1], perturb(solution[-1])))
 
     def test_short_duals_fail_on_the_length(self, monkeypatch, capsys):
-        self._assert_rejected(monkeypatch, capsys, SAMPLES / "running.vass",
-                              lambda y: y[:1], "dichotomy violated: 1 duals for 10 transition rows")
+        message = "dichotomy violated: 1 duals for 10 transition rows"
+        self._perturb_duals(monkeypatch, lambda y: y[:1])
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            analyze(load_sample("running"))
+        assert_exit_3(capsys, ["analyze", str(SAMPLES / "running.vass")], message)
 
     def test_zero_duals_name_a_variable_copy(self, monkeypatch, capsys):
         # The running example bounds x and y at layer 1 but not z, so with
         # y = 0 z's copy is strict on neither side; copies are checked first.
-        self._assert_rejected(monkeypatch, capsys, SAMPLES / "running.vass",
-                              lambda y: (0,) * len(y),
-                              "dichotomy violated for variable copy ('z', 0): "
-                              "multi-cycle strict=False, ranking strict=False")
+        message = ("dichotomy violated for variable copy ('z', 0): "
+                   "multi-cycle strict=False, ranking strict=False")
+        self._perturb_duals(monkeypatch, lambda y: (0,) * len(y))
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            analyze(load_sample("running"))
+        assert_exit_3(capsys, ["analyze", str(SAMPLES / "running.vass")], message)
 
     def test_ranked_transition_with_positive_dual(self, monkeypatch, capsys, tmp_path):
         path = tmp_path / "countdown.vass"
         path.write_text("vars x\ns -> s : -1\n")
-        self._assert_rejected(monkeypatch, capsys, path, lambda y: (1, *y[1:]),
-                              "dichotomy violated for transition 0: "
-                              "multi-cycle strict=True, ranking strict=True")
+        message = "dichotomy violated for transition 0: multi-cycle strict=True, ranking strict=True"
+        self._perturb_duals(monkeypatch, lambda y: (1, *y[1:]))
+        with pytest.raises(InternalInvariantError, match=re.escape(message)):
+            analyze(parse_vass(path.read_text()))
+        assert_exit_3(capsys, ["analyze", str(path)], message)
 
 
 def test_multicycle_records_are_built_only_when_read(monkeypatch, v_run, doubling):
     """`analyze` builds no record's counts: the dichotomy is checked on the
     duals themselves, and a record builds its counts once, at the first
     read of `mu`."""
-    import vassbound.analyzer as analyzer_mod
-
     built, mu = [], analyzer_mod.LayerRecord.mu.func
 
     def counted(rec):
@@ -451,8 +434,6 @@ def test_ranking_solves_build_no_lp_rows_or_problems(monkeypatch, capsys, v_run,
     all, by the analysis, by reading every record's `mu` or by the
     exponential text report, and each distinct system is solved once,
     3 nu - 2 of them on `v_family(nu)` for nu >= 2."""
-    import vassbound.analyzer as analyzer_mod
-    from vassbound.cli import main
     from vassbound.exactlp import LpProblem, LpRow, LpSolution
 
     built = {"LpProblem": 0, "LpRow": 0, "LpSolution": 0}
@@ -463,13 +444,7 @@ def test_ranking_solves_build_no_lp_rows_or_problems(monkeypatch, capsys, v_run,
 
         monkeypatch.setattr(cls, "__init__", counted_init)
 
-    solves, solve = [], analyzer_mod.max_strict_set
-
-    def counted_solve(columns, nx, nr):
-        solves.append(columns)
-        return solve(columns, nx, nr)
-
-    monkeypatch.setattr(analyzer_mod, "max_strict_set", counted_solve)
+    solves = log_calls(monkeypatch, analyzer_mod, "max_strict_set")
     nothing = {"LpProblem": 0, "LpRow": 0, "LpSolution": 0}
     counts = []
     for v in (v_run, doubling, *map(v_family, range(1, 6))):
@@ -498,27 +473,8 @@ class TestStrictSetCertificate:
 
     @staticmethod
     def _mutate_phase_two(monkeypatch, mutate):
-        import vassbound.exactlp as exactlp_mod
-
-        phase_two = exactlp_mod._strict_candidates
-
-        def mutated(columns, nx, nr):
-            strict, *point = phase_two(columns, nx, nr)
-            return (mutate(ranking_problem(columns, nx, nr), strict), *point)
-
-        monkeypatch.setattr(exactlp_mod, "_strict_candidates", mutated)
-
-    @staticmethod
-    def _assert_rejected(capsys, message):
-        from vassbound.analyzer import InternalInvariantError
-        from vassbound.cli import main
-
-        sample = SAMPLES / "running.vass"
-        with pytest.raises(InternalInvariantError, match=message):
-            analyze(load_sample("running"))
-        assert main(["analyze", str(sample)]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("internal invariant violation") and message in err
+        change_result(monkeypatch, exactlp, "_strict_candidates",
+                      lambda out, *args: (mutate(ranking_problem(*args), out[0]), *out[1:]))
 
     @pytest.mark.parametrize("position", [0, -1])
     def test_dropped_member_violates_the_dichotomy(self, monkeypatch, capsys, position):
@@ -528,7 +484,9 @@ class TestStrictSetCertificate:
             return strict
 
         self._mutate_phase_two(monkeypatch, drop)
-        self._assert_rejected(capsys, "dichotomy violated")
+        with pytest.raises(InternalInvariantError, match="dichotomy violated"):
+            analyze(load_sample("running"))
+        assert_exit_3(capsys, ["analyze", str(SAMPLES / "running.vass")], "dichotomy violated")
 
     def test_added_non_member_is_not_attained(self, monkeypatch, capsys):
         def add(problem, strict):
@@ -536,18 +494,22 @@ class TestStrictSetCertificate:
             return sorted(strict + extra[:1])
 
         self._mutate_phase_two(monkeypatch, add)
-        self._assert_rejected(capsys, "non-solution")
+        with pytest.raises(InternalInvariantError, match="non-solution"):
+            analyze(load_sample("running"))
+        assert_exit_3(capsys, ["analyze", str(SAMPLES / "running.vass")], "non-solution")
 
     def test_derived_solve_equals_phase_two_solve(self, monkeypatch):
         # The joint problem's '>=' rows, the d_ext and mu(t) >= 0 rows, are
         # its candidates: phase 2 must find the joint solve's strict set.
-        from vassbound import exactlp
-
-        derive = exactlp._feasible
-        calls = []
-
-        def checked(rows, n):
-            solution = derive(rows, n)
+        calls = log_calls(monkeypatch, exactlp, "_feasible")
+        keys, systems = log_calls(monkeypatch, analyzer_mod, "build_extended_system"), 0
+        models = [*acceptance_models(), load_sample("running"), load_sample("doubling")]
+        for v in models:
+            keys.clear()
+            read_every_mu(analyze(v))
+            systems += distinct_systems(keys)
+        assert len(calls) == systems > 200
+        for (rows, n), _ in calls:
             # The strict rows carry right-hand side 1, every other row 0.
             strict = frozenset(i for i, (_, _, rhs) in enumerate(rows) if rhs)
             assert {rhs for _, _, rhs in rows} <= {0, 1}
@@ -557,17 +519,6 @@ class TestStrictSetCertificate:
                                      tuple(exactlp.LpRow(coeffs, relation, 0)
                                            for coeffs, relation, _ in rows), candidates)
             assert max_strict_set(joint).strict_set == strict
-            calls.append(rows)
-            return solution
-
-        monkeypatch.setattr(exactlp, "_feasible", checked)
-        keys, systems = record_systems(monkeypatch), 0
-        models = [*acceptance_models(), load_sample("running"), load_sample("doubling")]
-        for v in models:
-            keys.clear()
-            read_every_mu(analyze(v))
-            systems += len(set(keys))
-        assert len(calls) == systems > 200
 
     def test_unattained_joint_solve_fails_at_the_first_read(self, monkeypatch, capsys):
         """A joint solve that finds no point attaining the complement of the
@@ -575,10 +526,6 @@ class TestStrictSetCertificate:
         as no count is read; the first read of `mu` raises, and the witness
         command exits 3.  The patched `_feasible` must be the one called:
         the joint solve looks it up on its module, where a test wraps it."""
-        from vassbound import exactlp
-        from vassbound.analyzer import InternalInvariantError
-        from vassbound.cli import main
-
         calls = []
 
         def unattained(rows, n):
@@ -586,17 +533,13 @@ class TestStrictSetCertificate:
             return None
 
         monkeypatch.setattr(exactlp, "_feasible", unattained)
-        sample = SAMPLES / "running.vass"
         result = analyze(load_sample("running"))
         assert calls == []
         with pytest.raises(InternalInvariantError, match="not attained"):
             result.archive[0].mu
         assert len(calls) == 1
-        assert main(["witness", str(sample), "--n", "2"]) == 3
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert len(err.splitlines()) == 1 and err.startswith("internal invariant violation: ")
-        assert "not attained" in err
+        witness = ["witness", str(SAMPLES / "running.vass"), "--n", "2"]
+        assert assert_exit_3(capsys, witness, "not attained") == ""
 
 
 class TestLpSolveCount:
@@ -607,37 +550,23 @@ class TestLpSolveCount:
     one reuses its solve.  The joint solves are counted at
     `exactlp._feasible`, the phase-1 front end that the analyzer calls."""
 
-    @staticmethod
-    def _count_solves(monkeypatch):
-        import vassbound.exactlp as exactlp_mod
-
-        calls = []
-        solve = exactlp_mod._feasible
-
-        def counting(rows, n):
-            calls.append(rows)
-            return solve(rows, n)
-
-        monkeypatch.setattr(exactlp_mod, "_feasible", counting)
-        return calls
-
     def test_family_four(self, monkeypatch):
-        calls = self._count_solves(monkeypatch)
+        calls = log_calls(monkeypatch, exactlp, "_feasible")
         result = analyze(v_family(4))
         read_every_mu(result)
         assert result.iterations == 11
         assert len(calls) == 10
 
     def test_random_models(self, monkeypatch):
-        calls = self._count_solves(monkeypatch)
-        keys = record_systems(monkeypatch)
+        calls = log_calls(monkeypatch, exactlp, "_feasible")
+        keys = log_calls(monkeypatch, analyzer_mod, "build_extended_system")
         rng = random.Random(7)
         for _ in range(30):
             v = random_connected_vass(rng)
             calls.clear()
             keys.clear()
             read_every_mu(analyze(v))
-            assert len(calls) == len(set(keys))
+            assert len(calls) == distinct_systems(keys)
 
     def test_reuse_needs_equal_flow_too(self, v_run):
         # Equal update rows over another flow pose another system: without
@@ -661,16 +590,9 @@ class TestLpSolveCount:
         # Equal columns over one more copy pose another system: the copy
         # ("y", 0), which no transition updates, still has its sign row, so
         # it comes out bounded, and the first solve must not be reused.
-        import vassbound.analyzer as analyzer_mod
         from vassbound.analyzer import ExtendedSystem, solve_layer
 
-        calls, solve = [], analyzer_mod.max_strict_set
-
-        def counted(columns, nx, nr):
-            calls.append(nr)
-            return solve(columns, nx, nr)
-
-        monkeypatch.setattr(analyzer_mod, "max_strict_set", counted)
+        calls = log_calls(monkeypatch, analyzer_mod, "max_strict_set")
         countdown = Vass.from_triples(["x", "y"], [("s", (-1, 0), "s")]).transitions
         one, two = (ExtendedSystem(countdown, copies, (((0, -1),),), ("s",))
                     for copies in ((("x", 0),), (("x", 0), ("y", 0))))
@@ -678,14 +600,14 @@ class TestLpSolveCount:
         solved = {}
         assert solve_layer(one, solved)[1].bounded_vars == {("x", 0)}
         assert solve_layer(two, solved)[1].bounded_vars == {("x", 0), ("y", 0)}
-        assert calls == [1, 2] and len(solved) == 2
+        assert [nr for (_, _, nr), _ in calls] == [1, 2] and len(solved) == 2
 
     def test_comparing_solves_makes_no_joint_solve(self, monkeypatch, v_run):
         # The deferred joint solves compare by identity: `==` must not run
         # them.  Records of one system share one, so they still compare equal.
         from vassbound.analyzer import solve_layer
 
-        calls = self._count_solves(monkeypatch)
+        calls = log_calls(monkeypatch, exactlp, "_feasible")
         sys = build_extended_system(v_run, analyze(v_run).tree, 1,
                                     {x: None for x in v_run.variables})
         solved = {}
@@ -700,7 +622,7 @@ class TestLpSolveCount:
         # Of the iterations on v_family(nu), 3 nu - 2 pose new systems,
         # with or without layer skipping.  A second analysis solves them
         # all again: no solve outlives its call.
-        calls = self._count_solves(monkeypatch)
+        calls = log_calls(monkeypatch, exactlp, "_feasible")
         for _ in range(2):
             calls.clear()
             result = analyze(v_family(nu), skip_optimization=skip)
@@ -734,20 +656,12 @@ class TestJointCountsEquivalence:
         return scale_to_integer(problem, lp_feasible(problem, strict)).numerators
 
     def test_counts_equal_the_general_path(self, monkeypatch):
-        import vassbound.analyzer as analyzer_mod
-
-        solved, solve = {}, analyzer_mod._solve_multicycle
-
-        def recorded(columns, nr, ns, ranked_rows):
-            counts = solve(columns, nr, ns, ranked_rows)
-            solved.setdefault((columns, nr, ns, ranked_rows), counts)
-            return counts
-
-        monkeypatch.setattr(analyzer_mod, "_solve_multicycle", recorded)
+        calls = log_calls(monkeypatch, analyzer_mod, "_solve_multicycle")
         models = [*acceptance_models(), v_family(6), load_sample("running"),
                   load_sample("doubling"), *perturbed_batch(7, 100)]
         for v in models:
             read_every_mu(analyze(v))
+        solved = dict(reversed(calls))  # each distinct system's first counts
         for args, counts in solved.items():
             assert type(counts) is tuple and all(type(c) is int for c in counts)
             assert counts == self._general_counts(*args), args
@@ -762,23 +676,14 @@ class TestJointSolveOnRead:
 
     @staticmethod
     def _watch(monkeypatch):
-        """The joint solves, the system `dense(sys)` built at each layer,
-        and the layers of the records whose `mu` is read."""
-        import vassbound.analyzer as analyzer_mod
-
-        calls = TestLpSolveCount._count_solves(monkeypatch)
-        systems, reads = {}, []
-        build, mu = analyzer_mod.build_extended_system, analyzer_mod.LayerRecord.mu
-
-        def recorded(v, tree, layer, vexp):
-            sys = build(v, tree, layer, vexp)
-            systems[layer] = dense(sys)
-            return sys
-
-        monkeypatch.setattr(analyzer_mod, "build_extended_system", recorded)
+        """The joint solves, the layer systems built, and the layers of the
+        records whose `mu` is read."""
+        calls = log_calls(monkeypatch, exactlp, "_feasible")
+        built = log_calls(monkeypatch, analyzer_mod, "build_extended_system")
+        reads, mu = [], analyzer_mod.LayerRecord.mu
         monkeypatch.setattr(analyzer_mod.LayerRecord, "mu",
                             property(lambda rec: reads.append(rec.layer) or mu.func(rec)))
-        return calls, systems, reads
+        return calls, built, reads
 
     @staticmethod
     def _model(tmp_path, v) -> str:
@@ -794,8 +699,6 @@ class TestJointSolveOnRead:
 
     def test_json_and_polynomial_text_reports_make_no_joint_solve(self, tmp_path, capsys,
                                                                    monkeypatch):
-        from vassbound.cli import main
-
         calls, _, reads = self._watch(monkeypatch)
         runs = [["analyze", self._model(tmp_path, v_family(nu)), "--json"] for nu in range(1, 6)]
         runs += [["analyze", str(SAMPLES / "running.vass")],
@@ -807,17 +710,16 @@ class TestJointSolveOnRead:
 
     def test_witness_and_exponential_report_solve_each_read_system_once(
             self, tmp_path, capsys, monkeypatch):
-        from vassbound.cli import main
-
-        calls, systems, reads = self._watch(monkeypatch)
+        calls, built, reads = self._watch(monkeypatch)
         runs = [["witness", str(SAMPLES / "running.vass"), "--n", "2"],
                 ["witness", self._model(tmp_path, v_family(3)), "--n", "1"],
                 ["analyze", str(SAMPLES / "doubling.vass")],
                 *self._suite_runs(tmp_path, EXPONENTIAL)]
         for run in runs:
-            for log in (calls, systems, reads):
+            for log in (calls, built, reads):
                 log.clear()
             assert main(run) == 0
+            systems = {layer: dense(sys) for (_, _, layer, _), sys in built}
             assert 0 < len(calls) == len({systems[layer] for layer in reads}), run
         assert len(runs) > 100
 

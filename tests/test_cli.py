@@ -12,7 +12,7 @@ import vassbound
 from vassbound import (BudgetExceededError, InternalInvariantError, NotConnectedError, VassError,
                        VassSyntaxError)
 from vassbound.cli import _build_parser, main
-from conftest import SAMPLES, load_sample
+from conftest import SAMPLES, assert_exit_3, load_sample
 
 ROOT = SAMPLES.parent
 RUNNING = str(SAMPLES / "running.vass")
@@ -144,9 +144,7 @@ class TestAnalyze:
             raise LpInternalError("simplex produced a non-solution")
 
         monkeypatch.setattr(analyzer_mod, "max_strict_set", broken_solver)
-        assert main(["analyze", RUNNING]) == 3
-        err = capsys.readouterr().err
-        assert "internal invariant violation" in err and "non-solution" in err
+        assert_exit_3(capsys, ["analyze", RUNNING], "non-solution")
 
     def test_tree_dot_export(self, tmp_path, capsys):
         dot = tmp_path / "tree.dot"
@@ -428,6 +426,36 @@ class TestOracle:
     def test_unknown_metric_is_error(self, capsys, metric):
         assert main(["oracle", RUNNING, "--n", "1", "--metric", metric]) == 1
         assert capsys.readouterr().err == f"error: unknown metric '{metric}'\n"
+
+
+@pytest.mark.parametrize("value", ["١", "1_0", " 2"],
+                         ids=["arabic-indic-digit", "underscore", "blank-padded"])
+class TestAsciiNumbers:
+    """The command line reads a number as a model file does, ASCII
+    `-?[0-9]+` only; any other form fails where `x` does."""
+
+    @pytest.mark.parametrize("argv", [
+        ["witness", RUNNING, "--n", "{}"],
+        ["oracle", RUNNING, "--n", "{}", "--metric", "longest"],
+        ["oracle", RUNNING, "--n", "1", "--metric", "longest", "--budget", "{}"],
+    ], ids=["witness-n", "oracle-n", "budget"])
+    def test_option_is_a_usage_error(self, capsys, argv, value):
+        code, out, err = outcome([arg.format(value) for arg in argv], capsys)
+        as_x = outcome([arg.format("x") for arg in argv], capsys)
+        assert (code, out, err) == (2, "", as_x[2].replace("'x'", repr(value)))
+        assert as_x[0] == 2 and err.endswith(f"invalid int value: {value!r}\n")
+
+    @pytest.mark.parametrize("spec", ["{}..3", "1..{}"], ids=["low", "high"])
+    def test_sweep_bound_is_a_bad_range(self, capsys, spec, value):
+        spec = spec.format(value)
+        assert main(["oracle", RUNNING, "--sweep", spec, "--metric", "longest"]) == 1
+        assert capsys.readouterr() == ("", f"error: bad sweep range '{spec}'\n")
+
+    def test_budget_env_is_not_an_integer(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("VASSBOUND_ORACLE_BUDGET", value)
+        assert main(["oracle", RUNNING, "--n", "1", "--metric", "longest"]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: VASSBOUND_ORACLE_BUDGET is not an integer: '{value}'\n")
 
 
 class TestValidate:

@@ -5,12 +5,16 @@ from fractions import Fraction
 
 import pytest
 
+import vassbound.analyzer as analyzer_mod
 from conftest import (
     SAMPLES,
     CandidateProblem,
     CertifiedSolution,
+    assert_exit_3,
     candidate_rows,
+    change_result,
     load_sample,
+    log_calls,
     max_strict_set,
     ranking_columns,
     ranking_problem,
@@ -18,7 +22,6 @@ from conftest import (
     v_family,
 )
 from vassbound import analyze, exactlp
-from vassbound.cli import main
 from vassbound.exactlp import (
     EQ,
     GE,
@@ -163,8 +166,7 @@ class TestPlainRows:
         assert rows == copy
 
     def test_decides_rows_with_no_variable(self, monkeypatch):
-        calls, phase_one = [], exactlp._phase_one
-        monkeypatch.setattr(exactlp, "_phase_one", lambda rows, n: calls.append(rows) or phase_one(rows, n))
+        calls = log_calls(monkeypatch, exactlp, "_phase_one")
         assert exactlp._feasible([({0: 1}, GE, 0), ({}, GE, 1)], 1) is None
         assert exactlp._feasible([({}, EQ, -1)], 1) is None
         assert calls == []
@@ -327,17 +329,9 @@ class TestPhaseTwo:
 
     @pytest.fixture
     def runs(self, monkeypatch):
-        """(tableau, basis, flipped columns) of every pivot run."""
-        records = []
-        pivot = exactlp._pivot_to_optimum
-
-        def recorded(tableau, basis, obj, ncols, bounded=range(0), stop_at_zero=False):
-            final, flipped = pivot(tableau, basis, obj, ncols, bounded, stop_at_zero)
-            records.append((tableau, basis, flipped))
-            return final, flipped
-
-        monkeypatch.setattr(exactlp, "_pivot_to_optimum", recorded)
-        return records
+        """`((tableau, basis, ...), (final objective, flipped columns))` of
+        every pivot run."""
+        return log_calls(monkeypatch, exactlp, "_pivot_to_optimum")
 
     def test_entering_column_flips_at_its_own_bound(self, runs):
         # Columns w, y, s0, s1, then the slack of row 1 (column 4): x >= 0
@@ -347,7 +341,7 @@ class TestPhaseTwo:
         # so w = y = 0 and s0 = s1 = 1 are read out, and x = s0 + w = 1.
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
         assert exactlp._strict_candidates(*ranking_columns(p))[:3] == ([0, 1], [1, 0], 1)
-        [(tableau, basis, flipped)] = runs
+        [((tableau, basis, *_), (_, flipped))] = runs
         assert len(tableau) == 1 and basis == [4] and flipped == {2, 3}
 
     def test_basic_column_leaves_at_its_bound(self, runs):
@@ -355,14 +349,14 @@ class TestPhaseTwo:
         # enters and raises s0 until it leaves at 1, flipped: x = 1, y = 0.
         p = problem(["x", "y"], [((1, -1), GE, 0)], candidates=[0])
         assert exactlp._strict_candidates(*ranking_columns(p))[:3] == ([0], [1, 0], 1)
-        [(tableau, basis, flipped)] = runs
+        [((tableau, basis, *_), (_, flipped))] = runs
         assert basis == [0] and flipped == {2}
 
     def test_joint_solves_flip_nothing(self, runs):
         p = problem(["x", "y"], [((1, 0), GE, 0), ((1, -1), GE, 0)], candidates=[0, 1])
         assert max_strict_set(p).strict_set == {0, 1}
         assert lp_feasible(p, [0, 1]).strict_set == {0, 1}
-        assert [flipped for _, _, flipped in runs] == [{2, 3}, set()]
+        assert [flipped for _, (_, flipped) in runs] == [{2, 3}, set()]
 
 
 class TestInertRowsAndColumns:
@@ -467,23 +461,13 @@ def _second_negative(numerators):
 
 
 def break_phase_one(monkeypatch, fault):
-    phase_one = exactlp._phase_one
-
-    def faulty(rows, n):
-        raw = phase_one(rows, n)
-        return None if raw is None else (fault(raw[0]), raw[1])
-
-    monkeypatch.setattr(exactlp, "_phase_one", faulty)
+    change_result(monkeypatch, exactlp, "_phase_one",
+                  lambda raw, *args: None if raw is None else (fault(raw[0]), raw[1]))
 
 
 def break_phase_two(monkeypatch, fault):
-    phase_two = exactlp._strict_candidates
-
-    def faulty(columns, nx, nr):
-        strict, values, den, duals = phase_two(columns, nx, nr)
-        return strict, fault(values), den, duals
-
-    monkeypatch.setattr(exactlp, "_strict_candidates", faulty)
+    change_result(monkeypatch, exactlp, "_strict_candidates",
+                  lambda out, *args: (out[0], fault(out[1]), *out[2:]))
 
 
 class TestTheOneCheck:
@@ -527,30 +511,23 @@ class TestTheOneCheck:
     def test_analyze_exits_with_internal_error(self, faulty_phase_one, capsys):
         # Phase 1 runs only in the joint solves, which a witness reads,
         # through `_feasible`: its one check must catch the fault.
-        assert main(["witness", str(SAMPLES / "running.vass"), "--n", "2"]) == 3
-        assert "internal invariant violation" in capsys.readouterr().err
+        assert_exit_3(capsys, ["witness", str(SAMPLES / "running.vass"), "--n", "2"],
+                      "non-solution")
 
     def test_analyze_exits_with_internal_error_in_phase_two(self, faulty_phase_two, capsys):
-        assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
-        assert "internal invariant violation" in capsys.readouterr().err
+        assert_exit_3(capsys, ["analyze", str(SAMPLES / "running.vass")], "non-solution")
 
 
 def analysis_lps(monkeypatch, models):
     """(problem, solution) of every `max_strict_set` call that analyzing
     `models` makes, through the name `analyze` calls."""
-    import vassbound.analyzer as analyzer_mod
-
-    solves, solve = [], analyzer_mod.max_strict_set
-
-    def recorded(columns, nx, nr):
-        solution = solve(columns, nx, nr)
-        p = ranking_problem(columns, nx, nr)
-        solves.append((p, CertifiedSolution(p.variables, *solution)))
-        return solution
-
-    monkeypatch.setattr(analyzer_mod, "max_strict_set", recorded)
+    calls = log_calls(monkeypatch, analyzer_mod, "max_strict_set")
     for v in models:
         analyze(v)
+    solves = []
+    for args, solution in calls:
+        p = ranking_problem(*args)
+        solves.append((p, CertifiedSolution(p.variables, *solution)))
     return solves
 
 
@@ -565,15 +542,15 @@ def certificate_models():
 def mutate_duals(monkeypatch, mutate) -> list[bool]:
     """Phase 2 returns its duals as `mutate` changes them; the list records,
     per solve, whether they changed."""
-    phase_two, changed = exactlp._strict_candidates, []
+    changed = []
 
-    def mutated(columns, nx, nr):
-        strict, values, den, duals = phase_two(columns, nx, nr)
-        broken = mutate(ranking_problem(columns, nx, nr), strict, list(duals))
+    def mutated(out, *args):
+        strict, values, den, duals = out
+        broken = mutate(ranking_problem(*args), strict, list(duals))
         changed.append(broken != duals)
         return strict, values, den, broken
 
-    monkeypatch.setattr(exactlp, "_strict_candidates", mutated)
+    change_result(monkeypatch, exactlp, "_strict_candidates", mutated)
     return changed
 
 
@@ -655,9 +632,7 @@ class TestDualCertificate:
                 raised = True
             assert raised == changed[-1]
         assert sum(changed) > 100
-        assert main(["analyze", str(SAMPLES / "running.vass")]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("internal invariant violation") and "dichotomy violated" in err
+        assert_exit_3(capsys, ["analyze", str(SAMPLES / "running.vass")], "dichotomy violated")
 
     def test_mu_read_in_reverse_gives_forward_counts(self):
         for v in certificate_models():

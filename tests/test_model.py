@@ -25,7 +25,7 @@ from vassbound import (
     unconnected_pair,
     validate_connected,
 )
-from conftest import SAMPLES, dense, random_connected_vass, without_deep_recursion
+from conftest import SAMPLES, dense, random_connected_vass, replay, without_deep_recursion
 
 # Update and flow matrices of the running example's first iteration, rows
 # x/y/z resp. s1..s4, columns in file order.
@@ -48,18 +48,6 @@ def first_system(v):
     tree = LayerTree()
     tree.add(v, None, 0)
     return build_extended_system(v, tree, 1, {x: None for x in v.variables})
-
-
-def replayed_systems(v):
-    """Every executed iteration's extended system, rebuilt from the archive."""
-    result = analyze(v)
-    vexp = {x: None for x in v.variables}
-    for record in result.archive:
-        sys = build_extended_system(v, result.tree, record.layer, vexp)
-        assert tuple(t.tid for t in sys.transitions) == record.u
-        yield sys
-        for x in record.new_variable_bounds:
-            vexp[x] = record.layer
 
 
 def column(rows, j):
@@ -299,7 +287,7 @@ class TestMatrices:
         rng = random.Random(7)
         for _ in range(25):
             v = random_connected_vass(rng)
-            for sys in replayed_systems(v):
+            for _, sys in replay(analyze(v)):
                 _, flow = dense(sys)
                 for j, t in enumerate(sys.transitions):
                     col = column(flow, j)

@@ -25,7 +25,7 @@ import math
 
 import vassbound.analyzer as analyzer_mod
 import vassbound.witness as witness_mod
-from conftest import long_ring, v_family
+from conftest import log_calls, long_ring, v_family
 from vassbound import analyze, covering_cycle, exactlp
 from vassbound.analyzer import POLYNOMIAL
 
@@ -35,25 +35,20 @@ RING_SIZES = (250, 500, 1000)
 def test_long_ring_work_is_linear(monkeypatch):
     """Per ring size, the stored column entries of the one layer system
     that `analyze` builds, and its `_eliminate` calls."""
-    build, eliminate = analyzer_mod.build_extended_system, exactlp._eliminate
-    entries, eliminations = [], []
-
-    def built(*args):
-        sys = build(*args)
-        entries.append(sum(map(len, sys.columns)))
-        return sys
+    eliminate, eliminations = exactlp._eliminate, []
 
     def counted(*args):
         eliminations[-1] += 1
         return eliminate(*args)
 
-    monkeypatch.setattr(analyzer_mod, "build_extended_system", built)
+    built = log_calls(monkeypatch, analyzer_mod, "build_extended_system")
     monkeypatch.setattr(exactlp, "_eliminate", counted)
     for states in RING_SIZES:
         eliminations.append(0)
         result = analyze(long_ring(states))
         assert result.report.status == POLYNOMIAL and result.report.complexity_exponent == 1
         assert result.iterations == 1
+    entries = [sum(map(len, sys.columns)) for _, sys in built]
     assert entries == [3 * s + 2 * math.ceil(s / 7) for s in RING_SIZES] == [822, 1644, 3286]
     assert eliminations == [665, 1326, 2647]
     for counts in (entries, eliminations):

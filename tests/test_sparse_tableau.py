@@ -44,11 +44,12 @@ from vassbound import Vass, analyze
 from vassbound import analyzer, exactlp
 from vassbound.exactlp import EQ, GE, LpInternalError, lp_feasible
 from conftest import (
+    distinct_systems,
     load_sample,
+    log_calls,
     max_strict_set,
     ranking_problem,
     read_every_mu,
-    record_systems,
     suite_models,
     v_family,
 )
@@ -206,8 +207,8 @@ class DenseMirror:
     same result; counts the solves it compared, and in `origins` the
     phase-1 solves with b = 0, which pivot nothing.  `entered` lists the
     entering columns of the unbounded pivot runs, `last_obj` holds the
-    final objective row of the last one, and `systems` the numbers of
-    every layer system the analysis built."""
+    final objective row of the last one, and `systems` the `log_calls`
+    log of every layer system the analysis built."""
 
     def __init__(self, monkeypatch):
         self.pivot_runs = self.replays = self.phase_ones = self.strict_sets = self.solutions = 0
@@ -215,7 +216,7 @@ class DenseMirror:
         self.last_bounded = self.last_obj = None
         self.phase_one_n: Optional[int] = None  # set while a phase-1 solve runs
         self.entered: list[int] = []
-        self.systems = record_systems(monkeypatch)
+        self.systems = log_calls(monkeypatch, analyzer, "build_extended_system")
         sparse_pivot = exactlp._pivot_to_optimum
         sparse_phase_one = exactlp._phase_one
         sparse_strict = exactlp._strict_candidates
@@ -301,7 +302,7 @@ def assert_analysis_mirrored(mirror, v):
     # one joint phase-1 solve once its counts are read, its strict set
     # being the complement.  Every
     # phase-1 pivot run is replayed exactly; one with b = 0 makes none.
-    assert mirror.strict_sets - before == len(set(mirror.systems))
+    assert mirror.strict_sets - before == distinct_systems(mirror.systems)
     assert mirror.phase_ones == mirror.solutions == mirror.strict_sets
     assert mirror.pivot_runs == mirror.phase_ones - mirror.origins + mirror.strict_sets
     assert mirror.replays == mirror.phase_ones - mirror.origins

@@ -151,6 +151,7 @@ def test_witness_build_work_on_the_family(monkeypatch):
         leaves.append(built["Leaf"])
         repeats.append(built["Repeat"])
     assert sum(leaves[:6]) == 441
+    assert leaves == [6, 21, 45, 78, 120, 171, 231]
     assert repeats == [5, 20, 83, 341, 1385, 5585, 22433]
 
 
